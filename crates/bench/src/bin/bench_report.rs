@@ -25,14 +25,14 @@
 
 use optima_bench::experiments::Profile;
 use optima_bench::json::Json;
-use optima_bench::{calibrated_models, naive_network_forward, DynDispatchProducts};
+use optima_bench::{calibrated_models, naive_network_forward};
 use optima_circuit::technology::Technology;
 use optima_core::calibration::{CalibrationConfig, Calibrator};
 use optima_core::snapshot;
 use optima_dnn::data::{Dataset, SyntheticImageConfig};
 use optima_dnn::eval::evaluate_batched;
 use optima_dnn::layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, Relu};
-use optima_dnn::multiplier::ExactInt4Products;
+use optima_dnn::multiplier::{DynDispatchProducts, ExactInt4Products};
 use optima_dnn::network::Network;
 use optima_dnn::quantized::QuantizedNetwork;
 use optima_dnn::reference;
@@ -219,8 +219,8 @@ fn main() {
             .expect("conv shapes fit");
         assert_eq!(
             output,
-            conv.infer(&image).expect("conv shapes fit"),
-            "scratch conv path must be bit-identical to the allocating path"
+            conv.clone().forward(&image).expect("conv shapes fit"),
+            "scratch conv path must be bit-identical to the training forward"
         );
         let baseline_seconds = time_iterations(iterations, || {
             black_box(reference::conv2d_forward(
@@ -275,8 +275,8 @@ fn main() {
             .expect("dense shapes fit");
         assert_eq!(
             output,
-            dense.infer(&input).expect("dense shapes fit"),
-            "scratch dense path must be bit-identical to the allocating path"
+            dense.clone().forward(&input).expect("dense shapes fit"),
+            "scratch dense path must be bit-identical to the training forward"
         );
         let optimized_seconds = time_iterations(iterations, || {
             dense

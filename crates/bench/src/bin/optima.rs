@@ -31,8 +31,7 @@ USAGE:
 
 OPTIONS (run):
     --all                 run every registered experiment
-    --profile fast|full   execution profile (default: OPTIMA_PROFILE, else full;
-                          OPTIMA_QUICK=1 is a deprecated alias for fast)
+    --profile fast|full   execution profile (default: OPTIMA_PROFILE, else full)
     --seed N              base RNG seed (default 42)
     --threads N           sweep-engine worker threads (default 0 = auto)
     --json DIR            additionally write DIR/<name>.json per experiment

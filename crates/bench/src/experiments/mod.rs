@@ -4,9 +4,8 @@
 //! self-describing unit implementing
 //! `run(&mut ExperimentContext) -> Result<Report, BenchError>`.  The static
 //! [`registry`] enumerates all of them; the `optima` CLI binary lists and
-//! runs them (text and/or JSON output), and the legacy per-figure binaries
-//! are five-line shims over [`run_shim`] whose text output is byte-identical
-//! to the pre-refactor harnesses (golden-tested).
+//! runs them (text and/or JSON output), and the golden tests drive the
+//! registry directly.
 //!
 //! [`ExperimentContext`] carries the resolved execution [`Profile`]
 //! (fast/full), the base RNG seed, the sweep-engine thread knob, and a
@@ -48,10 +47,6 @@ mod table3_cifar;
 /// Environment variable selecting the execution profile: `fast` or `full`.
 pub const PROFILE_ENV_VAR: &str = "OPTIMA_PROFILE";
 
-/// Deprecated alias for `OPTIMA_PROFILE=fast` (`OPTIMA_QUICK=1`), honoured
-/// with a warning so existing scripts keep working.
-pub const QUICK_ENV_VAR: &str = "OPTIMA_QUICK";
-
 /// Execution profile of an experiment run.
 ///
 /// `Fast` selects coarse sweep grids, fewer Monte-Carlo samples and fewer
@@ -86,9 +81,8 @@ impl Profile {
         }
     }
 
-    /// Resolves the profile from the environment: `OPTIMA_PROFILE=fast|full`
-    /// wins; the deprecated `OPTIMA_QUICK=1` alias is honoured with a
-    /// warning; the default is `Full`.  An unrecognised `OPTIMA_PROFILE`
+    /// Resolves the profile from the environment: `OPTIMA_PROFILE=fast|full`,
+    /// defaulting to `Full`.  An unrecognised `OPTIMA_PROFILE`
     /// value warns and falls back to the default rather than erroring, so a
     /// typo in CI degrades to the safe (full-fidelity) behaviour.
     pub fn from_env() -> Profile {
@@ -106,15 +100,6 @@ impl Profile {
                     }
                 }
             }
-        }
-        if std::env::var(QUICK_ENV_VAR)
-            .map(|v| v == "1")
-            .unwrap_or(false)
-        {
-            eprintln!(
-                "warning: {QUICK_ENV_VAR}=1 is deprecated; use {PROFILE_ENV_VAR}=fast instead"
-            );
-            return Profile::Fast;
         }
         Profile::Full
     }
@@ -384,7 +369,7 @@ impl ExperimentContext {
 /// Implementations are stateless unit structs registered in [`registry`];
 /// all run-time configuration comes through the [`ExperimentContext`].
 pub trait Experiment: Sync {
-    /// Registry name — equal to the legacy binary name (e.g. `fig5_pvt`).
+    /// Registry name, as passed to `optima run` (e.g. `fig5_pvt`).
     fn name(&self) -> &'static str;
 
     /// One-line description for `optima list` and DESIGN.md.
@@ -442,15 +427,13 @@ pub fn design_md() -> String {
          Every figure, table and ablation of the paper is one implementation of\n\
          `optima_bench::experiments::Experiment`, registered in the static\n\
          registry and driven by the `optima` CLI (`optima list`, `optima run`).\n\
-         The legacy per-experiment binaries in `crates/bench/src/bin/` are\n\
-         shims over the same registry and print byte-identical text output.\n\
          \n\
-         | experiment | paper artifact | shim binary | description |\n\
-         |---|---|---|---|\n",
+         | experiment | paper artifact | description |\n\
+         |---|---|---|\n",
     );
     for experiment in registry() {
         out.push_str(&format!(
-            "| `{name}` | {paper} | `cargo run -p optima_bench --bin {name}` | {desc} |\n",
+            "| `{name}` | {paper} | {desc} |\n",
             name = experiment.name(),
             paper = experiment.paper_ref(),
             desc = experiment.description(),
@@ -463,37 +446,6 @@ pub fn design_md() -> String {
          the \"Experiment runner\" section of README.md.\n",
     );
     out
-}
-
-/// Entry point of the legacy per-experiment shim binaries: resolves the
-/// profile from the environment, runs the named experiment and prints its
-/// text report (byte-identical to the pre-refactor binaries), exiting
-/// non-zero on failure.
-pub fn run_shim(name: &str) -> ! {
-    let experiment = find(name).unwrap_or_else(|| {
-        eprintln!("error: experiment {name:?} is not registered");
-        std::process::exit(2);
-    });
-    let mut ctx = ExperimentContext::new(Profile::from_env());
-    // The report is printed when the run completes; a stderr liveness line
-    // (stdout stays byte-identical to the legacy binaries) tells a log
-    // watcher that a long full-profile run is working, not hung.
-    eprintln!(
-        "running {} ({}, profile {}); report follows on completion",
-        experiment.name(),
-        experiment.paper_ref(),
-        ctx.profile().name()
-    );
-    match experiment.run(&mut ctx) {
-        Ok(report) => {
-            print!("{}", report.render_text());
-            std::process::exit(0);
-        }
-        Err(err) => {
-            eprintln!("error: experiment {name} failed: {err}");
-            std::process::exit(1);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,26 +1,25 @@
-//! Shared plumbing for the experiment harnesses and Criterion benches.
+//! Shared plumbing for the experiment harnesses and the perf report.
 //!
 //! Every figure, table and ablation of the paper is an
 //! [`experiments::Experiment`] registered in [`experiments::registry`] (see
 //! DESIGN.md for the per-experiment index) and driven by the `optima` CLI
-//! binary; the legacy per-experiment binaries in `src/bin/` are thin shims
-//! over the same registry.  This library additionally provides the pieces
-//! they share: model calibration (snapshot-cached), the three Table I corner
-//! configurations, structured [`report::Report`]s with text/JSON renderers,
-//! and the naive reference forward pass used by the perf benches.
+//! binary.  This library additionally provides the pieces they share: model
+//! calibration (snapshot-cached), the three Table I corner configurations,
+//! structured [`report::Report`]s with text/JSON renderers, and the naive
+//! reference forward pass used by `bench_report`.
 
 use optima_circuit::array::ArrayConfig;
 use optima_circuit::technology::Technology;
 use optima_core::calibration::{CalibrationConfig, CalibrationOutcome, Calibrator};
 use optima_core::model::suite::ModelSuite;
 use optima_core::snapshot;
+use optima_core::ModelError;
 use optima_dnn::layers::{Conv2d, Dense, ResidualBlock};
-use optima_dnn::multiplier::ProductTable;
 use optima_dnn::network::Network;
+use optima_dnn::scratch::KernelScratch;
 use optima_dnn::{reference, Tensor};
 use optima_imc::multiplier::MultiplierConfig;
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
 
 pub mod experiments;
 pub mod json;
@@ -86,12 +85,12 @@ pub fn calibration_snapshot_path_for(fast: bool, array: &ArrayConfig) -> Option<
 /// otherwise the default calibration grids are used.  The first call saves a
 /// versioned snapshot under `target/optima/` (see
 /// [`calibration_snapshot_path`]); subsequent calls — including every
-/// experiment binary — load it in milliseconds instead of re-running the
+/// experiment run — load it in milliseconds instead of re-running the
 /// circuit sweeps.  The snapshot is invalidated automatically when the
 /// schema version, the technology parameters or the calibration grids
-/// change (fingerprint checks in [`optima_core::snapshot`]), and any
-/// load failure silently falls back to recalibration, so the cache can
-/// never change results: loads are bit-exact.
+/// change (fingerprint checks in [`optima_core::snapshot`]); a rejected
+/// snapshot is reported on stderr and falls back to recalibration, so the
+/// cache can never change results: loads are bit-exact.
 ///
 /// # Panics
 ///
@@ -128,8 +127,13 @@ pub fn calibrate_for(fast: bool, array: &ArrayConfig) -> (Technology, Calibratio
     config.cells_on_bitline = array.rows as usize;
     let path = calibration_snapshot_path_for(fast, array);
     if let Some(path) = &path {
-        if let Ok(outcome) = snapshot::load(path, &technology, &config, array) {
-            return (technology, outcome);
+        match load_snapshot(path, &technology, &config, array) {
+            Ok(Some(outcome)) => return (technology, outcome),
+            Ok(None) => {}
+            Err(err) => eprintln!(
+                "warning: calibration snapshot {} rejected: {err}; recalibrating",
+                path.display()
+            ),
         }
     }
     let outcome = Calibrator::new(technology.clone(), config.clone())
@@ -141,6 +145,21 @@ pub fn calibrate_for(fast: bool, array: &ArrayConfig) -> (Technology, Calibratio
         }
     }
     (technology, outcome)
+}
+
+/// Loads the calibration snapshot at `path`: `Ok(None)` only when no file
+/// exists there, so a stale, tampered or unreadable snapshot surfaces as an
+/// error instead of passing for a cache miss.
+fn load_snapshot(
+    path: &Path,
+    technology: &Technology,
+    config: &CalibrationConfig,
+    array: &ArrayConfig,
+) -> Result<Option<CalibrationOutcome>, ModelError> {
+    if let Ok(false) = path.try_exists() {
+        return Ok(None);
+    }
+    snapshot::load(path, technology, config, array).map(Some)
 }
 
 /// Convenience wrapper returning only the fitted models.
@@ -156,30 +175,6 @@ pub fn paper_corners() -> Vec<(&'static str, MultiplierConfig)> {
         ("power", MultiplierConfig::paper_power_corner()),
         ("variation", MultiplierConfig::paper_variation_corner()),
     ]
-}
-
-/// Forwarding [`ProductTable`] wrapper that opts out of LUT snapshotting.
-///
-/// Routing a pure table through this wrapper forces
-/// [`optima_dnn::quantized::QuantizedNetwork`] onto its per-product
-/// dynamic-dispatch reference path, which is the "before" side of the
-/// LUT-vs-dyn benchmarks and the ground truth of the bit-identity checks in
-/// `bench_report`.
-#[derive(Debug, Clone)]
-pub struct DynDispatchProducts(pub Arc<dyn ProductTable>);
-
-impl ProductTable for DynDispatchProducts {
-    fn product(&self, a: u8, b: u8) -> u16 {
-        self.0.product(a, b)
-    }
-
-    fn name(&self) -> String {
-        format!("dyn({})", self.0.name())
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        false
-    }
 }
 
 fn naive_conv_forward(conv: &Conv2d, input: &Tensor) -> Tensor {
@@ -204,12 +199,15 @@ fn naive_conv_forward(conv: &Conv2d, input: &Tensor) -> Tensor {
 /// [`optima_dnn::reference`] — the "before" side of the end-to-end inference
 /// benchmarks.  Convolutions and dense layers run the original six-deep /
 /// dot-product loops; layers that were never lowered onto GEMM (pooling,
-/// activation, flatten) use their normal inference path.
+/// activation, flatten) use their normal [`Layer::infer_into`] path.
+///
+/// [`Layer::infer_into`]: optima_dnn::layers::Layer::infer_into
 ///
 /// # Panics
 ///
 /// Panics on shape errors — benchmark inputs are constructed to fit.
 pub fn naive_network_forward(network: &Network, input: &Tensor) -> Tensor {
+    let mut scratch = KernelScratch::new();
     let mut current = input.clone();
     for layer in network.layers() {
         let any = layer.as_any();
@@ -238,9 +236,11 @@ pub fn naive_network_forward(network: &Network, input: &Tensor) -> Tensor {
             branch.map_inplace(|v| v.max(0.0));
             branch
         } else {
+            let mut output = Tensor::default();
             layer
-                .infer(&current)
-                .expect("benchmark inputs fit the network")
+                .infer_into(&current, &mut output, &mut scratch)
+                .expect("benchmark inputs fit the network");
+            output
         };
     }
     current
@@ -290,6 +290,37 @@ mod tests {
         let int8_path = calibration_snapshot_path_for(true, &ArrayConfig::int8()).unwrap();
         assert_ne!(default_path, int8_path);
         assert!(int8_path.to_string_lossy().contains("16x8-int8"));
+    }
+
+    #[test]
+    fn snapshot_loading_tells_a_missing_file_from_a_rejected_one() {
+        let dir =
+            std::env::temp_dir().join(format!("optima-bench-snapshot-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("calibration.snap");
+        let (technology, outcome) = calibrate(true);
+        let config = CalibrationConfig::fast();
+        let missing = load_snapshot(&path, &technology, &config, &ArrayConfig::default());
+        assert_eq!(missing, Ok(None));
+
+        // A snapshot saved for the paper macro cannot serve an INT8 array.
+        snapshot::save(
+            &path,
+            &outcome,
+            &technology,
+            &config,
+            &ArrayConfig::default(),
+        )
+        .unwrap();
+        let rejected = load_snapshot(&path, &technology, &config, &ArrayConfig::int8());
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(
+            matches!(
+                rejected,
+                Err(ModelError::SnapshotFingerprintMismatch { .. })
+            ),
+            "{rejected:?}"
+        );
     }
 
     #[test]

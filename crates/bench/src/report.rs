@@ -6,8 +6,7 @@
 //!
 //! * [`Report::render_text`] — the human-readable form.  It reproduces the
 //!   Markdown-table conventions of the original per-binary `println!`
-//!   harnesses byte-for-byte (golden-tested), so the legacy shim binaries
-//!   emit exactly the pre-refactor output.
+//!   harnesses byte-for-byte (golden-tested).
 //! * [`Report::to_json`] — the machine-readable form, emitted through the
 //!   shared hand-rolled serializer in [`crate::json`] (the same one behind
 //!   `BENCH_dnn.json`/`BENCH_analog.json`).

@@ -1,40 +1,9 @@
-//! Structural invariants of the unified experiment API: the registry, the
-//! shim binaries and the generated DESIGN.md index must stay in lock-step.
+//! Structural invariants of the unified experiment API: the registry and
+//! the generated DESIGN.md index must stay in lock-step.
 
 use optima_bench::experiments::{design_md, find, registry};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-
-/// The `src/bin` entries that are not experiment shims: the multiplexed
-/// runner itself and the perf-trajectory reporter.
-const NON_SHIM_BINARIES: &[&str] = &["optima", "bench_report"];
-
-fn shim_binary_names() -> BTreeSet<String> {
-    let bin_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("src/bin");
-    std::fs::read_dir(&bin_dir)
-        .expect("src/bin is readable")
-        .map(|entry| entry.expect("directory entry is readable").path())
-        .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
-        .map(|path| {
-            path.file_stem()
-                .expect("binary file has a stem")
-                .to_string_lossy()
-                .into_owned()
-        })
-        .filter(|name| !NON_SHIM_BINARIES.contains(&name.as_str()))
-        .collect()
-}
-
-#[test]
-fn every_shim_binary_has_a_registered_experiment_and_vice_versa() {
-    let shims = shim_binary_names();
-    let registered: BTreeSet<String> = registry().iter().map(|e| e.name().to_string()).collect();
-    assert_eq!(
-        shims, registered,
-        "src/bin shims and the experiment registry must be a bijection \
-         (left: shims, right: registry)"
-    );
-}
 
 #[test]
 fn registry_names_are_unique() {

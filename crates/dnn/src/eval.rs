@@ -1,20 +1,19 @@
 //! Accuracy evaluation: top-1 / top-5 classification accuracy.
 //!
 //! Both the FLOAT32 [`Network`] and the INT4 [`QuantizedNetwork`] implement
-//! [`InferenceModel`], so the same evaluation loop produces every column of
-//! the paper's Tables II and III.
+//! [`BatchInferenceModel`], so the one evaluation loop, [`evaluate_batched`],
+//! produces every column of the paper's Tables II and III.
 //!
 //! Dataset evaluation is embarrassingly parallel over images, so
 //! [`evaluate_batched`] fans the test split out over
 //! [`optima_core::sweep::par_map_sweep_with`] — the workspace's
 //! error-strict, deterministic parallel sweep engine — with one prediction
 //! per sweep item and one [`KernelScratch`] arena per worker thread.
-//! Models implement the shared-reference [`BatchInferenceModel`] trait
-//! (immutable `predict`, `Sync`), which is what lets every worker thread
-//! read the same network without cloning it; predictions run through
-//! [`BatchInferenceModel::predict_with`], so once each worker's arena has
-//! warmed up, the steady state performs zero heap allocations per image
-//! (pinned by the workspace's counting-allocator test).
+//! [`BatchInferenceModel::predict_with`] takes `&self` (and models are
+//! `Sync`), which is what lets every worker thread read the same network
+//! without cloning it; once each worker's arena has warmed up, the steady
+//! state performs zero heap allocations per image (pinned by the
+//! workspace's counting-allocator test).  `threads = 1` is the serial loop.
 
 use crate::data::Dataset;
 use crate::error::DnnError;
@@ -25,44 +24,13 @@ use crate::tensor::Tensor;
 use optima_core::sweep::par_map_sweep_with;
 use serde::{Deserialize, Serialize};
 
-/// Anything that can classify one image.
-pub trait InferenceModel {
-    /// Produces class logits for one image.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors.
-    fn predict(&mut self, image: &Tensor) -> Result<Tensor, DnnError>;
-}
-
-impl InferenceModel for Network {
-    fn predict(&mut self, image: &Tensor) -> Result<Tensor, DnnError> {
-        self.forward(image)
-    }
-}
-
-impl InferenceModel for QuantizedNetwork {
-    fn predict(&mut self, image: &Tensor) -> Result<Tensor, DnnError> {
-        self.forward(image)
-    }
-}
-
 /// Anything that can classify one image through a shared reference, making
 /// it usable from several evaluation threads at once.
 pub trait BatchInferenceModel: Sync {
-    /// Produces class logits for one image without mutating the model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors.
-    fn predict(&self, image: &Tensor) -> Result<Tensor, DnnError>;
-
-    /// Like [`BatchInferenceModel::predict`], but draws every intermediate
-    /// buffer from the caller's scratch arena and returns the logits by
-    /// reference into it (valid until the next call that borrows the same
-    /// scratch).  Numerically identical to `predict`.  The default
-    /// delegates to `predict` (allocating); the workspace networks
-    /// override it with their zero-allocation steady-state paths.
+    /// Produces class logits for one image without mutating the model,
+    /// drawing every intermediate buffer from the caller's scratch arena and
+    /// returning the logits by reference into it (valid until the next call
+    /// that borrows the same scratch).
     ///
     /// # Errors
     ///
@@ -71,17 +39,10 @@ pub trait BatchInferenceModel: Sync {
         &self,
         image: &Tensor,
         scratch: &'s mut KernelScratch,
-    ) -> Result<&'s Tensor, DnnError> {
-        let logits = self.predict(image)?;
-        Ok(scratch.store_result(logits))
-    }
+    ) -> Result<&'s Tensor, DnnError>;
 }
 
 impl BatchInferenceModel for Network {
-    fn predict(&self, image: &Tensor) -> Result<Tensor, DnnError> {
-        self.infer(image)
-    }
-
     fn predict_with<'s>(
         &self,
         image: &Tensor,
@@ -92,10 +53,6 @@ impl BatchInferenceModel for Network {
 }
 
 impl BatchInferenceModel for QuantizedNetwork {
-    fn predict(&self, image: &Tensor) -> Result<Tensor, DnnError> {
-        self.forward(image)
-    }
-
     fn predict_with<'s>(
         &self,
         image: &Tensor,
@@ -174,32 +131,17 @@ fn reduce(hits: impl IntoIterator<Item = (bool, bool)>) -> EvaluationReport {
     }
 }
 
-/// Evaluates a model on the test split of `dataset`, one image at a time.
-///
-/// # Errors
-///
-/// Propagates inference errors.
-pub fn evaluate(
-    model: &mut dyn InferenceModel,
-    dataset: &Dataset,
-) -> Result<EvaluationReport, DnnError> {
-    let mut hits = Vec::with_capacity(dataset.test_len());
-    for (image, &label) in dataset.test_iter() {
-        hits.push(score(&model.predict(image)?, label));
-    }
-    Ok(reduce(hits))
-}
-
 /// Evaluates a model on the test split of `dataset` with a per-image
 /// parallel fan-out over [`optima_core::sweep::par_map_sweep_with`].
 ///
 /// `threads = 0` selects the automatic thread count (the
 /// `OPTIMA_SWEEP_THREADS` environment variable, then the machine's
-/// available parallelism).  The sweep engine reassembles per-image results
-/// in dataset order and fails on the lowest failing image index, so the
-/// report is identical to [`evaluate`]'s at any thread count.  Each worker
-/// thread owns one [`KernelScratch`] arena reused across its whole chunk of
-/// images, so the steady state allocates nothing per image.
+/// available parallelism) and `threads = 1` the serial loop.  The sweep
+/// engine reassembles per-image results in dataset order and fails on the
+/// lowest failing image index, so the report is identical at any thread
+/// count.  Each worker thread owns one [`KernelScratch`] arena reused across
+/// its whole chunk of images, so the steady state allocates nothing per
+/// image.
 ///
 /// # Errors
 ///
@@ -261,8 +203,8 @@ mod tests {
 
     #[test]
     fn trained_network_beats_chance_and_top5_dominates_top1() {
-        let (mut network, dataset) = trained_setup();
-        let report = evaluate(&mut network, &dataset).unwrap();
+        let (network, dataset) = trained_setup();
+        let report = evaluate_batched(&network, &dataset, 1).unwrap();
         assert_eq!(report.samples, dataset.test_len());
         assert!(report.top1 > 0.5, "top-1 {} too low", report.top1);
         assert!(report.top5 >= report.top1);
@@ -270,22 +212,30 @@ mod tests {
         assert!((report.top5_percent() - report.top5 * 100.0).abs() < 1e-9);
     }
 
+    /// The serial reference: one `predict_with` and `score` per test image.
+    fn serial_loop(model: &impl BatchInferenceModel, dataset: &Dataset) -> EvaluationReport {
+        let mut scratch = KernelScratch::new();
+        reduce(
+            dataset.test_iter().map(|(image, &label)| {
+                score(model.predict_with(image, &mut scratch).unwrap(), label)
+            }),
+        )
+    }
+
     #[test]
     fn batched_evaluation_matches_the_serial_loop_at_any_thread_count() {
-        let (mut network, dataset) = trained_setup();
-        let serial = evaluate(&mut network, &dataset).unwrap();
-        for threads in [1, 2, 3, 8] {
-            let batched = evaluate_batched(&network, &dataset, threads).unwrap();
-            assert_eq!(batched, serial, "threads = {threads}");
-        }
+        let (network, dataset) = trained_setup();
         let quantized =
             QuantizedNetwork::from_network(&network, Arc::new(ExactInt4Products)).unwrap();
-        let mut reference =
-            QuantizedNetwork::from_network(&network, Arc::new(ExactInt4Products)).unwrap();
-        assert_eq!(
-            evaluate_batched(&quantized, &dataset, 4).unwrap(),
-            evaluate(&mut reference, &dataset).unwrap()
-        );
+        let float_serial = serial_loop(&network, &dataset);
+        let quantized_serial = serial_loop(&quantized, &dataset);
+        assert_eq!(float_serial.samples, dataset.test_len());
+        for threads in [1, 2, 3, 8] {
+            let batched = evaluate_batched(&network, &dataset, threads).unwrap();
+            assert_eq!(batched, float_serial, "float, threads = {threads}");
+            let batched = evaluate_batched(&quantized, &dataset, threads).unwrap();
+            assert_eq!(batched, quantized_serial, "quantized, threads = {threads}");
+        }
     }
 
     #[test]
@@ -303,9 +253,9 @@ mod tests {
     #[test]
     fn quantized_network_evaluates_through_the_same_interface() {
         let (network, dataset) = trained_setup();
-        let mut quantized =
+        let quantized =
             QuantizedNetwork::from_network(&network, Arc::new(ExactInt4Products)).unwrap();
-        let report = evaluate(&mut quantized, &dataset).unwrap();
+        let report = evaluate_batched(&quantized, &dataset, 1).unwrap();
         assert!(report.top1 > 0.4, "quantized top-1 {} too low", report.top1);
     }
 
@@ -345,8 +295,8 @@ mod tests {
             test_per_class: 0,
             ..SyntheticImageConfig::tiny()
         });
-        let (mut network, _) = trained_setup();
-        let report = evaluate(&mut network, &dataset).unwrap();
+        let (network, _) = trained_setup();
+        let report = evaluate_batched(&network, &dataset, 1).unwrap();
         assert_eq!(report.samples, 0);
         assert_eq!(report.top1, 0.0);
     }

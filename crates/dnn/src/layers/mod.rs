@@ -1,9 +1,12 @@
 //! Neural-network layers with forward and backward passes.
 //!
-//! All layers implement the [`Layer`] trait.  Layers cache whatever they need
-//! from the forward pass so that a subsequent [`Layer::backward`] call can
-//! produce the input gradient and accumulate parameter gradients; a plain
-//! inference pass simply never calls `backward`.
+//! All layers implement the [`Layer`] trait.  Training runs through
+//! [`Layer::forward`]/[`Layer::backward`]: layers cache whatever they need
+//! from the forward pass so that a subsequent `backward` call can produce the
+//! input gradient and accumulate parameter gradients.  Inference has exactly
+//! one path, [`Layer::infer_into`], which takes `&self`, writes into a
+//! caller-owned tensor and draws every intermediate buffer from a
+//! [`KernelScratch`] arena.
 
 pub mod conv;
 pub mod dense;
@@ -30,10 +33,10 @@ use std::any::Any;
 /// stack *by value* via [`Layer::forward_owned`]/[`Layer::backward_owned`],
 /// so shape-preserving layers (ReLU, flatten) can work in place instead of
 /// allocating; the borrowing `forward`/`backward` remain the methods a layer
-/// must implement.  [`Layer::infer`] is the immutable inference path used by
-/// the parallel dataset evaluator: it computes the same output as `forward`
-/// without touching any cached state, which is what makes a `Network`
-/// shareable across evaluation threads.
+/// must implement.  [`Layer::infer_into`] is the immutable inference path
+/// used by the parallel dataset evaluator: it computes the same output as
+/// `forward` without touching any cached state, which is what makes a
+/// `Network` shareable across evaluation threads.
 pub trait Layer: std::fmt::Debug + Send + Sync {
     /// Short human-readable layer name.
     fn name(&self) -> &'static str;
@@ -55,21 +58,11 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
         self.forward(&input)
     }
 
-    /// Computes the layer output without mutating any cached state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DnnError::ShapeMismatch`] for inputs of the wrong shape.
-    fn infer(&self, input: &Tensor) -> Result<Tensor, DnnError>;
-
-    /// Like [`Layer::infer`], but writes the output into a caller-owned
-    /// tensor and draws all intermediate buffers from the scratch arena, so
-    /// the steady state allocates nothing.  `output` is resized in place;
-    /// its previous contents are irrelevant.  Numerically identical to
-    /// `infer` — the scratch only changes where buffers live.
-    ///
-    /// The default delegates to `infer` (allocating); the hot layers
-    /// override it.
+    /// Computes the layer output without mutating any cached state, writing
+    /// it into a caller-owned tensor and drawing all intermediate buffers
+    /// from the scratch arena, so the steady state allocates nothing.
+    /// `output` is resized in place; its previous contents are irrelevant.
+    /// Bit-identical to [`Layer::forward`].
     ///
     /// # Errors
     ///
@@ -78,12 +71,8 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
         &self,
         input: &Tensor,
         output: &mut Tensor,
-        _scratch: &mut KernelScratch,
-    ) -> Result<(), DnnError> {
-        let result = self.infer(input)?;
-        output.copy_from(&result);
-        Ok(())
-    }
+        scratch: &mut KernelScratch,
+    ) -> Result<(), DnnError>;
 
     /// Propagates the output gradient back to the input, accumulating
     /// parameter gradients.
@@ -161,10 +150,6 @@ impl Layer for Relu {
         self.mask.extend(input.data().iter().map(|&v| v > 0.0));
         input.map_inplace(|v| v.max(0.0));
         Ok(input)
-    }
-
-    fn infer(&self, input: &Tensor) -> Result<Tensor, DnnError> {
-        Ok(input.map(|v| v.max(0.0)))
     }
 
     fn infer_into(
@@ -246,10 +231,6 @@ impl Layer for Flatten {
         Ok(input)
     }
 
-    fn infer(&self, input: &Tensor) -> Result<Tensor, DnnError> {
-        input.reshaped(&[input.len()])
-    }
-
     fn infer_into(
         &self,
         input: &Tensor,
@@ -323,5 +304,37 @@ mod tests {
         assert_eq!(flatten.output_shape(&[2, 3, 3]).unwrap(), vec![18]);
         let mut fresh = Flatten::new();
         assert!(fresh.backward(&Tensor::zeros(&[18])).is_err());
+    }
+
+    #[test]
+    fn infer_into_matches_forward_bit_for_bit_for_every_layer_kind() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let mut layers: Vec<(Box<dyn Layer>, Vec<usize>)> = vec![
+            (Box::new(Conv2d::new(2, 3, 3, &mut rng)), vec![2, 5, 7]),
+            (Box::new(Dense::new(12, 5, &mut rng)), vec![12]),
+            (Box::new(Relu::new()), vec![2, 3, 4]),
+            (Box::new(Flatten::new()), vec![2, 3, 4]),
+            (Box::new(MaxPool2d::new()), vec![2, 5, 6]),
+            (Box::new(GlobalAvgPool::new()), vec![3, 4, 5]),
+            (Box::new(ResidualBlock::new(2, 3, &mut rng)), vec![2, 6, 5]),
+        ];
+        // One scratch and one output tensor serve every layer in turn.
+        let mut scratch = KernelScratch::new();
+        let mut output = Tensor::default();
+        for (layer, shape) in &mut layers {
+            let len = shape.iter().product::<usize>();
+            let input = Tensor::from_vec(
+                shape,
+                (0..len).map(|_| rng.gen::<f32>() * 2.0 - 1.0).collect(),
+            )
+            .unwrap();
+            layer.infer_into(&input, &mut output, &mut scratch).unwrap();
+            let forwarded = layer.forward(&input).unwrap();
+            assert_eq!(output.shape(), forwarded.shape(), "{}", layer.name());
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&output), bits(&forwarded), "{}", layer.name());
+        }
     }
 }

@@ -23,11 +23,11 @@ impl MaxPool2d {
     }
 }
 
-/// One shared window scan for `forward` and `infer`: validates the shape
-/// once, then indexes the flat slice directly (no per-element `at3` shape
-/// asserts), reporting each window's maximum and its flat input index to
-/// `record` so `forward` and `infer` cannot drift apart — not even in their
-/// NaN tie-breaking.
+/// One shared window scan for `forward` and `infer_into`: validates the
+/// shape once, then indexes the flat slice directly (no per-element `at3`
+/// shape asserts), reporting each window's maximum and its flat input index
+/// to `record` so the two paths cannot drift apart — not even in their NaN
+/// tie-breaking.
 fn max_pool_scan_into(
     input: &Tensor,
     output: &mut Tensor,
@@ -71,13 +71,6 @@ fn max_pool_scan_into(
     Ok(())
 }
 
-/// Allocating wrapper over [`max_pool_scan_into`].
-fn max_pool_scan(input: &Tensor, record: impl FnMut(usize, f32)) -> Result<Tensor, DnnError> {
-    let mut output = Tensor::default();
-    max_pool_scan_into(input, &mut output, record)?;
-    Ok(output)
-}
-
 impl Layer for MaxPool2d {
     fn name(&self) -> &'static str {
         "maxpool2d"
@@ -88,14 +81,11 @@ impl Layer for MaxPool2d {
         // forward must not leave a stale input_shape paired with a cleared
         // argmax, which would make a later backward silently return zeros.
         let mut argmax = Vec::new();
-        let output = max_pool_scan(input, |index, _| argmax.push(index))?;
+        let mut output = Tensor::default();
+        max_pool_scan_into(input, &mut output, |index, _| argmax.push(index))?;
         self.argmax = argmax;
         self.input_shape = input.shape().to_vec();
         Ok(output)
-    }
-
-    fn infer(&self, input: &Tensor) -> Result<Tensor, DnnError> {
-        max_pool_scan(input, |_, _| {})
     }
 
     fn infer_into(
@@ -148,34 +138,47 @@ impl GlobalAvgPool {
     }
 }
 
+/// Averages contiguous channel slices of a `[C, H, W]` tensor into `output`:
+/// the one kernel behind both `forward` and `infer_into`.  A zero-spatial
+/// input with channels (e.g. `[2, 0, 3]`) has nothing to average and is a
+/// shape error.
+fn global_avg_pool_into(input: &Tensor, output: &mut Tensor) -> Result<(), DnnError> {
+    let shape = input.shape();
+    if shape.len() != 3 {
+        return Err(DnnError::ShapeMismatch {
+            expected: vec![0, 0, 0],
+            found: shape.to_vec(),
+        });
+    }
+    let (channels, height, width) = (shape[0], shape[1], shape[2]);
+    let spatial = height * width;
+    if channels != 0 && spatial == 0 {
+        return Err(DnnError::ShapeMismatch {
+            expected: vec![channels],
+            found: vec![0],
+        });
+    }
+    output.resize_to(&[channels]);
+    for (slot, channel) in output
+        .data_mut()
+        .iter_mut()
+        .zip(input.data().chunks_exact(spatial.max(1)))
+    {
+        *slot = channel.iter().sum::<f32>() / spatial as f32;
+    }
+    Ok(())
+}
+
 impl Layer for GlobalAvgPool {
     fn name(&self) -> &'static str {
         "global_avg_pool"
     }
 
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, DnnError> {
-        let output = self.infer(input)?;
+        let mut output = Tensor::default();
+        global_avg_pool_into(input, &mut output)?;
         self.input_shape = input.shape().to_vec();
         Ok(output)
-    }
-
-    fn infer(&self, input: &Tensor) -> Result<Tensor, DnnError> {
-        // Validate the shape once, then average contiguous channel slices.
-        let shape = input.shape();
-        if shape.len() != 3 {
-            return Err(DnnError::ShapeMismatch {
-                expected: vec![0, 0, 0],
-                found: shape.to_vec(),
-            });
-        }
-        let (channels, height, width) = (shape[0], shape[1], shape[2]);
-        let spatial = height * width;
-        let out = input
-            .data()
-            .chunks_exact(spatial.max(1))
-            .map(|channel| channel.iter().sum::<f32>() / spatial as f32)
-            .collect::<Vec<f32>>();
-        Tensor::from_vec(&[channels], out)
     }
 
     fn infer_into(
@@ -184,31 +187,7 @@ impl Layer for GlobalAvgPool {
         output: &mut Tensor,
         _scratch: &mut KernelScratch,
     ) -> Result<(), DnnError> {
-        let shape = input.shape();
-        if shape.len() != 3 {
-            return Err(DnnError::ShapeMismatch {
-                expected: vec![0, 0, 0],
-                found: shape.to_vec(),
-            });
-        }
-        let (channels, height, width) = (shape[0], shape[1], shape[2]);
-        let spatial = height * width;
-        // Degenerate zero-spatial tensors take the allocating path so both
-        // paths report the identical shape error.
-        if channels != 0 && spatial == 0 {
-            let result = self.infer(input)?;
-            output.copy_from(&result);
-            return Ok(());
-        }
-        output.resize_to(&[channels]);
-        for (slot, channel) in output
-            .data_mut()
-            .iter_mut()
-            .zip(input.data().chunks_exact(spatial.max(1)))
-        {
-            *slot = channel.iter().sum::<f32>() / spatial as f32;
-        }
-        Ok(())
+        global_avg_pool_into(input, output)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, DnnError> {
@@ -292,5 +271,22 @@ mod tests {
         let mut fresh = GlobalAvgPool::new();
         assert!(fresh.backward(&Tensor::from_slice(&[1.0])).is_err());
         assert!(fresh.forward(&Tensor::zeros(&[4])).is_err());
+    }
+
+    #[test]
+    fn global_avg_pool_rejects_a_zero_spatial_input_on_both_paths() {
+        let input = Tensor::zeros(&[2, 0, 3]);
+        let expected = DnnError::ShapeMismatch {
+            expected: vec![2],
+            found: vec![0],
+        };
+        let mut pool = GlobalAvgPool::new();
+        assert_eq!(pool.forward(&input).unwrap_err(), expected);
+        let mut output = Tensor::default();
+        let inferred = pool.infer_into(&input, &mut output, &mut KernelScratch::new());
+        assert_eq!(inferred.unwrap_err(), expected);
+        // No channels means nothing to average: an empty output, not an error.
+        let empty = pool.forward(&Tensor::zeros(&[0, 0, 3])).unwrap();
+        assert_eq!(empty.shape(), &[0]);
     }
 }

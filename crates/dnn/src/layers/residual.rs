@@ -56,15 +56,6 @@ impl Layer for ResidualBlock {
         self.relu_out.forward_owned(branch)
     }
 
-    fn infer(&self, input: &Tensor) -> Result<Tensor, DnnError> {
-        let mut branch = self.conv1.infer(input)?;
-        branch.map_inplace(|v| v.max(0.0));
-        let mut branch = self.conv2.infer(&branch)?;
-        branch.add_assign(input)?;
-        branch.map_inplace(|v| v.max(0.0));
-        Ok(branch)
-    }
-
     fn infer_into(
         &self,
         input: &Tensor,

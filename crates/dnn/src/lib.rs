@@ -24,8 +24,8 @@
 //!   in-SRAM multiplier tables produced by `optima-imc`, and digital
 //!   shift-add composition of wide products from narrow tables,
 //! * [`quantized`] — the quantized inference engine that consumes them,
-//! * [`eval`] — top-1/top-5 accuracy, serial and parallel (per-image
-//!   fan-out over `optima_core::sweep`) dataset evaluation,
+//! * [`eval`] — top-1/top-5 accuracy through one dataset evaluator
+//!   (per-image fan-out over `optima_core::sweep`),
 //! * [`transfer`] — transfer learning (classifier-head replacement) used for
 //!   the CIFAR-10 experiment.
 //!
@@ -59,13 +59,11 @@ pub use tensor::Tensor;
 pub mod prelude {
     pub use crate::data::{Dataset, SyntheticImageConfig};
     pub use crate::error::DnnError;
-    pub use crate::eval::{
-        evaluate, evaluate_batched, BatchInferenceModel, EvaluationReport, InferenceModel,
-    };
+    pub use crate::eval::{evaluate_batched, BatchInferenceModel, EvaluationReport};
     pub use crate::layers::Layer;
     pub use crate::models::{resnet_style, vgg_style, ModelKind};
     pub use crate::multiplier::{
-        ComposedProducts, CountingProducts, ExactInt4Products, ExactProducts, InMemoryProducts,
+        ComposedProducts, DynDispatchProducts, ExactInt4Products, ExactProducts, InMemoryProducts,
         ProductTable,
     };
     pub use crate::network::Network;

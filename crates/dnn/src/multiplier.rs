@@ -11,12 +11,12 @@
 //!   from a narrower table, mirroring the multi-pass
 //!   [`optima_circuit::array::ArrayConfig`] slice composition (e.g. INT8
 //!   from 4-bit analog slices),
-//! * [`CountingProducts`] — a decorator that counts multiplications, used for
-//!   the "Number of Multiplications" column of Table II.
+//! * [`DynDispatchProducts`] — a decorator that opts a table out of LUT
+//!   snapshotting, forcing the per-product dynamic-dispatch reference path
+//!   that the LUT bit-identity tests and benchmarks compare against.
 
 use optima_imc::multiplier::MultiplierTable;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Provider of `operand_bits`-wide magnitude products.
@@ -38,10 +38,10 @@ pub trait ProductTable: Send + Sync {
     /// allowing the quantized inference engine to snapshot the full product
     /// space into a flat lookup table once and never call `product` again.
     ///
-    /// Defaults to `true`.  Stateful decorators whose `product` has side
-    /// effects — e.g. [`CountingProducts`] — return `false`, which routes
-    /// inference through the per-product dynamic-dispatch reference path so
-    /// every multiplication is still observed.
+    /// Defaults to `true`.  Tables returning `false` — e.g.
+    /// [`DynDispatchProducts`] — route inference through the per-product
+    /// dynamic-dispatch reference path, so every multiplication calls
+    /// `product`.
     fn supports_snapshot(&self) -> bool {
         true
     }
@@ -211,49 +211,29 @@ impl ProductTable for ComposedProducts {
     }
 }
 
-/// Decorator that counts how many products were requested.
+/// Forwarding decorator that opts the wrapped table out of LUT snapshotting.
+///
+/// Routing a pure table through this wrapper forces
+/// [`crate::quantized::QuantizedNetwork`] onto its per-product
+/// dynamic-dispatch reference path: the oracle of the LUT bit-identity tests
+/// and the "before" side of the LUT-vs-dyn benchmark.
 #[derive(Debug, Clone)]
-pub struct CountingProducts {
-    inner: Arc<dyn ProductTable>,
-    counter: Arc<AtomicU64>,
-}
+pub struct DynDispatchProducts(pub Arc<dyn ProductTable>);
 
-impl CountingProducts {
-    /// Wraps another product table.
-    pub fn new(inner: Arc<dyn ProductTable>) -> Self {
-        CountingProducts {
-            inner,
-            counter: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Number of products requested so far.
-    pub fn count(&self) -> u64 {
-        self.counter.load(Ordering::Relaxed)
-    }
-
-    /// Resets the counter to zero.
-    pub fn reset(&self) {
-        self.counter.store(0, Ordering::Relaxed);
-    }
-}
-
-impl ProductTable for CountingProducts {
+impl ProductTable for DynDispatchProducts {
     fn product(&self, a: u8, b: u8) -> u16 {
-        self.counter.fetch_add(1, Ordering::Relaxed);
-        self.inner.product(a, b)
+        self.0.product(a, b)
     }
 
     fn name(&self) -> String {
-        self.inner.name()
+        format!("dyn({})", self.0.name())
     }
 
     fn operand_bits(&self) -> u8 {
-        self.inner.operand_bits()
+        self.0.operand_bits()
     }
 
     fn supports_snapshot(&self) -> bool {
-        // Snapshotting would bypass the counter: force per-product dispatch.
         false
     }
 }
@@ -282,23 +262,14 @@ mod tests {
     }
 
     #[test]
-    fn counting_products_count_and_reset() {
-        let counting = CountingProducts::new(Arc::new(ExactInt4Products));
-        assert_eq!(counting.count(), 0);
-        let _ = counting.product(3, 4);
-        let _ = counting.product(5, 6);
-        assert_eq!(counting.count(), 2);
-        assert_eq!(counting.name(), "exact-int4");
-        counting.reset();
-        assert_eq!(counting.count(), 0);
-    }
-
-    #[test]
-    fn counting_products_share_their_counter_across_clones() {
-        let counting = CountingProducts::new(Arc::new(ExactInt4Products));
-        let clone = counting.clone();
-        let _ = clone.product(1, 1);
-        assert_eq!(counting.count(), 1);
+    fn dyn_dispatch_products_forward_everything_but_the_snapshot() {
+        let composed: Arc<dyn ProductTable> =
+            Arc::new(ComposedProducts::new(Arc::new(ExactInt4Products), 2));
+        let dyn_dispatch = DynDispatchProducts(composed.clone());
+        assert!(!dyn_dispatch.supports_snapshot());
+        assert_eq!(dyn_dispatch.operand_bits(), 8);
+        assert_eq!(dyn_dispatch.name(), format!("dyn({})", composed.name()));
+        assert_eq!(dyn_dispatch.product(200, 17), 3400);
     }
 
     #[test]
@@ -335,13 +306,11 @@ mod tests {
     }
 
     #[test]
-    fn composed_products_propagate_statefulness_and_counting() {
-        let counting = Arc::new(CountingProducts::new(Arc::new(ExactInt4Products)));
-        let composed = ComposedProducts::new(counting.clone(), 2);
+    fn composed_products_propagate_the_snapshot_opt_out() {
+        let dyn_dispatch = Arc::new(DynDispatchProducts(Arc::new(ExactInt4Products)));
+        let composed = ComposedProducts::new(dyn_dispatch, 2);
         assert!(!composed.supports_snapshot());
-        let _ = composed.product(0x12, 0x34);
-        // One wide product = slices² narrow passes.
-        assert_eq!(counting.count(), 4);
+        assert_eq!(composed.product(0x12, 0x34), 0x12 * 0x34);
     }
 
     #[test]

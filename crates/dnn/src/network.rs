@@ -1,4 +1,9 @@
 //! Sequential networks of layers.
+//!
+//! A [`Network`] has one training path ([`Network::forward`] /
+//! [`Network::backward`], `&mut self`) and one inference path
+//! ([`Network::infer_with`], `&self`, every buffer drawn from a
+//! [`KernelScratch`] arena).
 
 use crate::error::DnnError;
 use crate::layers::Layer;
@@ -78,38 +83,19 @@ impl Network {
         Ok(current)
     }
 
-    /// Runs an inference-only forward pass without mutating any layer state.
+    /// Runs an inference pass with every buffer drawn from `scratch`,
+    /// without mutating any layer state.
     ///
     /// Unlike [`Network::forward`] this takes `&self`, which is what allows
     /// one network to be shared across the threads of the batched dataset
-    /// evaluator ([`crate::eval::evaluate_batched`]).  No backward pass is
-    /// possible afterwards because nothing is cached.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer shape errors.
-    pub fn infer(&self, input: &Tensor) -> Result<Tensor, DnnError> {
-        let mut layers = self.layers.iter();
-        let mut current = match layers.next() {
-            Some(first) => first.infer(input)?,
-            None => return Ok(input.clone()),
-        };
-        for layer in layers {
-            current = layer.infer(&current)?;
-        }
-        Ok(current)
-    }
-
-    /// Runs an inference pass with every buffer drawn from `scratch`.
-    ///
-    /// Numerically identical to [`Network::infer`] — the activations
-    /// ping-pong between two pool tensors instead of being freshly
-    /// allocated per layer, and the result is parked in the arena and
-    /// returned by reference (valid until the next call that borrows the
-    /// same scratch).  After the first few calls have grown the buffers to
-    /// the network's high-water mark, the steady state performs **zero**
-    /// heap allocations per image; the workspace's counting-allocator test
-    /// pins that property.
+    /// evaluator ([`crate::eval::evaluate_batched`]); nothing is cached, so
+    /// no backward pass is possible afterwards.  The output is bit-identical
+    /// to `forward`'s.  The activations ping-pong between two pool tensors,
+    /// and the result is parked in the arena and returned by reference
+    /// (valid until the next call that borrows the same scratch).  After the
+    /// first few calls have grown the buffers to the network's high-water
+    /// mark, the steady state performs **zero** heap allocations per image;
+    /// the workspace's counting-allocator test pins that property.
     ///
     /// # Errors
     ///
@@ -131,47 +117,6 @@ impl Network {
                 Err(error)
             }
         }
-    }
-
-    /// Runs a batch of images through one scratch-arena pass.
-    ///
-    /// Every image streams through the same packed weight panels (packed
-    /// once, on first use, and cached on the layers) and the same
-    /// [`KernelScratch`] arena, so an N-image batch costs one warm-up and
-    /// then zero heap allocations — the per-call arena churn of N separate
-    /// [`Network::infer_with`] calls with N cold scratches is gone, and the
-    /// results are **bit-identical** to N independent single-image calls
-    /// (pinned by a regression test).  This is the entry point the
-    /// `optima_serve` shard workers and the serving benchmarks build on.
-    ///
-    /// `outputs` is resized to `inputs.len()` and each slot is overwritten
-    /// in place; recycled tensors keep their capacity, so reusing one
-    /// output vector across bursts allocates nothing in the steady state.
-    ///
-    /// # Errors
-    ///
-    /// Wraps the first failing image's error as
-    /// [`DnnError::EvaluationFailed`] with its batch index.  Earlier slots
-    /// hold valid logits; later slots are untouched.
-    pub fn infer_batch_with(
-        &self,
-        inputs: &[&Tensor],
-        outputs: &mut Vec<Tensor>,
-        scratch: &mut KernelScratch,
-    ) -> Result<(), DnnError> {
-        outputs.resize_with(inputs.len(), Tensor::default);
-        for (index, (input, output)) in inputs.iter().zip(outputs.iter_mut()).enumerate() {
-            match self.infer_with(input, scratch) {
-                Ok(logits) => output.copy_from(logits),
-                Err(error) => {
-                    return Err(DnnError::EvaluationFailed {
-                        image_index: index,
-                        source: Box::new(error),
-                    })
-                }
-            }
-        }
-        Ok(())
     }
 
     /// The layer loop of [`Network::infer_with`]: `current` holds the layer
@@ -321,33 +266,22 @@ mod tests {
     }
 
     #[test]
-    fn infer_matches_forward_and_leaves_no_backward_state() {
-        let mut net = tiny_cnn();
-        let input =
-            Tensor::from_vec(&[1, 4, 4], (0..16).map(|i| i as f32 * 0.07).collect()).unwrap();
-        let inferred = net.infer(&input).unwrap();
-        let forwarded = net.forward(&input).unwrap();
-        assert_eq!(inferred, forwarded);
-        // infer must not enable a backward pass on a fresh network.
-        let mut fresh = tiny_cnn();
-        let _ = fresh.infer(&input).unwrap();
-        assert!(fresh.backward(&Tensor::zeros(&[3])).is_err());
-    }
-
-    #[test]
-    fn infer_with_matches_infer_bit_for_bit() {
+    fn infer_with_matches_forward_and_leaves_no_backward_state() {
         use crate::layers::{GlobalAvgPool, ResidualBlock};
         let mut rng = ChaCha8Rng::seed_from_u64(21);
         // One of every layer kind, so the scratch path covers the whole zoo.
-        let net = Network::new(vec![
-            Box::new(Conv2d::new(1, 4, 3, &mut rng)),
-            Box::new(Relu::new()),
-            Box::new(MaxPool2d::new()),
-            Box::new(ResidualBlock::new(4, 3, &mut rng)),
-            Box::new(GlobalAvgPool::new()),
-            Box::new(Flatten::new()),
-            Box::new(Dense::new(4, 3, &mut rng)),
-        ]);
+        let zoo = |rng: &mut ChaCha8Rng| {
+            Network::new(vec![
+                Box::new(Conv2d::new(1, 4, 3, rng)),
+                Box::new(Relu::new()),
+                Box::new(MaxPool2d::new()),
+                Box::new(ResidualBlock::new(4, 3, rng)),
+                Box::new(GlobalAvgPool::new()),
+                Box::new(Flatten::new()),
+                Box::new(Dense::new(4, 3, rng)),
+            ])
+        };
+        let mut net = zoo(&mut rng);
         let mut scratch = crate::scratch::KernelScratch::new();
         for seed in 0..4u64 {
             let mut data_rng = ChaCha8Rng::seed_from_u64(seed);
@@ -356,97 +290,31 @@ mod tests {
                 (0..64).map(|_| data_rng.gen::<f32>() * 2.0 - 1.0).collect(),
             )
             .unwrap();
-            let plain = net.infer(&input).unwrap();
-            let pooled = net.infer_with(&input, &mut scratch).unwrap();
-            assert_eq!(&plain, pooled, "seed {seed}");
+            let pooled = net.infer_with(&input, &mut scratch).unwrap().clone();
+            assert_eq!(pooled, net.forward(&input).unwrap(), "seed {seed}");
         }
+        // infer_with must not enable a backward pass on a fresh network.
+        let mut fresh = zoo(&mut ChaCha8Rng::seed_from_u64(21));
+        let _ = fresh
+            .infer_with(&Tensor::zeros(&[1, 8, 8]), &mut scratch)
+            .unwrap();
+        assert!(fresh.backward(&Tensor::zeros(&[3])).is_err());
     }
 
     #[test]
     fn infer_with_recovers_after_a_shape_error() {
         let net = tiny_cnn();
+        let input =
+            Tensor::from_vec(&[1, 4, 4], (0..16).map(|i| i as f32 * 0.07).collect()).unwrap();
+        let expected = net
+            .infer_with(&input, &mut crate::scratch::KernelScratch::new())
+            .unwrap()
+            .clone();
         let mut scratch = crate::scratch::KernelScratch::new();
         assert!(net
             .infer_with(&Tensor::zeros(&[2, 4, 4]), &mut scratch)
             .is_err());
-        let input =
-            Tensor::from_vec(&[1, 4, 4], (0..16).map(|i| i as f32 * 0.07).collect()).unwrap();
-        let expected = net.infer(&input).unwrap();
         assert_eq!(&expected, net.infer_with(&input, &mut scratch).unwrap());
-    }
-
-    #[test]
-    fn infer_batch_with_is_bit_identical_to_independent_single_image_calls() {
-        use crate::layers::{GlobalAvgPool, ResidualBlock};
-        let mut rng = ChaCha8Rng::seed_from_u64(23);
-        // One of every layer kind, so the batch path covers the whole zoo.
-        let net = Network::new(vec![
-            Box::new(Conv2d::new(1, 4, 3, &mut rng)),
-            Box::new(Relu::new()),
-            Box::new(MaxPool2d::new()),
-            Box::new(ResidualBlock::new(4, 3, &mut rng)),
-            Box::new(GlobalAvgPool::new()),
-            Box::new(Flatten::new()),
-            Box::new(Dense::new(4, 3, &mut rng)),
-        ]);
-        let mut data_rng = ChaCha8Rng::seed_from_u64(99);
-        let images: Vec<Tensor> = (0..6)
-            .map(|_| {
-                Tensor::from_vec(
-                    &[1, 8, 8],
-                    (0..64).map(|_| data_rng.gen::<f32>() * 2.0 - 1.0).collect(),
-                )
-                .unwrap()
-            })
-            .collect();
-        let refs: Vec<&Tensor> = images.iter().collect();
-        let mut batch_scratch = crate::scratch::KernelScratch::new();
-        let mut outputs = Vec::new();
-        net.infer_batch_with(&refs, &mut outputs, &mut batch_scratch)
-            .unwrap();
-        assert_eq!(outputs.len(), images.len());
-        for (index, image) in images.iter().enumerate() {
-            // Each reference call gets its own cold scratch: bit-identity
-            // must not depend on shared arena history.
-            let mut single = crate::scratch::KernelScratch::new();
-            let expected = net.infer_with(image, &mut single).unwrap();
-            assert_eq!(expected, &outputs[index], "image {index}");
-        }
-        // A second burst overwrites the recycled output slots in place.
-        net.infer_batch_with(&refs, &mut outputs, &mut batch_scratch)
-            .unwrap();
-        let mut single = crate::scratch::KernelScratch::new();
-        assert_eq!(
-            net.infer_with(&images[0], &mut single).unwrap(),
-            &outputs[0]
-        );
-    }
-
-    #[test]
-    fn infer_batch_with_names_the_failing_image_index() {
-        let net = tiny_cnn();
-        let good = Tensor::zeros(&[1, 4, 4]);
-        let bad = Tensor::zeros(&[2, 4, 4]);
-        let inputs = [&good, &good, &bad];
-        let mut outputs = Vec::new();
-        let mut scratch = crate::scratch::KernelScratch::new();
-        match net.infer_batch_with(&inputs, &mut outputs, &mut scratch) {
-            Err(DnnError::EvaluationFailed { image_index, .. }) => assert_eq!(image_index, 2),
-            other => panic!("expected EvaluationFailed, got {other:?}"),
-        }
-        // The slots before the failure hold valid logits.
-        assert_eq!(outputs[0].len(), 3);
-        assert_eq!(outputs[1].len(), 3);
-    }
-
-    #[test]
-    fn infer_batch_with_on_an_empty_batch_clears_the_outputs() {
-        let net = tiny_cnn();
-        let mut outputs = vec![Tensor::from_slice(&[1.0])];
-        let mut scratch = crate::scratch::KernelScratch::new();
-        net.infer_batch_with(&[], &mut outputs, &mut scratch)
-            .unwrap();
-        assert!(outputs.is_empty());
     }
 
     #[test]

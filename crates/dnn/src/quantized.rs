@@ -11,16 +11,19 @@
 //!
 //! # Execution strategy
 //!
+//! Inference has one entry point, [`QuantizedNetwork::forward_with`], which
+//! draws every buffer from a [`KernelScratch`] arena
+//! ([`QuantizedNetwork::forward`] is a one-line allocating wrapper over it).
 //! When the product table is pure ([`ProductTable::supports_snapshot`]),
 //! construction snapshots all `1 << 2·operand_bits` signed products into a
 //! flat lookup table once, and inference accumulates integer products over
 //! contiguous im2col patches — one array index per product instead of one
 //! virtual call, with convolutions lowered through the same [`crate::im2col`]
-//! unrolling as the FLOAT32 path.  Stateful tables (e.g.
-//! [`crate::multiplier::CountingProducts`]) opt out of the snapshot and run
-//! the original per-product dynamic-dispatch loop instead.  Both paths
-//! accumulate in the integer domain, so their outputs are **bit-identical**
-//! — pinned by the equivalence tests.
+//! unrolling as the FLOAT32 path.  Tables that opt out of the snapshot (e.g.
+//! [`crate::multiplier::DynDispatchProducts`]) run the per-product
+//! dynamic-dispatch reference kernels instead.  Both arms accumulate in the
+//! integer domain, so their outputs are **bit-identical** — pinned by the
+//! equivalence tests, which use the reference arm as their oracle.
 
 use crate::error::DnnError;
 use crate::im2col::im2col;
@@ -141,8 +144,8 @@ fn store_blocks<T, const BLOCKS: usize>(
     }
 }
 
-/// The convolution LUT sweep shared by the allocating and scratch-arena
-/// paths: walks the `[patch, hw]` im2col matrix 32 pixels at a time (four
+/// The portable convolution LUT sweep: walks the `[patch, hw]` im2col
+/// matrix 32 pixels at a time (four
 /// 8-lane blocks per row sweep, amortising the per-row sub-table setup of
 /// [`gather_lanes`]), then 8 at a time, then finishes the `hw % 8` tail with
 /// a scalar loop.  Bit-identical to a row-outer scalar sweep because integer
@@ -405,8 +408,8 @@ fn conv_lut_core(
     conv_lut_core_body(conv, cols, hw, lut, lut_max_abs, bits, scale, out);
 }
 
-/// The dense LUT sweep shared by the allocating and scratch-arena paths:
-/// eight integer lanes stream the (code, activation) pairs of one output
+/// The dense LUT sweep: eight integer lanes stream the (code, activation)
+/// pairs of one output
 /// row, the lanes fold into an `i64`, and a scalar loop takes the
 /// `inputs % 8` tail.  Zero codes index all-zero LUT sub-tables, so no
 /// skip test is needed.
@@ -649,33 +652,26 @@ impl QuantizedNetwork {
         self.layers.is_empty()
     }
 
-    /// Runs quantized inference on one input image.
+    /// Runs quantized inference on one input image through
+    /// [`QuantizedNetwork::forward_with`] with a fresh scratch arena.
     ///
     /// # Errors
     ///
     /// Propagates shape errors.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor, DnnError> {
-        let mut layers = self.layers.iter();
-        let mut current = match layers.next() {
-            Some(first) => self.forward_layer(first, input)?,
-            None => return Ok(input.clone()),
-        };
-        for layer in layers {
-            current = self.forward_layer(layer, &current)?;
-        }
-        Ok(current)
+        self.forward_with(input, &mut KernelScratch::new()).cloned()
     }
 
     /// Runs quantized inference with every buffer drawn from `scratch`.
     ///
-    /// Numerically identical to [`QuantizedNetwork::forward`] — quantized
-    /// activation codes, u8 im2col patches and the ping-pong activation
-    /// tensors all live in the arena, and the result is returned by
-    /// reference (valid until the next call that borrows the same scratch).
-    /// On the snapshot LUT path the steady state performs **zero** heap
-    /// allocations per image; stateful product tables fall back to the
-    /// allocating reference kernels (they are measurement instruments, not
-    /// hot paths).
+    /// Quantized activation codes, u8 im2col patches and the ping-pong
+    /// activation tensors all live in the arena, and the result is returned
+    /// by reference (valid until the next call that borrows the same
+    /// scratch).  On the snapshot LUT path the steady state performs
+    /// **zero** heap allocations per image; tables without a snapshot run
+    /// the allocating reference kernels (they are test oracles, not hot
+    /// paths).  Activation quantization is per image, so results never
+    /// depend on what else the scratch has seen.
     ///
     /// # Errors
     ///
@@ -697,47 +693,6 @@ impl QuantizedNetwork {
                 Err(error)
             }
         }
-    }
-
-    /// Runs a batch of images through one scratch-arena pass.
-    ///
-    /// The quantized mirror of [`crate::network::Network::infer_batch_with`]:
-    /// every image streams through the same flattened product LUT and the
-    /// same [`KernelScratch`] arena, so an N-image batch warms up once and
-    /// then allocates nothing per image on the snapshot path.  Activation
-    /// quantization stays **per image** (the activation scale is derived
-    /// per tensor), which is exactly why the results are bit-identical to
-    /// N independent [`QuantizedNetwork::forward_with`] calls — pinned by a
-    /// regression test, and the correctness anchor of the `optima_serve`
-    /// batch coalescer.
-    ///
-    /// `outputs` is resized to `inputs.len()` and overwritten in place;
-    /// recycled tensors keep their capacity across bursts.
-    ///
-    /// # Errors
-    ///
-    /// Wraps the first failing image's error as
-    /// [`DnnError::EvaluationFailed`] with its batch index.  Earlier slots
-    /// hold valid logits; later slots are untouched.
-    pub fn forward_batch_with(
-        &self,
-        inputs: &[&Tensor],
-        outputs: &mut Vec<Tensor>,
-        scratch: &mut KernelScratch,
-    ) -> Result<(), DnnError> {
-        outputs.resize_with(inputs.len(), Tensor::default);
-        for (index, (input, output)) in inputs.iter().zip(outputs.iter_mut()).enumerate() {
-            match self.forward_with(input, scratch) {
-                Ok(logits) => output.copy_from(logits),
-                Err(error) => {
-                    return Err(DnnError::EvaluationFailed {
-                        image_index: index,
-                        source: Box::new(error),
-                    })
-                }
-            }
-        }
-        Ok(())
     }
 
     /// The layer loop of [`QuantizedNetwork::forward_with`].
@@ -798,8 +753,8 @@ impl QuantizedNetwork {
     }
 
     /// Scratch-arena convolution: [`conv_lut_core`] over arena-held
-    /// activation codes and patches.  Stateful tables take the allocating
-    /// reference path and copy into `output`.
+    /// activation codes and patches.  Tables without a snapshot take the
+    /// allocating reference path and copy into `output`.
     fn forward_conv_into(
         &self,
         conv: &QConv,
@@ -888,25 +843,6 @@ impl QuantizedNetwork {
         }
     }
 
-    fn forward_layer(&self, layer: &QLayer, input: &Tensor) -> Result<Tensor, DnnError> {
-        match layer {
-            QLayer::Conv(conv) => self.forward_conv(conv, input),
-            QLayer::Dense(dense) => self.forward_dense(dense, input),
-            QLayer::Residual { conv1, conv2 } => {
-                let mut branch = self.forward_conv(conv1, input)?;
-                branch.map_inplace(|v| v.max(0.0));
-                let mut branch = self.forward_conv(conv2, &branch)?;
-                branch.add_assign(input)?;
-                branch.map_inplace(|v| v.max(0.0));
-                Ok(branch)
-            }
-            QLayer::Relu => Ok(input.map(|v| v.max(0.0))),
-            QLayer::MaxPool => MaxPool2d::new().infer(input),
-            QLayer::GlobalAvgPool => GlobalAvgPool::new().infer(input),
-            QLayer::Flatten => input.reshaped(&[input.len()]),
-        }
-    }
-
     fn check_conv_input(conv: &QConv, input: &Tensor) -> Result<(usize, usize), DnnError> {
         let shape = input.shape();
         if shape.len() != 3 || shape[0] != conv.in_channels {
@@ -918,93 +854,10 @@ impl QuantizedNetwork {
         Ok((shape[1], shape[2]))
     }
 
-    fn forward_conv(&self, conv: &QConv, input: &Tensor) -> Result<Tensor, DnnError> {
-        match &self.lut {
-            Some(lut) => self.forward_conv_lut(conv, input, lut),
-            None => self.forward_conv_reference(conv, input),
-        }
-    }
-
-    fn forward_dense(&self, dense: &QDense, input: &Tensor) -> Result<Tensor, DnnError> {
-        match &self.lut {
-            Some(lut) => self.forward_dense_lut(dense, input, lut),
-            None => self.forward_dense_reference(dense, input),
-        }
-    }
-
-    /// LUT fast path: integer accumulation over contiguous im2col patches.
-    ///
-    /// The quantized activations are unrolled into a `[in_c·k², h·w]` patch
-    /// matrix and swept by the eight-pixel gather kernel of
-    /// [`conv_lut_core`] — no branches on the activation side, no virtual
-    /// calls.  Integer addition is associative, so the result is
-    /// bit-identical to the reference path.
-    fn forward_conv_lut(
-        &self,
-        conv: &QConv,
-        input: &Tensor,
-        lut: &[i32],
-    ) -> Result<Tensor, DnnError> {
-        let (height, width) = Self::check_conv_input(conv, input)?;
-        let (activations, activation_params) = quantize_activations_bits(input.data(), self.bits);
-        let scale = conv.weight_params.scale * activation_params.scale;
-        let mut cols: Vec<u8> = Vec::new();
-        im2col(
-            &activations,
-            0u8,
-            conv.in_channels,
-            height,
-            width,
-            conv.kernel,
-            &mut cols,
-        );
-        let mut output = Tensor::zeros(&[conv.out_channels, height, width]);
-        conv_lut_core(
-            conv,
-            &cols,
-            height * width,
-            lut,
-            self.lut_max_abs,
-            self.bits,
-            scale,
-            output.data_mut(),
-        );
-        Ok(output)
-    }
-
-    /// LUT fast path for dense layers: one contiguous weight-code row per
-    /// output against the quantized input vector, swept by the eight-lane
-    /// kernel of [`dense_lut_core`].
-    fn forward_dense_lut(
-        &self,
-        dense: &QDense,
-        input: &Tensor,
-        lut: &[i32],
-    ) -> Result<Tensor, DnnError> {
-        if input.len() != dense.inputs {
-            return Err(DnnError::ShapeMismatch {
-                expected: vec![dense.inputs],
-                found: input.shape().to_vec(),
-            });
-        }
-        let (activations, activation_params) = quantize_activations_bits(input.data(), self.bits);
-        let scale = dense.weight_params.scale * activation_params.scale;
-        let mut output = Tensor::zeros(&[dense.outputs]);
-        dense_lut_core(
-            dense,
-            &activations,
-            lut,
-            self.lut_max_abs,
-            self.bits,
-            scale,
-            output.data_mut(),
-        );
-        Ok(output)
-    }
-
     /// Reference path: one [`ProductTable::product`] virtual call per
-    /// nonzero product pair.  Used when the table is stateful (e.g. counting
-    /// multiplications) and by the equivalence tests as ground truth.
+    /// nonzero product pair.  Used when the table declines the snapshot and,
+    /// through [`crate::multiplier::DynDispatchProducts`], by the
+    /// equivalence tests as ground truth.
     fn forward_conv_reference(&self, conv: &QConv, input: &Tensor) -> Result<Tensor, DnnError> {
         let (height, width) = Self::check_conv_input(conv, input)?;
         let (activations, activation_params) = quantize_activations_bits(input.data(), self.bits);
@@ -1083,7 +936,7 @@ mod tests {
     use crate::data::{Dataset, SyntheticImageConfig};
     use crate::layers::{Conv2d, Dense, Flatten, MaxPool2d, Relu};
     use crate::multiplier::{
-        ComposedProducts, CountingProducts, ExactInt4Products, ExactProducts, InMemoryProducts,
+        ComposedProducts, DynDispatchProducts, ExactInt4Products, ExactProducts, InMemoryProducts,
     };
     use crate::training::{Trainer, TrainingConfig};
     use optima_imc::multiplier::MultiplierTable;
@@ -1138,7 +991,7 @@ mod tests {
 
     #[test]
     fn lut_path_is_bit_identical_to_the_dyn_dispatch_reference() {
-        // Wrapping in CountingProducts disables the snapshot, so the same
+        // Wrapping in DynDispatchProducts disables the snapshot, so the same
         // table runs once through the LUT and once through the per-product
         // virtual-call loop; integer accumulation makes them bit-identical.
         let network = small_cnn(3);
@@ -1150,7 +1003,7 @@ mod tests {
         .unwrap();
         let reference = QuantizedNetwork::from_network(
             &network,
-            Arc::new(CountingProducts::new(Arc::new(InMemoryProducts::new(
+            Arc::new(DynDispatchProducts(Arc::new(InMemoryProducts::new(
                 table, "exact",
             )))),
         )
@@ -1186,26 +1039,6 @@ mod tests {
     }
 
     #[test]
-    fn counting_products_count_the_nonzero_macs() {
-        let network = small_cnn(3);
-        let counting = Arc::new(CountingProducts::new(Arc::new(ExactInt4Products)));
-        let quantized = QuantizedNetwork::from_network(&network, counting.clone()).unwrap();
-        assert!(
-            !quantized.uses_snapshot(),
-            "a counting table must not be snapshotted away"
-        );
-        let image = Tensor::from_vec(&[1, 8, 8], vec![0.5; 64]).unwrap();
-        let _ = quantized.forward(&image).unwrap();
-        let upper_bound = network.multiplications(&[1, 8, 8]).unwrap();
-        assert!(counting.count() > 0);
-        assert!(
-            counting.count() <= upper_bound,
-            "skipping zeros can only reduce the count"
-        );
-        assert_eq!(quantized.products().name(), "exact-int4");
-    }
-
-    #[test]
     fn shape_errors_are_reported() {
         let network = small_cnn(3);
         let quantized =
@@ -1234,7 +1067,7 @@ mod tests {
         let fast = QuantizedNetwork::from_network(&network, Arc::new(composed())).unwrap();
         let reference = QuantizedNetwork::from_network(
             &network,
-            Arc::new(CountingProducts::new(Arc::new(composed()))),
+            Arc::new(DynDispatchProducts(Arc::new(composed()))),
         )
         .unwrap();
         assert!(fast.uses_snapshot());
@@ -1253,9 +1086,9 @@ mod tests {
 
     #[test]
     fn forward_with_matches_forward_bit_for_bit() {
-        // The scratch-arena path must reproduce the allocating path exactly
-        // at both the INT4 and composed INT8 widths, with one scratch reused
-        // across all images (and across the two widths).
+        // A reused scratch must reproduce a fresh one exactly at both the
+        // INT4 and composed INT8 widths, with one scratch shared across all
+        // images (and across the two widths).
         let network = small_cnn(3);
         let int4 = QuantizedNetwork::from_network(&network, Arc::new(ExactInt4Products)).unwrap();
         let int8 = QuantizedNetwork::from_network(
@@ -1277,66 +1110,13 @@ mod tests {
     }
 
     #[test]
-    fn forward_batch_with_is_bit_identical_to_independent_single_image_calls() {
-        // The serving engine's correctness anchor: one batched pass over a
-        // shared scratch must reproduce N single-image calls exactly, at
-        // both the INT4 and composed INT8 widths (per-image activation
-        // scales make this non-trivial).
-        let network = small_cnn(3);
-        let int4 = QuantizedNetwork::from_network(&network, Arc::new(ExactInt4Products)).unwrap();
-        let int8 = QuantizedNetwork::from_network(
-            &network,
-            Arc::new(ComposedProducts::new(Arc::new(ExactInt4Products), 2)),
-        )
-        .unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(31);
-        let images: Vec<Tensor> = (0..6)
-            .map(|_| {
-                Tensor::from_vec(&[1, 8, 8], (0..64).map(|_| rng.gen::<f32>()).collect()).unwrap()
-            })
-            .collect();
-        let refs: Vec<&Tensor> = images.iter().collect();
-        for quantized in [&int4, &int8] {
-            let mut batch_scratch = KernelScratch::new();
-            let mut outputs = Vec::new();
-            quantized
-                .forward_batch_with(&refs, &mut outputs, &mut batch_scratch)
-                .unwrap();
-            assert_eq!(outputs.len(), images.len());
-            for (index, image) in images.iter().enumerate() {
-                let mut single = KernelScratch::new();
-                let expected = quantized.forward_with(image, &mut single).unwrap();
-                assert_eq!(expected, &outputs[index], "image {index}");
-            }
-        }
-    }
-
-    #[test]
-    fn forward_batch_with_names_the_failing_image_index() {
-        let network = small_cnn(3);
-        let quantized =
-            QuantizedNetwork::from_network(&network, Arc::new(ExactInt4Products)).unwrap();
-        let good =
-            Tensor::from_vec(&[1, 8, 8], (0..64).map(|i| i as f32 / 64.0).collect()).unwrap();
-        let bad = Tensor::zeros(&[2, 8, 8]);
-        let inputs = [&good, &bad];
-        let mut outputs = Vec::new();
-        let mut scratch = KernelScratch::new();
-        match quantized.forward_batch_with(&inputs, &mut outputs, &mut scratch) {
-            Err(DnnError::EvaluationFailed { image_index, .. }) => assert_eq!(image_index, 1),
-            other => panic!("expected EvaluationFailed, got {other:?}"),
-        }
-        assert_eq!(outputs[0].len(), 3);
-    }
-
-    #[test]
     fn forward_with_matches_forward_on_the_reference_path() {
-        // Stateful tables disable the snapshot; forward_with must still
-        // agree (it falls back to the reference kernels internally).
+        // Tables without a snapshot run the reference kernels; a reused
+        // scratch must still agree with a fresh one.
         let network = small_cnn(3);
         let quantized = QuantizedNetwork::from_network(
             &network,
-            Arc::new(CountingProducts::new(Arc::new(ExactInt4Products))),
+            Arc::new(DynDispatchProducts(Arc::new(ExactInt4Products))),
         )
         .unwrap();
         assert!(!quantized.uses_snapshot());

@@ -5,6 +5,7 @@ use crate::error::DnnError;
 use crate::multiplier::ProductTable;
 use crate::network::Network;
 use crate::quantized::QuantizedNetwork;
+use crate::scratch::KernelScratch;
 use crate::tensor::Tensor;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -176,6 +177,7 @@ impl Trainer {
         let mut history = TrainingHistory::default();
         let mut learning_rate = self.config.learning_rate;
         let samples: Vec<(&Tensor, &usize)> = dataset.train_iter().collect();
+        let mut scratch = KernelScratch::new();
         for epoch in 0..self.config.epochs {
             // Re-quantise once per epoch so the quantised view tracks the
             // head updates of the previous epoch.
@@ -184,11 +186,11 @@ impl Trainer {
             let mut correct = 0usize;
             for &index in &epoch_order(samples.len(), epoch) {
                 let (image, label) = samples[index];
-                let noisy_logits = quantized.forward(image)?;
+                let noisy_logits = quantized.forward_with(image, &mut scratch)?;
                 if noisy_logits.argmax() == Some(*label) {
                     correct += 1;
                 }
-                let (loss, grad) = cross_entropy_with_gradient(&noisy_logits, *label)?;
+                let (loss, grad) = cross_entropy_with_gradient(noisy_logits, *label)?;
                 losses.push(loss);
                 // Straight-through estimator: the float forward populates the
                 // layer caches, the gradient of the noisy loss flows back

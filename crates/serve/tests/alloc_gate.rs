@@ -125,35 +125,3 @@ fn warm_shard_pool_burst_performs_zero_allocations() {
         .unwrap();
     assert_eq!(expected, pool.logits(&plan, 0).unwrap());
 }
-
-#[test]
-fn warm_batch_entry_points_perform_zero_allocations() {
-    // The dnn-level batch entry the serving path builds on: a warm
-    // `forward_batch_with` / `infer_batch_with` burst over recycled
-    // outputs allocates nothing.
-    let network = small_cnn();
-    let quantized = QuantizedNetwork::from_network(&network, Arc::new(ExactInt4Products)).unwrap();
-    let images = image_pool(16, 5);
-    let refs: Vec<&Tensor> = images.iter().collect();
-    let mut scratch = KernelScratch::new();
-    let mut outputs = Vec::new();
-    quantized
-        .forward_batch_with(&refs, &mut outputs, &mut scratch)
-        .unwrap();
-    let before = allocations();
-    quantized
-        .forward_batch_with(&refs, &mut outputs, &mut scratch)
-        .unwrap();
-    assert_eq!(allocations(), before, "warm forward_batch_with allocated");
-
-    let mut float_scratch = KernelScratch::new();
-    let mut float_outputs = Vec::new();
-    network
-        .infer_batch_with(&refs, &mut float_outputs, &mut float_scratch)
-        .unwrap();
-    let before = allocations();
-    network
-        .infer_batch_with(&refs, &mut float_outputs, &mut float_scratch)
-        .unwrap();
-    assert_eq!(allocations(), before, "warm infer_batch_with allocated");
-}

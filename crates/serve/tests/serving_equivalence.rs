@@ -139,7 +139,11 @@ fn wall_stats_merge_matches_the_per_shard_histograms() {
 struct PanickingModel;
 
 impl BatchInferenceModel for PanickingModel {
-    fn predict(&self, _image: &Tensor) -> Result<Tensor, DnnError> {
+    fn predict_with<'s>(
+        &self,
+        _image: &Tensor,
+        _scratch: &'s mut KernelScratch,
+    ) -> Result<&'s Tensor, DnnError> {
         panic!("injected failure");
     }
 }

@@ -9,7 +9,7 @@
 use optima_suite::optima_circuit::prelude::*;
 use optima_suite::optima_core::calibration::{CalibrationConfig, Calibrator};
 use optima_suite::optima_dnn::data::{Dataset, SyntheticImageConfig};
-use optima_suite::optima_dnn::eval::evaluate;
+use optima_suite::optima_dnn::eval::evaluate_batched;
 use optima_suite::optima_dnn::models::{build_model, ModelKind};
 use optima_suite::optima_dnn::multiplier::{ExactInt4Products, InMemoryProducts, ProductTable};
 use optima_suite::optima_dnn::quantized::QuantizedNetwork;
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     })
     .train(&mut network, &dataset)?;
 
-    let float_report = evaluate(&mut network, &dataset)?;
+    let float_report = evaluate_batched(&network, &dataset, 1)?;
     println!(
         "FLOAT32      : top-1 {:.1} %, top-5 {:.1} %",
         float_report.top1_percent(),
@@ -72,8 +72,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Quantize to INT4 and swap in the different product providers.
     for (name, products) in tables {
-        let mut quantized = QuantizedNetwork::from_network(&network, products)?;
-        let report = evaluate(&mut quantized, &dataset)?;
+        let quantized = QuantizedNetwork::from_network(&network, products)?;
+        let report = evaluate_batched(&quantized, &dataset, 1)?;
         println!(
             "{name:<13}: top-1 {:.1} %, top-5 {:.1} %",
             report.top1_percent(),

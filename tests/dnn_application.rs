@@ -5,7 +5,7 @@
 use optima_suite::optima_circuit::prelude::*;
 use optima_suite::optima_core::calibration::{CalibrationConfig, Calibrator};
 use optima_suite::optima_dnn::data::{Dataset, SyntheticImageConfig};
-use optima_suite::optima_dnn::eval::evaluate;
+use optima_suite::optima_dnn::eval::evaluate_batched;
 use optima_suite::optima_dnn::models::{build_model, ModelKind};
 use optima_suite::optima_dnn::multiplier::{ExactInt4Products, InMemoryProducts};
 use optima_suite::optima_dnn::quantized::QuantizedNetwork;
@@ -67,19 +67,19 @@ fn accuracy_ordering_matches_the_paper_float_int4_fom_beat_variation() {
     .expect("training succeeds");
 
     // 3. Evaluate FLOAT32, exact INT4, fom and variation.
-    let float_top1 = evaluate(&mut network, &dataset).unwrap().top1;
-    let mut int4 = QuantizedNetwork::from_network(&network, Arc::new(ExactInt4Products)).unwrap();
-    let int4_top1 = evaluate(&mut int4, &dataset).unwrap().top1;
-    let mut fom =
+    let float_top1 = evaluate_batched(&network, &dataset, 1).unwrap().top1;
+    let int4 = QuantizedNetwork::from_network(&network, Arc::new(ExactInt4Products)).unwrap();
+    let int4_top1 = evaluate_batched(&int4, &dataset, 1).unwrap().top1;
+    let fom =
         QuantizedNetwork::from_network(&network, Arc::new(InMemoryProducts::new(fom_table, "fom")))
             .unwrap();
-    let fom_top1 = evaluate(&mut fom, &dataset).unwrap().top1;
-    let mut degraded = QuantizedNetwork::from_network(
+    let fom_top1 = evaluate_batched(&fom, &dataset, 1).unwrap().top1;
+    let degraded = QuantizedNetwork::from_network(
         &network,
         Arc::new(InMemoryProducts::new(bad_table, "degraded")),
     )
     .unwrap();
-    let variation_top1 = evaluate(&mut degraded, &dataset).unwrap().top1;
+    let variation_top1 = evaluate_batched(&degraded, &dataset, 1).unwrap().top1;
 
     // The trained FLOAT32 network must clearly beat chance.
     // Chance level on the 4-class task is 0.25.
@@ -142,15 +142,14 @@ fn transfer_learning_pipeline_produces_a_working_ten_class_classifier() {
     });
     head_trainer.train_head_only(&mut network, &target).unwrap();
 
-    let report = evaluate(&mut network, &target).unwrap();
+    let report = evaluate_batched(&network, &target, 1).unwrap();
     assert!(
         report.top1 > 0.45,
         "transfer-learned top-1 {} is too low",
         report.top1
     );
     // Quantizing the transferred network must still work end to end.
-    let mut quantized =
-        QuantizedNetwork::from_network(&network, Arc::new(ExactInt4Products)).unwrap();
-    let quantized_report = evaluate(&mut quantized, &target).unwrap();
+    let quantized = QuantizedNetwork::from_network(&network, Arc::new(ExactInt4Products)).unwrap();
+    let quantized_report = evaluate_batched(&quantized, &target, 1).unwrap();
     assert!(quantized_report.top1 > 0.3);
 }

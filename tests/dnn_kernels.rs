@@ -3,10 +3,10 @@
 //! within 1e-4 for FLOAT32, bit-identically for the integer-accumulating
 //! quantized path — over randomly drawn channel/kernel/size combinations.
 
-use optima_suite::optima_dnn::eval::{evaluate, evaluate_batched};
+use optima_suite::optima_dnn::eval::evaluate_batched;
 use optima_suite::optima_dnn::layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, Relu};
 use optima_suite::optima_dnn::multiplier::{
-    ComposedProducts, CountingProducts, ExactInt4Products, ProductTable,
+    ComposedProducts, DynDispatchProducts, ExactInt4Products, ProductTable,
 };
 use optima_suite::optima_dnn::network::Network;
 use optima_suite::optima_dnn::prelude::{Dataset, SyntheticImageConfig};
@@ -32,6 +32,15 @@ fn random_tensor(shape: &[usize], rng: &mut ChaCha8Rng) -> Tensor {
     .unwrap()
 }
 
+/// One layer's scratch-arena inference pass with a fresh arena.
+fn infer_fresh(layer: &dyn Layer, input: &Tensor) -> Tensor {
+    let mut output = Tensor::default();
+    layer
+        .infer_into(input, &mut output, &mut KernelScratch::new())
+        .unwrap();
+    output
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -50,7 +59,7 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let conv = Conv2d::new(in_channels, out_channels, kernel, &mut rng);
         let input = random_tensor(&[in_channels, height, width], &mut rng);
-        let fast = conv.infer(&input).unwrap();
+        let fast = infer_fresh(&conv, &input);
         let naive = reference::conv2d_forward(
             input.data(),
             in_channels,
@@ -79,7 +88,7 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let dense = Dense::new(inputs, outputs, &mut rng);
         let input = random_tensor(&[inputs], &mut rng);
-        let fast = dense.infer(&input).unwrap();
+        let fast = infer_fresh(&dense, &input);
         let naive = reference::dense_forward(
             input.data(),
             dense.weights(),
@@ -135,10 +144,10 @@ proptest! {
             Box::new(Dense::new(4 * 4 * 4, 3, &mut rng)),
         ]);
         let lut = QuantizedNetwork::from_network(&network, Arc::new(ExactInt4Products)).unwrap();
-        // CountingProducts declines the snapshot, forcing per-product calls.
+        // DynDispatchProducts declines the snapshot, forcing per-product calls.
         let reference = QuantizedNetwork::from_network(
             &network,
-            Arc::new(CountingProducts::new(Arc::new(ExactInt4Products))),
+            Arc::new(DynDispatchProducts(Arc::new(ExactInt4Products))),
         )
         .unwrap();
         prop_assert!(lut.uses_snapshot());
@@ -222,10 +231,10 @@ proptest! {
         }
     }
 
-    /// The 8-pixel LUT-gather scratch path (`forward_with`) is bit-for-bit
-    /// identical to the allocating flat-LUT path at INT4 and at INT8
-    /// composed from 2 × INT4 slices, with one arena shared across both
-    /// networks and image widths that exercise the hw % 8 scalar tail.
+    /// The 8-pixel LUT-gather scratch path (`forward_with`) with one arena
+    /// shared across both networks is bit-for-bit identical to a fresh-arena
+    /// `forward` at INT4 and at INT8 composed from 2 × INT4 slices, at image
+    /// widths that exercise the hw % 8 scalar tail.
     #[test]
     fn eight_pixel_gather_matches_the_flat_lut_path(
         width in 5usize..12,
@@ -291,13 +300,13 @@ fn snapshot_covers_every_product_pair() {
 fn batched_evaluation_is_deterministic_across_thread_counts() {
     let dataset = Dataset::synthetic(SyntheticImageConfig::tiny());
     let mut rng = ChaCha8Rng::seed_from_u64(5);
-    let mut network = Network::new(vec![
+    let network = Network::new(vec![
         Box::new(Conv2d::new(1, 2, 3, &mut rng)) as Box<dyn Layer>,
         Box::new(Relu::new()),
         Box::new(Flatten::new()),
         Box::new(Dense::new(2 * 8 * 8, 3, &mut rng)),
     ]);
-    let serial = evaluate(&mut network, &dataset).unwrap();
+    let serial = evaluate_batched(&network, &dataset, 1).unwrap();
     for threads in [1, 2, 5, 16] {
         assert_eq!(
             evaluate_batched(&network, &dataset, threads).unwrap(),
@@ -324,9 +333,9 @@ fn quantized_batched_evaluation_is_identical_at_one_through_eight_threads() {
         Arc::new(ExactInt4Products) as Arc<dyn ProductTable>,
         Arc::new(ComposedProducts::new(Arc::new(ExactInt4Products), 2)),
     ] {
-        let mut quantized = QuantizedNetwork::from_network(&network, table).unwrap();
+        let quantized = QuantizedNetwork::from_network(&network, table).unwrap();
         assert!(quantized.uses_snapshot());
-        let serial = evaluate(&mut quantized, &dataset).unwrap();
+        let serial = evaluate_batched(&quantized, &dataset, 1).unwrap();
         for threads in 1..=8 {
             assert_eq!(
                 evaluate_batched(&quantized, &dataset, threads).unwrap(),
