@@ -48,7 +48,7 @@ use std::sync::Arc;
 const STORED_ROW: u16 = 0;
 
 /// File the machine-readable sweep lands in (current working directory,
-/// next to `BENCH_dnn.json` / `BENCH_analog.json`).
+/// next to `BENCH_serving.json`).
 const REPORT_PATH: &str = "BENCH_reliability.json";
 
 pub struct FaultSweep;

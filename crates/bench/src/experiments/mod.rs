@@ -232,7 +232,7 @@ impl ExperimentContext {
     }
 
     /// Array geometry the experiments run at; calibration is re-keyed
-    /// automatically ([`crate::calibrate_for`]).  Resets any calibration
+    /// automatically ([`crate::calibrate`]).  Resets any calibration
     /// already computed for a previous geometry.
     pub fn with_array(mut self, array: ArrayConfig) -> Self {
         self.set_array(array);
@@ -346,7 +346,7 @@ impl ExperimentContext {
     /// subsequent caller in the process.
     pub fn calibration(&mut self) -> &(Technology, CalibrationOutcome) {
         if self.calibration.is_none() {
-            self.calibration = Some(crate::calibrate_for(self.is_fast(), &self.array));
+            self.calibration = Some(crate::calibrate(self.is_fast(), &self.array));
         }
         self.calibration
             .as_ref()

@@ -6,9 +6,7 @@
 //! open-loop load generator and an INT4-quantized CNN probe, measuring
 //! each grid point's wall-clock throughput and end-to-end latency
 //! histogram.  The measurement core, the gate set and the
-//! `BENCH_serving.json` schema live in [`crate::serving`], shared with the
-//! `bench_report` serving section, so both harnesses emit the identical
-//! machine-readable trajectory.
+//! `BENCH_serving.json` schema live in [`crate::serving`].
 //!
 //! The experiment gates itself on bit identity (every served request's
 //! logits equal a lone `forward_with` call), the coalesce-wait bound, a
@@ -60,7 +58,7 @@ impl Experiment for ServingLoad {
             requests: defaults.requests,
         };
 
-        let report = serving::run_and_write(&spec, ctx.seed(), quick, "serving_load")?;
+        let report = serving::run_and_write(&spec, ctx.seed(), quick)?;
         let gates = serving::gate_outcome(&report);
 
         let mut out = Report::new();

@@ -1,10 +1,9 @@
 //! Minimal hand-rolled JSON document model and writer.
 //!
-//! The build container has no serde_json, so every machine-readable artifact
-//! of the workspace — the structured experiment reports of
-//! [`crate::report`] and the `BENCH_dnn.json`/`BENCH_analog.json` perf
-//! trajectories of the `bench_report` binary — is emitted through this one
-//! serializer instead of per-binary `format!` templates.
+//! The workspace has no serde_json, so every machine-readable artifact of
+//! the crate — the structured experiment reports of [`crate::report`] and
+//! the `BENCH_serving.json`/`BENCH_reliability.json` sweeps — is emitted
+//! through this one serializer instead of per-file `format!` templates.
 //!
 //! The model is deliberately tiny: ordered objects (insertion order is
 //! preserved, so output is deterministic), arrays, strings with full RFC 8259

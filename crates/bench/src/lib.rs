@@ -1,23 +1,19 @@
-//! Shared plumbing for the experiment harnesses and the perf report.
+//! Shared plumbing for the experiment harnesses.
 //!
 //! Every figure, table and ablation of the paper is an
 //! [`experiments::Experiment`] registered in [`experiments::registry`] (see
 //! DESIGN.md for the per-experiment index) and driven by the `optima` CLI
 //! binary.  This library additionally provides the pieces they share: model
 //! calibration (snapshot-cached), the three Table I corner configurations,
-//! structured [`report::Report`]s with text/JSON renderers, and the naive
-//! reference forward pass used by `bench_report`.
+//! structured [`report::Report`]s with text/JSON renderers, and the serving
+//! load sweep behind `BENCH_serving.json`.  Timing lives in the separate
+//! `perfbench` workspace.
 
 use optima_circuit::array::ArrayConfig;
 use optima_circuit::technology::Technology;
 use optima_core::calibration::{CalibrationConfig, CalibrationOutcome, Calibrator};
-use optima_core::model::suite::ModelSuite;
 use optima_core::snapshot;
 use optima_core::ModelError;
-use optima_dnn::layers::{Conv2d, Dense, ResidualBlock};
-use optima_dnn::network::Network;
-use optima_dnn::scratch::KernelScratch;
-use optima_dnn::{reference, Tensor};
 use optima_imc::multiplier::MultiplierConfig;
 use std::path::{Path, PathBuf};
 
@@ -52,20 +48,14 @@ pub fn calibration_cache_dir() -> Option<PathBuf> {
     }
 }
 
-/// Path of the calibration snapshot for the fast or full grid at the paper's
-/// default array geometry, when caching is enabled.
-pub fn calibration_snapshot_path(fast: bool) -> Option<PathBuf> {
-    calibration_snapshot_path_for(fast, &ArrayConfig::default())
-}
-
-/// Path of the calibration snapshot for the fast or full grid at an
-/// arbitrary array geometry, when caching is enabled.
+/// Path of the calibration snapshot for the fast or full grid at an array
+/// geometry, when caching is enabled.
 ///
-/// The default geometry keeps the historical file names
+/// The paper's default geometry keeps the historical file names
 /// (`calibration-{fast,full}.v1.snap`); other geometries get a
 /// geometry-tagged name so differently-shaped snapshots coexist in the same
 /// cache directory.
-pub fn calibration_snapshot_path_for(fast: bool, array: &ArrayConfig) -> Option<PathBuf> {
+pub fn calibration_snapshot_path(fast: bool, array: &ArrayConfig) -> Option<PathBuf> {
     let grid = if fast { "fast" } else { "full" };
     let name = if array.is_paper() {
         format!("calibration-{grid}.v1.snap")
@@ -92,29 +82,17 @@ pub fn calibration_snapshot_path_for(fast: bool, array: &ArrayConfig) -> Option<
 /// snapshot is reported on stderr and falls back to recalibration, so the
 /// cache can never change results: loads are bit-exact.
 ///
-/// # Panics
-///
-/// Panics if calibration fails, which would indicate a bug in the fitting
-/// pipeline rather than a recoverable user error.
-pub fn calibrate(fast: bool) -> (Technology, CalibrationOutcome) {
-    calibrate_for(fast, &ArrayConfig::default())
-}
-
-/// Geometry-aware variant of [`calibrate`]: the array's row count sets the
-/// simulated bit-line load (`cells_on_bitline`), and the snapshot is keyed
-/// by the full geometry through both its file name
-/// ([`calibration_snapshot_path_for`]) and the config fingerprint inside it
-/// — a stale 16×4 snapshot can never silently serve an INT8 run.
-///
-/// At the default geometry this is exactly [`calibrate`]: the paper's 16
-/// rows equal the calibration default, so the models (and all downstream
-/// outputs) are byte-identical.
+/// The array's row count sets the simulated bit-line load
+/// (`cells_on_bitline`), and the snapshot is keyed by the full geometry
+/// through both its file name and the config fingerprint inside it — a
+/// stale 16×4 snapshot can never silently serve an INT8 run.  At the
+/// default geometry the paper's 16 rows equal the calibration default.
 ///
 /// # Panics
 ///
 /// Panics if calibration fails, which would indicate a bug in the fitting
 /// pipeline rather than a recoverable user error.
-pub fn calibrate_for(fast: bool, array: &ArrayConfig) -> (Technology, CalibrationOutcome) {
+pub fn calibrate(fast: bool, array: &ArrayConfig) -> (Technology, CalibrationOutcome) {
     let technology = Technology::tsmc65_like();
     let mut config = if fast {
         CalibrationConfig::fast()
@@ -125,7 +103,7 @@ pub fn calibrate_for(fast: bool, array: &ArrayConfig) -> (Technology, Calibratio
     // reference simulates; re-fitting against the actual load is what makes
     // a tall array's calibration differ from the paper's 16-row macro.
     config.cells_on_bitline = array.rows as usize;
-    let path = calibration_snapshot_path_for(fast, array);
+    let path = calibration_snapshot_path(fast, array);
     if let Some(path) = &path {
         match load_snapshot(path, &technology, &config, array) {
             Ok(Some(outcome)) => return (technology, outcome),
@@ -162,12 +140,6 @@ fn load_snapshot(
     snapshot::load(path, technology, config, array).map(Some)
 }
 
-/// Convenience wrapper returning only the fitted models.
-pub fn calibrated_models(fast: bool) -> (Technology, ModelSuite) {
-    let (technology, outcome) = calibrate(fast);
-    (technology, outcome.into_models())
-}
-
 /// The three named corners of Table I with their paper configurations.
 pub fn paper_corners() -> Vec<(&'static str, MultiplierConfig)> {
     vec![
@@ -177,93 +149,25 @@ pub fn paper_corners() -> Vec<(&'static str, MultiplierConfig)> {
     ]
 }
 
-fn naive_conv_forward(conv: &Conv2d, input: &Tensor) -> Tensor {
-    let (height, width) = (input.shape()[1], input.shape()[2]);
-    Tensor::from_vec(
-        &[conv.out_channels(), height, width],
-        reference::conv2d_forward(
-            input.data(),
-            conv.in_channels(),
-            height,
-            width,
-            conv.weights(),
-            conv.bias(),
-            conv.out_channels(),
-            conv.kernel(),
-        ),
-    )
-    .expect("reference conv output has the declared shape")
-}
-
-/// Forward pass of `network` through the naive scalar reference kernels of
-/// [`optima_dnn::reference`] — the "before" side of the end-to-end inference
-/// benchmarks.  Convolutions and dense layers run the original six-deep /
-/// dot-product loops; layers that were never lowered onto GEMM (pooling,
-/// activation, flatten) use their normal [`Layer::infer_into`] path.
-///
-/// [`Layer::infer_into`]: optima_dnn::layers::Layer::infer_into
-///
-/// # Panics
-///
-/// Panics on shape errors — benchmark inputs are constructed to fit.
-pub fn naive_network_forward(network: &Network, input: &Tensor) -> Tensor {
-    let mut scratch = KernelScratch::new();
-    let mut current = input.clone();
-    for layer in network.layers() {
-        let any = layer.as_any();
-        current = if let Some(conv) = any.downcast_ref::<Conv2d>() {
-            naive_conv_forward(conv, &current)
-        } else if let Some(dense) = any.downcast_ref::<Dense>() {
-            Tensor::from_vec(
-                &[dense.outputs()],
-                reference::dense_forward(
-                    current.data(),
-                    dense.weights(),
-                    dense.bias(),
-                    dense.inputs(),
-                    dense.outputs(),
-                ),
-            )
-            .expect("reference dense output has the declared shape")
-        } else if let Some(block) = any.downcast_ref::<ResidualBlock>() {
-            let (conv1, conv2) = block.convolutions();
-            let mut branch = naive_conv_forward(conv1, &current);
-            branch.map_inplace(|v| v.max(0.0));
-            let mut branch = naive_conv_forward(conv2, &branch);
-            branch
-                .add_assign(&current)
-                .expect("residual branch keeps the input shape");
-            branch.map_inplace(|v| v.max(0.0));
-            branch
-        } else {
-            let mut output = Tensor::default();
-            layer
-                .infer_into(&current, &mut output, &mut scratch)
-                .expect("benchmark inputs fit the network");
-            output
-        };
-    }
-    current
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn fast_calibration_produces_usable_models() {
-        let (technology, models) = calibrated_models(true);
-        assert_eq!(models.vdd_nominal(), technology.vdd_nominal);
+        let (technology, outcome) = calibrate(true, &ArrayConfig::default());
+        assert_eq!(outcome.into_models().vdd_nominal(), technology.vdd_nominal);
     }
 
     #[test]
     fn calibration_snapshot_cache_round_trips_bit_exactly() {
         // First call may calibrate and save; the second must load the
         // snapshot and produce the identical outcome.
-        let (_, first) = calibrate(true);
-        let path = calibration_snapshot_path(true).expect("cache enabled by default");
+        let array = ArrayConfig::default();
+        let (_, first) = calibrate(true, &array);
+        let path = calibration_snapshot_path(true, &array).expect("cache enabled by default");
         assert!(path.exists(), "snapshot missing at {}", path.display());
-        let (_, second) = calibrate(true);
+        let (_, second) = calibrate(true, &array);
         assert_eq!(first, second);
     }
 
@@ -273,11 +177,12 @@ mod tests {
         // test runner; assert the default resolution instead.
         let dir = calibration_cache_dir().expect("default cache is enabled");
         assert!(dir.ends_with("target/optima"));
-        assert!(calibration_snapshot_path(true)
+        let array = ArrayConfig::default();
+        assert!(calibration_snapshot_path(true, &array)
             .unwrap()
             .to_string_lossy()
             .contains("calibration-fast"));
-        assert!(calibration_snapshot_path(false)
+        assert!(calibration_snapshot_path(false, &array)
             .unwrap()
             .to_string_lossy()
             .contains("calibration-full"));
@@ -285,9 +190,9 @@ mod tests {
 
     #[test]
     fn snapshot_paths_are_keyed_by_geometry() {
-        let default_path = calibration_snapshot_path_for(true, &ArrayConfig::default()).unwrap();
-        assert_eq!(default_path, calibration_snapshot_path(true).unwrap());
-        let int8_path = calibration_snapshot_path_for(true, &ArrayConfig::int8()).unwrap();
+        let default_path = calibration_snapshot_path(true, &ArrayConfig::default()).unwrap();
+        assert!(default_path.ends_with("calibration-fast.v1.snap"));
+        let int8_path = calibration_snapshot_path(true, &ArrayConfig::int8()).unwrap();
         assert_ne!(default_path, int8_path);
         assert!(int8_path.to_string_lossy().contains("16x8-int8"));
     }
@@ -298,7 +203,7 @@ mod tests {
             std::env::temp_dir().join(format!("optima-bench-snapshot-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("calibration.snap");
-        let (technology, outcome) = calibrate(true);
+        let (technology, outcome) = calibrate(true, &ArrayConfig::default());
         let config = CalibrationConfig::fast();
         let missing = load_snapshot(&path, &technology, &config, &ArrayConfig::default());
         assert_eq!(missing, Ok(None));

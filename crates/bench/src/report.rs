@@ -9,7 +9,7 @@
 //!   harnesses byte-for-byte (golden-tested).
 //! * [`Report::to_json`] — the machine-readable form, emitted through the
 //!   shared hand-rolled serializer in [`crate::json`] (the same one behind
-//!   `BENCH_dnn.json`/`BENCH_analog.json`).
+//!   `BENCH_serving.json`/`BENCH_reliability.json`).
 //!
 //! Tables are *typed*: a cell is a [`Scalar`] carrying its numeric value and
 //! display precision, so the JSON output exposes real numbers while the text

@@ -1,12 +1,10 @@
-//! Serving-engine load sweep shared by the `serving_load` experiment and
-//! the `bench_report` serving section.
+//! Serving-engine load sweep behind the `serving_load` experiment.
 //!
 //! One measurement core, one gate set, one `BENCH_serving.json` schema
-//! (`optima-serving.v1`) — whichever harness runs it, the machine-readable
-//! perf trajectory has a single shape.  The sweep drives the
-//! `optima_serve` engine (bounded queue → batch coalescer → shard pool)
-//! over a grid of arrival rates × batch policies × shard counts with an
-//! INT4-quantized CNN probe, and self-gates on four invariants:
+//! (`optima-serving.v1`).  The sweep drives the `optima_serve` engine
+//! (bounded queue → batch coalescer → shard pool) over a grid of arrival
+//! rates × batch policies × shard counts with an INT4-quantized CNN probe,
+//! and self-gates on four invariants:
 //!
 //! 1. **bit identity** — every served request's logits equal a lone
 //!    `forward_with` call on the same image, at every grid point (the
@@ -19,8 +17,8 @@
 //! 4. **tail latency** — every grid point's wall p50/p99 must stay under
 //!    [`P50_CEILING_US`]/[`P99_CEILING_US`] (doubled in quick mode).
 //!
-//! A violated gate surfaces as [`BenchError::Failed`], which both the
-//! `optima` runner and `bench_report` turn into a nonzero exit.
+//! A violated gate surfaces as [`BenchError::Failed`], which the `optima`
+//! runner turns into a nonzero exit.
 
 use crate::experiments::BenchError;
 use crate::json::Json;
@@ -36,7 +34,7 @@ use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 
 /// File the machine-readable serving sweep lands in (current working
-/// directory, next to `BENCH_dnn.json` / `BENCH_reliability.json`).
+/// directory, next to `BENCH_reliability.json`).
 pub const REPORT_PATH: &str = "BENCH_serving.json";
 
 /// Schema marker of [`REPORT_PATH`] (grepped by CI).
@@ -168,19 +166,17 @@ fn serving_images(seed: u64) -> Vec<Tensor> {
 
 /// Runs the sweep, enforces the gates and writes [`REPORT_PATH`].
 ///
-/// `generated_by` names the harness in the JSON (`serving_load` or
-/// `bench_report`).  The report is written even when a wall-clock gate
-/// fails — the trajectory file then records the violation — but a failed
-/// gate still returns [`BenchError::Failed`] so the caller exits nonzero.
+/// The report is written even when a wall-clock gate fails — the
+/// trajectory file then records the violation — but a failed gate still
+/// returns [`BenchError::Failed`] so the caller exits nonzero.
 pub fn run_and_write(
     spec: &SweepSpec,
     seed: u64,
     quick: bool,
-    generated_by: &str,
 ) -> Result<ServingReport, BenchError> {
     let report = run_sweep(spec, seed, quick)?;
     let gates = gate_outcome(&report);
-    write_json(&report, &gates, generated_by)?;
+    write_json(&report, &gates)?;
     enforce_gates(&gates)?;
     Ok(report)
 }
@@ -188,7 +184,7 @@ pub fn run_and_write(
 /// Runs every grid point and checks the deterministic gates (bit identity,
 /// coalesce-wait bound) inline; wall-clock gates are left to
 /// [`enforce_gates`] so the JSON can record a violation before failing.
-pub fn run_sweep(spec: &SweepSpec, seed: u64, quick: bool) -> Result<ServingReport, BenchError> {
+fn run_sweep(spec: &SweepSpec, seed: u64, quick: bool) -> Result<ServingReport, BenchError> {
     let probe = serving_probe(seed)?;
     let images = serving_images(seed);
     // Reference logits once per pool image: the single-request path every
@@ -335,7 +331,7 @@ pub fn gate_outcome(report: &ServingReport) -> GateOutcome {
 }
 
 /// Fails on a violated wall-clock gate.
-pub fn enforce_gates(gates: &GateOutcome) -> Result<(), BenchError> {
+fn enforce_gates(gates: &GateOutcome) -> Result<(), BenchError> {
     if !gates.throughput_holds_floor {
         return Err(BenchError::Failed(format!(
             "sustained throughput {:.0} req/s fell below the committed floor {:.0} req/s",
@@ -353,15 +349,11 @@ pub fn enforce_gates(gates: &GateOutcome) -> Result<(), BenchError> {
 }
 
 /// Writes the machine-readable sweep ([`SCHEMA`]) to [`REPORT_PATH`].
-pub fn write_json(
-    report: &ServingReport,
-    gates: &GateOutcome,
-    generated_by: &str,
-) -> Result<(), BenchError> {
+fn write_json(report: &ServingReport, gates: &GateOutcome) -> Result<(), BenchError> {
     let document = Json::object(vec![
         ("schema", Json::str(SCHEMA)),
         ("report", Json::str("serving-load")),
-        ("generated_by", Json::str(generated_by)),
+        ("generated_by", Json::str("serving_load")),
         ("quick_mode", Json::Bool(report.quick)),
         ("bit_identity", Json::str("bit-identical")),
         (

@@ -283,8 +283,8 @@ fn report_json_round_trips_through_a_strict_parser() {
 }
 
 #[test]
-fn bench_report_shaped_documents_round_trip() {
-    // The envelope shape of BENCH_dnn.json / BENCH_analog.json.
+fn nested_envelope_documents_round_trip() {
+    // An envelope object holding an array of nested objects.
     let document = Json::object(vec![
         ("report", Json::str("dnn-inference-hot-path")),
         ("quick_mode", Json::Bool(true)),

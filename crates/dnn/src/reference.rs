@@ -2,9 +2,8 @@
 //!
 //! These are the original six-deep-loop implementations that the im2col +
 //! GEMM hot path replaced.  They are kept — unoptimized on purpose — as the
-//! ground truth for the equivalence test suite and as the "before" side of
-//! the `dnn_kernels` benchmarks and the `bench_report` perf report.  Do not
-//! call them from production code paths.
+//! ground truth for the equivalence test suite.  Do not call them from
+//! production code paths.
 
 /// Naive "same"-padded, stride-1 convolution forward pass.
 ///

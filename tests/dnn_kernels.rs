@@ -41,6 +41,35 @@ fn infer_fresh(layer: &dyn Layer, input: &Tensor) -> Tensor {
     output
 }
 
+/// INT4 quantizations of `network` through the flat product LUT and through
+/// `DynDispatchProducts`, which declines the snapshot and so forces one
+/// virtual call per product.
+fn lut_and_dyn_dispatch(network: &Network) -> (QuantizedNetwork, QuantizedNetwork) {
+    let lut = QuantizedNetwork::from_network(network, Arc::new(ExactInt4Products)).unwrap();
+    let reference = QuantizedNetwork::from_network(
+        network,
+        Arc::new(DynDispatchProducts(Arc::new(ExactInt4Products))),
+    )
+    .unwrap();
+    (lut, reference)
+}
+
+/// A 3×16×16, ten-class CNN with two conv stages: conv 3→8, ReLU, pool,
+/// conv 8→16, ReLU, pool, flatten, dense.
+fn multi_channel_network() -> Network {
+    let mut rng = ChaCha8Rng::seed_from_u64(11);
+    Network::new(vec![
+        Box::new(Conv2d::new(3, 8, 3, &mut rng)),
+        Box::new(Relu::new()),
+        Box::new(MaxPool2d::new()),
+        Box::new(Conv2d::new(8, 16, 3, &mut rng)),
+        Box::new(Relu::new()),
+        Box::new(MaxPool2d::new()),
+        Box::new(Flatten::new()),
+        Box::new(Dense::new(16 * 4 * 4, 10, &mut rng)),
+    ])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -130,7 +159,8 @@ proptest! {
     }
 
     /// The quantized LUT path is bit-identical to the per-product
-    /// dynamic-dispatch reference on whole-network forwards.
+    /// dynamic-dispatch reference on whole-network forwards: a single-conv
+    /// 1-channel net and a two-conv 3-channel net.
     #[test]
     fn quantized_lut_is_bit_identical_to_dyn_dispatch(
         image_seed in 0u64..1_000,
@@ -143,19 +173,21 @@ proptest! {
             Box::new(Flatten::new()),
             Box::new(Dense::new(4 * 4 * 4, 3, &mut rng)),
         ]);
-        let lut = QuantizedNetwork::from_network(&network, Arc::new(ExactInt4Products)).unwrap();
-        // DynDispatchProducts declines the snapshot, forcing per-product calls.
-        let reference = QuantizedNetwork::from_network(
-            &network,
-            Arc::new(DynDispatchProducts(Arc::new(ExactInt4Products))),
-        )
-        .unwrap();
+        let (lut, reference) = lut_and_dyn_dispatch(&network);
         prop_assert!(lut.uses_snapshot());
         prop_assert!(!reference.uses_snapshot());
         let mut rng = ChaCha8Rng::seed_from_u64(image_seed);
         let image = Tensor::from_vec(
             &[1, 8, 8],
             (0..64).map(|_| rng.gen::<f32>()).collect(),
+        )
+        .unwrap();
+        prop_assert_eq!(lut.forward(&image).unwrap(), reference.forward(&image).unwrap());
+
+        let (lut, reference) = lut_and_dyn_dispatch(&multi_channel_network());
+        let image = Tensor::from_vec(
+            &[3, 16, 16],
+            (0..3 * 16 * 16).map(|_| rng.gen::<f32>()).collect(),
         )
         .unwrap();
         prop_assert_eq!(lut.forward(&image).unwrap(), reference.forward(&image).unwrap());

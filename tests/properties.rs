@@ -14,7 +14,7 @@ use optima_suite::optima_dnn::multiplier::{
     ComposedProducts, ExactInt4Products, ExactProducts, ProductTable,
 };
 use optima_suite::optima_imc::dse::{DesignSpace, DesignSpaceExplorer};
-use optima_suite::optima_imc::metrics::evaluate_multiplier_at_scalar;
+use optima_suite::optima_imc::metrics::{evaluate_multiplier_at, evaluate_multiplier_at_scalar};
 use optima_suite::optima_imc::multiplier::{
     InSramMultiplier, MultiplierConfig, MultiplierTable, OperatingPoint,
 };
@@ -219,9 +219,10 @@ proptest! {
         }
     }
 
-    /// Batched multiplier-table construction and the batched input-space
-    /// outcomes are bit-identical to the scalar per-pair path for arbitrary
-    /// design points and operating points.
+    /// Batched multiplier-table construction, the batched input-space
+    /// outcomes and the batched corner metrics are bit-identical to the
+    /// scalar per-pair path for arbitrary design points and operating
+    /// points, including off-nominal VDD × temperature corners.
     #[test]
     fn batched_multiplier_table_is_bit_identical_to_scalar(
         tau0_ps in 100.0f64..300.0,
@@ -241,6 +242,10 @@ proptest! {
         let batched = MultiplierTable::from_multiplier(&multiplier, at).unwrap();
         let scalar = MultiplierTable::from_multiplier_scalar(&multiplier, at).unwrap();
         prop_assert_eq!(batched, scalar);
+        prop_assert_eq!(
+            evaluate_multiplier_at(&multiplier, at).unwrap(),
+            evaluate_multiplier_at_scalar(&multiplier, at).unwrap()
+        );
         let outcomes = multiplier.outcome_grid(at).unwrap();
         for a in 0..=15u16 {
             for d in 0..=15u16 {
