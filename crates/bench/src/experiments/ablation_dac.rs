@@ -27,7 +27,7 @@ impl Experiment for AblationDac {
     }
 
     fn run(&self, ctx: &mut ExperimentContext) -> Result<Report, BenchError> {
-        let models = ctx.models();
+        let models = ctx.models()?;
         let mut report = Report::new();
         report
             .heading(1, "Ablation — DAC transfer curve vs. multiplier accuracy")

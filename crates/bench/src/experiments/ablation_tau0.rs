@@ -27,7 +27,7 @@ impl Experiment for AblationTau0 {
     }
 
     fn run(&self, ctx: &mut ExperimentContext) -> Result<Report, BenchError> {
-        let models = ctx.models();
+        let models = ctx.models()?;
         let mut report = Report::new();
         report
             .heading(

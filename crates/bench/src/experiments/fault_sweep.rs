@@ -81,7 +81,7 @@ impl Experiment for FaultSweep {
     fn run(&self, ctx: &mut ExperimentContext) -> Result<Report, BenchError> {
         let quick = ctx.is_fast();
         let array = mitigated_geometry(ctx.array())?;
-        let models = ctx.models();
+        let models = ctx.models()?;
         let config = MultiplierConfig::paper_fom_corner().with_array(array);
         let pristine = InSramMultiplier::new(models, config)?;
         let nominal = pristine.nominal_operating_point();

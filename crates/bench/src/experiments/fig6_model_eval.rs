@@ -28,7 +28,7 @@ impl Experiment for Fig6ModelEval {
 
     fn run(&self, ctx: &mut ExperimentContext) -> Result<Report, BenchError> {
         let fast = ctx.is_fast();
-        let (technology, outcome) = ctx.calibration().clone();
+        let (technology, outcome) = ctx.calibration()?.clone();
         let cal_report = *outcome.report();
         let mut report = Report::new();
 

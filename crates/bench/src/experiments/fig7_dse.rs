@@ -32,7 +32,7 @@ impl Experiment for Fig7Dse {
     }
 
     fn run(&self, ctx: &mut ExperimentContext) -> Result<Report, BenchError> {
-        let models = ctx.models();
+        let models = ctx.models()?;
         // The sweep is error-strict (a failing corner aborts the run naming
         // the corner — corners are never silently dropped) and bit-identical
         // at any thread count.

@@ -26,7 +26,7 @@ impl Experiment for Fig8CornerPvt {
     }
 
     fn run(&self, ctx: &mut ExperimentContext) -> Result<Report, BenchError> {
-        let models = ctx.models();
+        let models = ctx.models()?;
         let config = if ctx.is_fast() {
             PvtAnalysisConfig::fast()
         } else {

@@ -88,7 +88,7 @@ impl GeometrySweep {
         // geometry for the duration of the evaluation.
         let previous = ctx.array();
         ctx.set_array(array);
-        let models = ctx.models();
+        let models = ctx.models()?;
 
         let config = MultiplierConfig::paper_fom_corner().with_array(array);
         let multiplier = InSramMultiplier::new(models, config)?;

@@ -39,7 +39,6 @@ mod geometry_sweep;
 mod lint_audit;
 mod serving_load;
 mod snapshot_roundtrip;
-mod speedup;
 mod table1_corners;
 mod table2_imagenet;
 mod table3_cifar;
@@ -344,23 +343,35 @@ impl ExperimentContext {
     /// geometry, computed on first use (backed by the persistent snapshot
     /// cache, so it costs milliseconds on a warm cache) and shared by every
     /// subsequent caller in the process.
-    pub fn calibration(&mut self) -> &(Technology, CalibrationOutcome) {
-        if self.calibration.is_none() {
-            self.calibration = Some(crate::calibrate(self.is_fast(), &self.array));
-        }
-        self.calibration
-            .as_ref()
-            .expect("calibration was just populated")
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BenchError::Model`] when calibration fails; nothing is
+    /// cached then, so the next call retries.
+    pub fn calibration(&mut self) -> Result<&(Technology, CalibrationOutcome), BenchError> {
+        let calibration = match self.calibration.take() {
+            Some(calibration) => calibration,
+            None => crate::calibrate(self.is_fast(), &self.array)?,
+        };
+        Ok(self.calibration.insert(calibration))
     }
 
     /// A clone of the calibrated technology.
-    pub fn technology(&mut self) -> Technology {
-        self.calibration().0.clone()
+    ///
+    /// # Errors
+    ///
+    /// See [`Self::calibration`].
+    pub fn technology(&mut self) -> Result<Technology, BenchError> {
+        Ok(self.calibration()?.0.clone())
     }
 
     /// A clone of the fitted model suite.
-    pub fn models(&mut self) -> ModelSuite {
-        self.calibration().1.models().clone()
+    ///
+    /// # Errors
+    ///
+    /// See [`Self::calibration`].
+    pub fn models(&mut self) -> Result<ModelSuite, BenchError> {
+        Ok(self.calibration()?.1.models().clone())
     }
 }
 
@@ -384,9 +395,9 @@ pub trait Experiment: Sync {
 }
 
 /// The static registry of every experiment, in presentation order
-/// (figures, tables, section V, infrastructure smoke, then ablations).
+/// (figures, tables, extensions, infrastructure smoke, then ablations).
 pub fn registry() -> &'static [&'static dyn Experiment] {
-    static REGISTRY: [&dyn Experiment; 18] = [
+    static REGISTRY: [&dyn Experiment; 17] = [
         &fig1_sota::Fig1Sota,
         &fig4_nonideality::Fig4Nonideality,
         &fig5_pvt::Fig5Pvt,
@@ -399,7 +410,6 @@ pub fn registry() -> &'static [&'static dyn Experiment] {
         &geometry_sweep::GeometrySweep,
         &fault_sweep::FaultSweep,
         &serving_load::ServingLoad,
-        &speedup::Speedup,
         &snapshot_roundtrip::SnapshotRoundtrip,
         &lint_audit::LintAudit,
         &ablation_dac::AblationDac,
@@ -507,13 +517,24 @@ mod tests {
         let mut ctx = ExperimentContext::new(Profile::Fast).with_array(ArrayConfig::int8());
         assert_eq!(ctx.array(), ArrayConfig::int8());
         // Populate, then switch geometry: the cached calibration must drop.
-        let _ = ctx.calibration();
+        ctx.calibration().expect("INT8 calibration succeeds");
         assert!(ctx.calibration.is_some());
         ctx.set_array(ArrayConfig::default());
         assert!(ctx.calibration.is_none());
         // Same geometry again: the cache survives.
-        let _ = ctx.calibration();
+        ctx.calibration().expect("paper calibration succeeds");
         ctx.set_array(ArrayConfig::default());
         assert!(ctx.calibration.is_some());
+    }
+
+    #[test]
+    fn a_failed_calibration_is_an_error_not_a_panic() {
+        // A bit line with no cells cannot be simulated.
+        let mut ctx = ExperimentContext::new(Profile::Fast).with_array(ArrayConfig {
+            rows: 0,
+            ..Default::default()
+        });
+        assert!(matches!(ctx.calibration(), Err(BenchError::Model(_))));
+        assert!(ctx.calibration.is_none());
     }
 }

@@ -1,20 +1,18 @@
-//! Serving-engine load sweep: sustained throughput, batch-size
-//! distribution and latency percentiles over arrival rate × batch policy.
+//! Serving-engine load sweep: admission, batch-size distribution and
+//! virtual latency percentiles over arrival rate × batch policy.
 //!
-//! The 18th registry entry drives the `optima_serve` pipeline (bounded
-//! queue → batch coalescer → worker-shard pool) with the deterministic
-//! open-loop load generator and an INT4-quantized CNN probe, measuring
-//! each grid point's wall-clock throughput and end-to-end latency
-//! histogram.  The measurement core, the gate set and the
-//! `BENCH_serving.json` schema live in [`crate::serving`].
+//! The experiment drives the `optima_serve` pipeline (bounded queue →
+//! batch coalescer → worker-shard pool) with the deterministic open-loop
+//! load generator and an INT4-quantized CNN probe.  Every reported number
+//! comes from the plan's virtual clock, so the table and
+//! `BENCH_serving.json` are the same on every run.  The sweep, its gates
+//! and the `BENCH_serving.json` schema live in [`crate::serving`].
 //!
 //! The experiment gates itself on bit identity (every served request's
-//! logits equal a lone `forward_with` call), the coalesce-wait bound, a
-//! sustained-throughput floor and p50/p99 latency ceilings — the wall
-//! thresholds relax in quick mode (floor halved, ceilings doubled), and
-//! any violation returns [`BenchError::Failed`] so the `optima` runner
-//! exits nonzero.  `--max-batch`, `--max-delay-us` and `--shards` pin the
-//! grid to a single policy/shard point instead of the profile defaults.
+//! logits equal a lone `forward_with` call) and the coalesce-wait bound;
+//! a violation returns [`BenchError::Failed`] so the `optima` runner exits
+//! nonzero.  `--max-batch`, `--max-delay-us` and `--shards` pin the grid
+//! to a single policy/shard point instead of the profile defaults.
 
 use super::{BenchError, Experiment, ExperimentContext};
 use crate::report::{Column, Report, Scalar, Table};
@@ -28,7 +26,7 @@ impl Experiment for ServingLoad {
     }
 
     fn description(&self) -> &'static str {
-        "batched serving engine under open-loop load: arrival rate x batch policy sweep with throughput and p50/p99 latency gates (writes BENCH_serving.json)"
+        "batched serving engine under open-loop load: arrival rate x batch policy sweep with bit-identity and coalesce-wait gates and virtual p50/p99 latency (writes BENCH_serving.json)"
     }
 
     fn paper_ref(&self) -> &'static str {
@@ -59,22 +57,14 @@ impl Experiment for ServingLoad {
         };
 
         let report = serving::run_and_write(&spec, ctx.seed(), quick)?;
-        let gates = serving::gate_outcome(&report);
 
         let mut out = Report::new();
-        out.heading(1, "Serving load — throughput and latency under batching")
+        out.heading(1, "Serving load — admission and virtual latency")
             .blank()
             .note(format!(
                 "INT4 CNN probe; {} bit-identity checks against the single-request \
-                 path passed; sustained throughput {:.0} req/s (floor {:.0}), worst \
-                 p50 {} us / p99 {} us (ceilings {} / {} us)",
-                report.bit_identity_checks,
-                gates.sustained_throughput_per_sec,
-                gates.throughput_floor_per_sec,
-                gates.worst_p50_us,
-                gates.worst_p99_us,
-                gates.p50_ceiling_us,
-                gates.p99_ceiling_us,
+                 path passed; worst coalescing wait {} us (virtual clock)",
+                report.bit_identity_checks, report.max_coalesce_wait_us,
             ))
             .blank();
         let mut table = Table::new(vec![
@@ -85,10 +75,8 @@ impl Experiment for ServingLoad {
             Column::plain("Served"),
             Column::plain("Rejected"),
             Column::plain("Mean batch"),
-            Column::unit("p50", "us"),
-            Column::unit("p90", "us"),
-            Column::unit("p99", "us"),
-            Column::unit("Throughput", "req/s"),
+            Column::unit("Virtual p50", "us"),
+            Column::unit("Virtual p99", "us"),
         ]);
         for point in &report.points {
             table.push_row(vec![
@@ -99,10 +87,8 @@ impl Experiment for ServingLoad {
                 Scalar::Int(point.served as i64),
                 Scalar::Int(point.rejected as i64),
                 Scalar::Float(point.mean_batch, 2),
-                Scalar::Int(point.wall_p50_us as i64),
-                Scalar::Int(point.wall_p90_us as i64),
-                Scalar::Int(point.wall_p99_us as i64),
-                Scalar::Float(point.wall_throughput_per_sec, 0),
+                Scalar::Int(point.virtual_p50_us as i64),
+                Scalar::Int(point.virtual_p99_us as i64),
             ]);
         }
         out.table(table);

@@ -5,17 +5,17 @@
 //! Run by CI after the test suite; any violation is a [`BenchError`], so a
 //! broken snapshot format can never silently ship.  Always uses the fast
 //! calibration grid — the check exercises the snapshot format, not the
-//! model fidelity.
+//! model fidelity.  Save and load times are measured by the `perfbench`
+//! workspace (`core.snapshot.save_ms`, `core.snapshot.load_ms`).
 
 use super::{BenchError, Experiment, ExperimentContext};
-use crate::report::{Report, Scalar};
+use crate::report::Report;
 use optima_circuit::array::ArrayConfig;
 use optima_circuit::technology::Technology;
 use optima_core::calibration::{CalibrationConfig, Calibrator};
 use optima_core::snapshot;
 use optima_core::ModelError;
 use optima_math::units::Volts;
-use std::time::Instant;
 
 pub struct SnapshotRoundtrip;
 
@@ -36,15 +36,13 @@ impl Experiment for SnapshotRoundtrip {
         let technology = Technology::tsmc65_like();
         let config = CalibrationConfig::fast();
 
-        let calibrate_start = Instant::now();
         let outcome = Calibrator::new(technology.clone(), config.clone()).run()?;
-        let calibrate_seconds = calibrate_start.elapsed().as_secs_f64();
 
         let dir =
             std::env::temp_dir().join(format!("optima-snapshot-smoke-{}", std::process::id()));
         // The gates below return early on violation; clean the scratch
         // directory up on every exit path, not just success.
-        let result = Self::check_gates(&dir, &outcome, &technology, &config, calibrate_seconds);
+        let result = Self::check_gates(&dir, &outcome, &technology, &config);
         std::fs::remove_dir_all(&dir).ok();
         result
     }
@@ -56,15 +54,12 @@ impl SnapshotRoundtrip {
         outcome: &optima_core::calibration::CalibrationOutcome,
         technology: &Technology,
         config: &CalibrationConfig,
-        calibrate_seconds: f64,
     ) -> Result<Report, BenchError> {
         let path = dir.join("calibration-fast.v1.snap");
         let array = ArrayConfig::default();
 
         snapshot::save(&path, outcome, technology, config, &array)?;
-        let load_start = Instant::now();
         let loaded = snapshot::load(&path, technology, config, &array)?;
-        let load_seconds = load_start.elapsed().as_secs_f64();
         if *outcome != loaded {
             return Err(BenchError::Failed(
                 "snapshot round trip must be bit-exact".to_string(),
@@ -123,21 +118,6 @@ impl SnapshotRoundtrip {
         let mut report = Report::new();
         report
             .note("calibration snapshot round trip OK (bit-exact)")
-            .metric_line(
-                "calibrate_seconds",
-                Scalar::Float(calibrate_seconds, 3),
-                Some("s"),
-                format!("  calibrate: {calibrate_seconds:.3} s"),
-            )
-            .metric_line(
-                "load_seconds",
-                Scalar::Float(load_seconds, 6),
-                Some("s"),
-                format!(
-                    "  load:      {load_seconds:.6} s  ({:.0}x faster)",
-                    calibrate_seconds / load_seconds.max(1e-9)
-                ),
-            )
             .note(
                 "  rejected: wrong technology, wrong config grid, wrong geometry, truncated file",
             );

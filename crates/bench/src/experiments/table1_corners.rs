@@ -26,7 +26,7 @@ impl Experiment for Table1Corners {
     }
 
     fn run(&self, ctx: &mut ExperimentContext) -> Result<Report, BenchError> {
-        let models = ctx.models();
+        let models = ctx.models()?;
         let explorer = DesignSpaceExplorer::new(models).with_threads(ctx.threads());
         let results = explorer.explore(&DesignSpace::paper_sweep())?;
         let selected = select_corners(&results)?;

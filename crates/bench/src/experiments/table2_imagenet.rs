@@ -27,7 +27,7 @@ pub(super) type NamedProductTables = Vec<(String, Arc<dyn ProductTable>)>;
 pub(super) fn corner_product_tables(
     ctx: &mut ExperimentContext,
 ) -> Result<NamedProductTables, BenchError> {
-    let models = ctx.models();
+    let models = ctx.models()?;
     let mut product_tables: NamedProductTables =
         vec![("INT4".to_string(), Arc::new(ExactInt4Products))];
     for (name, config) in crate::paper_corners() {

@@ -88,11 +88,14 @@ pub fn calibration_snapshot_path(fast: bool, array: &ArrayConfig) -> Option<Path
 /// stale 16×4 snapshot can never silently serve an INT8 run.  At the
 /// default geometry the paper's 16 rows equal the calibration default.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if calibration fails, which would indicate a bug in the fitting
-/// pipeline rather than a recoverable user error.
-pub fn calibrate(fast: bool, array: &ArrayConfig) -> (Technology, CalibrationOutcome) {
+/// Returns the calibrator's [`ModelError`] when fitting fails, e.g. for an
+/// array geometry the golden reference cannot simulate.
+pub fn calibrate(
+    fast: bool,
+    array: &ArrayConfig,
+) -> Result<(Technology, CalibrationOutcome), ModelError> {
     let technology = Technology::tsmc65_like();
     let mut config = if fast {
         CalibrationConfig::fast()
@@ -106,7 +109,7 @@ pub fn calibrate(fast: bool, array: &ArrayConfig) -> (Technology, CalibrationOut
     let path = calibration_snapshot_path(fast, array);
     if let Some(path) = &path {
         match load_snapshot(path, &technology, &config, array) {
-            Ok(Some(outcome)) => return (technology, outcome),
+            Ok(Some(outcome)) => return Ok((technology, outcome)),
             Ok(None) => {}
             Err(err) => eprintln!(
                 "warning: calibration snapshot {} rejected: {err}; recalibrating",
@@ -114,15 +117,13 @@ pub fn calibrate(fast: bool, array: &ArrayConfig) -> (Technology, CalibrationOut
             ),
         }
     }
-    let outcome = Calibrator::new(technology.clone(), config.clone())
-        .run()
-        .expect("model calibration must succeed");
+    let outcome = Calibrator::new(technology.clone(), config.clone()).run()?;
     if let Some(path) = &path {
         if let Err(err) = snapshot::save(path, &outcome, &technology, &config, array) {
             eprintln!("warning: could not save calibration snapshot: {err}");
         }
     }
-    (technology, outcome)
+    Ok((technology, outcome))
 }
 
 /// Loads the calibration snapshot at `path`: `Ok(None)` only when no file
@@ -155,7 +156,7 @@ mod tests {
 
     #[test]
     fn fast_calibration_produces_usable_models() {
-        let (technology, outcome) = calibrate(true, &ArrayConfig::default());
+        let (technology, outcome) = calibrate(true, &ArrayConfig::default()).unwrap();
         assert_eq!(outcome.into_models().vdd_nominal(), technology.vdd_nominal);
     }
 
@@ -164,10 +165,10 @@ mod tests {
         // First call may calibrate and save; the second must load the
         // snapshot and produce the identical outcome.
         let array = ArrayConfig::default();
-        let (_, first) = calibrate(true, &array);
+        let (_, first) = calibrate(true, &array).unwrap();
         let path = calibration_snapshot_path(true, &array).expect("cache enabled by default");
         assert!(path.exists(), "snapshot missing at {}", path.display());
-        let (_, second) = calibrate(true, &array);
+        let (_, second) = calibrate(true, &array).unwrap();
         assert_eq!(first, second);
     }
 
@@ -203,7 +204,7 @@ mod tests {
             std::env::temp_dir().join(format!("optima-bench-snapshot-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("calibration.snap");
-        let (technology, outcome) = calibrate(true, &ArrayConfig::default());
+        let (technology, outcome) = calibrate(true, &ArrayConfig::default()).unwrap();
         let config = CalibrationConfig::fast();
         let missing = load_snapshot(&path, &technology, &config, &ArrayConfig::default());
         assert_eq!(missing, Ok(None));

@@ -25,7 +25,6 @@ fn registry_covers_all_paper_experiments_and_ablations() {
         "table1_corners",
         "table2_imagenet",
         "table3_cifar",
-        "speedup",
         "snapshot_roundtrip",
     ] {
         assert!(registered.contains(name), "missing paper experiment {name}");

@@ -3,11 +3,10 @@
 //! experiment logic moved out of `src/bin/*.rs` into the `Experiment`
 //! modules.
 //!
-//! Machine-dependent tokens are masked on both sides before comparison:
-//! worker-thread counts (the preamble lines print the host's parallelism)
-//! and the wall-clock columns of the `speedup` table.  Every other byte —
-//! headings, blank-line layout, table geometry and all deterministic
-//! numbers — must match exactly.
+//! The one machine-dependent token, the worker-thread count a preamble line
+//! prints, is masked on both sides before comparison.  Every other byte —
+//! headings, blank-line layout, table geometry and all numbers — must match
+//! exactly.
 
 use optima_bench::experiments::{find, ExperimentContext, Profile};
 use std::path::PathBuf;
@@ -60,42 +59,4 @@ fn fig5_pvt_text_output_is_byte_identical_to_the_pre_refactor_binary() {
 fn table1_corners_text_output_is_byte_identical_to_the_pre_refactor_binary() {
     // Fully deterministic — not a single byte may differ.
     assert_eq!(run_fast("table1_corners"), golden("table1_corners"));
-}
-
-#[test]
-fn speedup_text_output_matches_the_pre_refactor_binary_modulo_timings() {
-    // The two workload rows carry wall-clock measurements; mask their
-    // numeric cells (and the thread-count preamble) but pin every other
-    // byte: headings, column layout, workload names and paper references.
-    let mask = |text: &str| {
-        let text = mask_line_digits(text, "sweep-engine threads");
-        text.lines()
-            .map(|line| {
-                if line.starts_with("| input-space sweep")
-                    || line.starts_with("| mismatch Monte Carlo")
-                {
-                    let cells: Vec<String> = line
-                        .split(" | ")
-                        .enumerate()
-                        .map(|(i, cell)| {
-                            // Cells 1-3 are circuit seconds, model seconds and
-                            // the speed-up factor; cell 0 (workload + grid
-                            // size) and cell 4 (paper value) stay exact.
-                            if (1..=3).contains(&i) {
-                                "<timing>".to_string()
-                            } else {
-                                cell.to_string()
-                            }
-                        })
-                        .collect();
-                    cells.join(" | ")
-                } else {
-                    line.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n"
-    };
-    assert_eq!(mask(&run_fast("speedup")), mask(&golden("speedup")));
 }

@@ -13,9 +13,9 @@
 //! voltage, and the write/discharge energies, all at an explicit
 //! [`PvtConditions`] operating point.  Calibration residual measurement,
 //! held-out evaluation ([`crate::evaluation::ModelEvaluator`]) and the
-//! speed-up experiments all route through this trait, so accuracy and
-//! speed-up are always measured between two interchangeable backends rather
-//! than through per-call-site glue.
+//! `perfbench` speed-up timings all route through this trait, so accuracy
+//! and speed-up are always measured between two interchangeable backends
+//! rather than through per-call-site glue.
 //!
 //! Two deliberate asymmetries remain below the interface:
 //!

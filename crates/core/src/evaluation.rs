@@ -1,26 +1,24 @@
-//! Model evaluation: held-out RMS errors (Fig. 6) and speed-up measurement.
+//! Model evaluation: held-out RMS errors (Fig. 6).
 //!
-//! The paper validates OPTIMA in two ways:
+//! The paper validates OPTIMA's **accuracy** as the RMS error of each model
+//! against circuit simulation on a grid that was *not* used for fitting
+//! (Section IV-C reports 0.76 mV, 0.88 mV, 0.76 mV, 0.59 mV, 0.15 fJ and
+//! 0.74 fJ for the six models).  Its Section V **speed-up** of the models
+//! over circuit simulation is a timing, and timings come from the `perfbench`
+//! workspace (`section5.sweep_speedup_x`, `section5.mc_speedup_x`).
 //!
-//! * **Accuracy** — RMS error of each model against circuit simulation on a
-//!   grid that was *not* used for fitting (Section IV-C reports 0.76 mV,
-//!   0.88 mV, 0.76 mV, 0.59 mV, 0.15 fJ and 0.74 fJ for the six models).
-//! * **Speed** — wall-clock speed-up of evaluating the fitted models instead
-//!   of running the circuit simulator (Section V reports ~101× for iterating
-//!   over the input space and 28.1× for mismatch Monte Carlo).
-//!
-//! Both measurements run through the [`DischargeBackend`] interface: the
+//! The evaluation runs through the [`DischargeBackend`] interface: the
 //! golden [`TransientSimulator`] and the fitted [`ModelSuite`] answer the
 //! identical waveform/energy queries, so "accuracy" is always the residual
-//! between two backends and "speed-up" the runtime ratio between them.  The
-//! only exceptions are the Eq. 6 σ-model checks (mismatch sampling has no
-//! common shape across the backends) and the Eq. 3 basic-model residual,
-//! which deliberately measures the *uncorrected* sub-model.
+//! between two backends.  The only exceptions are the Eq. 6 σ-model checks
+//! (mismatch sampling has no common shape across the backends) and the
+//! Eq. 3 basic-model residual, which deliberately measures the
+//! *uncorrected* sub-model.
 
 use crate::backend::DischargeBackend;
 use crate::error::ModelError;
 use crate::model::suite::ModelSuite;
-use crate::sweep::{par_map_sweep, stream_seed};
+use crate::sweep::par_map_sweep;
 use optima_circuit::montecarlo::MismatchModel;
 use optima_circuit::pvt::{linspace, PvtConditions};
 use optima_circuit::technology::Technology;
@@ -28,7 +26,6 @@ use optima_circuit::transient::{DischargeStimulus, TransientSimulator};
 use optima_math::stats;
 use optima_math::units::{Celsius, Seconds, Volts};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Held-out RMS errors of the six OPTIMA models (the Fig. 6 numbers).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -55,27 +52,6 @@ impl RmsErrorReport {
             .max(self.supply_mv)
             .max(self.temperature_mv)
             .max(self.mismatch_sigma_mv)
-    }
-}
-
-/// Result of a speed-up measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct SpeedupReport {
-    /// Wall-clock seconds spent in the golden-reference circuit simulator.
-    pub circuit_seconds: f64,
-    /// Wall-clock seconds spent evaluating the OPTIMA models.
-    pub model_seconds: f64,
-    /// Number of operating points evaluated by both paths.
-    pub evaluations: usize,
-}
-
-impl SpeedupReport {
-    /// Speed-up factor (circuit time / model time).
-    pub fn speedup(&self) -> f64 {
-        if self.model_seconds <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.circuit_seconds / self.model_seconds
     }
 }
 
@@ -127,8 +103,7 @@ impl ModelEvaluator {
     }
 
     /// Sets the sweep worker-thread count (builder style, `0` = automatic).
-    /// All reported numbers except wall-clock timings are bit-identical for
-    /// any thread count.
+    /// Every reported number is bit-identical for any thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -354,142 +329,6 @@ impl ModelEvaluator {
             discharge_energy_fj: stats::rms(&residuals_discharge_energy),
         })
     }
-
-    /// Measures the wall-clock speed-up of the fitted models over circuit
-    /// simulation when iterating over an input space of `wordline_points`
-    /// word-line voltages × `time_points` sampling instants.
-    ///
-    /// Both sides answer the identical [`DischargeBackend`] waveform query,
-    /// so the reported factor is a like-for-like interface comparison.
-    ///
-    /// # Errors
-    ///
-    /// Propagates circuit-simulation errors.
-    pub fn measure_speedup(
-        &self,
-        wordline_points: usize,
-        time_points: usize,
-    ) -> Result<SpeedupReport, ModelError> {
-        let simulator = &self.golden;
-        let nominal = PvtConditions::nominal(&self.technology);
-        let duration = Seconds(2e-9);
-        let wordlines = linspace(0.5, 1.0, wordline_points.max(2));
-        let times = linspace(0.2e-9, 1.9e-9, time_points.max(2));
-        let sample_times: Vec<Seconds> = times.iter().map(|&t| Seconds(t)).collect();
-
-        // Circuit path: one transient per word-line voltage, sampled at each
-        // time, fanned out over the sweep engine (the realistic wall-clock
-        // cost of the golden reference on this machine).
-        let circuit_start = Instant::now();
-        let circuit_rows = par_map_sweep(&wordlines, self.threads, |_, &v_wl| {
-            simulator.bitline_voltages(&self.stimulus(v_wl, duration), &nominal, &sample_times)
-        })
-        .map_err(|err| {
-            let item = format!("speed-up circuit sweep V_WL = {} V", wordlines[err.index]);
-            ModelError::from_sweep(err, item)
-        })?;
-        let circuit_seconds = circuit_start.elapsed().as_secs_f64();
-        let circuit_checksum: f64 = circuit_rows.into_iter().flatten().sum();
-
-        // Model path: batched polynomial evaluation through the same backend
-        // query.  Deliberately serial — one whole-grid fill costs
-        // microseconds, so worker-thread spawn overhead would dominate and
-        // the measurement would reflect the harness instead of the model.
-        let mut row = vec![0.0; sample_times.len()];
-        let model_start = Instant::now();
-        let mut model_checksum = 0.0;
-        for &v_wl in &wordlines {
-            self.models.fill_bitline_voltages(
-                &self.stimulus(v_wl, duration),
-                &nominal,
-                &sample_times,
-                &mut row,
-            )?;
-            model_checksum += row.iter().sum::<f64>();
-        }
-        let model_seconds = model_start.elapsed().as_secs_f64();
-
-        // The checksums keep the optimiser from eliminating either loop and
-        // double as a sanity check that both paths computed similar values.
-        debug_assert!((circuit_checksum - model_checksum).abs() / circuit_checksum < 0.1);
-
-        Ok(SpeedupReport {
-            circuit_seconds,
-            model_seconds,
-            evaluations: wordlines.len() * times.len(),
-        })
-    }
-
-    /// Measures the speed-up for mismatch Monte Carlo analysis: `mc_samples`
-    /// mismatch instances of the same operating point, evaluated by circuit
-    /// simulation vs. by sampling the Eq. 6 σ model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates circuit-simulation errors.
-    pub fn measure_monte_carlo_speedup(
-        &self,
-        mc_samples: usize,
-    ) -> Result<SpeedupReport, ModelError> {
-        use rand::SeedableRng;
-        let simulator = &self.golden;
-        let nominal = PvtConditions::nominal(&self.technology);
-        let duration = Seconds(2e-9);
-        let v_wl = 0.8;
-        let t_sample = Seconds(1.0e-9);
-        let mismatch_model = MismatchModel::from_technology(&self.technology);
-        let samples = mismatch_model.sample_n(mc_samples.max(10), 0x5eed);
-
-        // Circuit path: one transient per mismatch instance, fanned out over
-        // the sweep engine with index-ordered reassembly.
-        let circuit_start = Instant::now();
-        let circuit_values = par_map_sweep(&samples, self.threads, |_, sample| {
-            let waveform =
-                simulator.discharge_waveform(&self.stimulus(v_wl, duration), &nominal, sample)?;
-            Ok::<_, ModelError>(waveform.sample_at(t_sample)?.0)
-        })
-        .map_err(|err| {
-            let item = format!("Monte-Carlo circuit sweep sample {}", err.index);
-            ModelError::from_sweep(err, item)
-        })?;
-        let circuit_seconds = circuit_start.elapsed().as_secs_f64();
-
-        // Model path: σ-model sampling, one split-seed RNG stream per sample
-        // so the drawn sequence is independent of iteration strategy.  Kept
-        // serial because a sample costs nanoseconds (see measure_speedup);
-        // the streams are seeded outside the timed window so RNG setup does
-        // not inflate the measured model time.
-        let mut rngs: Vec<rand_chacha::ChaCha8Rng> = (0..samples.len())
-            .map(|index| rand_chacha::ChaCha8Rng::seed_from_u64(stream_seed(0x5eed, index as u64)))
-            .collect();
-        let model_start = Instant::now();
-        let mut model_values = Vec::with_capacity(samples.len());
-        for rng in &mut rngs {
-            let nominal_v = self.models.bitline_voltage_unchecked(
-                t_sample,
-                Volts(v_wl),
-                nominal.vdd,
-                Celsius(self.technology.temperature_nominal.0),
-            );
-            let deviation =
-                self.models
-                    .mismatch_model()
-                    .sample_deviation(rng, t_sample, Volts(v_wl));
-            model_values.push(nominal_v + deviation.0);
-        }
-        let model_seconds = model_start.elapsed().as_secs_f64();
-
-        debug_assert!(
-            (stats::mean(&circuit_values) - stats::mean(&model_values)).abs() < 0.05,
-            "monte carlo means diverge"
-        );
-
-        Ok(SpeedupReport {
-            circuit_seconds,
-            model_seconds,
-            evaluations: samples.len(),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -521,38 +360,10 @@ mod tests {
     }
 
     #[test]
-    fn model_evaluation_is_much_faster_than_circuit_simulation() {
-        let report = evaluator().measure_speedup(6, 6).unwrap();
-        assert_eq!(report.evaluations, 36);
-        assert!(
-            report.speedup() > 10.0,
-            "expected a large speed-up, got {}",
-            report.speedup()
-        );
-    }
-
-    #[test]
-    fn monte_carlo_speedup_is_positive() {
-        let report = evaluator().measure_monte_carlo_speedup(30).unwrap();
-        assert!(report.speedup() > 5.0, "got {}", report.speedup());
-        assert_eq!(report.evaluations, 30);
-    }
-
-    #[test]
     fn rms_errors_are_bit_identical_at_any_thread_count() {
         let evaluator = evaluator();
         let serial = evaluator.clone().with_threads(1).rms_errors(4, 20).unwrap();
         let parallel = evaluator.with_threads(8).rms_errors(4, 20).unwrap();
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn speedup_report_handles_zero_model_time() {
-        let report = SpeedupReport {
-            circuit_seconds: 1.0,
-            model_seconds: 0.0,
-            evaluations: 1,
-        };
-        assert!(report.speedup().is_infinite());
     }
 }

@@ -11,8 +11,9 @@
 //!    ([`calibration`]),
 //! 3. evaluates those models inside a fast event-based, discrete-time
 //!    simulation framework ([`simulator`]), and
-//! 4. quantifies the model accuracy (RMS error, Fig. 6) and the speed-up over
-//!    circuit simulation ([`evaluation`]).
+//! 4. quantifies the model accuracy (RMS error, Fig. 6) against circuit
+//!    simulation ([`evaluation`]); the speed-up over it is timed by the
+//!    `perfbench` workspace.
 //!
 //! # Quick start
 //!
@@ -60,7 +61,7 @@ pub mod prelude {
         CalibrationConfig, CalibrationOutcome, CalibrationReport, Calibrator,
     };
     pub use crate::error::ModelError;
-    pub use crate::evaluation::{ModelEvaluator, RmsErrorReport, SpeedupReport};
+    pub use crate::evaluation::{ModelEvaluator, RmsErrorReport};
     pub use crate::model::discharge::DischargeModel;
     pub use crate::model::energy::{DischargeEnergyModel, WriteEnergyModel};
     pub use crate::model::mismatch::MismatchSigmaModel;

@@ -1,9 +1,9 @@
-//! The top-level serving engine: plan, execute, report.
+//! The top-level serving engine: plan, execute, inspect.
 
 use crate::error::ServeError;
 use crate::load::LoadPattern;
 use crate::plan::{Plan, ServeConfig};
-use crate::pool::{ShardPool, WallStats};
+use crate::pool::ShardPool;
 use optima_dnn::eval::BatchInferenceModel;
 use optima_dnn::Tensor;
 
@@ -64,11 +64,6 @@ impl ServingEngine {
     /// The most recent run's plan.
     pub fn last_plan(&self) -> Option<&Plan> {
         self.plan.as_ref()
-    }
-
-    /// The most recent run's measured wall statistics.
-    pub fn wall_stats(&self) -> Option<WallStats> {
-        self.plan.as_ref().map(|plan| self.pool.wall_stats(plan))
     }
 
     /// The logits of request `request` from the most recent run, or

@@ -8,9 +8,9 @@
 //! smallest sample's bucket and reports that bucket's upper bound (clamped
 //! to the exact observed maximum), so p50/p90/p99 never under-report.
 //!
-//! Histograms are plain value types: each worker shard records into its
-//! own and the engine [`LatencyHistogram::merge`]s them afterwards — no
-//! locks on the hot path.
+//! Histograms are plain value types: each shard's latencies land in a
+//! histogram of its own, which `Plan::virtual_latency` then
+//! [`LatencyHistogram::merge`]s — no shared state between shards.
 
 /// Sub-buckets per power of two (and the width of the exact unit range).
 const SUB_BUCKETS: usize = 16;

@@ -21,8 +21,9 @@
 //!    The warm steady state allocates nothing per request, and results are
 //!    bit-identical to lone single-request calls at any shard count.
 //! 4. **Reporting** — log2-bucketed [`histogram::LatencyHistogram`]s
-//!    (rank-exact p50/p90/p99, mergeable across shards) over both the
-//!    virtual timeline and the measured wall replay.
+//!    (rank-exact p50/p90/p99, mergeable across shards) over the plan's
+//!    virtual timeline.  The crate reads no clock; wall-clock serving times
+//!    come from the `perfbench` `serve` workload.
 //!
 //! Load comes from the deterministic open-/closed-loop generators in
 //! [`load`], seeded through the same `stream_seed` discipline as the sweep
@@ -34,7 +35,6 @@ pub mod engine;
 pub mod error;
 pub mod histogram;
 pub mod load;
-pub mod measure;
 pub mod plan;
 pub mod policy;
 pub mod pool;
@@ -46,5 +46,5 @@ pub use histogram::LatencyHistogram;
 pub use load::LoadPattern;
 pub use plan::{Plan, PlannedBatch, PlannedRequest, ServeConfig};
 pub use policy::{BatchPolicy, ServiceModel};
-pub use pool::{ShardPool, WallStats};
+pub use pool::ShardPool;
 pub use queue::{Request, RequestQueue};

@@ -409,25 +409,6 @@ impl Plan {
         }
         merged
     }
-
-    /// Virtual makespan: the last completion, in microseconds.
-    pub fn makespan_us(&self) -> u64 {
-        self.batches
-            .iter()
-            .map(|b| b.completion_us)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Virtual sustained throughput in requests per second.
-    pub fn virtual_throughput_per_sec(&self) -> f64 {
-        let makespan = self.makespan_us();
-        if makespan == 0 {
-            0.0
-        } else {
-            self.served() as f64 * 1.0e6 / makespan as f64
-        }
-    }
 }
 
 impl Source {

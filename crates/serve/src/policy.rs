@@ -52,8 +52,8 @@ impl BatchPolicy {
 ///
 /// Virtual time makes batching decisions replayable: the same arrivals,
 /// policy and service model always produce the same plan, on any machine.
-/// Wall-clock execution replays the same timeline with measured batch
-/// durations instead (see `ShardPool::wall_stats`).
+/// The model is not fitted to measured batch durations; those come from the
+/// `perfbench` `serve` workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceModel {
     /// Per-batch fixed overhead in virtual microseconds (dispatch, panel

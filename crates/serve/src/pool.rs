@@ -15,12 +15,10 @@
 //! Because the plan fixes batch composition and slot assignment up front,
 //! the logits of every request are **bit-identical to a lone
 //! `predict_with` call** — independent of shard count, batch policy and
-//! thread interleaving.  Only the *measured* per-batch wall durations
-//! differ between runs, and those feed reporting exclusively.
+//! thread interleaving.  The pool reads no clock: its execution time is
+//! measured from the outside, by the `perfbench` `serve` workload.
 
 use crate::error::ServeError;
-use crate::histogram::LatencyHistogram;
-use crate::measure;
 use crate::plan::Plan;
 use optima_dnn::eval::BatchInferenceModel;
 use optima_dnn::scratch::KernelScratch;
@@ -32,30 +30,12 @@ struct ShardState {
     scratch: KernelScratch,
     /// Logits per member slot, in the shard's batch/coalescing order.
     outputs: Vec<Tensor>,
-    /// Measured wall seconds per batch, in the shard's batch order.
-    wall_batch_seconds: Vec<f64>,
 }
 
 /// A pool of worker shards executing planned batches.
 #[derive(Debug)]
 pub struct ShardPool {
     shards: Vec<ShardState>,
-}
-
-/// Wall-clock statistics of the most recent execution: the plan's virtual
-/// arrival/close timeline replayed with the measured batch durations.
-#[derive(Debug, Clone)]
-pub struct WallStats {
-    /// End-to-end latency over all requests (shard histograms merged).
-    pub latency: LatencyHistogram,
-    /// Per-shard latency histograms (merge inputs).
-    pub per_shard: Vec<LatencyHistogram>,
-    /// Sustained throughput in requests per second.
-    pub throughput_per_sec: f64,
-    /// Last projected completion, in microseconds.
-    pub makespan_us: u64,
-    /// Total measured batch service time in seconds (shard busy time).
-    pub busy_seconds: f64,
 }
 
 impl ShardPool {
@@ -118,8 +98,6 @@ impl ShardPool {
             state
                 .outputs
                 .resize_with(plan.shard_member_count(shard), Tensor::default);
-            let batches = plan.batches().iter().filter(|b| b.shard == shard).count();
-            state.wall_batch_seconds.resize(batches, 0.0);
         }
         if self.shards.len() == 1 {
             return run_shard(0, &mut self.shards[0], plan, images, model);
@@ -156,56 +134,6 @@ impl ShardPool {
         let shard = plan.batches()[batch].shard;
         self.shards[shard].outputs.get(plan.slot(request))
     }
-
-    /// Replays the plan's timeline with the measured batch durations.
-    ///
-    /// Arrivals and batch-close instants stay virtual (they are admission
-    /// decisions, already fixed by the plan); service times are the wall
-    /// durations just measured.  The result is the projected end-to-end
-    /// latency distribution and sustained throughput of this machine under
-    /// the planned load.
-    pub fn wall_stats(&self, plan: &Plan) -> WallStats {
-        let shards = self.shards.len();
-        let mut per_shard = vec![LatencyHistogram::new(); shards];
-        let mut shard_free = vec![0u64; shards];
-        let mut cursor = vec![0usize; shards];
-        let mut makespan_us = 0u64;
-        let mut busy_seconds = 0.0f64;
-        for (batch_index, batch) in plan.batches().iter().enumerate() {
-            let seconds = self.shards[batch.shard]
-                .wall_batch_seconds
-                .get(cursor[batch.shard])
-                .copied()
-                .unwrap_or(0.0);
-            cursor[batch.shard] += 1;
-            busy_seconds += seconds;
-            let service_us = ((seconds * 1.0e6) as u64).max(1);
-            let start_us = batch.close_us.max(shard_free[batch.shard]);
-            let completion_us = start_us + service_us;
-            shard_free[batch.shard] = completion_us;
-            makespan_us = makespan_us.max(completion_us);
-            for &request in plan.batch_members(batch_index) {
-                let latency = completion_us - plan.requests()[request].arrival_us;
-                per_shard[batch.shard].record(latency);
-            }
-        }
-        let mut latency = LatencyHistogram::new();
-        for histogram in &per_shard {
-            latency.merge(histogram);
-        }
-        let throughput_per_sec = if makespan_us == 0 {
-            0.0
-        } else {
-            plan.served() as f64 * 1.0e6 / makespan_us as f64
-        };
-        WallStats {
-            latency,
-            per_shard,
-            throughput_per_sec,
-            makespan_us,
-            busy_seconds,
-        }
-    }
 }
 
 /// Runs every batch the plan routed to `shard`, in close order.
@@ -216,36 +144,25 @@ fn run_shard<M: BatchInferenceModel>(
     images: &[Tensor],
     model: &M,
 ) -> Result<(), ServeError> {
-    let ShardState {
-        scratch,
-        outputs,
-        wall_batch_seconds,
-    } = state;
-    let mut local_batch = 0usize;
+    let ShardState { scratch, outputs } = state;
     for (batch_index, batch) in plan.batches().iter().enumerate() {
         if batch.shard != shard {
             continue;
         }
-        let (result, seconds) = measure::timed(|| {
-            // optima-lint: hot
-            for &request in plan.batch_members(batch_index) {
-                let planned = plan.requests()[request];
-                match model.predict_with(&images[planned.image], scratch) {
-                    Ok(logits) => outputs[plan.slot(request)].copy_from(logits),
-                    Err(source) => {
-                        return Err(ServeError::RequestFailed {
-                            request: planned.id,
-                            source,
-                        })
-                    }
+        // optima-lint: hot
+        for &request in plan.batch_members(batch_index) {
+            let planned = plan.requests()[request];
+            match model.predict_with(&images[planned.image], scratch) {
+                Ok(logits) => outputs[plan.slot(request)].copy_from(logits),
+                Err(source) => {
+                    return Err(ServeError::RequestFailed {
+                        request: planned.id,
+                        source,
+                    })
                 }
             }
-            Ok(())
-            // optima-lint: end-hot
-        });
-        wall_batch_seconds[local_batch] = seconds;
-        local_batch += 1;
-        result?;
+        }
+        // optima-lint: end-hot
     }
     Ok(())
 }

@@ -5,7 +5,6 @@ use optima_suite::optima_circuit::montecarlo::MismatchSample;
 use optima_suite::optima_circuit::prelude::*;
 use optima_suite::optima_circuit::pvt::linspace;
 use optima_suite::optima_core::calibration::{CalibrationConfig, Calibrator};
-use optima_suite::optima_core::evaluation::ModelEvaluator;
 use optima_suite::optima_core::simulator::{Event, EventKind, EventSimulator};
 
 #[test]
@@ -43,24 +42,6 @@ fn calibrated_models_reproduce_the_golden_reference_across_the_grid() {
     assert!(
         worst < 0.025,
         "worst model deviation {worst} V is too large"
-    );
-}
-
-#[test]
-fn speedup_over_circuit_simulation_is_substantial() {
-    let technology = Technology::tsmc65_like();
-    let models = Calibrator::new(technology.clone(), CalibrationConfig::fast())
-        .run()
-        .expect("calibration succeeds")
-        .into_models();
-    let evaluator = ModelEvaluator::new(technology, models).with_reference_time_steps(200);
-    let report = evaluator
-        .measure_speedup(6, 6)
-        .expect("measurement succeeds");
-    assert!(
-        report.speedup() > 10.0,
-        "expected at least an order of magnitude, got {}",
-        report.speedup()
     );
 }
 
