@@ -25,7 +25,7 @@
 //! and the mean mitigated accuracy must not fall below the mean unmitigated
 //! accuracy.
 
-use super::{BenchError, Experiment, ExperimentContext};
+use super::{BenchError, Experiment, ExperimentContext, Profile};
 use crate::json::Json;
 use crate::report::{Column, Report, Scalar, Table};
 use optima_circuit::array::ArrayConfig;
@@ -173,7 +173,13 @@ impl Experiment for FaultSweep {
             )));
         }
 
-        write_json_report(&rows, baseline, mean_unmitigated, mean_fine_tuned, quick)?;
+        write_json_report(
+            &rows,
+            baseline,
+            mean_unmitigated,
+            mean_fine_tuned,
+            ctx.profile(),
+        )?;
 
         let mut report = Report::new();
         report
@@ -387,13 +393,13 @@ fn write_json_report(
     baseline: f64,
     mean_unmitigated: f64,
     mean_fine_tuned: f64,
-    quick: bool,
+    profile: Profile,
 ) -> Result<(), BenchError> {
     let document = Json::object(vec![
         ("schema", Json::str("optima-reliability.v1")),
         ("report", Json::str("fault-sweep")),
         ("generated_by", Json::str("fault_sweep")),
-        ("quick_mode", Json::Bool(quick)),
+        ("profile", Json::str(profile.name())),
         ("pristine_accuracy", Json::Fixed(baseline, 4)),
         (
             "gates",

@@ -34,8 +34,7 @@ impl Experiment for ServingLoad {
     }
 
     fn run(&self, ctx: &mut ExperimentContext) -> Result<Report, BenchError> {
-        let quick = ctx.is_fast();
-        let defaults = SweepSpec::for_profile(quick);
+        let defaults = SweepSpec::for_profile(ctx.profile());
         // CLI-pinned knobs collapse their grid axis to the pinned value;
         // a half-pinned policy borrows the other half from the default
         // balanced point.
@@ -56,7 +55,7 @@ impl Experiment for ServingLoad {
             requests: defaults.requests,
         };
 
-        let report = serving::run_and_write(&spec, ctx.seed(), quick)?;
+        let report = serving::run_and_write(&spec, ctx.seed(), ctx.profile())?;
 
         let mut out = Report::new();
         out.heading(1, "Serving load — admission and virtual latency")

@@ -18,7 +18,7 @@
 //! workload.  A violated gate surfaces as [`BenchError::Failed`], which the
 //! `optima` runner turns into a nonzero exit.
 
-use crate::experiments::BenchError;
+use crate::experiments::{BenchError, Profile};
 use crate::json::Json;
 use optima_dnn::layers::{Conv2d, Dense, Flatten, MaxPool2d, Relu};
 use optima_dnn::multiplier::ExactInt4Products;
@@ -52,10 +52,10 @@ pub struct SweepSpec {
 }
 
 impl SweepSpec {
-    /// The profile-default grid: 2×2×1 in quick mode, 3×3×2 at full
-    /// fidelity.
-    pub fn for_profile(quick: bool) -> SweepSpec {
-        if quick {
+    /// The profile-default grid: 2×2×1 at the fast profile, 3×3×2 at the
+    /// full one.
+    pub fn for_profile(profile: Profile) -> SweepSpec {
+        if profile.is_fast() {
             SweepSpec {
                 rates: vec![2_000.0, 8_000.0],
                 policies: vec![(1, 0), (8, 500)],
@@ -100,7 +100,8 @@ pub struct ServingReport {
     pub bit_identity_checks: usize,
     /// Worst coalescing wait across the sweep.
     pub max_coalesce_wait_us: u64,
-    pub quick: bool,
+    /// Profile the grid was chosen for.
+    pub profile: Profile,
 }
 
 /// The CNN probe the sweep serves: the repo's standard 1×8×8 four-class
@@ -139,15 +140,15 @@ fn serving_images(seed: u64) -> Vec<Tensor> {
 pub fn run_and_write(
     spec: &SweepSpec,
     seed: u64,
-    quick: bool,
+    profile: Profile,
 ) -> Result<ServingReport, BenchError> {
-    let report = run_sweep(spec, seed, quick)?;
+    let report = run_sweep(spec, seed, profile)?;
     write_json(&report)?;
     Ok(report)
 }
 
 /// Runs every grid point and checks both gates inline.
-fn run_sweep(spec: &SweepSpec, seed: u64, quick: bool) -> Result<ServingReport, BenchError> {
+fn run_sweep(spec: &SweepSpec, seed: u64, profile: Profile) -> Result<ServingReport, BenchError> {
     let probe = serving_probe(seed)?;
     let images = serving_images(seed);
     // Reference logits once per pool image: the single-request path every
@@ -240,7 +241,7 @@ fn run_sweep(spec: &SweepSpec, seed: u64, quick: bool) -> Result<ServingReport, 
         points,
         bit_identity_checks,
         max_coalesce_wait_us,
-        quick,
+        profile,
     })
 }
 
@@ -250,7 +251,7 @@ fn write_json(report: &ServingReport) -> Result<(), BenchError> {
         ("schema", Json::str(SCHEMA)),
         ("report", Json::str("serving-load")),
         ("generated_by", Json::str("serving_load")),
-        ("quick_mode", Json::Bool(report.quick)),
+        ("profile", Json::str(report.profile.name())),
         ("bit_identity", Json::str("bit-identical")),
         (
             "bit_identity_checks",
@@ -309,14 +310,14 @@ mod tests {
             shards: vec![2],
             requests: 32,
         };
-        let report = run_sweep(&spec, 42, true).expect("sweep runs");
+        let report = run_sweep(&spec, 42, Profile::Fast).expect("sweep runs");
         assert_eq!(report.points.len(), 1);
         let point = &report.points[0];
         assert_eq!(point.served + point.rejected, 32);
         assert!(report.bit_identity_checks >= point.served);
         assert!(point.max_coalesce_wait_us <= 300);
         // Every number is virtual, so a second sweep reproduces it exactly.
-        let again = run_sweep(&spec, 42, true).expect("sweep runs");
+        let again = run_sweep(&spec, 42, Profile::Fast).expect("sweep runs");
         assert_eq!(report.points, again.points);
     }
 }

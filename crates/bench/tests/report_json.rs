@@ -287,7 +287,7 @@ fn nested_envelope_documents_round_trip() {
     // An envelope object holding an array of nested objects.
     let document = Json::object(vec![
         ("report", Json::str("dnn-inference-hot-path")),
-        ("quick_mode", Json::Bool(true)),
+        ("profile", Json::str("fast")),
         ("quantized_equivalence", Json::str("bit-identical")),
         (
             "workloads",

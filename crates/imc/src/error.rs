@@ -48,6 +48,17 @@ pub enum ImcError {
         /// Number of spare columns the geometry provides.
         spares: u16,
     },
+    /// The Eq. 6 mismatch σ of one `(slice operand, column)` is not finite,
+    /// so no Gaussian mismatch sample can be drawn for it.  Raised once when
+    /// a Monte Carlo's σ table is built, before any sample runs.
+    NonFiniteSigma {
+        /// Slice operand (DAC input code) whose word line gives the σ.
+        slice_operand: u16,
+        /// Column (bit position within the slice) whose duration gives the σ.
+        column: u8,
+        /// The offending σ value (volts).
+        sigma: f64,
+    },
     /// Error bubbled up from the OPTIMA models.
     Model(ModelError),
     /// Error bubbled up from the circuit-level converters.
@@ -83,6 +94,15 @@ impl fmt::Display for ImcError {
                      {slice_pass}): all {spares} spare columns are exhausted or defective"
                 )
             }
+            ImcError::NonFiniteSigma {
+                slice_operand,
+                column,
+                sigma,
+            } => write!(
+                f,
+                "mismatch sigma {sigma} V at slice operand {slice_operand}, column {column} is \
+                 not finite"
+            ),
             ImcError::Model(err) => write!(f, "model error: {err}"),
             ImcError::Circuit(err) => write!(f, "circuit error: {err}"),
         }
@@ -177,6 +197,19 @@ mod tests {
         );
         use std::error::Error;
         assert!(err.source().is_some());
+    }
+
+    #[test]
+    fn non_finite_sigma_names_the_operand_and_column() {
+        let message = ImcError::NonFiniteSigma {
+            slice_operand: 9,
+            column: 2,
+            sigma: f64::INFINITY,
+        }
+        .to_string();
+        assert!(message.contains("slice operand 9"), "{message}");
+        assert!(message.contains("column 2"), "{message}");
+        assert!(message.contains("inf"), "{message}");
     }
 
     #[test]

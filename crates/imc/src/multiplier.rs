@@ -19,6 +19,7 @@ use optima_circuit::adc::Adc;
 use optima_circuit::array::ArrayConfig;
 use optima_circuit::dac::{Dac, DacTransfer};
 use optima_core::model::suite::ModelSuite;
+use optima_math::distributions::Gaussian;
 use optima_math::units::{Celsius, FemtoJoules, Seconds, Volts};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -477,6 +478,117 @@ impl InSramMultiplier {
         }
     }
 
+    /// Precomputes everything a mismatch Monte-Carlo multiply at `at` needs
+    /// that no sample can change: the nominal [`AnalogOperandGrid`] and the
+    /// Eq. 6 σ of every `(slice operand, column)`, evaluated at the grid's
+    /// own (supply-adjusted, aged) word lines — exactly the σ the scalar
+    /// [`InSramMultiplier::multiply_with_mismatch`] draws with.
+    ///
+    /// # Errors
+    ///
+    /// * [`ImcError::NonFiniteSigma`] naming the first (operand-major)
+    ///   `(slice operand, column)` whose σ is not finite, so a broken Eq. 6
+    ///   fit fails here instead of panicking inside a sampling worker.
+    /// * Same as [`InSramMultiplier::analog_grid`].
+    pub(crate) fn mismatch_grid(&self, at: OperatingPoint) -> Result<MismatchGrid, ImcError> {
+        let analog = self.analog_grid(at)?;
+        let bits = self.config.array.slice_bits;
+        let mut sigmas = Vec::with_capacity(analog.word_lines.len() * bits as usize);
+        for (a, &word_line) in analog.word_lines.iter().enumerate() {
+            for bit in 0..bits {
+                let sigma = self
+                    .models
+                    .mismatch_sigma(self.column_duration(bit), word_line)
+                    .0;
+                if !sigma.is_finite() {
+                    return Err(ImcError::NonFiniteSigma {
+                        slice_operand: a as u16,
+                        column: bit,
+                        sigma,
+                    });
+                }
+                sigmas.push(sigma);
+            }
+        }
+        Ok(MismatchGrid { analog, sigmas, at })
+    }
+
+    /// One mismatch Monte-Carlo multiplication off a precomputed
+    /// [`MismatchGrid`] built by this multiplier — bit-identical to
+    /// [`InSramMultiplier::multiply_with_mismatch`] at the grid's operating
+    /// point, including where the RNG stream ends up: every discharging,
+    /// non-shorted column draws one `Gaussian::new(0, σ)` sample when σ ≠ 0,
+    /// in pass order and then bit order, and nothing else is evaluated per
+    /// sample.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ImcError::OperandOutOfRange`] for operands above
+    /// [`ArrayConfig::operand_max`].
+    pub(crate) fn multiply_on_mismatch_grid<R: Rng + ?Sized>(
+        &self,
+        grid: &MismatchGrid,
+        rng: &mut R,
+        a: u16,
+        d: u16,
+    ) -> Result<MultiplyOutcome, ImcError> {
+        self.check_operands(a, d)?;
+        let analog = &grid.analog;
+        Ok(self.compose_outcome(
+            a,
+            d,
+            |pass, a_slice, d_slice| {
+                self.sampled_discharge(grid, &mut *rng, pass, a_slice, d_slice)
+            },
+            |pass, a_slice, bit| self.grid_energy(analog, pass, a_slice, bit, grid.at),
+            analog.write_energy,
+        ))
+    }
+
+    /// Combined discharge of one pass with mismatch sampling, off the
+    /// precomputed grid: the per-column transform of the scalar
+    /// [`InSramMultiplier::slice_discharge`] with the nominal ΔV and σ looked
+    /// up instead of evaluated.
+    fn sampled_discharge<R: Rng + ?Sized>(
+        &self,
+        grid: &MismatchGrid,
+        rng: &mut R,
+        pass: usize,
+        a_slice: u16,
+        d_slice: u16,
+    ) -> f64 {
+        let slice_bits = grid.analog.slice_bits;
+        let mut total = 0.0;
+        for bit in 0..slice_bits {
+            let stored = (d_slice >> bit) & 1 == 1;
+            let discharges = match &self.faults {
+                None => stored,
+                Some(faults) => faults.column_discharges(pass, bit, stored),
+            };
+            if !discharges {
+                continue;
+            }
+            if let Some(faults) = &self.faults {
+                if faults.is_shorted(pass, bit) {
+                    total += grid.at.vdd.0;
+                    continue;
+                }
+            }
+            let sigma = grid.sigma(a_slice, bit);
+            let deviation = if sigma == 0.0 {
+                0.0
+            } else {
+                Gaussian::new(0.0, sigma).sample(rng)
+            };
+            let delta = (grid.analog.delta(a_slice, bit) + deviation).max(0.0);
+            total += match &self.faults {
+                None => delta,
+                Some(faults) => faults.scaled_delta(pass, bit, delta),
+            };
+        }
+        total / slice_bits as f64
+    }
+
     /// Analog mismatch σ of every operand pair, in operand-major order —
     /// bit-identical to calling [`InSramMultiplier::analog_sigma`] for every
     /// pair, from `slice_bits` σ-model evaluations per slice operand instead
@@ -658,6 +770,10 @@ impl InSramMultiplier {
     /// Monte Carlo instance; composed geometries sample every pass
     /// independently, in pass order).
     ///
+    /// This evaluates the fitted models live for every pair; the Fig. 8
+    /// Monte Carlo draws the same samples off a precomputed grid instead and
+    /// is pinned bit-identical to this per-pair reference.
+    ///
     /// # Errors
     ///
     /// Same as [`InSramMultiplier::multiply`].
@@ -781,8 +897,8 @@ impl InSramMultiplier {
     /// shift-add composition across the passes, and the per-set-bit energy
     /// combination.  Only how the per-pass discharge and per-column energy
     /// are obtained differs between the callers (live model evaluation vs.
-    /// precomputed grid), so any change to the readout model lands in both
-    /// paths.
+    /// precomputed grid, with or without mismatch sampling), so any change
+    /// to the readout model lands in every path.
     fn compose_outcome(
         &self,
         a: u16,
@@ -897,6 +1013,28 @@ impl AnalogOperandGrid {
     /// Word-line voltage the DAC produced for slice operand `a`.
     pub fn word_line(&self, a: u16) -> Volts {
         self.word_lines[a as usize]
+    }
+}
+
+/// The sample-invariant part of a mismatch Monte Carlo at one operating
+/// point: the nominal [`AnalogOperandGrid`] plus the Eq. 6 σ per
+/// `(slice operand, column)`, validated finite.
+///
+/// Built by [`InSramMultiplier::mismatch_grid`] and consumed by
+/// [`InSramMultiplier::multiply_on_mismatch_grid`] of the same multiplier.
+#[derive(Debug)]
+pub(crate) struct MismatchGrid {
+    analog: AnalogOperandGrid,
+    /// Mismatch σ per `(a, bit)` in volts, laid out like the grid's deltas.
+    sigmas: Vec<f64>,
+    /// Operating point the grid was evaluated at.
+    at: OperatingPoint,
+}
+
+impl MismatchGrid {
+    /// Mismatch σ of column `bit` for slice operand `a` (volts).
+    fn sigma(&self, a: u16, bit: u8) -> f64 {
+        self.sigmas[a as usize * self.analog.slice_bits as usize + bit as usize]
     }
 }
 
@@ -1058,7 +1196,7 @@ impl MultiplierTable {
 mod tests {
     use super::*;
     use crate::testsupport::linear_suite;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn ideal_config() -> MultiplierConfig {
@@ -1250,6 +1388,122 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every field of an outcome as raw bits, so `-0.0`/`0.0` and NaN
+    /// payloads count as differences.
+    fn outcome_bits(outcome: &MultiplyOutcome) -> (u16, u16, u64, u64, u64) {
+        (
+            outcome.result,
+            outcome.expected,
+            outcome.combined_discharge.0.to_bits(),
+            outcome.multiply_energy.0.to_bits(),
+            outcome.write_energy.0.to_bits(),
+        )
+    }
+
+    /// Runs one RNG stream through the whole input space at `at`, once via
+    /// the scalar `multiply_with_mismatch` oracle and once via the mismatch
+    /// grid, and requires bit-identical outcomes and equal stream positions
+    /// afterwards (so neither path draws a sample the other skips).
+    fn assert_mismatch_grid_matches_scalar(multiplier: &InSramMultiplier, at: OperatingPoint) {
+        let grid = multiplier.mismatch_grid(at).unwrap();
+        let mut scalar_rng = ChaCha8Rng::seed_from_u64(0x5eed);
+        let mut grid_rng = scalar_rng.clone();
+        let max = multiplier.array().operand_max();
+        for a in 0..=max {
+            for d in 0..=max {
+                let scalar = multiplier
+                    .multiply_with_mismatch(&mut scalar_rng, a, d, at)
+                    .unwrap();
+                let sampled = multiplier
+                    .multiply_on_mismatch_grid(&grid, &mut grid_rng, a, d)
+                    .unwrap();
+                assert_eq!(
+                    outcome_bits(&sampled),
+                    outcome_bits(&scalar),
+                    "a = {a}, d = {d}"
+                );
+            }
+        }
+        assert_eq!(grid_rng.next_u64(), scalar_rng.next_u64());
+    }
+
+    #[test]
+    fn mismatch_grid_is_bit_identical_to_scalar_mismatch_sampling() {
+        // A zero-code DAC output of 0 V gives σ = 0 at a = 0, which must
+        // draw nothing on either path.
+        let zero_word_line = MultiplierConfig::new(Seconds(0.16e-9), Volts(0.0), Volts(1.0));
+        for suite in [linear_suite(), crate::testsupport::pvt_sensitive_suite()] {
+            for config in [ideal_config(), zero_word_line] {
+                let multiplier = InSramMultiplier::new(suite.clone(), config).unwrap();
+                for at in [
+                    multiplier.nominal_operating_point(),
+                    OperatingPoint {
+                        vdd: Volts(0.95),
+                        temperature: Celsius(60.0),
+                    },
+                ] {
+                    assert_mismatch_grid_matches_scalar(&multiplier, at);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn int8_mismatch_grid_is_bit_identical_to_scalar_mismatch_sampling() {
+        let multiplier = InSramMultiplier::new(linear_suite(), int8_config()).unwrap();
+        assert_eq!(multiplier.array().passes(), 4);
+        assert_mismatch_grid_matches_scalar(&multiplier, multiplier.nominal_operating_point());
+    }
+
+    #[test]
+    fn faulted_mismatch_grid_is_bit_identical_to_scalar_mismatch_sampling() {
+        use crate::reliability::FaultState;
+        use optima_circuit::defects::{
+            BitLineFault, CellDefect, DefectMap, DefectModel, LifetimeTrajectory,
+        };
+        let array = ArrayConfig::paper();
+        // One shorted and one open data bit-line, a stuck cell of each kind
+        // on the stored row, and retention drift on every cell.
+        let map = (0..10_000u64)
+            .find_map(|seed| {
+                let map = DefectMap::sample(
+                    &array,
+                    &DefectModel {
+                        stuck_at_zero_rate: 0.3,
+                        stuck_at_one_rate: 0.3,
+                        open_bitline_rate: 0.2,
+                        short_bitline_rate: 0.2,
+                        retention_sigma: 0.1,
+                        seed,
+                    },
+                )
+                .unwrap();
+                let bitlines: Vec<BitLineFault> =
+                    (0..4).map(|c| map.bitline_unchecked(c)).collect();
+                let cells: Vec<CellDefect> = (0..4)
+                    .filter(|&c| bitlines[c as usize] == BitLineFault::Healthy)
+                    .map(|c| map.cell_unchecked(0, c))
+                    .collect();
+                let one = |fault| bitlines.iter().filter(|&&b| b == fault).count() == 1;
+                (one(BitLineFault::Shorted)
+                    && one(BitLineFault::Open)
+                    && cells.contains(&CellDefect::StuckAtZero)
+                    && cells.contains(&CellDefect::StuckAtOne))
+                .then_some(map)
+            })
+            .expect("no defect map with every fault kind found");
+        assert!((0..4).any(|c| map.drift_unchecked(0, c) != 0.0));
+        let state = FaultState::unmitigated(&array, map, 0)
+            .unwrap()
+            .with_lifetime(&LifetimeTrajectory::nbti_like().at(3));
+        assert!(state.vth_shift() > 0.0);
+        let multiplier = InSramMultiplier::new(linear_suite(), ideal_config())
+            .unwrap()
+            .with_faults(state)
+            .unwrap();
+        assert_mismatch_grid_matches_scalar(&multiplier, multiplier.nominal_operating_point());
     }
 
     #[test]

@@ -14,14 +14,27 @@
 //! [`ImcError::CornerFailed`] naming it, and every reported number —
 //! including the Monte-Carlo statistics, which draw one split-seed RNG
 //! stream per sample — is bit-identical for any thread count.  Inside each
-//! swept condition the full 16×16 operand grid is evaluated through the
-//! batched analog path ([`InSramMultiplier::outcome_grid`]), which is
-//! bit-identical to the scalar per-pair loop it replaced.
+//! swept condition the full operand grid is evaluated through the batched
+//! analog path ([`InSramMultiplier::outcome_grid`]), which is bit-identical
+//! to the scalar per-pair loop it replaced.
+//!
+//! The mismatch Monte Carlo runs off a table built once per analysis: the
+//! nominal analog grid (ΔV and discharge energy per slice operand and
+//! column) plus the Eq. 6 σ per slice operand and column, evaluated at the
+//! grid's own supply-adjusted, aged word lines.  A σ that is not finite
+//! fails the analysis with [`ImcError::NonFiniteSigma`] before any sample
+//! runs.  A sample then only draws its Gaussians and composes the readout,
+//! bit-identical to calling [`InSramMultiplier::multiply_with_mismatch`]
+//! for every pair.  Each sample's RNG stream is consumed in this order:
+//! operand `a` outer, operand `d` inner, then analog pass, then bit
+//! (ascending); one `Gaussian::new(0, σ)` draw is taken per column that
+//! discharges (stored 1 or stuck-at-1) and is not shorted, and columns with
+//! σ = 0 draw nothing.
 
 use crate::error::ImcError;
 use crate::multiplier::{InSramMultiplier, OperatingPoint};
 use optima_circuit::pvt::linspace;
-use optima_core::sweep::{par_map_sweep, stream_seed};
+use optima_core::sweep::{par_map_sweep, par_map_sweep_with, stream_seed};
 use optima_math::stats;
 use optima_math::units::{Celsius, Volts};
 use rand::SeedableRng;
@@ -128,7 +141,9 @@ impl PvtAnalysis {
     /// # Errors
     ///
     /// Returns [`ImcError::CornerFailed`] naming the first failing sweep
-    /// condition; no partial analysis is ever returned.
+    /// condition; no partial analysis is ever returned.  A non-finite
+    /// mismatch σ fails before the Monte Carlo starts, as a `CornerFailed`
+    /// wrapping [`ImcError::NonFiniteSigma`].
     pub fn run(
         multiplier: &InSramMultiplier,
         config: &PvtAnalysisConfig,
@@ -224,18 +239,33 @@ impl PvtAnalysis {
         };
 
         // ---- Mismatch Monte Carlo: one split-seed RNG stream per sample ----
+        let grid = multiplier
+            .mismatch_grid(nominal)
+            .map_err(|source| ImcError::CornerFailed {
+                index: 0,
+                corner: "nominal mismatch sigma table".to_string(),
+                source: Box::new(source),
+            })?;
         let sample_indices: Vec<u64> = (0..config.mismatch_samples as u64).collect();
-        let per_sample_error_lsb = par_map_sweep(&sample_indices, config.threads, |_, &sample| {
-            let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(config.seed, sample));
-            let mut errors = Vec::with_capacity(input_space);
-            for a in 0..=operand_max {
-                for d in 0..=operand_max {
-                    let outcome = multiplier.multiply_with_mismatch(&mut rng, a, d, nominal)?;
-                    errors.push(outcome.error_lsb().abs());
+        let per_sample_error_lsb = par_map_sweep_with(
+            &sample_indices,
+            config.threads,
+            || Vec::with_capacity(input_space),
+            |errors: &mut Vec<f64>, _, &sample| {
+                let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(config.seed, sample));
+                errors.clear();
+                // optima-lint: hot
+                for a in 0..=operand_max {
+                    for d in 0..=operand_max {
+                        let outcome =
+                            multiplier.multiply_on_mismatch_grid(&grid, &mut rng, a, d)?;
+                        errors.push(outcome.error_lsb().abs());
+                    }
                 }
-            }
-            Ok::<_, ImcError>(stats::mean(&errors))
-        })
+                // optima-lint: end-hot
+                Ok::<_, ImcError>(stats::mean(errors))
+            },
+        )
         .map_err(|err| {
             let sample = sample_indices[err.index];
             ImcError::from_sweep(err, format!("mismatch Monte-Carlo sample {sample}"))
@@ -276,7 +306,10 @@ mod tests {
     use crate::multiplier::{MultiplierConfig, PRODUCT_MAX};
     use crate::testsupport::{linear_suite, pvt_sensitive_suite};
     use optima_circuit::array::ArrayConfig;
+    use optima_core::model::mismatch::MismatchSigmaModel;
+    use optima_core::model::suite::ModelSuite;
     use optima_math::units::Seconds;
+    use optima_math::Polynomial;
 
     fn multiplier(suite_sensitive: bool) -> InSramMultiplier {
         let suite = if suite_sensitive {
@@ -418,6 +451,47 @@ mod tests {
         assert_eq!(*profile.expected_results.last().unwrap(), 65025);
         assert!(analysis.nominal_epsilon_mul.is_finite());
         assert_eq!(analysis.mismatch_monte_carlo.per_sample_error_lsb.len(), 2);
+    }
+
+    #[test]
+    fn non_finite_mismatch_sigma_fails_the_analysis_instead_of_panicking() {
+        // An Eq. 6 factor of +inf would reach `Gaussian::new` inside a sweep
+        // worker; the σ table is validated up front instead.
+        let base = linear_suite();
+        let suite = ModelSuite::new(
+            base.discharge_model().clone(),
+            base.supply_model().clone(),
+            base.temperature_model().clone(),
+            MismatchSigmaModel::new(
+                Polynomial::new(vec![f64::INFINITY]),
+                Polynomial::new(vec![1.0]),
+            ),
+            base.write_energy_model().clone(),
+            base.discharge_energy_model().clone(),
+        );
+        let multiplier = InSramMultiplier::new(
+            suite,
+            MultiplierConfig::new(Seconds(0.16e-9), Volts(0.45), Volts(1.0)),
+        )
+        .unwrap();
+        let config = PvtAnalysisConfig {
+            threads: 2,
+            ..PvtAnalysisConfig::fast()
+        };
+        match PvtAnalysis::run(&multiplier, &config) {
+            Err(ImcError::CornerFailed { source, .. }) => assert!(
+                matches!(
+                    *source,
+                    ImcError::NonFiniteSigma {
+                        slice_operand: 0,
+                        column: 0,
+                        ..
+                    }
+                ),
+                "{source}"
+            ),
+            other => panic!("expected a non-finite sigma error, got {other:?}"),
+        }
     }
 
     #[test]
