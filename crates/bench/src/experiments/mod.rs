@@ -36,7 +36,6 @@ mod fig6_model_eval;
 mod fig7_dse;
 mod fig8_corner_pvt;
 mod geometry_sweep;
-mod lint_audit;
 mod serving_load;
 mod snapshot_roundtrip;
 mod table1_corners;
@@ -397,7 +396,7 @@ pub trait Experiment: Sync {
 /// The static registry of every experiment, in presentation order
 /// (figures, tables, extensions, infrastructure smoke, then ablations).
 pub fn registry() -> &'static [&'static dyn Experiment] {
-    static REGISTRY: [&dyn Experiment; 17] = [
+    static REGISTRY: [&dyn Experiment; 16] = [
         &fig1_sota::Fig1Sota,
         &fig4_nonideality::Fig4Nonideality,
         &fig5_pvt::Fig5Pvt,
@@ -411,7 +410,6 @@ pub fn registry() -> &'static [&'static dyn Experiment] {
         &fault_sweep::FaultSweep,
         &serving_load::ServingLoad,
         &snapshot_roundtrip::SnapshotRoundtrip,
-        &lint_audit::LintAudit,
         &ablation_dac::AblationDac,
         &ablation_poly_degree::AblationPolyDegree,
         &ablation_tau0::AblationTau0,

@@ -31,8 +31,6 @@ use serde::{Deserialize, Serialize};
 pub struct Adc {
     bits: u8,
     full_scale: Volts,
-    /// Relative supply-voltage sensitivity of the conversion thresholds.
-    supply_sensitivity: f64,
 }
 
 impl Adc {
@@ -53,25 +51,7 @@ impl Adc {
                 context: format!("adc full scale must be positive, got {}", full_scale.0),
             });
         }
-        Ok(Adc {
-            bits,
-            full_scale,
-            supply_sensitivity: 0.3,
-        })
-    }
-
-    /// Sets the relative supply-voltage sensitivity (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sensitivity` is outside `[0, 1]`.
-    pub fn with_supply_sensitivity(mut self, sensitivity: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&sensitivity),
-            "supply sensitivity must be within [0, 1]"
-        );
-        self.supply_sensitivity = sensitivity;
-        self
+        Ok(Adc { bits, full_scale })
     }
 
     /// ADC resolution in bits.
@@ -110,38 +90,6 @@ impl Adc {
         let code = (normalized * self.max_code() as f64).round() as u32;
         Ok(code.min(self.max_code()))
     }
-
-    /// Quantises under a non-nominal supply voltage: the conversion reference
-    /// tracks the supply with the configured sensitivity, scaling the
-    /// effective full-scale range.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Adc::quantize`].
-    pub fn quantize_with_supply(
-        &self,
-        discharge: Volts,
-        vdd: Volts,
-        vdd_nominal: Volts,
-    ) -> Result<u32, CircuitError> {
-        let relative_error = (vdd.0 - vdd_nominal.0) / vdd_nominal.0;
-        let effective_full_scale =
-            self.full_scale.0 * (1.0 + self.supply_sensitivity * relative_error);
-        if !discharge.0.is_finite() {
-            return Err(CircuitError::InvalidOperatingPoint {
-                context: "adc input voltage must be finite".to_string(),
-            });
-        }
-        let normalized = (discharge.0 / effective_full_scale).clamp(0.0, 1.0);
-        let code = (normalized * self.max_code() as f64).round() as u32;
-        Ok(code.min(self.max_code()))
-    }
-
-    /// Converts a voltage into fractional LSBs (no rounding), useful for
-    /// expressing analog error levels in LSB units as the paper does.
-    pub fn voltage_to_lsb(&self, voltage: Volts) -> f64 {
-        voltage.0 / self.lsb().0
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +119,6 @@ mod tests {
     fn lsb_size_matches_full_scale_over_levels() {
         let adc = Adc::new(8, Volts(0.64)).unwrap();
         assert!((adc.lsb().0 - 0.64 / 256.0).abs() < 1e-12);
-        assert!((adc.voltage_to_lsb(Volts(0.01)) - 4.0).abs() < 1e-9);
     }
 
     #[test]
@@ -185,27 +132,5 @@ mod tests {
             last = code;
         }
         assert_eq!(last, adc.max_code());
-    }
-
-    #[test]
-    fn supply_variation_shifts_codes() {
-        let adc = Adc::new(8, Volts(0.5)).unwrap();
-        let nominal = adc
-            .quantize_with_supply(Volts(0.25), Volts(1.0), Volts(1.0))
-            .unwrap();
-        let high_vdd = adc
-            .quantize_with_supply(Volts(0.25), Volts(1.1), Volts(1.0))
-            .unwrap();
-        // Larger reference at high supply ⇒ same voltage maps to a smaller code.
-        assert!(high_vdd <= nominal);
-        assert!(nominal - high_vdd < 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "within [0, 1]")]
-    fn invalid_supply_sensitivity_panics() {
-        let _ = Adc::new(8, Volts(0.5))
-            .unwrap()
-            .with_supply_sensitivity(2.0);
     }
 }

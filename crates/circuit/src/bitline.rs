@@ -78,13 +78,6 @@ impl BitLine {
         let delta = (vdd.0 - self.voltage.0).max(0.0);
         Joules(self.capacitance.0 * vdd.0 * delta)
     }
-
-    /// Removes `charge` coulombs from the bit-line (discharge through a cell),
-    /// lowering its voltage by `charge / C`, clamped at 0 V.
-    pub fn remove_charge(&mut self, charge: f64) {
-        let delta_v = charge / self.capacitance.0;
-        self.voltage = Volts((self.voltage.0 - delta_v).max(0.0));
-    }
 }
 
 #[cfg(test)]
@@ -117,15 +110,6 @@ mod tests {
         assert_eq!(bl.voltage(), Volts(1.0));
         // A second pre-charge costs nothing.
         assert_eq!(bl.precharge(Volts(1.0)).0, 0.0);
-    }
-
-    #[test]
-    fn remove_charge_lowers_voltage_and_clamps_at_zero() {
-        let mut bl = BitLine::new(Farads(10e-15), Volts(1.0)).unwrap();
-        bl.remove_charge(2e-15);
-        assert!((bl.voltage().0 - 0.8).abs() < 1e-12);
-        bl.remove_charge(1.0); // absurdly large charge
-        assert_eq!(bl.voltage().0, 0.0);
     }
 
     #[test]

@@ -43,10 +43,12 @@ pub struct Dac {
     zero_voltage: Volts,
     full_scale_voltage: Volts,
     transfer: DacTransfer,
-    /// Relative supply-voltage sensitivity of the output (1.0 = fully
-    /// supply-referred, 0.0 = ideal bandgap reference).
-    supply_sensitivity: f64,
 }
+
+/// Relative supply-voltage sensitivity of the DAC output: the fraction of a
+/// relative supply error that appears on the output (1.0 = fully
+/// supply-referred, 0.0 = ideal bandgap reference).
+const SUPPLY_SENSITIVITY: f64 = 0.35;
 
 impl Dac {
     /// Creates a linear DAC with the given resolution and output range.
@@ -83,27 +85,12 @@ impl Dac {
             zero_voltage,
             full_scale_voltage,
             transfer: DacTransfer::Linear,
-            supply_sensitivity: 0.35,
         })
     }
 
     /// Switches the DAC to the given transfer curve (builder style).
     pub fn with_transfer(mut self, transfer: DacTransfer) -> Self {
         self.transfer = transfer;
-        self
-    }
-
-    /// Sets the relative supply-voltage sensitivity (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sensitivity` is outside `[0, 1]`.
-    pub fn with_supply_sensitivity(mut self, sensitivity: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&sensitivity),
-            "supply sensitivity must be within [0, 1]"
-        );
-        self.supply_sensitivity = sensitivity;
         self
     }
 
@@ -153,8 +140,8 @@ impl Dac {
     ///
     /// The paper notes that supply-voltage changes "do not only affect the
     /// SRAM circuit, but also the thresholds of ADCs and DACs": a fraction of
-    /// the relative supply error (set by the supply sensitivity) appears as a
-    /// multiplicative error on the DAC output.
+    /// the relative supply error (35 %, the DAC's supply sensitivity) appears
+    /// as a multiplicative error on the DAC output.
     ///
     /// # Errors
     ///
@@ -168,7 +155,7 @@ impl Dac {
         let nominal = self.output(code)?;
         let relative_error = (vdd.0 - vdd_nominal.0) / vdd_nominal.0;
         Ok(Volts(
-            nominal.0 * (1.0 + self.supply_sensitivity * relative_error),
+            nominal.0 * (1.0 + SUPPLY_SENSITIVITY * relative_error),
         ))
     }
 }
@@ -230,13 +217,5 @@ mod tests {
         assert!(high > nominal && low < nominal);
         // Sensitivity below 1.0 attenuates the error.
         assert!((high - nominal) < nominal * 0.1);
-    }
-
-    #[test]
-    #[should_panic(expected = "within [0, 1]")]
-    fn invalid_supply_sensitivity_panics() {
-        let _ = Dac::new(4, Volts(0.3), Volts(1.0))
-            .unwrap()
-            .with_supply_sensitivity(1.5);
     }
 }

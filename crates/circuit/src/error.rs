@@ -12,13 +12,6 @@ pub enum CircuitError {
         /// Human-readable description of the violated constraint.
         context: String,
     },
-    /// An SRAM array was addressed outside its dimensions.
-    AddressOutOfRange {
-        /// The requested index.
-        index: usize,
-        /// The number of valid entries.
-        size: usize,
-    },
     /// A two-dimensional array access (e.g. into a defect map) was outside
     /// the array geometry.  Carries the full coordinate so a failure deep in
     /// a sweep names the exact cell instead of a flat index.
@@ -46,9 +39,6 @@ impl fmt::Display for CircuitError {
         match self {
             CircuitError::InvalidOperatingPoint { context } => {
                 write!(f, "invalid operating point: {context}")
-            }
-            CircuitError::AddressOutOfRange { index, size } => {
-                write!(f, "address {index} out of range for size {size}")
             }
             CircuitError::CellOutOfRange {
                 row,
@@ -91,8 +81,6 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        let err = CircuitError::AddressOutOfRange { index: 7, size: 4 };
-        assert_eq!(err.to_string(), "address 7 out of range for size 4");
         let err = CircuitError::CellOutOfRange {
             row: 16,
             column: 5,

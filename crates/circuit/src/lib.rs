@@ -8,12 +8,11 @@
 //! * [`technology`] — a 65 nm-class CMOS technology description with process
 //!   corners and temperature dependence,
 //! * [`mosfet`] — a square-law + subthreshold MOSFET current model,
-//! * [`sram`] — the 6T SRAM cell and cell arrays (Fig. 2 of the paper),
+//! * [`sram`] — the 6T SRAM cell (Fig. 2 of the paper),
 //! * [`bitline`] — bit-line capacitance, pre-charge and discharge wiring,
 //! * [`transient`] — ODE-based transient simulation of the bit-line discharge
 //!   (the *slow but accurate* reference OPTIMA is benchmarked against),
-//! * [`pvt`] — process/voltage/temperature operating points and sweeps
-//!   (Fig. 5),
+//! * [`pvt`] — process/voltage/temperature operating points (Fig. 5),
 //! * [`defects`] — per-cell defect maps (stuck-at cells, open/shorted
 //!   bit-lines, retention drift) and lifetime aging trajectories,
 //! * [`montecarlo`] — transistor mismatch sampling (Fig. 5d),
@@ -64,7 +63,6 @@ pub mod error;
 pub mod montecarlo;
 pub mod mosfet;
 pub mod pvt;
-pub mod sense;
 pub mod sram;
 pub mod technology;
 pub mod transient;
@@ -86,8 +84,8 @@ pub mod prelude {
     pub use crate::error::CircuitError;
     pub use crate::montecarlo::{MismatchModel, MismatchSample};
     pub use crate::mosfet::{Mosfet, MosfetKind};
-    pub use crate::pvt::{PvtConditions, PvtSweep};
-    pub use crate::sram::{SramArray, SramCell};
+    pub use crate::pvt::PvtConditions;
+    pub use crate::sram::SramCell;
     pub use crate::technology::{ProcessCorner, Technology};
     pub use crate::transient::{DischargeStimulus, TransientSimulator};
     pub use crate::waveform::Waveform;

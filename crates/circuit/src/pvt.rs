@@ -1,10 +1,11 @@
-//! Process / voltage / temperature operating conditions and sweeps.
+//! Process / voltage / temperature operating conditions.
 //!
 //! Section III-2 of the paper analyses how supply voltage, temperature,
 //! process corners and transistor mismatch move the bit-line discharge
 //! (Fig. 5).  This module provides the operating-point type shared by the
-//! golden-reference simulator and the OPTIMA behavioural models, plus sweep
-//! helpers used by the calibration pipeline and the experiment harnesses.
+//! golden-reference simulator and the OPTIMA behavioural models, plus the
+//! [`linspace`] grid helper used by the calibration pipeline and the
+//! experiment harnesses.
 
 use crate::technology::{ProcessCorner, Technology};
 use optima_math::units::{Celsius, Volts};
@@ -54,104 +55,6 @@ impl PvtConditions {
     pub fn delta_vdd(&self, tech: &Technology) -> Volts {
         Volts(self.vdd.0 - tech.vdd_nominal.0)
     }
-
-    /// Temperature deviation from the technology's nominal temperature.
-    pub fn delta_temperature(&self, tech: &Technology) -> Celsius {
-        Celsius(self.temperature.0 - tech.temperature_nominal.0)
-    }
-}
-
-/// A rectangular sweep over PVT conditions.
-///
-/// # Example
-///
-/// ```rust
-/// use optima_circuit::prelude::*;
-///
-/// let tech = Technology::tsmc65_like();
-/// let sweep = PvtSweep::new(&tech)
-///     .vdd_range(0.9, 1.1, 3)
-///     .temperature_range(-40.0, 125.0, 4);
-/// let points = sweep.points();
-/// assert_eq!(points.len(), 3 * 4);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PvtSweep {
-    vdd_values: Vec<f64>,
-    temperature_values: Vec<f64>,
-    corners: Vec<ProcessCorner>,
-}
-
-impl PvtSweep {
-    /// Creates a sweep containing only the nominal point of `tech`.
-    pub fn new(tech: &Technology) -> Self {
-        PvtSweep {
-            vdd_values: vec![tech.vdd_nominal.0],
-            temperature_values: vec![tech.temperature_nominal.0],
-            corners: vec![ProcessCorner::TypicalTypical],
-        }
-    }
-
-    /// Replaces the supply-voltage axis with `count` evenly spaced values in `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count == 0`.
-    pub fn vdd_range(mut self, lo: f64, hi: f64, count: usize) -> Self {
-        self.vdd_values = linspace(lo, hi, count);
-        self
-    }
-
-    /// Replaces the temperature axis with `count` evenly spaced values in `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count == 0`.
-    pub fn temperature_range(mut self, lo: f64, hi: f64, count: usize) -> Self {
-        self.temperature_values = linspace(lo, hi, count);
-        self
-    }
-
-    /// Replaces the corner axis.
-    pub fn corners(mut self, corners: &[ProcessCorner]) -> Self {
-        self.corners = corners.to_vec();
-        self
-    }
-
-    /// Uses all five process corners.
-    pub fn all_corners(self) -> Self {
-        self.corners(&ProcessCorner::ALL)
-    }
-
-    /// The Cartesian product of the three axes.
-    pub fn points(&self) -> Vec<PvtConditions> {
-        let mut out = Vec::with_capacity(
-            self.vdd_values.len() * self.temperature_values.len() * self.corners.len(),
-        );
-        for &corner in &self.corners {
-            for &vdd in &self.vdd_values {
-                for &temp in &self.temperature_values {
-                    out.push(PvtConditions {
-                        vdd: Volts(vdd),
-                        temperature: Celsius(temp),
-                        corner,
-                    });
-                }
-            }
-        }
-        out
-    }
-
-    /// Number of points in the sweep.
-    pub fn len(&self) -> usize {
-        self.vdd_values.len() * self.temperature_values.len() * self.corners.len()
-    }
-
-    /// Returns `true` when the sweep has no points (never the case for a
-    /// sweep built through the public API, which always starts nominal).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// `count` evenly spaced values from `lo` to `hi` inclusive.
@@ -180,7 +83,6 @@ mod tests {
         assert_eq!(pvt.temperature, tech.temperature_nominal);
         assert_eq!(pvt.corner, ProcessCorner::TypicalTypical);
         assert_eq!(pvt.delta_vdd(&tech).0, 0.0);
-        assert_eq!(pvt.delta_temperature(&tech).0, 0.0);
     }
 
     #[test]
@@ -194,27 +96,6 @@ mod tests {
         assert_eq!(pvt.temperature.0, 85.0);
         assert_eq!(pvt.corner, ProcessCorner::SlowSlow);
         assert!((pvt.delta_vdd(&tech).0 + 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sweep_generates_cartesian_product() {
-        let tech = Technology::tsmc65_like();
-        let sweep = PvtSweep::new(&tech)
-            .vdd_range(0.9, 1.1, 5)
-            .temperature_range(0.0, 100.0, 3)
-            .all_corners();
-        assert_eq!(sweep.len(), 5 * 3 * 5);
-        assert_eq!(sweep.points().len(), sweep.len());
-        assert!(!sweep.is_empty());
-    }
-
-    #[test]
-    fn default_sweep_is_single_nominal_point() {
-        let tech = Technology::tsmc65_like();
-        let sweep = PvtSweep::new(&tech);
-        let points = sweep.points();
-        assert_eq!(points.len(), 1);
-        assert_eq!(points[0], PvtConditions::nominal(&tech));
     }
 
     #[test]

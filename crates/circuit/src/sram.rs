@@ -1,4 +1,4 @@
-//! The 6T SRAM cell and SRAM cell arrays (Fig. 2 of the paper).
+//! The 6T SRAM cell (Fig. 2 of the paper).
 //!
 //! For discharge-based computing the relevant analog behaviour of a cell is
 //! the current it sinks from the bit-line-bar when (a) it stores a logic '1'
@@ -8,7 +8,6 @@
 //! voltage), with the access transistor dominating because its gate voltage
 //! is the smaller of the two.
 
-use crate::error::CircuitError;
 use crate::montecarlo::MismatchSample;
 use crate::mosfet::{Mosfet, MosfetKind};
 use crate::pvt::PvtConditions;
@@ -64,21 +63,6 @@ impl SramCell {
         }
     }
 
-    /// The stored data bit.
-    pub fn stored_bit(&self) -> bool {
-        self.stored_bit
-    }
-
-    /// Overwrites the stored data bit (models a completed write operation).
-    pub fn write(&mut self, bit: bool) {
-        self.stored_bit = bit;
-    }
-
-    /// The access transistor of the BLB branch.
-    pub fn access_transistor(&self) -> &Mosfet {
-        &self.access
-    }
-
     /// Current the cell sinks from BLB when the word-line is at `v_wl` and
     /// the bit-line-bar is at `v_blb`.
     ///
@@ -97,114 +81,6 @@ impl SramCell {
         // series factor.
         let pulldown_limit = self.pulldown.drain_current(self.internal_high, v_blb);
         Amperes(access_current.0.min(pulldown_limit.0) * self.series_factor)
-    }
-}
-
-/// A word-oriented SRAM array: `words` rows of `bits_per_word` cells
-/// (Fig. 2 shows 4-bit words, the configuration used by the multiplier).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SramArray {
-    words: usize,
-    bits_per_word: usize,
-    data: Vec<u64>,
-}
-
-impl SramArray {
-    /// Creates an array of `words` × `bits_per_word` cells, all storing zero.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::InvalidOperatingPoint`] when either dimension
-    /// is zero or `bits_per_word > 64`.
-    pub fn new(words: usize, bits_per_word: usize) -> Result<Self, CircuitError> {
-        if words == 0 || bits_per_word == 0 {
-            return Err(CircuitError::InvalidOperatingPoint {
-                context: "array dimensions must be non-zero".to_string(),
-            });
-        }
-        if bits_per_word > 64 {
-            return Err(CircuitError::InvalidOperatingPoint {
-                context: format!("bits_per_word {bits_per_word} exceeds 64"),
-            });
-        }
-        Ok(SramArray {
-            words,
-            bits_per_word,
-            data: vec![0; words],
-        })
-    }
-
-    /// Number of words (rows).
-    pub fn words(&self) -> usize {
-        self.words
-    }
-
-    /// Number of bits per word (columns).
-    pub fn bits_per_word(&self) -> usize {
-        self.bits_per_word
-    }
-
-    /// Writes `value` into word `address` (a digital write; the analog energy
-    /// of writes is accounted for by [`crate::energy`]).
-    ///
-    /// # Errors
-    ///
-    /// * [`CircuitError::AddressOutOfRange`] for an invalid address.
-    /// * [`CircuitError::InvalidOperatingPoint`] when `value` does not fit the word width.
-    pub fn write_word(&mut self, address: usize, value: u64) -> Result<(), CircuitError> {
-        if address >= self.words {
-            return Err(CircuitError::AddressOutOfRange {
-                index: address,
-                size: self.words,
-            });
-        }
-        let max = if self.bits_per_word == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.bits_per_word) - 1
-        };
-        if value > max {
-            return Err(CircuitError::InvalidOperatingPoint {
-                context: format!("value {value} does not fit in {} bits", self.bits_per_word),
-            });
-        }
-        self.data[address] = value;
-        Ok(())
-    }
-
-    /// Reads the word stored at `address`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::AddressOutOfRange`] for an invalid address.
-    pub fn read_word(&self, address: usize) -> Result<u64, CircuitError> {
-        if address >= self.words {
-            return Err(CircuitError::AddressOutOfRange {
-                index: address,
-                size: self.words,
-            });
-        }
-        Ok(self.data[address])
-    }
-
-    /// Reads bit `bit` of word `address`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::AddressOutOfRange`] if either index is invalid.
-    pub fn read_bit(&self, address: usize, bit: usize) -> Result<bool, CircuitError> {
-        if bit >= self.bits_per_word {
-            return Err(CircuitError::AddressOutOfRange {
-                index: bit,
-                size: self.bits_per_word,
-            });
-        }
-        Ok((self.read_word(address)? >> bit) & 1 == 1)
-    }
-
-    /// Number of '1' cells in the whole array (used by energy accounting).
-    pub fn total_ones(&self) -> u32 {
-        self.data.iter().map(|w| w.count_ones()).sum()
     }
 }
 
@@ -246,44 +122,5 @@ mod tests {
         let leak = cell.discharge_current(Volts(0.3), Volts(1.0)).0;
         assert!(leak > 0.0);
         assert!(leak < cell.discharge_current(Volts(1.0), Volts(1.0)).0 * 1e-2);
-    }
-
-    #[test]
-    fn write_updates_stored_bit() {
-        let (tech, pvt) = setup();
-        let mut cell = SramCell::new(false, &tech, &pvt, &MismatchSample::none());
-        assert!(!cell.stored_bit());
-        cell.write(true);
-        assert!(cell.stored_bit());
-        assert!(cell.discharge_current(Volts(1.0), Volts(1.0)).0 > 0.0);
-    }
-
-    #[test]
-    fn array_write_read_round_trip() {
-        let mut array = SramArray::new(8, 4).unwrap();
-        array.write_word(3, 0b1010).unwrap();
-        assert_eq!(array.read_word(3).unwrap(), 0b1010);
-        assert!(array.read_bit(3, 1).unwrap());
-        assert!(!array.read_bit(3, 0).unwrap());
-        assert_eq!(array.total_ones(), 2);
-    }
-
-    #[test]
-    fn array_rejects_invalid_dimensions_and_addresses() {
-        assert!(SramArray::new(0, 4).is_err());
-        assert!(SramArray::new(4, 0).is_err());
-        assert!(SramArray::new(4, 65).is_err());
-        let mut array = SramArray::new(4, 4).unwrap();
-        assert!(array.write_word(4, 0).is_err());
-        assert!(array.write_word(0, 16).is_err());
-        assert!(array.read_word(9).is_err());
-        assert!(array.read_bit(0, 4).is_err());
-    }
-
-    #[test]
-    fn array_dimensions_accessors() {
-        let array = SramArray::new(16, 4).unwrap();
-        assert_eq!(array.words(), 16);
-        assert_eq!(array.bits_per_word(), 4);
     }
 }

@@ -119,36 +119,6 @@ impl Waveform {
         let v = interp::linear(&self.times, &self.values, t.0)?;
         Ok(Volts(v))
     }
-
-    /// First time at which the waveform crosses below `threshold`, if any.
-    pub fn time_crossing_below(&self, threshold: Volts) -> Option<Seconds> {
-        for window in 0..self.times.len().saturating_sub(1) {
-            let (v0, v1) = (self.values[window], self.values[window + 1]);
-            if v0 >= threshold.0 && v1 < threshold.0 {
-                let (t0, t1) = (self.times[window], self.times[window + 1]);
-                let frac = (v0 - threshold.0) / (v0 - v1);
-                return Some(Seconds(t0 + frac * (t1 - t0)));
-            }
-        }
-        None
-    }
-
-    /// Pointwise difference `self − other`, resampling `other` onto this
-    /// waveform's time base.
-    ///
-    /// # Errors
-    ///
-    /// Propagates interpolation errors from degenerate waveforms.
-    pub fn subtract(&self, other: &Waveform) -> Result<Vec<f64>, CircuitError> {
-        self.times
-            .iter()
-            .zip(self.values.iter())
-            .map(|(&t, &v)| {
-                let o = other.sample_at(Seconds(t))?;
-                Ok(v - o.0)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -184,23 +154,5 @@ mod tests {
         assert!((wf.sample_at(Seconds(0.5)).unwrap().0 - 0.9).abs() < 1e-12);
         assert_eq!(wf.sample_at(Seconds(-1.0)).unwrap().0, 1.0);
         assert_eq!(wf.sample_at(Seconds(10.0)).unwrap().0, 0.4);
-    }
-
-    #[test]
-    fn threshold_crossing_detection() {
-        let wf = ramp();
-        let t = wf.time_crossing_below(Volts(0.65)).unwrap();
-        assert!((t.0 - 1.5).abs() < 1e-12);
-        assert!(wf.time_crossing_below(Volts(0.1)).is_none());
-    }
-
-    #[test]
-    fn subtract_resamples_other_waveform() {
-        let a = ramp();
-        let b = Waveform::from_samples(vec![0.0, 3.0], vec![1.0, 0.4]).unwrap();
-        let diff = a.subtract(&b).unwrap();
-        assert_eq!(diff.len(), 4);
-        assert!(diff[0].abs() < 1e-12);
-        assert!(diff[3].abs() < 1e-12);
     }
 }

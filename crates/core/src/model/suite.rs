@@ -208,33 +208,6 @@ impl ModelSuite {
         Ok(())
     }
 
-    /// Fills `out` with the bit-line voltage over a whole
-    /// `word_lines × times` operand grid (row-major: one row of
-    /// `times.len()` values per word line), without domain validation.
-    /// Bit-identical to the scalar path like
-    /// [`ModelSuite::fill_bitline_voltages_unchecked`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out` is not exactly `word_lines.len() * times.len()` long.
-    pub fn fill_bitline_voltage_grid_unchecked(
-        &self,
-        times: &[Seconds],
-        word_lines: &[Volts],
-        vdd: Volts,
-        temperature: Celsius,
-        out: &mut [f64],
-    ) {
-        assert_eq!(
-            out.len(),
-            word_lines.len() * times.len(),
-            "fill_bitline_voltage_grid_unchecked needs one slot per grid point"
-        );
-        for (row, &word_line) in out.chunks_exact_mut(times.len()).zip(word_lines) {
-            self.fill_bitline_voltages_unchecked(times, word_line, vdd, temperature, row);
-        }
-    }
-
     /// Bit-line discharge `ΔV_BL` (relative to the supply-scaled pre-charge
     /// level) for a cell storing `stored_bit`.
     ///
@@ -466,9 +439,7 @@ mod tests {
 
         let mut voltages = vec![0.0; times.len()];
         let mut discharges = vec![0.0; times.len()];
-        let mut grid = vec![0.0; times.len() * word_lines.len()];
-        suite.fill_bitline_voltage_grid_unchecked(&times, &word_lines, vdd, temp, &mut grid);
-        for (w, &word_line) in word_lines.iter().enumerate() {
+        for &word_line in &word_lines {
             suite.fill_bitline_voltages_unchecked(&times, word_line, vdd, temp, &mut voltages);
             suite
                 .fill_discharges(&times, word_line, true, vdd, temp, &mut discharges)
@@ -477,7 +448,6 @@ mod tests {
                 let scalar_v = suite.bitline_voltage_unchecked(t, word_line, vdd, temp);
                 let scalar_d = suite.discharge(t, word_line, true, vdd, temp).unwrap().0;
                 assert_eq!(scalar_v.to_bits(), voltages[i].to_bits());
-                assert_eq!(scalar_v.to_bits(), grid[w * times.len() + i].to_bits());
                 assert_eq!(scalar_d.to_bits(), discharges[i].to_bits());
             }
         }

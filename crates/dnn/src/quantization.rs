@@ -8,20 +8,10 @@
 //! 0…15 at 4 bits).
 //!
 //! The operand width is a parameter (1..=8 bits) so the same quantizers serve
-//! any [`optima_circuit::array::ArrayConfig`] geometry — the INT4 entry
-//! points below delegate to the width-parameterized ones with `bits = 4` and
-//! stay bit-identical to the original hard-wired implementation.
+//! any [`optima_circuit::array::ArrayConfig`] geometry; the paper's INT4
+//! pipeline is `bits = 4`.
 
 use serde::{Deserialize, Serialize};
-
-/// Operand width of the paper's default INT4 pipeline.
-pub const INT4_BITS: u8 = 4;
-
-/// Largest magnitude of a symmetric signed 4-bit value.
-pub const INT4_SIGNED_MAX: i8 = 7;
-
-/// Largest unsigned 4-bit value.
-pub const INT4_UNSIGNED_MAX: u8 = 15;
 
 /// Largest magnitude of a symmetric signed `bits`-wide value,
 /// `2^(bits−1) − 1` (e.g. 7 at 4 bits, 127 at 8 bits).
@@ -46,16 +36,6 @@ pub struct QuantizationParams {
 }
 
 impl QuantizationParams {
-    /// Parameters for symmetric signed quantization of `data` to 4 bits.
-    pub fn symmetric_for(data: &[f32]) -> Self {
-        Self::symmetric_for_bits(data, INT4_BITS)
-    }
-
-    /// Parameters for unsigned quantization of non-negative `data` to 4 bits.
-    pub fn unsigned_for(data: &[f32]) -> Self {
-        Self::unsigned_for_bits(data, INT4_BITS)
-    }
-
     /// Parameters for symmetric signed quantization of `data` to `bits` bits.
     pub fn symmetric_for_bits(data: &[f32], bits: u8) -> Self {
         let max_abs = data.iter().fold(0.0f32, |acc, v| acc.max(v.abs()));
@@ -94,22 +74,6 @@ impl QuantizationParams {
         let max = unsigned_max(self.bits) as f32;
         (value.max(0.0) / self.scale).round().clamp(0.0, max) as u8
     }
-
-    /// Reconstructs the real value of a signed quantized integer.
-    pub fn dequantize(&self, value: i32) -> f32 {
-        value as f32 * self.scale
-    }
-}
-
-/// Quantizes a weight slice symmetrically to INT4, returning the integers and
-/// the shared parameters.
-pub fn quantize_weights(weights: &[f32]) -> (Vec<i8>, QuantizationParams) {
-    quantize_weights_bits(weights, INT4_BITS)
-}
-
-/// Quantizes an activation slice (clamped at zero) to unsigned INT4.
-pub fn quantize_activations(activations: &[f32]) -> (Vec<u8>, QuantizationParams) {
-    quantize_activations_bits(activations, INT4_BITS)
 }
 
 /// Quantizes a weight slice symmetrically to `bits` bits.
@@ -147,11 +111,11 @@ mod tests {
     #[test]
     fn symmetric_quantization_round_trips_within_half_step() {
         let weights = [-0.9, -0.3, 0.0, 0.45, 0.9];
-        let (quantized, params) = quantize_weights(&weights);
+        let (quantized, params) = quantize_weights_bits(&weights, 4);
         assert_eq!(quantized.len(), weights.len());
         assert!(quantized.iter().all(|&q| (-7..=7).contains(&q)));
         for (&w, &q) in weights.iter().zip(quantized.iter()) {
-            let reconstructed = params.dequantize(q as i32);
+            let reconstructed = q as f32 * params.scale;
             assert!((reconstructed - w).abs() <= params.scale * 0.5 + 1e-6);
         }
         // The extreme value maps to the extreme code.
@@ -162,50 +126,37 @@ mod tests {
     #[test]
     fn unsigned_quantization_clamps_negatives() {
         let activations = [-0.2, 0.0, 0.5, 1.0];
-        let (quantized, params) = quantize_activations(&activations);
+        let (quantized, params) = quantize_activations_bits(&activations, 4);
         assert_eq!(quantized[0], 0);
         assert_eq!(quantized[3], 15);
-        assert!((params.dequantize(quantized[2] as i32) - 0.5).abs() < params.scale);
+        assert!((quantized[2] as f32 * params.scale - 0.5).abs() < params.scale);
     }
 
     #[test]
     fn all_zero_input_uses_unit_scale() {
-        let (quantized, params) = quantize_weights(&[0.0, 0.0]);
+        let (quantized, params) = quantize_weights_bits(&[0.0, 0.0], 4);
         assert_eq!(quantized, vec![0, 0]);
         assert_eq!(params.scale, 1.0);
-        let (quantized, params) = quantize_activations(&[0.0]);
+        let (quantized, params) = quantize_activations_bits(&[0.0], 4);
         assert_eq!(quantized, vec![0]);
         assert_eq!(params.scale, 1.0);
     }
 
     #[test]
     fn quantization_error_shrinks_for_narrow_ranges() {
-        let wide = QuantizationParams::symmetric_for(&[-2.0, 2.0]);
-        let narrow = QuantizationParams::symmetric_for(&[-0.1, 0.1]);
+        let wide = QuantizationParams::symmetric_for_bits(&[-2.0, 2.0], 4);
+        let narrow = QuantizationParams::symmetric_for_bits(&[-0.1, 0.1], 4);
         assert!(narrow.scale < wide.scale);
     }
 
     #[test]
     fn width_limits_follow_the_bit_count() {
-        assert_eq!(signed_max(4), INT4_SIGNED_MAX);
-        assert_eq!(unsigned_max(4), INT4_UNSIGNED_MAX);
+        assert_eq!(signed_max(4), 7);
+        assert_eq!(unsigned_max(4), 15);
         assert_eq!(signed_max(8), 127);
         assert_eq!(unsigned_max(8), 255);
         assert_eq!(signed_max(1), 0);
         assert_eq!(unsigned_max(1), 1);
-    }
-
-    #[test]
-    fn four_bit_entry_points_are_bit_identical_to_the_explicit_width() {
-        let data = [-0.9, -0.3, 0.0, 0.45, 0.9, 1.7];
-        let (q4, p4) = quantize_weights(&data);
-        let (qb, pb) = quantize_weights_bits(&data, 4);
-        assert_eq!(q4, qb);
-        assert_eq!(p4.scale.to_bits(), pb.scale.to_bits());
-        let (a4, ap4) = quantize_activations(&data);
-        let (ab, apb) = quantize_activations_bits(&data, 4);
-        assert_eq!(a4, ab);
-        assert_eq!(ap4.scale.to_bits(), apb.scale.to_bits());
     }
 
     #[test]
@@ -214,7 +165,7 @@ mod tests {
         let (quantized, params) = quantize_weights_bits(&weights, 8);
         assert_eq!(quantized[0], -127);
         assert_eq!(quantized[1], 127);
-        assert!(params.scale < QuantizationParams::symmetric_for(&weights).scale);
+        assert!(params.scale < QuantizationParams::symmetric_for_bits(&weights, 4).scale);
         let activations = [0.0, 1.0, 0.25];
         let (quantized, _) = quantize_activations_bits(&activations, 8);
         assert_eq!(quantized[1], 255);

@@ -98,12 +98,6 @@ impl MultiplierConfig {
         self.array = array;
         self
     }
-
-    /// Longest single-column discharge time of one analog pass
-    /// (`2^(slice_bits − 1) · τ0`, the MSB column).
-    pub fn longest_discharge(&self) -> Seconds {
-        Seconds(self.tau0.0 * (1u32 << (self.array.slice_bits - 1)) as f64)
-    }
 }
 
 /// Result of one in-SRAM multiplication.
@@ -1300,7 +1294,6 @@ mod tests {
         let variation = MultiplierConfig::paper_variation_corner();
         assert!((variation.tau0.0 - 0.24e-9).abs() < 1e-15);
         assert_eq!(variation.vdac_zero, Volts(0.4));
-        assert!((fom.longest_discharge().0 - 1.28e-9).abs() < 1e-15);
     }
 
     #[test]

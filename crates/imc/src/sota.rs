@@ -62,15 +62,6 @@ pub fn published_design_points() -> Vec<SotaDesignPoint> {
     ]
 }
 
-/// The highest bit width among the published designs (Fig. 1 right panel).
-pub fn max_published_bit_width() -> u8 {
-    published_design_points()
-        .iter()
-        .map(|p| p.bit_width)
-        .max()
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,13 +81,5 @@ mod tests {
             assert!(point.bit_width >= 1 && point.bit_width <= 8);
             assert!(point.clock_mhz > 0.0 && point.clock_mhz < 1000.0);
         }
-    }
-
-    #[test]
-    fn reference_16_has_the_highest_bit_width() {
-        // The paper singles out [16] as offering higher bit widths.
-        let points = published_design_points();
-        let sixteen = points.iter().find(|p| p.reference == "[16]").unwrap();
-        assert_eq!(sixteen.bit_width, max_published_bit_width());
     }
 }

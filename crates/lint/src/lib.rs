@@ -11,8 +11,8 @@
 //! `lint.toml` ([`config`]).
 //!
 //! Entry points: [`lint_source`] for one file (used by the fixture tests),
-//! [`run_workspace`] for the full tree (used by the `optima-lint` binary
-//! and the `lint_audit` experiment).
+//! [`run_workspace`] for the full tree (used by the `optima-lint` binary,
+//! which CI and the self-audit test drive).
 
 pub mod config;
 pub mod directives;

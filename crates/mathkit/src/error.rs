@@ -24,11 +24,6 @@ pub enum MathError {
         /// Length of the second operand.
         right: usize,
     },
-    /// A matrix operation received a shape it cannot operate on.
-    ShapeMismatch {
-        /// Human-readable description of the offending shapes.
-        context: String,
-    },
     /// The linear system is singular (or numerically so) and cannot be solved.
     SingularMatrix,
     /// A fit was requested with fewer samples than free coefficients.
@@ -43,11 +38,6 @@ pub enum MathError {
         /// Human-readable description of the violated requirement.
         context: String,
     },
-    /// An adaptive ODE integration could not reach the requested tolerance.
-    OdeStepFailure {
-        /// Time at which step-size control gave up.
-        time: f64,
-    },
 }
 
 impl fmt::Display for MathError {
@@ -56,7 +46,6 @@ impl fmt::Display for MathError {
             MathError::DimensionMismatch { left, right } => {
                 write!(f, "dimension mismatch: {left} vs {right}")
             }
-            MathError::ShapeMismatch { context } => write!(f, "shape mismatch: {context}"),
             MathError::SingularMatrix => write!(f, "matrix is singular to working precision"),
             MathError::InsufficientData {
                 samples,
@@ -66,9 +55,6 @@ impl fmt::Display for MathError {
                 "insufficient data: {samples} samples for {coefficients} coefficients"
             ),
             MathError::InvalidArgument { context } => write!(f, "invalid argument: {context}"),
-            MathError::OdeStepFailure { time } => {
-                write!(f, "ode step size underflow at t = {time}")
-            }
         }
     }
 }

@@ -1,9 +1,8 @@
-//! Interpolation over sampled waveforms and rectangular grids.
+//! Interpolation over sampled waveforms.
 //!
 //! The circuit simulator produces discretely sampled bit-line waveforms; the
 //! calibration pipeline and the ADC sampling code look up voltages at
-//! arbitrary times, which requires linear interpolation.  Design-space heat
-//! maps use bilinear interpolation over `(parameter, parameter)` grids.
+//! arbitrary times, which requires linear interpolation.
 
 use crate::error::MathError;
 
@@ -64,85 +63,6 @@ pub fn linear(xs: &[f64], ys: &[f64], x: f64) -> Result<f64, MathError> {
     Ok(y0 + frac * (y1 - y0))
 }
 
-/// Bilinear interpolation on a rectangular grid.
-///
-/// `values[i][j]` is the sample at `(xs[i], ys[j])`.  Queries outside the grid
-/// are clamped to the edge.
-///
-/// # Errors
-///
-/// * [`MathError::ShapeMismatch`] if `values` is not `xs.len() × ys.len()`.
-/// * [`MathError::InvalidArgument`] if either axis has fewer than two samples
-///   or is not strictly ascending (which also rejects NaN abscissae), or the
-///   query position is NaN.
-pub fn bilinear(
-    xs: &[f64],
-    ys: &[f64],
-    values: &[Vec<f64>],
-    x: f64,
-    y: f64,
-) -> Result<f64, MathError> {
-    if xs.len() < 2 || ys.len() < 2 {
-        return Err(MathError::InvalidArgument {
-            context: "bilinear interpolation needs at least a 2x2 grid".to_string(),
-        });
-    }
-    if values.len() != xs.len() || values.iter().any(|row| row.len() != ys.len()) {
-        return Err(MathError::ShapeMismatch {
-            context: format!(
-                "value grid must be {}x{} to match the axes",
-                xs.len(),
-                ys.len()
-            ),
-        });
-    }
-    // As in `linear`: anything but `Some(Less)` — including NaN's `None` —
-    // rejects the axis.
-    // optima-lint: allow(R1) -- NaN rejection is the point: None != Some(Less) fails the axis
-    let not_ascending = |w: &[f64]| w[0].partial_cmp(&w[1]) != Some(std::cmp::Ordering::Less);
-    if xs.windows(2).any(not_ascending) || ys.windows(2).any(not_ascending) {
-        return Err(MathError::InvalidArgument {
-            context: "grid axes must be strictly ascending".to_string(),
-        });
-    }
-    if x.is_nan() || y.is_nan() {
-        return Err(MathError::InvalidArgument {
-            context: "interpolation query position is NaN".to_string(),
-        });
-    }
-
-    let x = x.clamp(xs[0], xs[xs.len() - 1]);
-    let y = y.clamp(ys[0], ys[ys.len() - 1]);
-    let i = bracket(xs, x);
-    let j = bracket(ys, y);
-    let tx = if xs[i + 1] == xs[i] {
-        0.0
-    } else {
-        (x - xs[i]) / (xs[i + 1] - xs[i])
-    };
-    let ty = if ys[j + 1] == ys[j] {
-        0.0
-    } else {
-        (y - ys[j]) / (ys[j + 1] - ys[j])
-    };
-    let v00 = values[i][j];
-    let v10 = values[i + 1][j];
-    let v01 = values[i][j + 1];
-    let v11 = values[i + 1][j + 1];
-    Ok(v00 * (1.0 - tx) * (1.0 - ty)
-        + v10 * tx * (1.0 - ty)
-        + v01 * (1.0 - tx) * ty
-        + v11 * tx * ty)
-}
-
-/// Index `i` such that `xs[i] <= x <= xs[i+1]`, clamped to valid intervals.
-fn bracket(xs: &[f64], x: f64) -> usize {
-    match xs.binary_search_by(|probe| probe.total_cmp(&x)) {
-        Ok(i) => i.min(xs.len() - 2),
-        Err(i) => i.saturating_sub(1).min(xs.len() - 2),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,62 +108,5 @@ mod tests {
         // Infinite queries still clamp like any other out-of-range position.
         assert_eq!(linear(&xs, &ys, f64::INFINITY).unwrap(), 40.0);
         assert_eq!(linear(&xs, &ys, f64::NEG_INFINITY).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn bilinear_interpolation_on_plane() {
-        // f(x, y) = 2x + 3y is reproduced exactly by bilinear interpolation.
-        let xs = [0.0, 1.0, 2.0];
-        let ys = [0.0, 1.0];
-        let values: Vec<Vec<f64>> = xs
-            .iter()
-            .map(|&x| ys.iter().map(|&y| 2.0 * x + 3.0 * y).collect())
-            .collect();
-        let v = bilinear(&xs, &ys, &values, 1.5, 0.5).unwrap();
-        assert!((v - 4.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bilinear_clamps_to_grid() {
-        let xs = [0.0, 1.0];
-        let ys = [0.0, 1.0];
-        let values = vec![vec![0.0, 1.0], vec![2.0, 3.0]];
-        assert_eq!(bilinear(&xs, &ys, &values, -1.0, -1.0).unwrap(), 0.0);
-        assert_eq!(bilinear(&xs, &ys, &values, 2.0, 2.0).unwrap(), 3.0);
-    }
-
-    #[test]
-    fn bilinear_validates_shapes() {
-        let xs = [0.0, 1.0];
-        let ys = [0.0, 1.0];
-        assert!(bilinear(&xs, &ys, &[vec![0.0, 1.0]], 0.5, 0.5).is_err());
-        assert!(bilinear(&[0.0], &ys, &[vec![0.0, 1.0]], 0.5, 0.5).is_err());
-        assert!(bilinear(
-            &[1.0, 0.0],
-            &ys,
-            &[vec![0.0, 1.0], vec![0.0, 1.0]],
-            0.5,
-            0.5
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn bilinear_rejects_nan_instead_of_panicking() {
-        let xs = [0.0, 1.0];
-        let ys = [0.0, 1.0];
-        let values = vec![vec![0.0, 1.0], vec![2.0, 3.0]];
-        assert!(matches!(
-            bilinear(&xs, &ys, &values, f64::NAN, 0.5),
-            Err(MathError::InvalidArgument { .. })
-        ));
-        assert!(matches!(
-            bilinear(&xs, &ys, &values, 0.5, f64::NAN),
-            Err(MathError::InvalidArgument { .. })
-        ));
-        assert!(matches!(
-            bilinear(&[0.0, f64::NAN], &ys, &values, 0.5, 0.5),
-            Err(MathError::InvalidArgument { .. })
-        ));
     }
 }

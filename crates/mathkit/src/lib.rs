@@ -6,23 +6,23 @@
 //! steps need, implemented from scratch so the workspace stays within the
 //! small set of approved dependencies:
 //!
-//! * [`polynomial`] — dense univariate polynomials with Horner evaluation,
-//!   arithmetic, differentiation and integration.
+//! * [`polynomial`] — dense univariate polynomials with Horner evaluation
+//!   (scalar and batched).
 //! * [`gemm`] — cache-blocked `f32` GEMM/GEMV kernels backing the DNN
 //!   inference hot path in `optima_dnn`.
-//! * [`linalg`] — small dense matrices/vectors, LU and Householder-QR
-//!   factorisations, linear solvers.
-//! * [`lsq`] — linear least-squares fitting, univariate polynomial fits and
-//!   separable two-variable (tensor-product) polynomial surface fits, exactly
-//!   the shapes required by the paper's Eqs. 3–8.
-//! * [`stats`] — descriptive statistics, RMS/RMSE, histograms, correlation.
-//! * [`distributions`] — Gaussian sampling helpers used for transistor
-//!   mismatch Monte Carlo.
+//! * [`linalg`] — a small dense matrix and its Householder-QR least-squares
+//!   solver.
+//! * [`lsq`] — univariate polynomial fits and separable two-variable
+//!   `p_a(x) · p_b(y)` fits, exactly the shapes required by the paper's
+//!   Eqs. 3–8.
+//! * [`stats`] — mean, standard deviation, RMS, min and max.
+//! * [`distributions`] — Gaussian sampling used for transistor mismatch
+//!   Monte Carlo.
 //! * [`seed`] — SplitMix64 seed-stream derivation shared by the sweep
 //!   engine, Monte-Carlo sampling and the defect-map sampler.
-//! * [`interp`] — linear and bilinear interpolation over waveforms/grids.
-//! * [`ode`] — fixed-step RK4 and adaptive RK45 integrators used by the
-//!   golden-reference circuit simulator.
+//! * [`interp`] — linear interpolation over sampled waveforms.
+//! * [`ode`] — the fixed-step RK4 integrator used by the golden-reference
+//!   circuit simulator.
 //! * [`units`] — `Volts`, `Seconds`, `Celsius`, … newtypes that keep the
 //!   analog quantities in the rest of the workspace type-safe.
 //!

@@ -6,8 +6,7 @@
 //!    temperature coefficient), fitted with [`polynomial_fit`], or
 //! 2. a *separable* product of two univariate polynomials
 //!    `p_a(x) · p_b(y)` (discharge `p4(Vod)·p2(t)`, mismatch `p3(t)·p3(VWL)`),
-//!    fitted with [`SeparableFit`], or a full tensor-product surface fitted
-//!    with [`surface_fit`].
+//!    fitted with [`SeparableFit`].
 
 use crate::error::MathError;
 use crate::linalg::Matrix;
@@ -52,163 +51,6 @@ pub fn polynomial_fit(xs: &[f64], ys: &[f64], degree: usize) -> Result<Polynomia
     let design = Matrix::from_fn(xs.len(), coeff_count, |i, j| xs[i].powi(j as i32));
     let coeffs = design.solve_least_squares(ys)?;
     Ok(Polynomial::new(coeffs))
-}
-
-/// Weighted variant of [`polynomial_fit`]: each sample contributes with
-/// weight `w_i` (implemented by scaling rows of the design matrix by `sqrt(w_i)`).
-///
-/// # Errors
-///
-/// Same as [`polynomial_fit`], plus [`MathError::InvalidArgument`] for
-/// negative weights or a weight-vector length mismatch.
-pub fn weighted_polynomial_fit(
-    xs: &[f64],
-    ys: &[f64],
-    weights: &[f64],
-    degree: usize,
-) -> Result<Polynomial, MathError> {
-    if xs.len() != ys.len() {
-        return Err(MathError::DimensionMismatch {
-            left: xs.len(),
-            right: ys.len(),
-        });
-    }
-    if weights.len() != xs.len() {
-        return Err(MathError::InvalidArgument {
-            context: format!(
-                "weight vector length {} does not match sample count {}",
-                weights.len(),
-                xs.len()
-            ),
-        });
-    }
-    if weights.iter().any(|&w| w < 0.0 || !w.is_finite()) {
-        return Err(MathError::InvalidArgument {
-            context: "weights must be finite and non-negative".to_string(),
-        });
-    }
-    let coeff_count = degree + 1;
-    if xs.len() < coeff_count {
-        return Err(MathError::InsufficientData {
-            samples: xs.len(),
-            coefficients: coeff_count,
-        });
-    }
-    let design = Matrix::from_fn(xs.len(), coeff_count, |i, j| {
-        weights[i].sqrt() * xs[i].powi(j as i32)
-    });
-    let rhs: Vec<f64> = ys
-        .iter()
-        .zip(weights.iter())
-        .map(|(y, w)| y * w.sqrt())
-        .collect();
-    let coeffs = design.solve_least_squares(&rhs)?;
-    Ok(Polynomial::new(coeffs))
-}
-
-/// Result of fitting a full tensor-product polynomial surface
-/// `f(x, y) = Σ_{i,j} c_{ij} x^i y^j`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SurfaceFit {
-    degree_x: usize,
-    degree_y: usize,
-    /// Coefficients in row-major `(i, j)` order, `i` indexing powers of `x`.
-    coeffs: Vec<f64>,
-}
-
-impl SurfaceFit {
-    /// Degree in the first variable.
-    pub fn degree_x(&self) -> usize {
-        self.degree_x
-    }
-
-    /// Degree in the second variable.
-    pub fn degree_y(&self) -> usize {
-        self.degree_y
-    }
-
-    /// Raw coefficient access (`(degree_x + 1) * (degree_y + 1)` entries).
-    pub fn coeffs(&self) -> &[f64] {
-        &self.coeffs
-    }
-
-    /// Evaluates the surface at `(x, y)`.
-    pub fn eval(&self, x: f64, y: f64) -> f64 {
-        let ny = self.degree_y + 1;
-        let mut acc = 0.0;
-        let mut xp = 1.0;
-        for i in 0..=self.degree_x {
-            let mut yp = 1.0;
-            for j in 0..=self.degree_y {
-                acc += self.coeffs[i * ny + j] * xp * yp;
-                yp *= y;
-            }
-            xp *= x;
-        }
-        acc
-    }
-
-    /// Extracts the univariate polynomial in `y` obtained by fixing `x`.
-    pub fn slice_at_x(&self, x: f64) -> Polynomial {
-        let ny = self.degree_y + 1;
-        let mut coeffs = vec![0.0; ny];
-        let mut xp = 1.0;
-        for i in 0..=self.degree_x {
-            for (j, slot) in coeffs.iter_mut().enumerate() {
-                *slot += self.coeffs[i * ny + j] * xp;
-            }
-            xp *= x;
-        }
-        Polynomial::new(coeffs)
-    }
-}
-
-/// Fits a tensor-product polynomial surface to scattered `(x, y, z)` samples.
-///
-/// # Errors
-///
-/// * [`MathError::DimensionMismatch`] when sample vectors have differing lengths.
-/// * [`MathError::InsufficientData`] when there are fewer samples than coefficients.
-/// * [`MathError::SingularMatrix`] when the samples do not span the basis.
-pub fn surface_fit(
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    degree_x: usize,
-    degree_y: usize,
-) -> Result<SurfaceFit, MathError> {
-    if xs.len() != ys.len() {
-        return Err(MathError::DimensionMismatch {
-            left: xs.len(),
-            right: ys.len(),
-        });
-    }
-    if xs.len() != zs.len() {
-        return Err(MathError::DimensionMismatch {
-            left: xs.len(),
-            right: zs.len(),
-        });
-    }
-    let nx = degree_x + 1;
-    let ny = degree_y + 1;
-    let coeff_count = nx * ny;
-    if xs.len() < coeff_count {
-        return Err(MathError::InsufficientData {
-            samples: xs.len(),
-            coefficients: coeff_count,
-        });
-    }
-    let design = Matrix::from_fn(xs.len(), coeff_count, |row, col| {
-        let i = col / ny;
-        let j = col % ny;
-        xs[row].powi(i as i32) * ys[row].powi(j as i32)
-    });
-    let coeffs = design.solve_least_squares(zs)?;
-    Ok(SurfaceFit {
-        degree_x,
-        degree_y,
-        coeffs,
-    })
 }
 
 /// A separable two-factor fit `f(x, y) ≈ p_a(x) · p_b(y)`, obtained by
@@ -339,57 +181,6 @@ fn fit_factor(
     Ok(Polynomial::new(coeffs))
 }
 
-/// Goodness-of-fit summary for a fitted model against reference data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FitQuality {
-    /// Root-mean-square error of the residuals.
-    pub rmse: f64,
-    /// Maximum absolute residual.
-    pub max_abs_error: f64,
-    /// Coefficient of determination (1 − SS_res / SS_tot).
-    pub r_squared: f64,
-}
-
-/// Computes RMSE, maximum error and R² of `predicted` against `reference`.
-///
-/// # Errors
-///
-/// Returns [`MathError::DimensionMismatch`] when the slices differ in length
-/// and [`MathError::InvalidArgument`] when they are empty.
-pub fn fit_quality(reference: &[f64], predicted: &[f64]) -> Result<FitQuality, MathError> {
-    if reference.len() != predicted.len() {
-        return Err(MathError::DimensionMismatch {
-            left: reference.len(),
-            right: predicted.len(),
-        });
-    }
-    if reference.is_empty() {
-        return Err(MathError::InvalidArgument {
-            context: "cannot compute fit quality of empty data".to_string(),
-        });
-    }
-    let residuals: Vec<f64> = reference
-        .iter()
-        .zip(predicted.iter())
-        .map(|(r, p)| r - p)
-        .collect();
-    let rmse = stats::rms(&residuals);
-    let max_abs_error = residuals.iter().fold(0.0_f64, |acc, r| acc.max(r.abs()));
-    let mean_ref = stats::mean(reference);
-    let ss_tot: f64 = reference.iter().map(|r| (r - mean_ref).powi(2)).sum();
-    let ss_res: f64 = residuals.iter().map(|r| r * r).sum();
-    let r_squared = if ss_tot > 0.0 {
-        1.0 - ss_res / ss_tot
-    } else {
-        1.0
-    };
-    Ok(FitQuality {
-        rmse,
-        max_abs_error,
-        r_squared,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,46 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_fit_prefers_heavily_weighted_samples() {
-        // Two clusters of constant data; weights pull the fit towards 10.
-        let xs = [0.0, 1.0, 2.0, 3.0];
-        let ys = [0.0, 0.0, 10.0, 10.0];
-        let w_equal = [1.0, 1.0, 1.0, 1.0];
-        let w_biased = [0.01, 0.01, 100.0, 100.0];
-        let flat_equal = weighted_polynomial_fit(&xs, &ys, &w_equal, 0).unwrap();
-        let flat_biased = weighted_polynomial_fit(&xs, &ys, &w_biased, 0).unwrap();
-        assert!((flat_equal.coeffs()[0] - 5.0).abs() < 1e-9);
-        assert!(flat_biased.coeffs()[0] > 9.0);
-    }
-
-    #[test]
-    fn weighted_fit_validates_weights() {
-        assert!(weighted_polynomial_fit(&[0.0, 1.0], &[0.0, 1.0], &[1.0, -1.0], 1).is_err());
-        assert!(weighted_polynomial_fit(&[0.0, 1.0], &[0.0, 1.0], &[1.0], 1).is_err());
-    }
-
-    #[test]
-    fn surface_fit_reproduces_tensor_product() {
-        // z = (1 + 2x)(3 - y) expanded = 3 - y + 6x - 2xy
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        let mut zs = Vec::new();
-        for i in 0..10 {
-            for j in 0..10 {
-                let x = i as f64 * 0.2;
-                let y = j as f64 * 0.3;
-                xs.push(x);
-                ys.push(y);
-                zs.push((1.0 + 2.0 * x) * (3.0 - y));
-            }
-        }
-        let fit = surface_fit(&xs, &ys, &zs, 1, 1).unwrap();
-        assert!((fit.eval(0.5, 1.0) - (1.0 + 1.0) * 2.0).abs() < 1e-8);
-        let slice = fit.slice_at_x(0.5);
-        assert!((slice.eval(1.0) - 4.0).abs() < 1e-8);
-    }
-
-    #[test]
     fn separable_fit_recovers_product_structure() {
         // z = (0.5 + x^2) * (2 - y)
         let mut xs = Vec::new();
@@ -495,30 +246,5 @@ mod tests {
     fn separable_fit_rejects_empty_and_mismatched_input() {
         assert!(SeparableFit::fit(&[], &[], &[], 1, 1, 3).is_err());
         assert!(SeparableFit::fit(&[1.0], &[1.0, 2.0], &[1.0], 1, 1, 3).is_err());
-    }
-
-    #[test]
-    fn fit_quality_reports_perfect_fit() {
-        let data = [1.0, 2.0, 3.0];
-        let q = fit_quality(&data, &data).unwrap();
-        assert_eq!(q.rmse, 0.0);
-        assert_eq!(q.max_abs_error, 0.0);
-        assert!((q.r_squared - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fit_quality_detects_bias() {
-        let reference = [1.0, 2.0, 3.0, 4.0];
-        let predicted = [1.5, 2.5, 3.5, 4.5];
-        let q = fit_quality(&reference, &predicted).unwrap();
-        assert!((q.rmse - 0.5).abs() < 1e-12);
-        assert!((q.max_abs_error - 0.5).abs() < 1e-12);
-        assert!(q.r_squared < 1.0);
-    }
-
-    #[test]
-    fn fit_quality_rejects_bad_input() {
-        assert!(fit_quality(&[], &[]).is_err());
-        assert!(fit_quality(&[1.0], &[1.0, 2.0]).is_err());
     }
 }

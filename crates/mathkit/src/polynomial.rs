@@ -4,10 +4,8 @@
 //! low-degree polynomials `p_n(X)`; this module provides the polynomial type
 //! those models store and evaluate.
 
-use crate::error::MathError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::ops::{Add, Mul, Neg, Sub};
 
 /// A dense univariate polynomial with `f64` coefficients.
 ///
@@ -54,13 +52,6 @@ impl Polynomial {
         Polynomial {
             coeffs: vec![0.0, 1.0],
         }
-    }
-
-    /// Builds the monomial `c * x^power`.
-    pub fn monomial(c: f64, power: usize) -> Self {
-        let mut coeffs = vec![0.0; power + 1];
-        coeffs[power] = c;
-        Polynomial::new(coeffs)
     }
 
     /// Returns the coefficients in ascending-power order.
@@ -162,99 +153,9 @@ impl Polynomial {
     /// Block width of the batched Horner evaluation.
     pub const EVAL_LANES: usize = 8;
 
-    /// Returns the first derivative as a new polynomial.
-    pub fn derivative(&self) -> Polynomial {
-        if self.coeffs.len() <= 1 {
-            return Polynomial::zero();
-        }
-        let coeffs = self
-            .coeffs
-            .iter()
-            .enumerate()
-            .skip(1)
-            .map(|(k, &c)| c * k as f64)
-            .collect();
-        Polynomial::new(coeffs)
-    }
-
-    /// Returns the antiderivative with integration constant zero.
-    pub fn antiderivative(&self) -> Polynomial {
-        let mut coeffs = Vec::with_capacity(self.coeffs.len() + 1);
-        coeffs.push(0.0);
-        for (k, &c) in self.coeffs.iter().enumerate() {
-            coeffs.push(c / (k as f64 + 1.0));
-        }
-        Polynomial::new(coeffs)
-    }
-
-    /// Definite integral over `[a, b]`.
-    pub fn integrate(&self, a: f64, b: f64) -> f64 {
-        let anti = self.antiderivative();
-        anti.eval(b) - anti.eval(a)
-    }
-
     /// Scales every coefficient by `factor`.
     pub fn scale(&self, factor: f64) -> Polynomial {
         Polynomial::new(self.coeffs.iter().map(|&c| c * factor).collect())
-    }
-
-    /// Composes `self` with a linear change of variable, returning `p(a*x + b)`.
-    pub fn compose_linear(&self, a: f64, b: f64) -> Polynomial {
-        // Horner over polynomials: result = c_n; result = result*(a x + b) + c_{n-1}; ...
-        let inner = Polynomial::new(vec![b, a]);
-        let mut result = Polynomial::zero();
-        for &c in self.coeffs.iter().rev() {
-            result = &(&result * &inner) + &Polynomial::constant(c);
-        }
-        result
-    }
-
-    /// Finds a root of the polynomial in `[lo, hi]` by bisection, if the sign changes.
-    ///
-    /// Used e.g. to invert monotone discharge curves (find the time at which a
-    /// bit-line crosses a threshold voltage).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::InvalidArgument`] when `lo >= hi` or the
-    /// polynomial has the same sign at both interval ends.
-    pub fn find_root(&self, lo: f64, hi: f64, tolerance: f64) -> Result<f64, MathError> {
-        // `partial_cmp` keeps the NaN-rejecting behaviour of `!(lo < hi)`.
-        // optima-lint: allow(R1) -- a NaN bracket must fail, so None counts as invalid here
-        if lo.partial_cmp(&hi) != Some(std::cmp::Ordering::Less) {
-            return Err(MathError::InvalidArgument {
-                context: format!("invalid bracket [{lo}, {hi}]"),
-            });
-        }
-        let mut a = lo;
-        let mut b = hi;
-        let mut fa = self.eval(a);
-        let fb = self.eval(b);
-        if fa == 0.0 {
-            return Ok(a);
-        }
-        if fb == 0.0 {
-            return Ok(b);
-        }
-        if fa.signum() == fb.signum() {
-            return Err(MathError::InvalidArgument {
-                context: "polynomial does not change sign over the bracket".to_string(),
-            });
-        }
-        for _ in 0..200 {
-            let mid = 0.5 * (a + b);
-            let fm = self.eval(mid);
-            if fm.abs() < tolerance || (b - a) < tolerance {
-                return Ok(mid);
-            }
-            if fa.signum() == fm.signum() {
-                a = mid;
-                fa = fm;
-            } else {
-                b = mid;
-            }
-        }
-        Ok(0.5 * (a + b))
     }
 
     fn trim(&mut self) {
@@ -297,53 +198,6 @@ impl fmt::Display for Polynomial {
     }
 }
 
-impl Add for &Polynomial {
-    type Output = Polynomial;
-
-    fn add(self, rhs: &Polynomial) -> Polynomial {
-        let n = self.coeffs.len().max(rhs.coeffs.len());
-        let mut coeffs = vec![0.0; n];
-        for (k, slot) in coeffs.iter_mut().enumerate() {
-            *slot = self.coeffs.get(k).copied().unwrap_or(0.0)
-                + rhs.coeffs.get(k).copied().unwrap_or(0.0);
-        }
-        Polynomial::new(coeffs)
-    }
-}
-
-impl Sub for &Polynomial {
-    type Output = Polynomial;
-
-    fn sub(self, rhs: &Polynomial) -> Polynomial {
-        self + &(-rhs.clone())
-    }
-}
-
-impl Neg for Polynomial {
-    type Output = Polynomial;
-
-    fn neg(self) -> Polynomial {
-        Polynomial::new(self.coeffs.into_iter().map(|c| -c).collect())
-    }
-}
-
-impl Mul for &Polynomial {
-    type Output = Polynomial;
-
-    fn mul(self, rhs: &Polynomial) -> Polynomial {
-        if self.is_zero() || rhs.is_zero() {
-            return Polynomial::zero();
-        }
-        let mut coeffs = vec![0.0; self.coeffs.len() + rhs.coeffs.len() - 1];
-        for (i, &a) in self.coeffs.iter().enumerate() {
-            for (j, &b) in rhs.coeffs.iter().enumerate() {
-                coeffs[i + j] += a * b;
-            }
-        }
-        Polynomial::new(coeffs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,53 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn derivative_and_antiderivative_are_inverse() {
-        let p = Polynomial::new(vec![4.0, 3.0, 2.0, 1.0]);
-        let back = p.antiderivative().derivative();
-        assert_eq!(back, p);
-    }
-
-    #[test]
-    fn definite_integral_of_quadratic() {
-        // integral of x^2 over [0, 3] = 9
-        let p = Polynomial::monomial(1.0, 2);
-        assert!((p.integrate(0.0, 3.0) - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn addition_and_multiplication() {
-        let a = Polynomial::new(vec![1.0, 1.0]); // 1 + x
-        let b = Polynomial::new(vec![-1.0, 1.0]); // -1 + x
-        let sum = &a + &b;
-        assert_eq!(sum.coeffs(), &[0.0, 2.0]);
-        let prod = &a * &b; // x^2 - 1
-        assert_eq!(prod.coeffs(), &[-1.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn compose_linear_shifts_argument() {
-        // p(x) = x^2, p(2x + 1) = 4x^2 + 4x + 1
-        let p = Polynomial::monomial(1.0, 2);
-        let q = p.compose_linear(2.0, 1.0);
-        assert_eq!(q.coeffs(), &[1.0, 4.0, 4.0]);
-    }
-
-    #[test]
-    fn root_finding_by_bisection() {
-        // x^2 - 2 has a root at sqrt(2)
-        let p = Polynomial::new(vec![-2.0, 0.0, 1.0]);
-        let root = p.find_root(0.0, 2.0, 1e-10).expect("root exists");
-        assert!((root - std::f64::consts::SQRT_2).abs() < 1e-8);
-    }
-
-    #[test]
-    fn root_finding_rejects_bad_bracket() {
-        let p = Polynomial::new(vec![1.0, 0.0, 1.0]); // x^2 + 1 > 0
-        assert!(p.find_root(-1.0, 1.0, 1e-10).is_err());
-        assert!(p.find_root(1.0, 1.0, 1e-10).is_err());
-    }
-
-    #[test]
     fn display_formats_nonzero_terms() {
         let p = Polynomial::new(vec![1.0, 0.0, 2.0]);
         assert_eq!(p.to_string(), "1 + 2*x^2");
@@ -424,7 +231,6 @@ mod tests {
         assert!(z.is_zero());
         assert_eq!(z.degree(), 0);
         assert_eq!(z.eval(123.0), 0.0);
-        assert_eq!(z.derivative(), Polynomial::zero());
     }
 
     #[test]

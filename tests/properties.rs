@@ -3,13 +3,18 @@
 use optima_suite::optima_circuit::defects::DefectMap;
 use optima_suite::optima_circuit::montecarlo::MismatchSample;
 use optima_suite::optima_circuit::prelude::*;
+use optima_suite::optima_core::calibration::{
+    CalibrationConfig, CalibrationOutcome, CalibrationReport,
+};
 use optima_suite::optima_core::model::discharge::DischargeModel;
 use optima_suite::optima_core::model::energy::{DischargeEnergyModel, WriteEnergyModel};
 use optima_suite::optima_core::model::mismatch::MismatchSigmaModel;
 use optima_suite::optima_core::model::suite::ModelSuite;
 use optima_suite::optima_core::model::supply::SupplyModel;
 use optima_suite::optima_core::model::temperature::TemperatureModel;
+use optima_suite::optima_core::snapshot;
 use optima_suite::optima_core::sweep::par_map;
+use optima_suite::optima_core::ModelError;
 use optima_suite::optima_dnn::multiplier::{
     ComposedProducts, ExactInt4Products, ExactProducts, ProductTable,
 };
@@ -362,5 +367,50 @@ proptest! {
             .unwrap();
             prop_assert_eq!(result.metrics, reference);
         }
+    }
+
+    /// A saved calibration snapshot that is damaged on disk fails through
+    /// `snapshot::load`'s typed errors. Cut short at any line boundary it is
+    /// `SnapshotCorrupt` naming the file; with any one byte flipped, `load`
+    /// still returns instead of panicking.
+    #[test]
+    fn damaged_snapshots_are_typed_errors_never_panics(
+        position in 0.0f64..1.0,
+        flip in 1u8..=255,
+    ) {
+        let tech = Technology::tsmc65_like();
+        let config = CalibrationConfig::fast();
+        let array = ArrayConfig::default();
+        let outcome =
+            CalibrationOutcome::from_parts(pvt_sensitive_suite(), CalibrationReport::default());
+        let path = std::env::temp_dir().join(format!(
+            "optima-properties-{}-damaged.snapshot",
+            std::process::id()
+        ));
+        let named = path.display().to_string();
+        snapshot::save(&path, &outcome, &tech, &config, &array).unwrap();
+        let body = std::fs::read(&path).unwrap();
+        prop_assert_eq!(&snapshot::load(&path, &tech, &config, &array).unwrap(), &outcome);
+
+        let line_starts = body
+            .iter()
+            .enumerate()
+            .filter(|&(_, &byte)| byte == b'\n')
+            .map(|(i, _)| i + 1);
+        for cut in std::iter::once(0).chain(line_starts).filter(|&cut| cut < body.len()) {
+            std::fs::write(&path, &body[..cut]).unwrap();
+            let err = snapshot::load(&path, &tech, &config, &array).unwrap_err();
+            prop_assert!(
+                matches!(&err, ModelError::SnapshotCorrupt { path, .. } if *path == named),
+                "cut at byte {cut}: {err:?}"
+            );
+        }
+
+        let mut flipped = body.clone();
+        let index = ((position * body.len() as f64) as usize).min(body.len() - 1);
+        flipped[index] ^= flip;
+        std::fs::write(&path, &flipped).unwrap();
+        let _ = snapshot::load(&path, &tech, &config, &array);
+        std::fs::remove_file(&path).unwrap();
     }
 }
