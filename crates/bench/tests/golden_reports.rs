@@ -68,3 +68,12 @@ fn fig8_corner_pvt_text_output_is_byte_identical_to_the_scalar_monte_carlo() {
     // same samples.  The report prints no thread count, so nothing is masked.
     assert_eq!(run_fast("fig8_corner_pvt"), golden("fig8_corner_pvt"));
 }
+
+#[test]
+fn fig6_model_eval_text_output_is_byte_identical_to_the_allocating_rk4() {
+    // Captured while every golden transient still ran through the generic
+    // `Vec`-per-step RK4 integrator, one mismatch instance at a time; the
+    // lock-step kernel must reproduce the calibration and the held-out
+    // statistics to the last printed digit.  No thread count is printed.
+    assert_eq!(run_fast("fig6_model_eval"), golden("fig6_model_eval"));
+}

@@ -131,32 +131,72 @@ impl Mosfet {
     /// * linear: `β · (overdrive − V_DS/2) · V_DS`,
     /// * saturation: `β/2 · overdrive² · (1 + λ·V_DS)`.
     pub fn drain_current(&self, v_gs: Volts, v_ds: Volts) -> Amperes {
-        let v_ds = v_ds.0.max(0.0);
+        self.at_gate(v_gs).drain_current(v_ds)
+    }
+
+    /// The device with its gate held at `v_gs`: the terms of
+    /// [`Mosfet::drain_current`] that depend only on the gate, evaluated once.
+    pub(crate) fn at_gate(&self, v_gs: Volts) -> GateBias {
         let overdrive = v_gs.0 - self.threshold.0;
-        let current = if overdrive <= 0.0 {
+        let subthreshold = if overdrive <= 0.0 {
             // Subthreshold: anchor the exponential at the current the
             // square-law predicts for a small positive overdrive so the two
             // regions join continuously.
             let anchor_overdrive = 0.02;
             let anchor = 0.5 * self.beta * anchor_overdrive * anchor_overdrive;
             let decades = (overdrive - anchor_overdrive) / self.subthreshold_swing;
-            let sat = anchor * 10f64.powf(decades);
-            // Drain-source saturation of the exponential for very small V_DS.
-            sat * (1.0 - (-v_ds / 0.026).exp())
-        } else if v_ds < overdrive {
-            self.beta * (overdrive - 0.5 * v_ds) * v_ds
+            anchor * 10f64.powf(decades)
         } else {
-            // Channel-length modulation referenced to the saturation point so
-            // the current is continuous across the linear/saturation boundary.
-            0.5 * self.beta * overdrive * overdrive * (1.0 + self.lambda * (v_ds - overdrive))
+            0.0
         };
-        Amperes(current.max(0.0))
+        GateBias {
+            overdrive,
+            beta: self.beta,
+            saturation: 0.5 * self.beta * overdrive * overdrive,
+            lambda: self.lambda,
+            subthreshold,
+        }
     }
 
     /// Saturation drain current for the given overdrive voltage (ignoring λ).
     pub fn saturation_current(&self, v_gs: Volts) -> Amperes {
         let overdrive = (v_gs.0 - self.threshold.0).max(0.0);
         Amperes(0.5 * self.beta * overdrive * overdrive)
+    }
+}
+
+/// A [`Mosfet`] at a fixed gate voltage, from [`Mosfet::at_gate`].
+///
+/// A bit-line transient holds the word line constant, so the gate-only terms
+/// (overdrive, square-law prefactor and the subthreshold `powf`) are computed
+/// once per transient instead of once per derivative evaluation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct GateBias {
+    overdrive: f64,
+    beta: f64,
+    /// `β/2 · overdrive²`, the saturation current before channel-length modulation.
+    saturation: f64,
+    lambda: f64,
+    /// Subthreshold current before drain saturation (zero above threshold).
+    subthreshold: f64,
+}
+
+impl GateBias {
+    /// Drain current at drain-source voltage `v_ds`; see [`Mosfet::drain_current`].
+    pub fn drain_current(&self, v_ds: Volts) -> Amperes {
+        let v_ds = v_ds.0.max(0.0);
+        let overdrive = self.overdrive;
+        let current = if overdrive <= 0.0 {
+            // Drain-source saturation of the exponential for very small V_DS.
+            self.subthreshold * (1.0 - (-v_ds / 0.026).exp())
+        } else if v_ds < overdrive {
+            self.beta * (overdrive - 0.5 * v_ds) * v_ds
+        } else {
+            // Channel-length modulation referenced to the saturation point so
+            // the current is continuous across the linear/saturation boundary.
+            self.saturation * (1.0 + self.lambda * (v_ds - overdrive))
+        };
+        Amperes(current.max(0.0))
     }
 }
 
@@ -267,6 +307,51 @@ mod tests {
         let fet = Mosfet::new(MosfetKind::Pmos, &tech, &pvt, &MismatchSample::none());
         assert_eq!(fet.kind(), MosfetKind::Pmos);
         assert!(fet.drain_current(Volts(1.0), Volts(0.5)).0 > 0.0);
+    }
+
+    #[test]
+    fn gate_hoisting_is_bit_identical_to_the_inline_formula() {
+        // The drain-current model evaluated in one piece, every gate-only term
+        // recomputed per call.
+        fn inline(fet: &Mosfet, tech: &Technology, v_gs: f64, v_ds: f64) -> f64 {
+            let v_ds = v_ds.max(0.0);
+            let overdrive = v_gs - fet.threshold().0;
+            let current = if overdrive <= 0.0 {
+                let anchor_overdrive = 0.02;
+                let anchor = 0.5 * fet.beta() * anchor_overdrive * anchor_overdrive;
+                let decades = (overdrive - anchor_overdrive) / tech.subthreshold_swing;
+                let sat = anchor * 10f64.powf(decades);
+                sat * (1.0 - (-v_ds / 0.026).exp())
+            } else if v_ds < overdrive {
+                fet.beta() * (overdrive - 0.5 * v_ds) * v_ds
+            } else {
+                0.5 * fet.beta()
+                    * overdrive
+                    * overdrive
+                    * (1.0 + tech.channel_length_modulation * (v_ds - overdrive))
+            };
+            current.max(0.0)
+        }
+        let tech = Technology::tsmc65_like();
+        let pvt = PvtConditions::nominal(&tech);
+        let mismatch = MismatchSample {
+            delta_vth: Volts(-0.012),
+            delta_beta_rel: 0.027,
+        };
+        for kind in [MosfetKind::Nmos, MosfetKind::Pmos] {
+            let fet = Mosfet::new(kind, &tech, &pvt, &mismatch);
+            for v_gs in [0.0, 0.2, 0.3, 0.44, 0.45, 0.47, 0.6, 0.8, 1.0, 1.2] {
+                let gate = fet.at_gate(Volts(v_gs));
+                for v_ds in [-0.1, 0.0, 1e-3, 0.05, 0.2, 0.35, 0.55, 0.8, 1.0, 1.1] {
+                    let expected = inline(&fet, &tech, v_gs, v_ds).to_bits();
+                    assert_eq!(gate.drain_current(Volts(v_ds)).0.to_bits(), expected);
+                    assert_eq!(
+                        fet.drain_current(Volts(v_gs), Volts(v_ds)).0.to_bits(),
+                        expected
+                    );
+                }
+            }
+        }
     }
 
     #[test]

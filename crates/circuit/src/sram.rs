@@ -9,7 +9,7 @@
 //! is the smaller of the two.
 
 use crate::montecarlo::MismatchSample;
-use crate::mosfet::{Mosfet, MosfetKind};
+use crate::mosfet::{GateBias, Mosfet, MosfetKind};
 use crate::pvt::PvtConditions;
 use crate::technology::Technology;
 use optima_math::units::{Amperes, Volts};
@@ -70,16 +70,44 @@ impl SramCell {
     /// pull-down of that branch is off and no discharge occurs — the
     /// multiplication property `δV ∝ V_WL · d` of Eq. 1.
     pub fn discharge_current(&self, v_wl: Volts, v_blb: Volts) -> Amperes {
+        self.at_word_line(v_wl).discharge_current(v_blb)
+    }
+
+    /// The cell with its word line held at `v_wl`, for evaluating
+    /// [`SramCell::discharge_current`] at many bit-line voltages.
+    pub(crate) fn at_word_line(&self, v_wl: Volts) -> WordLineBias {
+        WordLineBias {
+            stored_bit: self.stored_bit,
+            // Access device: gate at V_WL, source at the (low) internal node,
+            // drain at the bit-line-bar.
+            access: self.access.at_gate(v_wl),
+            // Pull-down device: gate at the internal '1' level (which tracks
+            // the supply); it limits the current only marginally, captured by
+            // the series factor.
+            pulldown: self.pulldown.at_gate(self.internal_high),
+            series_factor: self.series_factor,
+        }
+    }
+}
+
+/// An [`SramCell`] at a fixed word-line voltage, from [`SramCell::at_word_line`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct WordLineBias {
+    stored_bit: bool,
+    access: GateBias,
+    pulldown: GateBias,
+    series_factor: f64,
+}
+
+impl WordLineBias {
+    /// Current the cell sinks from BLB at bit-line-bar voltage `v_blb`; see
+    /// [`SramCell::discharge_current`].
+    pub fn discharge_current(&self, v_blb: Volts) -> Amperes {
         if !self.stored_bit {
             return Amperes(0.0);
         }
-        // Access device: gate at V_WL, source at the (low) internal node,
-        // drain at the bit-line-bar.
-        let access_current = self.access.drain_current(v_wl, v_blb);
-        // Pull-down device: gate at the internal '1' level (which tracks the
-        // supply); it limits the current only marginally, captured by the
-        // series factor.
-        let pulldown_limit = self.pulldown.drain_current(self.internal_high, v_blb);
+        let access_current = self.access.drain_current(v_blb);
+        let pulldown_limit = self.pulldown.drain_current(v_blb);
         Amperes(access_current.0.min(pulldown_limit.0) * self.series_factor)
     }
 }

@@ -36,7 +36,8 @@ impl Waveform {
     /// # Errors
     ///
     /// Returns [`CircuitError::InvalidOperatingPoint`] when the vectors have
-    /// different lengths, fewer than two samples, or non-monotonic times.
+    /// different lengths, fewer than two samples, or times that are not
+    /// strictly increasing (a NaN time included).
     pub fn from_samples(times: Vec<f64>, values: Vec<f64>) -> Result<Self, CircuitError> {
         if times.len() != values.len() {
             return Err(CircuitError::InvalidOperatingPoint {
@@ -52,11 +53,7 @@ impl Waveform {
                 context: "waveform needs at least two samples".to_string(),
             });
         }
-        if times.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(CircuitError::InvalidOperatingPoint {
-                context: "waveform times must be strictly increasing".to_string(),
-            });
-        }
+        check_axis(&times)?;
         Ok(Waveform { times, values })
     }
 
@@ -114,11 +111,25 @@ impl Waveform {
     ///
     /// # Errors
     ///
-    /// Returns an error only for default-constructed, empty waveforms.
+    /// Returns an error for a NaN `t` and for default-constructed, empty
+    /// waveforms.
     pub fn sample_at(&self, t: Seconds) -> Result<Volts, CircuitError> {
-        let v = interp::linear(&self.times, &self.values, t.0)?;
+        // `from_samples` is the only way to a non-empty waveform and it
+        // checked the axis, so the interpolation skips the O(n) re-check.
+        let v = interp::linear_sorted(&self.times, &self.values, t.0)?;
         Ok(Volts(v))
     }
+}
+
+/// Rejects a time axis that is not strictly increasing, NaN included, so a
+/// NaN time fails here instead of surfacing later as an interpolation error.
+pub(crate) fn check_axis(times: &[f64]) -> Result<(), CircuitError> {
+    if !interp::strictly_ascending(times) {
+        return Err(CircuitError::InvalidOperatingPoint {
+            context: "waveform times must be strictly increasing".to_string(),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -135,6 +146,26 @@ mod tests {
         assert!(Waveform::from_samples(vec![0.0, 1.0], vec![1.0]).is_err());
         assert!(Waveform::from_samples(vec![1.0, 0.5], vec![1.0, 1.0]).is_err());
         assert!(Waveform::from_samples(vec![0.0, 1.0], vec![1.0, 0.9]).is_ok());
+    }
+
+    #[test]
+    fn construction_rejects_a_nan_time() {
+        for times in [
+            vec![0.0, f64::NAN, 2.0],
+            vec![f64::NAN, 1.0, 2.0],
+            vec![0.0, 1.0, f64::NAN],
+        ] {
+            assert!(matches!(
+                Waveform::from_samples(times, vec![1.0, 0.9, 0.8]),
+                Err(CircuitError::InvalidOperatingPoint { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn sampling_rejects_nan_and_empty_waveforms() {
+        assert!(ramp().sample_at(Seconds(f64::NAN)).is_err());
+        assert!(Waveform::default().sample_at(Seconds(0.0)).is_err());
     }
 
     #[test]

@@ -564,8 +564,8 @@ impl Calibrator {
     ) -> Result<MismatchSigmaModel, ModelError> {
         let mismatch_model = MismatchModel::from_technology(&self.technology);
         let n_time = self.config.mismatch_time_points.max(2);
-        let times: Vec<f64> = (1..=n_time)
-            .map(|i| self.config.max_time.0 * i as f64 / n_time as f64)
+        let times: Vec<Seconds> = (1..=n_time)
+            .map(|i| Seconds(self.config.max_time.0 * i as f64 / n_time as f64))
             .collect();
 
         // Each word-line grid point draws its own seeded Monte-Carlo stream
@@ -580,19 +580,24 @@ impl Calibrator {
                     self.config.mismatch_samples,
                     self.config.seed.wrapping_add(wl_index as u64),
                 );
-                // One waveform per mismatch sample; collect voltages at each grid time.
-                let mut per_time: Vec<Vec<f64>> = vec![Vec::new(); times.len()];
-                for sample in &samples {
-                    let waveform =
-                        simulator.discharge_waveform(&self.stimulus(v_wl), nominal, sample)?;
-                    for (i, &t) in times.iter().enumerate() {
-                        per_time[i].push(waveform.sample_at(Seconds(t))?.0);
-                    }
-                }
+                // One transient per mismatch sample; the voltages at each
+                // grid time come out contiguous.
+                let n = samples.len();
+                let mut voltages = vec![0.0; times.len() * n];
+                simulator.fill_mismatch_voltages(
+                    &self.stimulus(v_wl),
+                    nominal,
+                    &samples,
+                    &times,
+                    &mut voltages,
+                )?;
                 let row: Vec<(f64, f64, f64)> = times
                     .iter()
                     .enumerate()
-                    .map(|(i, &t)| (t * 1e9, v_wl, stats::std_dev(&per_time[i])))
+                    .map(|(i, &t)| {
+                        let sigma = stats::std_dev(&voltages[i * n..(i + 1) * n]);
+                        (t.0 * 1e9, v_wl, sigma)
+                    })
                     .collect();
                 Ok::<_, ModelError>(row)
             },

@@ -140,8 +140,10 @@ impl ModelEvaluator {
         let duration = Seconds(2e-9);
         // Held-out grid: offset from the default calibration grid.
         let wordlines = linspace(0.47 + 0.013, 0.97, grid_points);
-        let times: Vec<f64> = linspace(0.25e-9, 1.95e-9, grid_points);
-        let sample_times: Vec<Seconds> = times.iter().map(|&t| Seconds(t)).collect();
+        let sample_times: Vec<Seconds> = linspace(0.25e-9, 1.95e-9, grid_points)
+            .into_iter()
+            .map(Seconds)
+            .collect();
 
         // Eq. 3 (nominal conditions).  Each held-out grid is evaluated with
         // the error-strict parallel sweep engine: one item per reference
@@ -241,23 +243,20 @@ impl ModelEvaluator {
         let mc = mc_samples.max(10);
         let mismatch_samples = mismatch_model.sample_n(mc, 0xe7a1);
         let residuals_sigma: Vec<f64> = par_map_sweep(&wordlines, self.threads, |_, &v_wl| {
-            let mut per_time: Vec<Vec<f64>> = vec![Vec::new(); times.len()];
-            for sample in &mismatch_samples {
-                let waveform = simulator.discharge_waveform(
-                    &self.stimulus(v_wl, duration),
-                    &nominal,
-                    sample,
-                )?;
-                for (i, &t) in times.iter().enumerate() {
-                    per_time[i].push(waveform.sample_at(Seconds(t))?.0);
-                }
-            }
-            let row: Vec<f64> = times
+            let mut voltages = vec![0.0; sample_times.len() * mc];
+            simulator.fill_mismatch_voltages(
+                &self.stimulus(v_wl, duration),
+                &nominal,
+                &mismatch_samples,
+                &sample_times,
+                &mut voltages,
+            )?;
+            let row: Vec<f64> = sample_times
                 .iter()
-                .enumerate()
-                .map(|(i, &t)| {
-                    let reference_sigma = stats::std_dev(&per_time[i]);
-                    let predicted_sigma = self.models.mismatch_sigma(Seconds(t), Volts(v_wl)).0;
+                .zip(voltages.chunks_exact(mc))
+                .map(|(&t, at_t)| {
+                    let reference_sigma = stats::std_dev(at_t);
+                    let predicted_sigma = self.models.mismatch_sigma(t, Volts(v_wl)).0;
                     reference_sigma - predicted_sigma
                 })
                 .collect();

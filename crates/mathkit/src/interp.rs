@@ -19,28 +19,27 @@ use crate::error::MathError;
 ///   `xs` is not strictly ascending (which also rejects NaN abscissae), or
 ///   `x` is NaN.
 pub fn linear(xs: &[f64], ys: &[f64], x: f64) -> Result<f64, MathError> {
-    if xs.len() != ys.len() {
-        return Err(MathError::DimensionMismatch {
-            left: xs.len(),
-            right: ys.len(),
-        });
-    }
-    if xs.len() < 2 {
-        return Err(MathError::InvalidArgument {
-            context: "linear interpolation needs at least two samples".to_string(),
-        });
-    }
-    // Anything but `Some(Less)` — including the NaN case `None` — fails, so
-    // an axis containing NaN is rejected here rather than slipping past.
-    if xs
-        .windows(2)
-        // optima-lint: allow(R1) -- NaN rejection is the point: None != Some(Less) fails the axis
-        .any(|w| w[0].partial_cmp(&w[1]) != Some(std::cmp::Ordering::Less))
-    {
+    check_shape(xs, ys)?;
+    if !strictly_ascending(xs) {
         return Err(MathError::InvalidArgument {
             context: "abscissae must be strictly ascending".to_string(),
         });
     }
+    linear_sorted(xs, ys, x)
+}
+
+/// [`linear`] for an axis the caller has already checked: it skips the O(n)
+/// strictly-ascending scan and does only O(1) checks and the binary search.
+///
+/// If `xs` is not strictly ascending, the result is unspecified.
+///
+/// # Errors
+///
+/// * [`MathError::DimensionMismatch`] if `xs.len() != ys.len()`.
+/// * [`MathError::InvalidArgument`] if fewer than two samples are given or
+///   `x` is NaN.
+pub fn linear_sorted(xs: &[f64], ys: &[f64], x: f64) -> Result<f64, MathError> {
+    check_shape(xs, ys)?;
     if x.is_nan() {
         return Err(MathError::InvalidArgument {
             context: "interpolation query position is NaN".to_string(),
@@ -61,6 +60,31 @@ pub fn linear(xs: &[f64], ys: &[f64], x: f64) -> Result<f64, MathError> {
     let (y0, y1) = (ys[idx - 1], ys[idx]);
     let frac = (x - x0) / (x1 - x0);
     Ok(y0 + frac * (y1 - y0))
+}
+
+/// Whether every abscissa is strictly below the next; an axis containing NaN
+/// is not ascending.
+pub fn strictly_ascending(xs: &[f64]) -> bool {
+    // Anything but `Some(Less)` — including the NaN case `None` — fails, so
+    // an axis containing NaN is rejected here rather than slipping past.
+    xs.windows(2)
+        // optima-lint: allow(R1) -- NaN rejection is the point: None != Some(Less) fails the axis
+        .all(|w| w[0].partial_cmp(&w[1]) == Some(std::cmp::Ordering::Less))
+}
+
+fn check_shape(xs: &[f64], ys: &[f64]) -> Result<(), MathError> {
+    if xs.len() != ys.len() {
+        return Err(MathError::DimensionMismatch {
+            left: xs.len(),
+            right: ys.len(),
+        });
+    }
+    if xs.len() < 2 {
+        return Err(MathError::InvalidArgument {
+            context: "linear interpolation needs at least two samples".to_string(),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

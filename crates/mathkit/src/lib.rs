@@ -21,8 +21,6 @@
 //! * [`seed`] — SplitMix64 seed-stream derivation shared by the sweep
 //!   engine, Monte-Carlo sampling and the defect-map sampler.
 //! * [`interp`] — linear interpolation over sampled waveforms.
-//! * [`ode`] — the fixed-step RK4 integrator used by the golden-reference
-//!   circuit simulator.
 //! * [`units`] — `Volts`, `Seconds`, `Celsius`, … newtypes that keep the
 //!   analog quantities in the rest of the workspace type-safe.
 //!
@@ -51,7 +49,6 @@ pub mod gemm;
 pub mod interp;
 pub mod linalg;
 pub mod lsq;
-pub mod ode;
 pub mod polynomial;
 pub mod seed;
 pub mod stats;

@@ -135,6 +135,67 @@ proptest! {
         prop_assert!(stronger >= base - 1e-12);
     }
 
+    /// The lock-step mismatch fill returns, bit for bit, what one lone
+    /// transient per instance sampled with `Waveform::sample_at` returns: for
+    /// a single lane, part of a chunk, exactly one chunk, and a ragged tail.
+    /// Queries land at 0, on a step node, between nodes and at the duration.
+    #[test]
+    fn mismatch_fill_is_bit_identical_to_lone_transients(
+        v_wl in 0.2f64..1.2,
+        duration_ns in 0.3f64..3.0,
+        steps in 12usize..120,
+        node in 1usize..12,
+        between in 0.05f64..0.95,
+        seed in 0u64..1_000_000,
+        corner in 0usize..3,
+    ) {
+        let tech = Technology::tsmc65_like();
+        let sim = TransientSimulator::new(tech.clone());
+        let corners = [
+            ProcessCorner::FastFast,
+            ProcessCorner::TypicalTypical,
+            ProcessCorner::SlowSlow,
+        ];
+        let pvt = PvtConditions::nominal(&tech).with_corner(corners[corner]);
+        let stimulus = DischargeStimulus {
+            word_line_voltage: Volts(v_wl),
+            duration: Seconds(duration_ns * 1e-9),
+            time_steps: steps,
+            ..DischargeStimulus::default()
+        };
+        let axis = sim
+            .discharge_waveform(&stimulus, &pvt, &MismatchSample::none())
+            .unwrap()
+            .times()
+            .to_vec();
+        let times: Vec<Seconds> = [
+            0.0,
+            axis[node],
+            axis[node] + between * (axis[node + 1] - axis[node]),
+            stimulus.duration.0,
+        ]
+        .into_iter()
+        .map(Seconds)
+        .collect();
+        for n in [1usize, 7, 8, 9, 17] {
+            let samples = MismatchModel::from_technology(&tech).sample_n(n, seed);
+            let mut out = vec![f64::NAN; n * times.len()];
+            sim.fill_mismatch_voltages(&stimulus, &pvt, &samples, &times, &mut out)
+                .unwrap();
+            for (k, sample) in samples.iter().enumerate() {
+                let waveform = sim.discharge_waveform(&stimulus, &pvt, sample).unwrap();
+                for (j, &t) in times.iter().enumerate() {
+                    let expected = waveform.sample_at(t).unwrap().0;
+                    prop_assert_eq!(
+                        out[j * n + k].to_bits(),
+                        expected.to_bits(),
+                        "n {} instance {} time {}", n, k, t.0
+                    );
+                }
+            }
+        }
+    }
+
     /// In-SRAM multiplication by zero is always exactly zero, and results are
     /// monotone in the stored operand for a fixed DAC input.
     #[test]
