@@ -69,10 +69,25 @@ impl QuantizationParams {
         (value / self.scale).round().clamp(-max, max) as i8
     }
 
-    /// Quantizes one (non-negative) value to an unsigned `bits`-wide integer.
+    /// Quantizes one (non-negative) value to an unsigned `bits`-wide integer:
+    /// `value / scale` rounded half away from zero and clamped to
+    /// `0..=2^bits − 1`, with NaN quantizing to 0.
+    ///
+    /// The quotient is clamped before it is rounded, which gives the same
+    /// code because the bounds are integers.  Rounding then adds
+    /// `0.5 − 2⁻²⁵` and truncates, which is exact for every clamped value
+    /// (the addition rounds up to the next integer only from a tie or
+    /// above).  No `roundf` call or saturating cast is left, so activation
+    /// loops vectorize.
     pub fn quantize_unsigned(&self, value: f32) -> u8 {
+        const JUST_BELOW_HALF: f32 = 0.5 - 1.0 / (1u32 << 25) as f32;
         let max = unsigned_max(self.bits) as f32;
-        (value.max(0.0) / self.scale).round().clamp(0.0, max) as u8
+        let quotient = value.max(0.0) / self.scale;
+        let quotient = if quotient > 0.0 { quotient } else { 0.0 }; // NaN → 0
+        let quotient = if quotient < max { quotient } else { max };
+        // SAFETY: the clamps leave `quotient` in `0..=255`, so the rounded
+        // sum is finite and below 256: inside both `i32` and `u8`.
+        unsafe { (quotient + JUST_BELOW_HALF).to_int_unchecked::<i32>() as u8 }
     }
 }
 
@@ -147,6 +162,50 @@ mod tests {
         let wide = QuantizationParams::symmetric_for_bits(&[-2.0, 2.0], 4);
         let narrow = QuantizationParams::symmetric_for_bits(&[-0.1, 0.1], 4);
         assert!(narrow.scale < wide.scale);
+    }
+
+    #[test]
+    fn unsigned_quantization_matches_round_then_clamp() {
+        // The rounded-then-clamped formula the quantizer replaces, over
+        // quotients on a fine grid, every tie k + 0.5 and its float
+        // neighbours, the integers, and the special values, at every width.
+        let oracle = |quotient: f32, bits: u8| {
+            quotient
+                .max(0.0)
+                .round()
+                .clamp(0.0, unsigned_max(bits) as f32) as u8
+        };
+        let mut quotients = vec![
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -0.0,
+            0.0,
+            -3.0,
+            0.5 - 1.0 / (1u32 << 25) as f32,
+            8_388_607.5,
+            8_388_609.0,
+        ];
+        for k in 0..300 {
+            for base in [k as f32, k as f32 + 0.5] {
+                let bits = base.to_bits();
+                quotients.extend((bits.saturating_sub(3)..=bits + 3).map(f32::from_bits));
+            }
+        }
+        quotients.extend((0..300_000).map(|i| i as f32 * 0.001));
+        for bits in 1..=8u8 {
+            let params = QuantizationParams { scale: 1.0, bits };
+            for &quotient in &quotients {
+                assert_eq!(
+                    params.quantize_unsigned(quotient),
+                    oracle(quotient, bits),
+                    "quotient {quotient:e} at {bits} bits"
+                );
+            }
+        }
     }
 
     #[test]

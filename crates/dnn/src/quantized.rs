@@ -70,6 +70,52 @@ fn snapshot_products(products: &dyn ProductTable) -> Box<[i32]> {
     lut
 }
 
+/// A snapshotted product table as the sweep kernels consume it.
+#[derive(Debug)]
+struct ProductLut {
+    /// Operand width in bits; sub-tables are `2^bits` entries long.
+    bits: u8,
+    /// The flat signed-product table of [`snapshot_products`].
+    entries: Box<[i32]>,
+    /// Largest entry magnitude; decides whether the sweeps may accumulate
+    /// in `i32` lanes (see [`lut_fits_i32`]) and how many rows the INT4
+    /// shuffle sweep may sum in `i16` lanes.
+    max_abs: i64,
+    /// INT4 tables whose entries all fit an `i16` only: every code's
+    /// sub-table split into a low-byte and a high-byte 16-byte plane,
+    /// `byte_planes[code * 32 + plane * 16 + activation]` (512 bytes), the
+    /// operands of the `vpshufb` lookups in [`sweep4_shuffle16`].
+    byte_planes: Option<Box<[u8]>>,
+}
+
+impl ProductLut {
+    fn new(entries: Box<[i32]>, bits: u8) -> Self {
+        let max_abs = entries
+            .iter()
+            .fold(0i64, |max, &v| max.max((v as i64).abs()));
+        let byte_planes = (bits == 4 && max_abs <= i16::MAX as i64).then(|| {
+            entries
+                .chunks_exact(16)
+                .flat_map(|sub| {
+                    let low = sub.iter().map(|&v| v as i16 as u16 as u8);
+                    let high = sub.iter().map(|&v| ((v as i16 as u16) >> 8) as u8);
+                    low.chain(high)
+                })
+                .collect::<Box<[u8]>>()
+        });
+        ProductLut {
+            bits,
+            entries,
+            max_abs,
+            byte_planes,
+        }
+    }
+
+    fn stride(&self) -> usize {
+        1usize << self.bits
+    }
+}
+
 /// Whether per-lane accumulators summing up to `depth` LUT entries of
 /// magnitude at most `lut_max_abs` fit in an `i32`.  Integer addition is
 /// associative, so the `i32` and `i64` lane paths produce bit-identical
@@ -144,6 +190,33 @@ fn store_blocks<T, const BLOCKS: usize>(
     }
 }
 
+/// The scalar sweep of the last `hw % 8` pixels: `cols` and `out` both
+/// start at the first tail pixel, and each pixel sums its nonzero weight
+/// codes' products in an `i64`.
+#[inline(always)]
+fn scalar_tail(
+    codes: &[u8],
+    cols: &[u8],
+    hw: usize,
+    lut: &ProductLut,
+    scale: f32,
+    bias: f32,
+    out: &mut [f32],
+) {
+    let stride = lut.stride();
+    let zero_code = (stride / 2) as u8;
+    for (x, out) in out.iter_mut().enumerate() {
+        let mut acc: i64 = 0;
+        for (row, &code) in codes.iter().enumerate() {
+            if code == zero_code {
+                continue;
+            }
+            acc += lut.entries[code as usize * stride + cols[row * hw + x] as usize] as i64;
+        }
+        *out = acc as f32 * scale + bias;
+    }
+}
+
 /// The portable convolution LUT sweep: walks the `[patch, hw]` im2col
 /// matrix 32 pixels at a time (four
 /// 8-lane blocks per row sweep, amortising the per-row sub-table setup of
@@ -151,23 +224,20 @@ fn store_blocks<T, const BLOCKS: usize>(
 /// a scalar loop.  Bit-identical to a row-outer scalar sweep because integer
 /// addition is associative and each pixel's rows accumulate in ascending
 /// order at every block width.
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn conv_lut_core_body(
     conv: &QConv,
     cols: &[u8],
     hw: usize,
-    lut: &[i32],
-    lut_max_abs: i64,
-    bits: u8,
+    lut: &ProductLut,
     scale: f32,
     out: &mut [f32],
 ) {
     const SWEEP: usize = 4; // blocks per wide row sweep: 32 pixels
-    let stride = 1usize << bits;
-    let zero_code = (stride / 2) as u8;
+    let stride = lut.stride();
+    let entries = &lut.entries[..];
     let patch = conv.in_channels * conv.kernel * conv.kernel;
-    let narrow = lut_fits_i32(patch, lut_max_abs);
+    let narrow = lut_fits_i32(patch, lut.max_abs);
     // optima-lint: hot
     for (oc, out_row) in out.chunks_exact_mut(hw).enumerate() {
         let codes = &conv.codes[oc * patch..(oc + 1) * patch];
@@ -176,40 +246,63 @@ fn conv_lut_core_body(
         if narrow {
             while x0 + SWEEP * GATHER_LANES <= hw {
                 let acc: [[i32; GATHER_LANES]; SWEEP] =
-                    gather_lanes(codes, cols, hw, x0, lut, stride);
+                    gather_lanes(codes, cols, hw, x0, entries, stride);
                 store_blocks(&acc, &mut out_row[x0..], scale, bias);
                 x0 += SWEEP * GATHER_LANES;
             }
             while x0 + GATHER_LANES <= hw {
-                let acc: [[i32; GATHER_LANES]; 1] = gather_lanes(codes, cols, hw, x0, lut, stride);
+                let acc: [[i32; GATHER_LANES]; 1] =
+                    gather_lanes(codes, cols, hw, x0, entries, stride);
                 store_blocks(&acc, &mut out_row[x0..], scale, bias);
                 x0 += GATHER_LANES;
             }
         } else {
             while x0 + SWEEP * GATHER_LANES <= hw {
                 let acc: [[i64; GATHER_LANES]; SWEEP] =
-                    gather_lanes(codes, cols, hw, x0, lut, stride);
+                    gather_lanes(codes, cols, hw, x0, entries, stride);
                 store_blocks(&acc, &mut out_row[x0..], scale, bias);
                 x0 += SWEEP * GATHER_LANES;
             }
             while x0 + GATHER_LANES <= hw {
-                let acc: [[i64; GATHER_LANES]; 1] = gather_lanes(codes, cols, hw, x0, lut, stride);
+                let acc: [[i64; GATHER_LANES]; 1] =
+                    gather_lanes(codes, cols, hw, x0, entries, stride);
                 store_blocks(&acc, &mut out_row[x0..], scale, bias);
                 x0 += GATHER_LANES;
             }
         }
-        for (x, out) in out_row.iter_mut().enumerate().skip(x0) {
-            let mut acc: i64 = 0;
-            for (row, &code) in codes.iter().enumerate() {
-                if code == zero_code {
-                    continue;
-                }
-                acc += lut[code as usize * stride + cols[row * hw + x] as usize] as i64;
-            }
-            *out = acc as f32 * scale + bias;
-        }
+        scalar_tail(codes, &cols[x0..], hw, lut, scale, bias, &mut out_row[x0..]);
     }
     // optima-lint: end-hot
+}
+
+/// One 8-pixel row sweep through the patch matrix with `vpgatherdd`: the
+/// block's eight LUT lookups run as one hardware gather.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn sweep1_gather(
+    codes: &[u8],
+    cols: &[u8],
+    hw: usize,
+    x0: usize,
+    lut: &[i32],
+    stride: usize,
+    lane_mask: std::arch::x86_64::__m256i,
+) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::*;
+    let mut acc = _mm256_setzero_si256();
+    for (&code, row) in codes.iter().zip(cols.chunks_exact(hw)) {
+        // SAFETY: the masked sub-table index stays below `stride` and the
+        // masked code keeps `code * stride + stride - 1` below
+        // `lut.len() == stride * stride`, so every gather reads inside
+        // `lut`; the 8-byte activation load sits inside `row` because the
+        // caller guarantees `x0 + 8 <= hw == row.len()`.
+        let sub = lut.as_ptr().add((code as usize & (stride - 1)) * stride);
+        let bytes = _mm_loadl_epi64(row.as_ptr().add(x0) as *const __m128i);
+        let idx = _mm256_and_si256(_mm256_cvtepu8_epi32(bytes), lane_mask);
+        acc = _mm256_add_epi32(acc, _mm256_i32gather_epi32::<4>(sub, idx));
+    }
+    acc
 }
 
 /// One 16-pixel row sweep through the patch matrix with `vpgatherdd`: each
@@ -226,16 +319,13 @@ unsafe fn sweep2_gather(
     lut: &[i32],
     stride: usize,
     lane_mask: std::arch::x86_64::__m256i,
-) -> (std::arch::x86_64::__m256i, std::arch::x86_64::__m256i) {
+) -> [std::arch::x86_64::__m256i; 2] {
     use std::arch::x86_64::*;
     let mut acc0 = _mm256_setzero_si256();
     let mut acc1 = _mm256_setzero_si256();
     for (&code, row) in codes.iter().zip(cols.chunks_exact(hw)) {
-        // SAFETY: the masked sub-table index stays below `stride` and the
-        // masked code keeps `code * stride + stride - 1` below
-        // `lut.len() == stride * stride`, so every gather reads inside
-        // `lut`; the two 8-byte activation loads sit inside `row` because
-        // the caller guarantees `x0 + 16 <= hw == row.len()`.
+        // SAFETY: as in `sweep1_gather`, with the caller guaranteeing
+        // `x0 + 16 <= hw == row.len()` for the two 8-byte loads.
         let sub = lut.as_ptr().add((code as usize & (stride - 1)) * stride);
         let bytes0 = _mm_loadl_epi64(row.as_ptr().add(x0) as *const __m128i);
         let bytes1 = _mm_loadl_epi64(row.as_ptr().add(x0 + GATHER_LANES) as *const __m128i);
@@ -244,88 +334,123 @@ unsafe fn sweep2_gather(
         acc0 = _mm256_add_epi32(acc0, _mm256_i32gather_epi32::<4>(sub, idx0));
         acc1 = _mm256_add_epi32(acc1, _mm256_i32gather_epi32::<4>(sub, idx1));
     }
-    (acc0, acc1)
+    [acc0, acc1]
 }
 
-/// One 16-pixel row sweep specialised to INT4 (`stride == 16`): the whole
-/// 16-entry LUT sub-table of a weight code fits in two YMM registers, so
-/// each lookup is a register permute (`vpermd` selects on the index's low
-/// three bits, a compare-and-blend on bit 3 picks the upper half) instead
-/// of a memory gather.  Lookups beyond index 15 reduce to `index & 15`,
-/// matching the masked gather path.
+/// One 32-pixel row sweep specialised to INT4 tables whose entries fit an
+/// `i16`.  A weight code's 16-entry sub-table, split into a low-byte and a
+/// high-byte plane ([`ProductLut::byte_planes`]), fits one `vpshufb`
+/// operand per plane, so a row's 32 lookups are two byte shuffles of one
+/// 32-byte activation load (masked with `0x0F`, a no-op on quantizer
+/// codes).  Interleaving the two shuffled planes (`vpunpck{l,h}bw`)
+/// rebuilds the signed products as `i16` lanes: one accumulator holds
+/// pixels 0–7 and 16–23, the other 8–15 and 24–31.
+///
+/// Every `rows_per_widen = i16::MAX / max_abs` rows the `i16` partial sums
+/// are sign-extended into four `i32` accumulators in pixel order, so no
+/// `i16` lane can overflow; the `i32` sums then equal the portable body's
+/// exactly (the caller has checked [`lut_fits_i32`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn sweep2_permute16(
+unsafe fn sweep4_shuffle16(
     codes: &[u8],
     cols: &[u8],
     hw: usize,
     x0: usize,
-    lut: &[i32],
-) -> (std::arch::x86_64::__m256i, std::arch::x86_64::__m256i) {
+    planes: &[u8],
+    rows_per_widen: usize,
+) -> [std::arch::x86_64::__m256i; 4] {
     use std::arch::x86_64::*;
-    const STRIDE: usize = 16;
-    let seven = _mm256_set1_epi32(7);
-    let mut acc0 = _mm256_setzero_si256();
-    let mut acc1 = _mm256_setzero_si256();
-    for (&code, row) in codes.iter().zip(cols.chunks_exact(hw)) {
-        // SAFETY: the masked code keeps the 16-entry sub-table inside
-        // `lut.len() == 256`, and the caller guarantees
-        // `x0 + 16 <= hw == row.len()` for the two activation loads.
-        let sub = lut.as_ptr().add((code as usize & (STRIDE - 1)) * STRIDE);
-        let lo = _mm256_loadu_si256(sub as *const __m256i);
-        let hi = _mm256_loadu_si256(sub.add(8) as *const __m256i);
-        let idx0 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(row.as_ptr().add(x0) as *const __m128i));
-        let idx1 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(
-            row.as_ptr().add(x0 + GATHER_LANES) as *const __m128i
-        ));
-        let pick_hi0 = _mm256_cmpgt_epi32(idx0, seven);
-        let pick_hi1 = _mm256_cmpgt_epi32(idx1, seven);
-        let gathered0 = _mm256_blendv_epi8(
-            _mm256_permutevar8x32_epi32(lo, idx0),
-            _mm256_permutevar8x32_epi32(hi, idx0),
-            pick_hi0,
-        );
-        let gathered1 = _mm256_blendv_epi8(
-            _mm256_permutevar8x32_epi32(lo, idx1),
-            _mm256_permutevar8x32_epi32(hi, idx1),
-            pick_hi1,
-        );
-        acc0 = _mm256_add_epi32(acc0, gathered0);
-        acc1 = _mm256_add_epi32(acc1, gathered1);
+    let nibble = _mm256_set1_epi8(0x0F);
+    let mut wide = [_mm256_setzero_si256(); 4];
+    // optima-lint: hot
+    for (code_run, row_run) in codes
+        .chunks(rows_per_widen)
+        .zip(cols.chunks(rows_per_widen * hw))
+    {
+        let mut acc_lo = _mm256_setzero_si256();
+        let mut acc_hi = _mm256_setzero_si256();
+        for (&code, row) in code_run.iter().zip(row_run.chunks_exact(hw)) {
+            // SAFETY: the masked code keeps the 32-byte plane pair inside
+            // `planes.len() == 512`, and the caller guarantees
+            // `x0 + 32 <= hw == row.len()` for the activation load.
+            let plane = planes.as_ptr().add((code as usize & 15) * 32);
+            let low = _mm256_broadcastsi128_si256(_mm_loadu_si128(plane as *const __m128i));
+            let high =
+                _mm256_broadcastsi128_si256(_mm_loadu_si128(plane.add(16) as *const __m128i));
+            let idx = _mm256_and_si256(
+                _mm256_loadu_si256(row.as_ptr().add(x0) as *const __m256i),
+                nibble,
+            );
+            let low = _mm256_shuffle_epi8(low, idx);
+            let high = _mm256_shuffle_epi8(high, idx);
+            acc_lo = _mm256_add_epi16(acc_lo, _mm256_unpacklo_epi8(low, high));
+            acc_hi = _mm256_add_epi16(acc_hi, _mm256_unpackhi_epi8(low, high));
+        }
+        let widened = [
+            _mm256_castsi256_si128(acc_lo),
+            _mm256_castsi256_si128(acc_hi),
+            _mm256_extracti128_si256::<1>(acc_lo),
+            _mm256_extracti128_si256::<1>(acc_hi),
+        ];
+        for (acc, half) in wide.iter_mut().zip(widened) {
+            *acc = _mm256_add_epi32(*acc, _mm256_cvtepi16_epi32(half));
+        }
     }
-    (acc0, acc1)
+    // optima-lint: end-hot
+    wide
 }
 
-/// AVX2 clone of the convolution LUT sweep: each 8-pixel block's LUT
-/// lookups run as one `vpgatherdd` instead of eight scalar loads, with two
-/// independent 8-lane accumulators per row sweep to hide gather latency.
-/// The gathered values and the per-pixel accumulation order (ascending
-/// rows, wrapping `i32` adds) are unchanged, so the clone is bit-identical
-/// to the portable body.  The `i64` wide-accumulator case has no packed
-/// gather; it falls through to the portable body.
+/// Spills `N` eight-lane `i32` accumulators (in pixel order) and scales
+/// them into the output row through [`store_blocks`].
 #[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn store_vectors<const N: usize>(
+    acc: [std::arch::x86_64::__m256i; N],
+    out: &mut [f32],
+    scale: f32,
+    bias: f32,
+) {
+    use std::arch::x86_64::*;
+    let mut lanes = [[0i32; GATHER_LANES]; N];
+    for (block, vector) in lanes.iter_mut().zip(acc) {
+        // SAFETY: each block is exactly one 32-byte `[i32; 8]`.
+        _mm256_storeu_si256(block.as_mut_ptr() as *mut __m256i, vector);
+    }
+    store_blocks(&lanes, out, scale, bias);
+}
+
+/// AVX2 clone of the convolution LUT sweep.  INT4 tables with `i16`-sized
+/// entries run 32 pixels per row step through [`sweep4_shuffle16`]; every
+/// other table runs 16 pixels per row step through [`sweep2_gather`]'s
+/// `vpgatherdd` lookups.  The remaining `hw % 32` (or `hw % 16`) pixels take
+/// 8-pixel gathers and the scalar tail.  The looked-up values and each
+/// pixel's integer sum are unchanged, so the clone is bit-identical to the
+/// portable body.  The `i64` wide-accumulator case has no packed lookup; it
+/// falls through to the portable body.
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn conv_lut_core_avx2(
     conv: &QConv,
     cols: &[u8],
     hw: usize,
-    lut: &[i32],
-    lut_max_abs: i64,
-    bits: u8,
+    lut: &ProductLut,
     scale: f32,
     out: &mut [f32],
 ) {
     use std::arch::x86_64::*;
 
-    let stride = 1usize << bits;
+    let stride = lut.stride();
+    let entries = &lut.entries[..];
     let patch = conv.in_channels * conv.kernel * conv.kernel;
-    if !lut_fits_i32(patch, lut_max_abs) {
-        return conv_lut_core_body(conv, cols, hw, lut, lut_max_abs, bits, scale, out);
+    if !lut_fits_i32(patch, lut.max_abs) {
+        return conv_lut_core_body(conv, cols, hw, lut, scale, out);
     }
-    let zero_code = (stride / 2) as u8;
-    let int4 = stride == 16;
+    // `byte_planes` exists only for `max_abs <= i16::MAX`, so at least one
+    // row fits the `i16` lanes.
+    let rows_per_widen = (i16::MAX as i64 / lut.max_abs.max(1)) as usize;
     // The mask is a no-op on well-formed inputs (the quantizer emits codes
     // `< stride` on both operands); it bounds every gather inside `lut`
     // regardless, which is what makes the raw-pointer gathers sound.
@@ -335,67 +460,39 @@ unsafe fn conv_lut_core_avx2(
         let codes = &conv.codes[oc * patch..(oc + 1) * patch];
         let bias = conv.bias[oc];
         let mut x0 = 0usize;
-        while x0 + 2 * GATHER_LANES <= hw {
-            // SAFETY for both arms: `x0 + 16 <= hw == row.len()` bounds the
-            // activation loads, and masked codes/indices bound every LUT
-            // read (see the helpers' safety comments).
-            let (acc0, acc1) = if int4 {
-                sweep2_permute16(codes, cols, hw, x0, lut)
-            } else {
-                sweep2_gather(codes, cols, hw, x0, lut, stride, lane_mask)
-            };
-            let mut lanes = [0i32; 2 * GATHER_LANES];
-            _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc0);
-            _mm256_storeu_si256(lanes.as_mut_ptr().add(GATHER_LANES) as *mut __m256i, acc1);
-            for (out, &lane) in out_row[x0..x0 + 2 * GATHER_LANES]
-                .iter_mut()
-                .zip(lanes.iter())
-            {
-                *out = lane as f32 * scale + bias;
+        // SAFETY for every sweep: each loop condition bounds the activation
+        // loads by `hw == row.len()`, and masked codes/indices bound every
+        // table read (see the helpers' safety comments).
+        if let Some(planes) = lut.byte_planes.as_deref() {
+            while x0 + 4 * GATHER_LANES <= hw {
+                let acc = sweep4_shuffle16(codes, cols, hw, x0, planes, rows_per_widen);
+                store_vectors(acc, &mut out_row[x0..], scale, bias);
+                x0 += 4 * GATHER_LANES;
             }
-            x0 += 2 * GATHER_LANES;
+        } else {
+            while x0 + 2 * GATHER_LANES <= hw {
+                let acc = sweep2_gather(codes, cols, hw, x0, entries, stride, lane_mask);
+                store_vectors(acc, &mut out_row[x0..], scale, bias);
+                x0 += 2 * GATHER_LANES;
+            }
         }
         while x0 + GATHER_LANES <= hw {
-            let mut acc = _mm256_setzero_si256();
-            for (&code, row) in codes.iter().zip(cols.chunks_exact(hw)) {
-                // SAFETY: same bounds argument as the two-block helpers,
-                // with a single 8-byte load at `x0 + 8 <= hw`.
-                let sub = lut.as_ptr().add((code as usize & (stride - 1)) * stride);
-                let bytes = _mm_loadl_epi64(row.as_ptr().add(x0) as *const __m128i);
-                let idx = _mm256_and_si256(_mm256_cvtepu8_epi32(bytes), lane_mask);
-                acc = _mm256_add_epi32(acc, _mm256_i32gather_epi32::<4>(sub, idx));
-            }
-            let mut lanes = [0i32; GATHER_LANES];
-            _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-            for (out, &lane) in out_row[x0..x0 + GATHER_LANES].iter_mut().zip(lanes.iter()) {
-                *out = lane as f32 * scale + bias;
-            }
+            let acc = sweep1_gather(codes, cols, hw, x0, entries, stride, lane_mask);
+            store_vectors([acc], &mut out_row[x0..], scale, bias);
             x0 += GATHER_LANES;
         }
-        for (x, out) in out_row.iter_mut().enumerate().skip(x0) {
-            let mut acc: i64 = 0;
-            for (row, &code) in codes.iter().enumerate() {
-                if code == zero_code {
-                    continue;
-                }
-                acc += lut[code as usize * stride + cols[row * hw + x] as usize] as i64;
-            }
-            *out = acc as f32 * scale + bias;
-        }
+        scalar_tail(codes, &cols[x0..], hw, lut, scale, bias, &mut out_row[x0..]);
     }
     // optima-lint: end-hot
 }
 
 /// Dispatches the convolution LUT sweep to the AVX2 clone when the CPU
 /// supports it, falling back to the portable body otherwise.
-#[allow(clippy::too_many_arguments)]
 fn conv_lut_core(
     conv: &QConv,
     cols: &[u8],
     hw: usize,
-    lut: &[i32],
-    lut_max_abs: i64,
-    bits: u8,
+    lut: &ProductLut,
     scale: f32,
     out: &mut [f32],
 ) {
@@ -403,9 +500,9 @@ fn conv_lut_core(
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: the AVX2 clone only runs after the (cached) runtime
         // feature check above confirmed the CPU supports it.
-        return unsafe { conv_lut_core_avx2(conv, cols, hw, lut, lut_max_abs, bits, scale, out) };
+        return unsafe { conv_lut_core_avx2(conv, cols, hw, lut, scale, out) };
     }
-    conv_lut_core_body(conv, cols, hw, lut, lut_max_abs, bits, scale, out);
+    conv_lut_core_body(conv, cols, hw, lut, scale, out);
 }
 
 /// The dense LUT sweep: eight integer lanes stream the (code, activation)
@@ -416,14 +513,13 @@ fn conv_lut_core(
 fn dense_lut_core(
     dense: &QDense,
     activations: &[u8],
-    lut: &[i32],
-    lut_max_abs: i64,
-    bits: u8,
+    lut: &ProductLut,
     scale: f32,
     out: &mut [f32],
 ) {
-    let stride = 1usize << bits;
-    let narrow = lut_fits_i32(dense.inputs, lut_max_abs);
+    let stride = lut.stride();
+    let lut_entries = &lut.entries[..];
+    let narrow = lut_fits_i32(dense.inputs, lut.max_abs);
     // optima-lint: hot
     for (o, out_value) in out.iter_mut().enumerate() {
         let codes = &dense.codes[o * dense.inputs..(o + 1) * dense.inputs];
@@ -438,7 +534,7 @@ fn dense_lut_core(
                 for ((lane, &code), &activation) in
                     acc.iter_mut().zip(code_block.iter()).zip(act_block.iter())
                 {
-                    *lane += lut[code as usize * stride + activation as usize];
+                    *lane += lut_entries[code as usize * stride + activation as usize];
                 }
             }
             for &lane in &acc {
@@ -450,7 +546,7 @@ fn dense_lut_core(
                 for ((lane, &code), &activation) in
                     acc.iter_mut().zip(code_block.iter()).zip(act_block.iter())
                 {
-                    *lane += lut[code as usize * stride + activation as usize] as i64;
+                    *lane += lut_entries[code as usize * stride + activation as usize] as i64;
                 }
             }
             for &lane in &acc {
@@ -458,7 +554,7 @@ fn dense_lut_core(
             }
         }
         for (&code, &activation) in code_tail.iter().zip(act_tail.iter()) {
-            total += lut[code as usize * stride + activation as usize] as i64;
+            total += lut_entries[code as usize * stride + activation as usize] as i64;
         }
         *out_value = total as f32 * scale + dense.bias[o];
     }
@@ -519,14 +615,10 @@ pub struct QuantizedNetwork {
     products: Arc<dyn ProductTable>,
     /// Operand width in bits, cached from the product table.
     bits: u8,
-    /// Flat signed-product table (`1 << 2·bits` entries); `None` when the
-    /// product table is stateful and must be consulted per product (see
-    /// [`ProductTable::supports_snapshot`]).
-    lut: Option<Box<[i32]>>,
-    /// Largest LUT entry magnitude, measured at snapshot time; decides
-    /// whether the gather kernels may accumulate in `i32` lanes (see
-    /// [`lut_fits_i32`]).  Zero when no snapshot exists.
-    lut_max_abs: i64,
+    /// Flat signed-product table (`1 << 2·bits` entries) with its byte
+    /// planes; `None` when the product table is stateful and must be
+    /// consulted per product (see [`ProductTable::supports_snapshot`]).
+    lut: Option<ProductLut>,
 }
 
 impl QuantizedNetwork {
@@ -557,16 +649,12 @@ impl QuantizedNetwork {
         }
         let lut = products
             .supports_snapshot()
-            .then(|| snapshot_products(products.as_ref()));
-        let lut_max_abs = lut.as_ref().map_or(0i64, |lut| {
-            lut.iter().fold(0i64, |max, &v| max.max((v as i64).abs()))
-        });
+            .then(|| ProductLut::new(snapshot_products(products.as_ref()), bits));
         Ok(QuantizedNetwork {
             layers,
             products,
             bits,
             lut,
-            lut_max_abs,
         })
     }
 
@@ -786,8 +874,6 @@ impl QuantizedNetwork {
                     &scratch.qcols,
                     height * width,
                     lut,
-                    self.lut_max_abs,
-                    self.bits,
                     scale,
                     output.data_mut(),
                 );
@@ -824,15 +910,7 @@ impl QuantizedNetwork {
                 );
                 let scale = dense.weight_params.scale * activation_params.scale;
                 output.resize_to(&[dense.outputs]);
-                dense_lut_core(
-                    dense,
-                    &scratch.qactivations,
-                    lut,
-                    self.lut_max_abs,
-                    self.bits,
-                    scale,
-                    output.data_mut(),
-                );
+                dense_lut_core(dense, &scratch.qactivations, lut, scale, output.data_mut());
                 Ok(())
             }
             None => {
@@ -1136,6 +1214,95 @@ mod tests {
             &allocating,
             quantized.forward_with(&image, &mut scratch).unwrap()
         );
+    }
+
+    /// A random product table for `bits`-wide operands with entries in
+    /// `±max_abs`; the zero-weight code's sub-table stays all zero, as in
+    /// every snapshot (the scalar tail skips that code).
+    fn random_lut(bits: u8, max_abs: i32, rng: &mut ChaCha8Rng) -> ProductLut {
+        let stride = 1usize << bits;
+        let mut entries: Box<[i32]> = (0..stride * stride)
+            .map(|_| rng.gen_range(-max_abs..=max_abs))
+            .collect();
+        entries[stride / 2 * stride..(stride / 2 + 1) * stride].fill(0);
+        ProductLut::new(entries, bits)
+    }
+
+    #[test]
+    fn portable_and_dispatched_conv_sweeps_match_a_scalar_sum() {
+        // Runs the portable body next to the dispatched sweep (the AVX2
+        // clone on AVX2 hosts) over INT4 and INT8 tables: entries small
+        // enough for long i16 runs, at the i16 edge (widening after every
+        // row), beyond i16 (vpgatherdd), and large enough to force i64
+        // accumulation.  Both must equal a plain i64 sum bit for bit.
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        for (bits, max_abs, in_channels) in [
+            (4u8, 105, 8),
+            (4, 4_000, 8),
+            (4, i16::MAX as i32, 3),
+            (4, 1 << 20, 3),
+            (4, 1 << 28, 1),
+            (8, 16_129, 3),
+            (8, 1 << 28, 1),
+        ] {
+            let lut = random_lut(bits, max_abs, &mut rng);
+            let stride = lut.stride();
+            let narrow = max_abs < 1 << 28;
+            for hw in [7usize, 8, 16, 24, 40, 64, 100, 256] {
+                let out_channels = 3;
+                let patch = in_channels * 9;
+                assert_eq!(lut_fits_i32(patch, lut.max_abs), narrow);
+                let conv = QConv {
+                    in_channels,
+                    out_channels,
+                    kernel: 3,
+                    weights: Vec::new(),
+                    codes: (0..out_channels * patch)
+                        .map(|_| rng.gen_range(0..stride) as u8)
+                        .collect(),
+                    weight_params: QuantizationParams { scale: 1.0, bits },
+                    bias: (0..out_channels).map(|_| rng.gen::<f32>()).collect(),
+                };
+                let cols: Vec<u8> = (0..patch * hw)
+                    .map(|_| rng.gen_range(0..stride) as u8)
+                    .collect();
+                let scale = 0.37f32;
+                let mut portable = vec![0.0f32; out_channels * hw];
+                let mut dispatched = vec![0.0f32; out_channels * hw];
+                conv_lut_core_body(&conv, &cols, hw, &lut, scale, &mut portable);
+                conv_lut_core(&conv, &cols, hw, &lut, scale, &mut dispatched);
+                for (index, (&a, &b)) in portable.iter().zip(&dispatched).enumerate() {
+                    let (oc, x) = (index / hw, index % hw);
+                    let sum: i64 = (0..patch)
+                        .map(|row| {
+                            let code = conv.codes[oc * patch + row] as usize;
+                            lut.entries[code * stride + cols[row * hw + x] as usize] as i64
+                        })
+                        .sum();
+                    let expected = sum as f32 * scale + conv.bias[oc];
+                    let case = format!("bits {bits}, max {max_abs}, hw {hw}, pixel {index}");
+                    assert_eq!(a.to_bits(), expected.to_bits(), "portable: {case}");
+                    assert_eq!(b.to_bits(), expected.to_bits(), "dispatched: {case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn byte_planes_exist_only_for_int4_tables_within_i16() {
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let planes = random_lut(4, i16::MAX as i32, &mut rng);
+        let bytes = planes.byte_planes.as_deref().unwrap();
+        assert_eq!(bytes.len(), 512);
+        for (code, sub) in planes.entries.chunks_exact(16).enumerate() {
+            for (activation, &entry) in sub.iter().enumerate() {
+                let low = bytes[code * 32 + activation];
+                let high = bytes[code * 32 + 16 + activation];
+                assert_eq!(i16::from_le_bytes([low, high]) as i32, entry);
+            }
+        }
+        assert!(random_lut(4, 40_000, &mut rng).byte_planes.is_none());
+        assert!(random_lut(8, 100, &mut rng).byte_planes.is_none());
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! quantized path — over randomly drawn channel/kernel/size combinations.
 
 use optima_suite::optima_dnn::eval::evaluate_batched;
-use optima_suite::optima_dnn::layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, Relu};
+use optima_suite::optima_dnn::layers::{
+    Conv2d, Dense, Flatten, GlobalAvgPool, Layer, MaxPool2d, Relu, ResidualBlock,
+};
 use optima_suite::optima_dnn::multiplier::{
     ComposedProducts, DynDispatchProducts, ExactInt4Products, ProductTable,
 };
@@ -52,6 +54,42 @@ fn lut_and_dyn_dispatch(network: &Network) -> (QuantizedNetwork, QuantizedNetwor
     )
     .unwrap();
     (lut, reference)
+}
+
+/// A 3×16×16, ten-class CNN with a conv stem and one identity residual
+/// block: conv 3→8, ReLU, residual block (8 channels), pool, global
+/// average pool, dense.
+fn residual_network() -> Network {
+    let mut rng = ChaCha8Rng::seed_from_u64(12);
+    Network::new(vec![
+        Box::new(Conv2d::new(3, 8, 3, &mut rng)),
+        Box::new(Relu::new()),
+        Box::new(ResidualBlock::new(8, 3, &mut rng)),
+        Box::new(MaxPool2d::new()),
+        Box::new(GlobalAvgPool::new()),
+        Box::new(Flatten::new()),
+        Box::new(Dense::new(8, 10, &mut rng)),
+    ])
+}
+
+/// A synthetic INT4 product table whose largest entry is about `max`: the
+/// exact product rescaled so that 15 × 7 lands near `max`, plus a small
+/// operand hash that varies the low byte.  `max` picks the kernel arm: the
+/// byte-shuffle sweep widens its `i16` lanes every `i16::MAX / max` rows,
+/// and tables above `i16::MAX` take the `vpgatherdd` sweep.
+#[derive(Debug)]
+struct LargeEntries {
+    max: u16,
+}
+
+impl ProductTable for LargeEntries {
+    fn product(&self, a: u8, b: u8) -> u16 {
+        let scaled = a as u32 * b as u32 * (self.max as u32 - 15) / (15 * 7);
+        (scaled + (a as u32 * 7 + b as u32 * 13) % 16) as u16
+    }
+    fn name(&self) -> String {
+        format!("large-entries-{}", self.max)
+    }
 }
 
 /// A 3×16×16, ten-class CNN with two conv stages: conv 3→8, ReLU, pool,
@@ -263,13 +301,18 @@ proptest! {
         }
     }
 
-    /// The 8-pixel LUT-gather scratch path (`forward_with`) with one arena
-    /// shared across both networks is bit-for-bit identical to a fresh-arena
-    /// `forward` at INT4 and at INT8 composed from 2 × INT4 slices, at image
-    /// widths that exercise the hw % 8 scalar tail.
+    /// The LUT sweep's 32-pixel row steps, its 8-pixel remainder blocks
+    /// and its scalar tail all match the per-product dynamic-dispatch
+    /// reference bit for bit, at INT4 (byte-shuffle sweep) and at INT8
+    /// composed from 2 × INT4 slices (`vpgatherdd` sweep).  Images are
+    /// `height × width` with `hw` from 30 to 312 pixels, so every
+    /// `hw % 32` and `hw % 8` remainder occurs.  The scratch path
+    /// (`forward_with`, one arena shared across both networks) must also
+    /// equal a fresh-arena `forward`.
     #[test]
-    fn eight_pixel_gather_matches_the_flat_lut_path(
-        width in 5usize..12,
+    fn lut_sweep_blocks_and_tail_match_dyn_dispatch(
+        height in 6usize..9,
+        width in 5usize..40,
         image_seed in 0u64..1_000,
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(33);
@@ -277,12 +320,14 @@ proptest! {
             Box::new(Conv2d::new(1, 4, 3, &mut rng)),
             Box::new(Relu::new()),
             Box::new(Flatten::new()),
-            Box::new(Dense::new(4 * 8 * width, 3, &mut rng)),
+            Box::new(Dense::new(4 * height * width, 3, &mut rng)),
         ]);
-        let int4 = QuantizedNetwork::from_network(&network, Arc::new(ExactInt4Products)).unwrap();
-        let int8 = QuantizedNetwork::from_network(
+        let int8_table = || ComposedProducts::new(Arc::new(ExactInt4Products), 2);
+        let (int4, int4_reference) = lut_and_dyn_dispatch(&network);
+        let int8 = QuantizedNetwork::from_network(&network, Arc::new(int8_table())).unwrap();
+        let int8_reference = QuantizedNetwork::from_network(
             &network,
-            Arc::new(ComposedProducts::new(Arc::new(ExactInt4Products), 2)),
+            Arc::new(DynDispatchProducts(Arc::new(int8_table()))),
         )
         .unwrap();
         prop_assert!(int4.uses_snapshot());
@@ -290,15 +335,47 @@ proptest! {
 
         let mut rng = ChaCha8Rng::seed_from_u64(image_seed);
         let image = Tensor::from_vec(
-            &[1, 8, width],
-            (0..8 * width).map(|_| rng.gen::<f32>()).collect(),
+            &[1, height, width],
+            (0..height * width).map(|_| rng.gen::<f32>()).collect(),
         )
         .unwrap();
         let mut scratch = KernelScratch::new();
-        for quantized in [&int4, &int8] {
+        for (quantized, reference) in [(&int4, &int4_reference), (&int8, &int8_reference)] {
             let flat = quantized.forward(&image).unwrap();
+            prop_assert_eq!(&flat, &reference.forward(&image).unwrap());
             let gathered = quantized.forward_with(&image, &mut scratch).unwrap();
             prop_assert_eq!(gathered, &flat);
+        }
+    }
+}
+
+#[test]
+fn large_entry_int4_tables_match_dyn_dispatch() {
+    // Largest entries near 32 000 widen the shuffle sweep's i16 lanes after
+    // every row, near 16 000 every second row, near 8 000 every fourth;
+    // 40 000 exceeds i16::MAX and must take the vpgatherdd sweep instead.
+    let networks = [multi_channel_network(), residual_network()];
+    for max in [32_000u16, 16_000, 8_000, 40_000] {
+        for network in &networks {
+            let table = Arc::new(LargeEntries { max });
+            let lut = QuantizedNetwork::from_network(network, table.clone()).unwrap();
+            let reference =
+                QuantizedNetwork::from_network(network, Arc::new(DynDispatchProducts(table)))
+                    .unwrap();
+            assert!(lut.uses_snapshot());
+            let mut rng = ChaCha8Rng::seed_from_u64(max as u64);
+            for _ in 0..4 {
+                let image = Tensor::from_vec(
+                    &[3, 16, 16],
+                    (0..3 * 16 * 16).map(|_| rng.gen::<f32>()).collect(),
+                )
+                .unwrap();
+                assert_eq!(
+                    lut.forward(&image).unwrap(),
+                    reference.forward(&image).unwrap(),
+                    "max entry {max}"
+                );
+            }
         }
     }
 }
