@@ -313,8 +313,8 @@ fn cmd_run(args: &[String]) -> i32 {
 
     // One context for the whole run: profile/seed/threads are constant, and
     // sharing it keeps the lazily-calibrated handle alive across
-    // experiments, so calibration really happens at most once per process —
-    // even when the disk snapshot cache is disabled.
+    // experiments, so every experiment at the same geometry reuses one
+    // in-process calibration.
     let mut ctx = ExperimentContext::new(profile)
         .with_seed(options.seed)
         .with_threads(options.threads)

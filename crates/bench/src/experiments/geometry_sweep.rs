@@ -80,14 +80,28 @@ impl Experiment for GeometrySweep {
 
 impl GeometrySweep {
     /// Evaluates one geometry end to end and returns its report row.
+    ///
+    /// The context (and with it the memoised calibration) is re-keyed to
+    /// `array` for the duration of the evaluation and restored on every
+    /// exit path, so a failing geometry never leaves later experiments of
+    /// the same run at the probe array.
     fn run_geometry(
         ctx: &mut ExperimentContext,
         array: ArrayConfig,
     ) -> Result<Vec<Scalar>, BenchError> {
-        // Re-key the context (and with it the calibration cache) to this
-        // geometry for the duration of the evaluation.
         let previous = ctx.array();
         ctx.set_array(array);
+        let row = Self::evaluate_geometry(ctx, array);
+        ctx.set_array(previous);
+        row
+    }
+
+    /// The body of [`Self::run_geometry`], run with the context already at
+    /// `array`.
+    fn evaluate_geometry(
+        ctx: &mut ExperimentContext,
+        array: ArrayConfig,
+    ) -> Result<Vec<Scalar>, BenchError> {
         let models = ctx.models()?;
 
         let config = MultiplierConfig::paper_fom_corner().with_array(array);
@@ -131,9 +145,6 @@ impl GeometrySweep {
             BenchError::Failed(format!("empty logits at geometry {}", array.describe()))
         })?;
 
-        // Restore the context geometry for the caller.
-        ctx.set_array(previous);
-
         let eps_rel = 100.0 * metrics.epsilon_mul / array.product_max() as f64;
         Ok(vec![
             Scalar::text(array.describe()),
@@ -162,5 +173,24 @@ impl GeometrySweep {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0001_a49e);
         Tensor::from_vec(&[1, 8, 8], (0..64).map(|_| rng.gen::<f32>()).collect())
             .expect("probe image shape is static")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiments::Profile;
+
+    #[test]
+    fn a_failing_geometry_restores_the_context_array() {
+        // A bit line with no cells cannot be calibrated, so the evaluation
+        // fails after the context was re-keyed to the probe geometry.
+        let mut ctx = ExperimentContext::new(Profile::Fast);
+        let probe = ArrayConfig {
+            rows: 0,
+            ..Default::default()
+        };
+        assert!(GeometrySweep::run_geometry(&mut ctx, probe).is_err());
+        assert_eq!(ctx.array(), ArrayConfig::default());
     }
 }

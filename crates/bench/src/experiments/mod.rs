@@ -9,15 +9,15 @@
 //!
 //! [`ExperimentContext`] carries the resolved execution [`Profile`]
 //! (fast/full), the base RNG seed, the sweep-engine thread knob, and a
-//! lazily-calibrated `(Technology, CalibrationOutcome)` handle backed by the
-//! persistent snapshot cache of [`crate::calibrate`] — calibration runs at
-//! most once per process even when every experiment executes.
+//! lazily-calibrated `(Technology, CalibrationOutcome)` handle: calibration
+//! runs in-process against the golden reference, at most once per context
+//! and geometry, even when every experiment executes.
 
 use crate::report::Report;
 use optima_circuit::array::ArrayConfig;
 use optima_circuit::error::CircuitError;
 use optima_circuit::technology::Technology;
-use optima_core::calibration::CalibrationOutcome;
+use optima_core::calibration::{CalibrationConfig, CalibrationOutcome, Calibrator};
 use optima_core::model::suite::ModelSuite;
 use optima_core::sweep::default_threads;
 use optima_core::ModelError;
@@ -37,7 +37,6 @@ mod fig7_dse;
 mod fig8_corner_pvt;
 mod geometry_sweep;
 mod serving_load;
-mod snapshot_roundtrip;
 mod table1_corners;
 mod table2_imagenet;
 mod table3_cifar;
@@ -122,8 +121,8 @@ pub enum BenchError {
         source: std::io::Error,
     },
     /// A violated experiment invariant (the experiment ran but its result
-    /// fails a self-check, e.g. a snapshot round trip that is not
-    /// bit-exact).
+    /// fails a self-check, e.g. a serving run that is not bit-identical to
+    /// the single-request path).
     Failed(String),
 }
 
@@ -229,9 +228,9 @@ impl ExperimentContext {
         self
     }
 
-    /// Array geometry the experiments run at; calibration is re-keyed
-    /// automatically ([`crate::calibrate`]).  Resets any calibration
-    /// already computed for a previous geometry.
+    /// Array geometry the experiments run at.  Resets any calibration
+    /// already computed for a previous geometry, so the next
+    /// [`Self::calibration`] re-fits against this array's bit-line load.
     pub fn with_array(mut self, array: ArrayConfig) -> Self {
         self.set_array(array);
         self
@@ -339,18 +338,39 @@ impl ExperimentContext {
     }
 
     /// The calibrated technology and outcome for this profile and array
-    /// geometry, computed on first use (backed by the persistent snapshot
-    /// cache, so it costs milliseconds on a warm cache) and shared by every
-    /// subsequent caller in the process.
+    /// geometry, computed on first use and shared by every later caller of
+    /// this context.
+    ///
+    /// Calibration always runs in-process against the golden reference
+    /// (the fast profile uses the coarse [`CalibrationConfig::fast`] grid),
+    /// so the models can never be older than the simulator and fit code
+    /// they were built from.  The array's row count sets the simulated
+    /// bit-line load (`cells_on_bitline`); at the default geometry the
+    /// paper's 16 rows equal the calibration default.
     ///
     /// # Errors
     ///
-    /// Returns [`BenchError::Model`] when calibration fails; nothing is
-    /// cached then, so the next call retries.
+    /// Returns [`BenchError::Model`] when calibration fails, e.g. for an
+    /// array geometry the golden reference cannot simulate; nothing is
+    /// memoised then, so the next call retries.
     pub fn calibration(&mut self) -> Result<&(Technology, CalibrationOutcome), BenchError> {
         let calibration = match self.calibration.take() {
             Some(calibration) => calibration,
-            None => crate::calibrate(self.is_fast(), &self.array)?,
+            None => {
+                let technology = Technology::tsmc65_like();
+                let mut config = if self.is_fast() {
+                    CalibrationConfig::fast()
+                } else {
+                    CalibrationConfig::default()
+                };
+                // The rows are the cells loading every bit-line discharge the
+                // golden reference simulates; re-fitting against the actual
+                // load is what makes a tall array's calibration differ from
+                // the paper's 16-row macro.
+                config.cells_on_bitline = self.array.rows as usize;
+                let outcome = Calibrator::new(technology.clone(), config).run()?;
+                (technology, outcome)
+            }
         };
         Ok(self.calibration.insert(calibration))
     }
@@ -394,9 +414,9 @@ pub trait Experiment: Sync {
 }
 
 /// The static registry of every experiment, in presentation order
-/// (figures, tables, extensions, infrastructure smoke, then ablations).
+/// (figures, tables, extensions, then ablations).
 pub fn registry() -> &'static [&'static dyn Experiment] {
-    static REGISTRY: [&dyn Experiment; 16] = [
+    static REGISTRY: [&dyn Experiment; 15] = [
         &fig1_sota::Fig1Sota,
         &fig4_nonideality::Fig4Nonideality,
         &fig5_pvt::Fig5Pvt,
@@ -409,7 +429,6 @@ pub fn registry() -> &'static [&'static dyn Experiment] {
         &geometry_sweep::GeometrySweep,
         &fault_sweep::FaultSweep,
         &serving_load::ServingLoad,
-        &snapshot_roundtrip::SnapshotRoundtrip,
         &ablation_dac::AblationDac,
         &ablation_poly_degree::AblationPolyDegree,
         &ablation_tau0::AblationTau0,
@@ -508,6 +527,13 @@ mod tests {
         assert!(ctx.array().is_paper());
         let auto = ExperimentContext::new(Profile::Full);
         assert_eq!(auto.effective_threads(), default_threads());
+    }
+
+    #[test]
+    fn fast_calibration_produces_usable_models() {
+        let mut ctx = ExperimentContext::new(Profile::Fast);
+        let (technology, outcome) = ctx.calibration().unwrap();
+        assert_eq!(outcome.models().vdd_nominal(), technology.vdd_nominal);
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl Adc {
         (1u32 << self.bits) - 1
     }
 
-    /// Voltage of one least-significant bit.
-    pub fn lsb(&self) -> Volts {
-        Volts(self.full_scale.0 / (self.max_code() as f64 + 1.0))
-    }
-
     /// Quantises a discharge voltage into a digital code (round-to-nearest,
     /// clamped to the code range).
     ///
@@ -113,12 +108,6 @@ mod tests {
         assert_eq!(adc.quantize(Volts(1.5)).unwrap(), 15);
         assert_eq!(adc.quantize(Volts(-0.2)).unwrap(), 0);
         assert!(adc.quantize(Volts(f64::NAN)).is_err());
-    }
-
-    #[test]
-    fn lsb_size_matches_full_scale_over_levels() {
-        let adc = Adc::new(8, Volts(0.64)).unwrap();
-        assert!((adc.lsb().0 - 0.64 / 256.0).abs() < 1e-12);
     }
 
     #[test]

@@ -28,11 +28,6 @@ impl MismatchSample {
     pub fn none() -> Self {
         MismatchSample::default()
     }
-
-    /// Returns `true` if both deviations are exactly zero.
-    pub fn is_nominal(&self) -> bool {
-        self.delta_vth.0 == 0.0 && self.delta_beta_rel == 0.0
-    }
 }
 
 /// Gaussian mismatch model of a technology.
@@ -111,12 +106,9 @@ mod tests {
 
     #[test]
     fn nominal_sample_is_zero() {
-        assert!(MismatchSample::none().is_nominal());
-        assert!(!MismatchSample {
-            delta_vth: Volts(0.01),
-            delta_beta_rel: 0.0
-        }
-        .is_nominal());
+        let nominal = MismatchSample::none();
+        assert_eq!(nominal.delta_vth, Volts(0.0));
+        assert_eq!(nominal.delta_beta_rel, 0.0);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Persistent calibration snapshots.
 //!
-//! Calibration is the expensive, deterministic front half of every
-//! experiment: hundreds of golden-reference transients feeding six
-//! least-squares fits.  This module makes it a build-once artifact — a
+//! Calibration is the deterministic front half of every experiment:
+//! hundreds of golden-reference transients feeding six least-squares fits.
+//! This module makes its result a portable artifact — a
 //! [`crate::calibration::CalibrationOutcome`] can be saved to disk and
-//! loaded back bit-exactly, so experiment binaries start in milliseconds
-//! instead of re-running the circuit sweeps.
+//! loaded back bit-exactly, so fitted models can be shipped or archived
+//! without the circuit sweeps that produced them.  The fingerprints cover
+//! the inputs of a calibration, not the simulator or fit code, so a
+//! snapshot is only as current as the build that wrote it.
 //!
 //! The on-disk format is a small versioned text format (the workspace has no
 //! serialization crates — the vendored `serde` is a marker-trait stub), with
@@ -335,8 +337,8 @@ pub fn save(
     }
     let body = render(outcome, technology, config, array);
     // Unique per process *and* per writer: concurrent saves of the same path
-    // (e.g. parallel tests cold-missing a shared cache) must never rename
-    // each other's half-written temp files into place.
+    // (e.g. parallel tests or processes writing one snapshot) must never
+    // rename each other's half-written temp files into place.
     static WRITER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let writer = WRITER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let tmp = path.with_extension(format!("tmp.{}.{}", std::process::id(), writer));

@@ -53,11 +53,6 @@ impl Gaussian {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         self.mean + self.std_dev * standard_normal(rng)
     }
-
-    /// Draws `n` samples.
-    pub fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
 }
 
 /// Draws a standard-normal sample using the Box–Muller transform.
@@ -75,11 +70,15 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
+    fn draw(dist: &Gaussian, rng: &mut ChaCha8Rng, n: usize) -> Vec<f64> {
+        (0..n).map(|_| dist.sample(rng)).collect()
+    }
+
     #[test]
     fn sample_statistics_match_parameters() {
         let dist = Gaussian::new(2.0, 0.5);
         let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let samples = dist.sample_n(&mut rng, 20_000);
+        let samples = draw(&dist, &mut rng, 20_000);
         assert!((stats::mean(&samples) - 2.0).abs() < 0.02);
         assert!((stats::std_dev(&samples) - 0.5).abs() < 0.02);
     }
@@ -102,6 +101,6 @@ mod tests {
         let dist = Gaussian::standard();
         let mut rng_a = ChaCha8Rng::seed_from_u64(99);
         let mut rng_b = ChaCha8Rng::seed_from_u64(99);
-        assert_eq!(dist.sample_n(&mut rng_a, 10), dist.sample_n(&mut rng_b, 10));
+        assert_eq!(draw(&dist, &mut rng_a, 10), draw(&dist, &mut rng_b, 10));
     }
 }

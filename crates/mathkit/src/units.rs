@@ -6,11 +6,11 @@
 //! unwraps to raw `f64` at computation boundaries.
 //!
 //! ```rust
-//! use optima_math::units::{Volts, MilliVolts};
+//! use optima_math::units::{NanoSeconds, Seconds};
 //!
-//! let swing = Volts(0.12);
-//! let in_mv: MilliVolts = swing.to_millivolts();
-//! assert!((in_mv.0 - 120.0).abs() < 1e-9);
+//! let tau0 = Seconds(0.16e-9);
+//! let in_ns: NanoSeconds = tau0.to_nanoseconds();
+//! assert!((in_ns.0 - 0.16).abs() < 1e-9);
 //! ```
 
 use serde::{Deserialize, Serialize};
@@ -153,11 +153,6 @@ unit_newtype!(
     "V"
 );
 unit_newtype!(
-    /// Electric potential in millivolts.
-    MilliVolts,
-    "mV"
-);
-unit_newtype!(
     /// Time in seconds.
     Seconds,
     "s"
@@ -193,20 +188,6 @@ unit_newtype!(
     "A"
 );
 
-impl Volts {
-    /// Converts to millivolts.
-    pub fn to_millivolts(self) -> MilliVolts {
-        MilliVolts(self.0 * 1e3)
-    }
-}
-
-impl MilliVolts {
-    /// Converts to volts.
-    pub fn to_volts(self) -> Volts {
-        Volts(self.0 * 1e-3)
-    }
-}
-
 impl Seconds {
     /// Converts to nanoseconds.
     pub fn to_nanoseconds(self) -> NanoSeconds {
@@ -214,34 +195,10 @@ impl Seconds {
     }
 }
 
-impl NanoSeconds {
-    /// Converts to seconds.
-    pub fn to_seconds(self) -> Seconds {
-        Seconds(self.0 * 1e-9)
-    }
-}
-
 impl Joules {
     /// Converts to femtojoules.
     pub fn to_femtojoules(self) -> FemtoJoules {
         FemtoJoules(self.0 * 1e15)
-    }
-
-    /// Converts to picojoules (returned as a raw `f64`).
-    pub fn to_picojoules(self) -> f64 {
-        self.0 * 1e12
-    }
-}
-
-impl FemtoJoules {
-    /// Converts to joules.
-    pub fn to_joules(self) -> Joules {
-        Joules(self.0 * 1e-15)
-    }
-
-    /// Converts to picojoules (returned as a raw `f64`).
-    pub fn to_picojoules(self) -> f64 {
-        self.0 * 1e-3
     }
 }
 
@@ -257,13 +214,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn conversions_round_trip() {
-        let v = Volts(0.735);
-        assert!((v.to_millivolts().to_volts().0 - 0.735).abs() < 1e-12);
-        let t = Seconds(1.6e-10);
-        assert!((t.to_nanoseconds().to_seconds().0 - 1.6e-10).abs() < 1e-22);
-        let e = Joules(1.05e-12);
-        assert!((e.to_femtojoules().to_joules().0 - 1.05e-12).abs() < 1e-24);
+    fn conversions_scale_by_the_si_prefix() {
+        assert!((Seconds(1.6e-10).to_nanoseconds().0 - 0.16).abs() < 1e-12);
+        assert!((Joules(1.05e-12).to_femtojoules().0 - 1050.0).abs() < 1e-9);
     }
 
     #[test]
@@ -294,13 +247,6 @@ mod tests {
     #[test]
     fn celsius_to_kelvin() {
         assert!((Celsius(26.85).to_kelvin() - 300.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn picojoule_conversions_agree() {
-        let e = Joules(1.05e-12);
-        assert!((e.to_picojoules() - 1.05).abs() < 1e-12);
-        assert!((e.to_femtojoules().to_picojoules() - 1.05).abs() < 1e-12);
     }
 
     #[test]
