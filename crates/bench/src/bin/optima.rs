@@ -31,7 +31,7 @@ USAGE:
 
 OPTIONS (run):
     --all                 run every registered experiment
-    --profile fast|full   execution profile (default: OPTIMA_PROFILE, else full)
+    --profile fast|full   execution profile (default full)
     --seed N              base RNG seed (default 42)
     --threads N           sweep-engine worker threads (default 0 = auto)
     --json DIR            additionally write DIR/<name>.json per experiment
@@ -283,7 +283,7 @@ fn report_envelope(
 
 fn cmd_run(args: &[String]) -> i32 {
     let options = parse_run_options(args);
-    let profile = Profile::resolve(options.profile);
+    let profile = options.profile.unwrap_or(Profile::Full);
     let selected: Vec<&'static dyn Experiment> = if options.all {
         if !options.names.is_empty() {
             usage_error("--all cannot be combined with explicit experiment names");

@@ -41,9 +41,6 @@ mod table1_corners;
 mod table2_imagenet;
 mod table3_cifar;
 
-/// Environment variable selecting the execution profile: `fast` or `full`.
-pub const PROFILE_ENV_VAR: &str = "OPTIMA_PROFILE";
-
 /// Execution profile of an experiment run.
 ///
 /// `Fast` selects coarse sweep grids, fewer Monte-Carlo samples and fewer
@@ -60,8 +57,7 @@ impl Profile {
         self == Profile::Fast
     }
 
-    /// The lowercase name used by the CLI, the environment knob and the
-    /// JSON reports.
+    /// The lowercase name used by the CLI and the JSON reports.
     pub fn name(self) -> &'static str {
         match self {
             Profile::Fast => "fast",
@@ -76,35 +72,6 @@ impl Profile {
             "full" => Some(Profile::Full),
             _ => None,
         }
-    }
-
-    /// Resolves the profile from the environment: `OPTIMA_PROFILE=fast|full`,
-    /// defaulting to `Full`.  An unrecognised `OPTIMA_PROFILE`
-    /// value warns and falls back to the default rather than erroring, so a
-    /// typo in CI degrades to the safe (full-fidelity) behaviour.
-    pub fn from_env() -> Profile {
-        if let Ok(value) = std::env::var(PROFILE_ENV_VAR) {
-            let trimmed = value.trim();
-            if !trimmed.is_empty() {
-                match Profile::parse(trimmed) {
-                    Some(profile) => return profile,
-                    None => {
-                        eprintln!(
-                            "warning: unrecognised {PROFILE_ENV_VAR}={value:?} \
-                             (expected 'fast' or 'full'); using the full profile"
-                        );
-                        return Profile::Full;
-                    }
-                }
-            }
-        }
-        Profile::Full
-    }
-
-    /// Resolves the effective profile: an explicit CLI choice takes
-    /// precedence over the environment.
-    pub fn resolve(cli: Option<Profile>) -> Profile {
-        cli.unwrap_or_else(Profile::from_env)
     }
 }
 
@@ -500,7 +467,6 @@ mod tests {
         assert_eq!(Profile::parse("fast"), Some(Profile::Fast));
         assert_eq!(Profile::parse("FULL"), Some(Profile::Full));
         assert_eq!(Profile::parse("quick"), None);
-        assert_eq!(Profile::resolve(Some(Profile::Fast)), Profile::Fast);
     }
 
     #[test]

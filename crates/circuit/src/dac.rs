@@ -17,7 +17,7 @@ pub enum DacTransfer {
     #[default]
     Linear,
     /// Square-root pre-distorted DAC that linearises the quadratic
-    /// device current, as proposed in ref. [15] of the paper (AID).  Included
+    /// device current, as proposed in ref. \[15\] of the paper (AID).  Included
     /// for the ablation study.
     SquareRootPredistortion,
 }

@@ -9,14 +9,13 @@
 //!   corners and temperature dependence,
 //! * [`mosfet`] — a square-law + subthreshold MOSFET current model,
 //! * [`sram`] — the 6T SRAM cell (Fig. 2 of the paper),
-//! * [`bitline`] — bit-line capacitance, pre-charge and discharge wiring,
 //! * [`transient`] — ODE-based transient simulation of the bit-line discharge
 //!   (the *slow but accurate* reference OPTIMA is benchmarked against),
 //! * [`pvt`] — process/voltage/temperature operating points (Fig. 5),
 //! * [`defects`] — per-cell defect maps (stuck-at cells, open/shorted
 //!   bit-lines, retention drift) and lifetime aging trajectories,
 //! * [`montecarlo`] — transistor mismatch sampling (Fig. 5d),
-//! * [`energy`] — write/pre-charge/discharge energy accounting (Eqs. 7–8
+//! * [`energy`] — closed-form write and discharge energies (Eqs. 7–8
 //!   reference data),
 //! * [`dac`] / [`adc`] — circuit-level data converters used by the 4-bit
 //!   multiplier case study,
@@ -55,7 +54,6 @@
 
 pub mod adc;
 pub mod array;
-pub mod bitline;
 pub mod dac;
 pub mod defects;
 pub mod energy;
@@ -74,13 +72,11 @@ pub use error::CircuitError;
 pub mod prelude {
     pub use crate::adc::Adc;
     pub use crate::array::ArrayConfig;
-    pub use crate::bitline::BitLine;
     pub use crate::dac::Dac;
     pub use crate::defects::{
         BitLineFault, CellDefect, DefectCounts, DefectMap, DefectModel, LifetimePoint,
         LifetimeTrajectory,
     };
-    pub use crate::energy::EnergyReport;
     pub use crate::error::CircuitError;
     pub use crate::montecarlo::{MismatchModel, MismatchSample};
     pub use crate::mosfet::{Mosfet, MosfetKind};

@@ -157,12 +157,6 @@ impl Mosfet {
             subthreshold,
         }
     }
-
-    /// Saturation drain current for the given overdrive voltage (ignoring λ).
-    pub fn saturation_current(&self, v_gs: Volts) -> Amperes {
-        let overdrive = (v_gs.0 - self.threshold.0).max(0.0);
-        Amperes(0.5 * self.beta * overdrive * overdrive)
-    }
 }
 
 /// A [`Mosfet`] at a fixed gate voltage, from [`Mosfet::at_gate`].
@@ -352,16 +346,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn saturation_current_matches_square_law() {
-        let fet = nominal_nmos();
-        let overdrive: f64 = 0.35;
-        let expected = 0.5 * fet.beta() * overdrive.powi(2);
-        let got = fet
-            .saturation_current(Volts(fet.threshold().0 + overdrive))
-            .0;
-        assert!((got - expected).abs() / expected < 1e-12);
     }
 }

@@ -19,8 +19,6 @@
 //! order whatever its neighbours, so every lane is bit-identical to a lone
 //! transient of the same instance.
 
-use crate::bitline::BitLine;
-use crate::energy::EnergyReport;
 use crate::error::CircuitError;
 use crate::montecarlo::MismatchSample;
 use crate::pvt::PvtConditions;
@@ -201,30 +199,6 @@ impl TransientSimulator {
     ) -> Result<Volts, CircuitError> {
         let waveform = self.discharge_waveform(stimulus, pvt, mismatch)?;
         Ok(Volts(waveform.initial_value() - waveform.final_value()))
-    }
-
-    /// Simulates one full operation (write + pre-charge + discharge) and
-    /// returns its energy breakdown.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TransientSimulator::discharge_waveform`].
-    pub fn operation_energy(
-        &self,
-        stimulus: &DischargeStimulus,
-        pvt: &PvtConditions,
-        mismatch: &MismatchSample,
-    ) -> Result<EnergyReport, CircuitError> {
-        let waveform = self.discharge_waveform(stimulus, pvt, mismatch)?;
-        let mut bitline = BitLine::for_column(&self.technology, stimulus.cells_on_bitline, pvt.vdd);
-        bitline.set_voltage(Volts(waveform.final_value()));
-        let precharge = bitline.precharge(pvt.vdd);
-        Ok(EnergyReport::for_operation(
-            &self.technology,
-            pvt,
-            stimulus.cells_on_bitline,
-            precharge,
-        ))
     }
 
     fn capacitance(&self, stimulus: &DischargeStimulus) -> f64 {
@@ -742,32 +716,5 @@ mod tests {
         assert!(sim
             .discharge_waveform(&bad_cells, &pvt, &MismatchSample::none())
             .is_err());
-    }
-
-    #[test]
-    fn operation_energy_is_positive_and_scales_with_discharge() {
-        let (sim, pvt) = sim();
-        let small = sim
-            .operation_energy(
-                &DischargeStimulus {
-                    word_line_voltage: Volts(0.55),
-                    ..DischargeStimulus::default()
-                },
-                &pvt,
-                &MismatchSample::none(),
-            )
-            .unwrap();
-        let large = sim
-            .operation_energy(
-                &DischargeStimulus {
-                    word_line_voltage: Volts(1.0),
-                    ..DischargeStimulus::default()
-                },
-                &pvt,
-                &MismatchSample::none(),
-            )
-            .unwrap();
-        assert!(small.total().0 > 0.0);
-        assert!(large.discharge.0 > small.discharge.0);
     }
 }

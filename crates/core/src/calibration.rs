@@ -8,8 +8,9 @@
 //! 2. **Develop behavioural models** — least-squares fits of the polynomial
 //!    models of Eqs. 3–8 to that data ([`optima_math::lsq`]).
 //! 3. **Incorporate the models into a discrete-time simulation framework** —
-//!    the fitted [`ModelSuite`] feeds [`crate::simulator`] and the multiplier
-//!    case study in `optima-imc`.
+//!    the fitted [`ModelSuite`] feeds the in-SRAM multiplier of `optima-imc`
+//!    (`optima_imc::multiplier::InSramMultiplier`), which executes each
+//!    multiplication as a sequence of discrete bit-line discharges.
 
 use crate::backend::DischargeBackend;
 use crate::error::ModelError;

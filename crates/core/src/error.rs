@@ -31,11 +31,6 @@ pub enum ModelError {
         /// Which model was missing.
         model: String,
     },
-    /// The event simulator was given an inconsistent schedule.
-    InvalidSchedule {
-        /// Human-readable description.
-        context: String,
-    },
     /// One item of a parallel sweep failed (calibration grid point, held-out
     /// evaluation point, Monte-Carlo sample, …).  The sweep is error-strict:
     /// no partial result is returned and the lowest failing index is named.
@@ -109,9 +104,6 @@ impl fmt::Display for ModelError {
             }
             ModelError::NotCalibrated { model } => {
                 write!(f, "model {model} has not been calibrated")
-            }
-            ModelError::InvalidSchedule { context } => {
-                write!(f, "invalid event schedule: {context}")
             }
             ModelError::SweepFailed {
                 index,

@@ -9,8 +9,9 @@
 //! 2. fits parameterised polynomial *discharge models* (Eqs. 3–6) and
 //!    *energy models* (Eqs. 7–8) to the resulting data with least squares
 //!    ([`calibration`]),
-//! 3. evaluates those models inside a fast event-based, discrete-time
-//!    simulation framework ([`simulator`]), and
+//! 3. evaluates those models inside a fast discrete-time framework that
+//!    executes the in-SRAM multiplication
+//!    (`optima_imc::multiplier::InSramMultiplier`), and
 //! 4. quantifies the model accuracy (RMS error, Fig. 6) against circuit
 //!    simulation ([`evaluation`]); the speed-up over it is timed by the
 //!    `perfbench` workspace.
@@ -46,7 +47,6 @@ pub mod calibration;
 pub mod error;
 pub mod evaluation;
 pub mod model;
-pub mod simulator;
 pub mod snapshot;
 pub mod sweep;
 
@@ -66,7 +66,6 @@ pub mod prelude {
     pub use crate::model::energy::{DischargeEnergyModel, WriteEnergyModel};
     pub use crate::model::mismatch::MismatchSigmaModel;
     pub use crate::model::suite::ModelSuite;
-    pub use crate::simulator::{Event, EventKind, EventSimulator, SimulationTrace};
     pub use crate::sweep::{par_map, par_map_sweep, stream_seed, SweepError};
     pub use optima_math::units::{Celsius, FemtoJoules, Joules, Seconds, Volts};
 }

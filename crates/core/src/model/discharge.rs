@@ -139,8 +139,8 @@ impl DischargeModel {
     }
 
     /// Same as [`DischargeModel::bitline_voltage`] without domain validation
-    /// (used in the inner loops of the event simulator after a single
-    /// up-front check).
+    /// (used in the inner loops of calibration and evaluation after a
+    /// single up-front check).
     pub fn bitline_voltage_unchecked(&self, time: Seconds, word_line: Volts) -> f64 {
         let overdrive = word_line.0 - self.threshold.0;
         let t_ns = to_nanoseconds(time.0);

@@ -1,8 +1,8 @@
 //! The combined OPTIMA model suite.
 //!
 //! [`ModelSuite`] bundles the discharge, supply, temperature, mismatch and
-//! energy models into the single object used by the event simulator, the
-//! in-SRAM multiplier case study and the DNN evaluation.
+//! energy models into the single object used by the in-SRAM multiplier case
+//! study and the DNN evaluation.
 
 use crate::error::ModelError;
 use crate::model::discharge::DischargeModel;
@@ -282,20 +282,6 @@ impl ModelSuite {
     ) -> FemtoJoules {
         self.discharge_energy.energy(delta_v, vdd, temperature)
     }
-
-    /// Total energy of one operation consisting of a write followed by a
-    /// discharge of `delta_v`.
-    pub fn operation_energy(
-        &self,
-        delta_v: Volts,
-        vdd: Volts,
-        temperature: Celsius,
-    ) -> FemtoJoules {
-        FemtoJoules(
-            self.write_energy(vdd, temperature).0
-                + self.discharge_energy(delta_v, vdd, temperature).0,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -475,20 +461,6 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, ModelError::OutOfCalibrationRange { .. }));
-    }
-
-    #[test]
-    fn energies_combine_into_operation_energy() {
-        let suite = toy_suite();
-        let write = suite.write_energy(Volts(1.0), Celsius(25.0)).0;
-        let discharge = suite
-            .discharge_energy(Volts(0.2), Volts(1.0), Celsius(25.0))
-            .0;
-        let total = suite
-            .operation_energy(Volts(0.2), Volts(1.0), Celsius(25.0))
-            .0;
-        assert!((total - (write + discharge)).abs() < 1e-12);
-        assert!(write > 0.0 && discharge > 0.0);
     }
 
     #[test]

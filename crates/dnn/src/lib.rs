@@ -11,8 +11,8 @@
 //!   dense GEMMs over [`optima_math::gemm`],
 //! * [`layers`] — convolution, dense, pooling, activation and residual layers
 //!   with forward and backward passes,
-//! * [`reference`] — the naive scalar kernels kept as equivalence-test and
-//!   benchmark baselines,
+//! * [`reference`](mod@reference) — the naive scalar kernels kept as
+//!   equivalence-test and benchmark baselines,
 //! * [`network`] — sequential networks, training state and SGD,
 //! * [`training`] — cross-entropy loss and a simple trainer,
 //! * [`data`] — procedurally generated image-classification datasets

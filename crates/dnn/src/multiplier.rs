@@ -9,7 +9,7 @@
 //!   design corner (via [`optima_imc::multiplier::MultiplierTable`]),
 //! * [`ComposedProducts`] — digital shift-add composition of a wide product
 //!   from a narrower table, mirroring the multi-pass
-//!   [`optima_circuit::array::ArrayConfig`] slice composition (e.g. INT8
+//!   `optima_circuit::array::ArrayConfig` slice composition (e.g. INT8
 //!   from 4-bit analog slices),
 //! * [`DynDispatchProducts`] — a decorator that opts a table out of LUT
 //!   snapshotting, forcing the per-product dynamic-dispatch reference path

@@ -8,7 +8,7 @@
 //! 0…15 at 4 bits).
 //!
 //! The operand width is a parameter (1..=8 bits) so the same quantizers serve
-//! any [`optima_circuit::array::ArrayConfig`] geometry; the paper's INT4
+//! any `optima_circuit::array::ArrayConfig` geometry; the paper's INT4
 //! pipeline is `bits = 4`.
 
 use serde::{Deserialize, Serialize};

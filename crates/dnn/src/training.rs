@@ -91,13 +91,6 @@ pub struct TrainingHistory {
     pub epoch_accuracies: Vec<f64>,
 }
 
-impl TrainingHistory {
-    /// Loss of the final epoch (`None` before any training).
-    pub fn final_loss(&self) -> Option<f32> {
-        self.epoch_losses.last().copied()
-    }
-}
-
 /// Plain stochastic-gradient-descent trainer.
 #[derive(Debug, Clone)]
 pub struct Trainer {
@@ -313,7 +306,7 @@ mod tests {
         });
         let history = trainer.train(&mut network, &dataset).unwrap();
         assert_eq!(history.epoch_losses.len(), 15);
-        assert!(history.final_loss().unwrap() < history.epoch_losses[0]);
+        assert!(history.epoch_losses.last().unwrap() < &history.epoch_losses[0]);
         assert!(
             *history.epoch_accuracies.last().unwrap() > 0.8,
             "training accuracy too low: {:?}",

@@ -1,7 +1,7 @@
 //! In-SRAM multiplier case study (paper Section V).
 //!
 //! This crate applies the OPTIMA models of [`optima_core`] to the 4-bit
-//! discharge-based multiplication circuit of the paper's ref. [8] (IMAC):
+//! discharge-based multiplication circuit of the paper's ref. \[8\] (IMAC):
 //! one operand is stored as a 4-bit word in an SRAM row, the other is applied
 //! as an analog word-line voltage generated by a 4-bit DAC, the four
 //! bit-line-bars discharge for `τ0, 2τ0, 4τ0, 8τ0` to implement bit

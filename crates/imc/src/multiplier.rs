@@ -1,6 +1,6 @@
 //! The behavioural discharge-based in-SRAM multiplier.
 //!
-//! The circuit (paper Section V, based on ref. [8]) multiplies an operand
+//! The circuit (paper Section V, based on ref. \[8\]) multiplies an operand
 //! `a` applied through a word-line DAC with an operand `d` stored in an SRAM
 //! row.  Each stored bit `d_i` gates the discharge of its own bit-line-bar;
 //! bit weighting is achieved by letting column `i` discharge for `2^i · τ0`.

@@ -25,9 +25,9 @@ pub struct SotaDesignPoint {
 
 /// The four design points compared in Fig. 1.
 ///
-/// The numbers are taken from the cited publications (IMAC [8], the
-/// charge-based vector-vector multiplier [14], AID [15] and the
-/// thermometer-encoded time/charge CIM macro [16]); where a paper reports a
+/// The numbers are taken from the cited publications (IMAC \[8\], the
+/// charge-based vector-vector multiplier \[14\], AID \[15\] and the
+/// thermometer-encoded time/charge CIM macro \[16\]); where a paper reports a
 /// range, the value used in the figure is listed.
 pub fn published_design_points() -> Vec<SotaDesignPoint> {
     vec![

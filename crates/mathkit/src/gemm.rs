@@ -115,7 +115,7 @@ fn dot(x: &[f32], y: &[f32]) -> f32 {
 
 /// `C += A·B` for row-major `A [m×k]`, `B [k×n]`, `C [m×n]`.
 ///
-/// Blocked over `m` and `k`; the inner loop is an [`axpy`] over contiguous
+/// Blocked over `m` and `k`; the inner loop is an `axpy` over contiguous
 /// rows of `B` and `C`, so no per-element bounds checks survive.
 ///
 /// # Panics
@@ -146,7 +146,7 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
 /// `C += A·Bᵀ` for row-major `A [m×k]`, `B [n×k]`, `C [m×n]`.
 ///
 /// Both operands are traversed along their contiguous rows; each output
-/// element is one unrolled [`dot`] product.
+/// element is one unrolled `dot` product.
 ///
 /// # Panics
 ///
@@ -170,7 +170,7 @@ pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
 /// `C += Aᵀ·B` for row-major `A [k×m]`, `B [k×n]`, `C [m×n]`.
 ///
 /// Iterates the reduction dimension outermost so `A` and `B` are both read
-/// along contiguous rows; the inner loop is an [`axpy`] into rows of `C`.
+/// along contiguous rows; the inner loop is an `axpy` into rows of `C`.
 ///
 /// # Panics
 ///
@@ -196,7 +196,7 @@ pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
 
 /// `y += A·x` for row-major `A [m×k]`, `x [k]`, `y [m]`.
 ///
-/// One unrolled [`dot`] product per output element.
+/// One unrolled `dot` product per output element.
 ///
 /// # Panics
 ///
@@ -212,7 +212,7 @@ pub fn gemv(m: usize, k: usize, a: &[f32], x: &[f32], y: &mut [f32]) {
 
 /// `y += Aᵀ·x` for row-major `A [m×k]`, `x [m]`, `y [k]`.
 ///
-/// Traverses `A` along its contiguous rows, accumulating [`axpy`] updates.
+/// Traverses `A` along its contiguous rows, accumulating `axpy` updates.
 ///
 /// # Panics
 ///
@@ -260,7 +260,7 @@ impl GemmScratch {
     }
 }
 
-/// A pack-once matrix-product plan: `A` repacked into [`MR`]-row panels for
+/// A pack-once matrix-product plan: `A` repacked into `MR`-row panels for
 /// the 8-wide register-tile micro-kernel.
 ///
 /// Build one per weight matrix with [`PackedGemm::pack`], then run

@@ -1,8 +1,9 @@
 //! Numeric foundations for the OPTIMA reproduction.
 //!
-//! The OPTIMA modeling framework ([`optima-core`]) fits low-degree polynomial
-//! models to circuit-simulation data and evaluates them inside a fast
-//! discrete-time simulator.  This crate provides all numeric machinery those
+//! The OPTIMA modeling framework (`optima_core`) fits low-degree polynomial
+//! models to circuit-simulation data, and the in-SRAM multiplier
+//! (`optima_imc::multiplier::InSramMultiplier`) evaluates them inside a fast
+//! discrete-time framework.  This crate provides all numeric machinery those
 //! steps need, implemented from scratch so the workspace stays within the
 //! small set of approved dependencies:
 //!

@@ -6,7 +6,7 @@
 //! 64-bit range fits in a fixed 976-slot table.  Percentile extraction is
 //! **rank-exact**: the cumulative walk selects precisely the ⌈p·N⌉-th
 //! smallest sample's bucket and reports that bucket's upper bound (clamped
-//! to the exact observed maximum), so p50/p90/p99 never under-report.
+//! to the exact observed maximum), so p50/p99 never under-report.
 //!
 //! Histograms are plain value types: each shard's latencies land in a
 //! histogram of its own, which `Plan::virtual_latency` then
@@ -25,7 +25,6 @@ const BUCKETS: usize = SUB_BUCKETS * 61;
 pub struct LatencyHistogram {
     counts: Box<[u64; BUCKETS]>,
     total: u64,
-    sum: u64,
     min: u64,
     max: u64,
 }
@@ -42,7 +41,6 @@ impl LatencyHistogram {
         LatencyHistogram {
             counts: Box::new([0; BUCKETS]),
             total: 0,
-            sum: 0,
             min: u64::MAX,
             max: 0,
         }
@@ -67,7 +65,9 @@ impl LatencyHistogram {
         let group = (index / SUB_BUCKETS) as u32;
         let sub = (index % SUB_BUCKETS) as u64;
         let low = (SUB_BUCKETS as u64 + sub) << (group - 1);
-        low + (1u64 << (group - 1)) - 1
+        // Parenthesised so the top bucket's bound, u64::MAX, never passes
+        // through 2^64.
+        low + ((1u64 << (group - 1)) - 1)
     }
 
     // optima-lint: hot
@@ -75,7 +75,6 @@ impl LatencyHistogram {
     pub fn record(&mut self, value_us: u64) {
         self.counts[Self::index(value_us)] += 1;
         self.total += 1;
-        self.sum = self.sum.saturating_add(value_us);
         self.min = self.min.min(value_us);
         self.max = self.max.max(value_us);
     }
@@ -85,7 +84,6 @@ impl LatencyHistogram {
     pub fn clear(&mut self) {
         self.counts.fill(0);
         self.total = 0;
-        self.sum = 0;
         self.min = u64::MAX;
         self.max = 0;
     }
@@ -96,7 +94,6 @@ impl LatencyHistogram {
             *mine += theirs;
         }
         self.total += other.total;
-        self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -118,15 +115,6 @@ impl LatencyHistogram {
     /// Exact maximum recorded value.
     pub fn max_us(&self) -> u64 {
         self.max
-    }
-
-    /// Mean of the recorded values, or 0.0 when empty.
-    pub fn mean_us(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
     }
 
     /// The `quantile`-th percentile (e.g. `0.99`), resolved to the selected
@@ -157,11 +145,6 @@ impl LatencyHistogram {
     /// Median latency.
     pub fn p50(&self) -> u64 {
         self.percentile(0.50)
-    }
-
-    /// 90th-percentile latency.
-    pub fn p90(&self) -> u64 {
-        self.percentile(0.90)
     }
 
     /// 99th-percentile latency.
@@ -269,7 +252,14 @@ mod tests {
         assert_eq!(hist.count(), 0);
         assert_eq!(hist.percentile(0.5), 0);
         assert_eq!(hist.min_us(), 0);
-        assert_eq!(hist.mean_us(), 0.0);
+    }
+
+    #[test]
+    fn top_bucket_percentiles_reach_u64_max() {
+        let mut hist = LatencyHistogram::new();
+        hist.record(u64::MAX);
+        assert_eq!(hist.p99(), u64::MAX);
+        assert_eq!(hist.p50(), u64::MAX);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!    The warm steady state allocates nothing per request, and results are
 //!    bit-identical to lone single-request calls at any shard count.
 //! 4. **Reporting** — log2-bucketed [`histogram::LatencyHistogram`]s
-//!    (rank-exact p50/p90/p99, mergeable across shards) over the plan's
+//!    (rank-exact percentiles, mergeable across shards) over the plan's
 //!    virtual timeline.  The crate reads no clock; wall-clock serving times
 //!    come from the `perfbench` `serve` workload.
 //!

@@ -55,11 +55,6 @@ impl ShardPool {
         })
     }
 
-    /// Number of worker shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Executes every planned batch against `model`, drawing request
     /// images from `images` (the pool the plan was built for).
     ///

@@ -6,8 +6,8 @@
 //!
 //! * [`optima_math`] — numeric foundations,
 //! * [`optima_circuit`] — golden-reference analog circuit simulator,
-//! * [`optima_core`] — the OPTIMA behavioural models, calibration, event
-//!   simulator and evaluation,
+//! * [`optima_core`] — the OPTIMA behavioural models, calibration and
+//!   evaluation,
 //! * [`optima_imc`] — the 4-bit in-SRAM multiplier case study and
 //!   design-space exploration,
 //! * [`optima_dnn`] — the quantized DNN substrate used for the application

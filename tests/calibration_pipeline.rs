@@ -5,7 +5,6 @@ use optima_suite::optima_circuit::montecarlo::MismatchSample;
 use optima_suite::optima_circuit::prelude::*;
 use optima_suite::optima_circuit::pvt::linspace;
 use optima_suite::optima_core::calibration::{CalibrationConfig, Calibrator};
-use optima_suite::optima_core::simulator::{Event, EventKind, EventSimulator};
 
 #[test]
 fn calibrated_models_reproduce_the_golden_reference_across_the_grid() {
@@ -43,60 +42,4 @@ fn calibrated_models_reproduce_the_golden_reference_across_the_grid() {
         worst < 0.025,
         "worst model deviation {worst} V is too large"
     );
-}
-
-#[test]
-fn event_simulator_reproduces_bit_weighted_discharges_with_calibrated_models() {
-    let technology = Technology::tsmc65_like();
-    let models = Calibrator::new(technology, CalibrationConfig::fast())
-        .run()
-        .expect("calibration succeeds")
-        .into_models();
-
-    // Two columns storing '1'; the second is sampled twice as late, so it
-    // must show roughly twice the discharge (bit weighting in time).
-    let mut simulator = EventSimulator::new(models, 2);
-    let tau0 = 0.4e-9;
-    let trace = simulator
-        .run(&[
-            Event::new(
-                Seconds(0.0),
-                EventKind::Write {
-                    column: 0,
-                    bit: true,
-                },
-            ),
-            Event::new(
-                Seconds(0.0),
-                EventKind::Write {
-                    column: 1,
-                    bit: true,
-                },
-            ),
-            Event::new(Seconds(0.01e-9), EventKind::Precharge { column: 0 }),
-            Event::new(Seconds(0.01e-9), EventKind::Precharge { column: 1 }),
-            Event::new(
-                Seconds(0.02e-9),
-                EventKind::DriveWordLine {
-                    voltage: Volts(0.9),
-                },
-            ),
-            Event::new(
-                Seconds(0.02e-9 + tau0),
-                EventKind::SampleBitline { column: 0 },
-            ),
-            Event::new(
-                Seconds(0.02e-9 + 2.0 * tau0),
-                EventKind::SampleBitline { column: 1 },
-            ),
-            Event::new(Seconds(0.02e-9 + 2.0 * tau0), EventKind::ReleaseWordLine),
-        ])
-        .expect("schedule is valid");
-    assert_eq!(trace.samples.len(), 2);
-    let ratio = trace.samples[1].discharge.0 / trace.samples[0].discharge.0;
-    assert!(
-        (ratio - 2.0).abs() < 0.35,
-        "bit weighting ratio {ratio} deviates too far from 2"
-    );
-    assert!(trace.total_energy().0 > 0.0);
 }
