@@ -64,8 +64,9 @@ fn table1_corners_text_output_is_byte_identical_to_the_pre_refactor_binary() {
 #[test]
 fn fig8_corner_pvt_text_output_is_byte_identical_to_the_scalar_monte_carlo() {
     // Captured while the mismatch Monte Carlo still ran every pair through
-    // the scalar `multiply_with_mismatch`; the grid-based sweep must draw the
-    // same samples.  The report prints no thread count, so nothing is masked.
+    // the live models (today the per-pair reference in optima_imc's unit
+    // tests); the grid-based sweep must draw the same samples.  The report
+    // prints no thread count, so nothing is masked.
     assert_eq!(run_fast("fig8_corner_pvt"), golden("fig8_corner_pvt"));
 }
 

@@ -104,11 +104,6 @@ impl Mosfet {
         self.threshold
     }
 
-    /// Effective transconductance parameter (A/V²).
-    pub fn beta(&self) -> f64 {
-        self.beta
-    }
-
     /// Operating region at the given gate-source / drain-source bias.
     ///
     /// Both voltages are interpreted in the device's own polarity (i.e. pass
@@ -312,14 +307,14 @@ mod tests {
             let overdrive = v_gs - fet.threshold().0;
             let current = if overdrive <= 0.0 {
                 let anchor_overdrive = 0.02;
-                let anchor = 0.5 * fet.beta() * anchor_overdrive * anchor_overdrive;
+                let anchor = 0.5 * fet.beta * anchor_overdrive * anchor_overdrive;
                 let decades = (overdrive - anchor_overdrive) / tech.subthreshold_swing;
                 let sat = anchor * 10f64.powf(decades);
                 sat * (1.0 - (-v_ds / 0.026).exp())
             } else if v_ds < overdrive {
-                fet.beta() * (overdrive - 0.5 * v_ds) * v_ds
+                fet.beta * (overdrive - 0.5 * v_ds) * v_ds
             } else {
-                0.5 * fet.beta()
+                0.5 * fet.beta
                     * overdrive
                     * overdrive
                     * (1.0 + tech.channel_length_modulation * (v_ds - overdrive))

@@ -11,7 +11,6 @@ use crate::model::mismatch::MismatchSigmaModel;
 use crate::model::supply::SupplyModel;
 use crate::model::temperature::TemperatureModel;
 use optima_math::units::{Celsius, FemtoJoules, Seconds, Volts};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// All OPTIMA behavioural models of one calibrated technology.
@@ -245,29 +244,6 @@ impl ModelSuite {
         self.mismatch.sigma(time, word_line)
     }
 
-    /// Like [`ModelSuite::discharge`], but adds a Gaussian mismatch sample
-    /// drawn from the Eq. 6 σ-model, emulating one Monte Carlo instance.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::OutOfCalibrationRange`] outside the calibrated domain.
-    pub fn discharge_with_mismatch<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        time: Seconds,
-        word_line: Volts,
-        stored_bit: bool,
-        vdd: Volts,
-        temperature: Celsius,
-    ) -> Result<Volts, ModelError> {
-        let nominal = self.discharge(time, word_line, stored_bit, vdd, temperature)?;
-        if !stored_bit {
-            return Ok(nominal);
-        }
-        let deviation = self.mismatch.sample_deviation(rng, time, word_line);
-        Ok(Volts((nominal.0 + deviation.0).max(0.0)))
-    }
-
     /// Write energy at the given operating point (Eq. 7).
     pub fn write_energy(&self, vdd: Volts, temperature: Celsius) -> FemtoJoules {
         self.write_energy.energy(vdd, temperature)
@@ -288,8 +264,6 @@ impl ModelSuite {
 mod tests {
     use super::*;
     use optima_math::Polynomial;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     /// A hand-assembled suite with simple analytic behaviour:
     /// ΔV = 0.3·V_od·t[ns], ±2 % per 0.1 V supply error, tiny temperature term.
@@ -370,47 +344,6 @@ mod tests {
         assert!(suite
             .discharge(Seconds(1e-9), Volts(2.0), true, Volts(1.0), Celsius(25.0))
             .is_err());
-    }
-
-    #[test]
-    fn mismatch_sampling_perturbs_the_discharge() {
-        let suite = toy_suite();
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let nominal = suite
-            .discharge(Seconds(1e-9), Volts(0.9), true, Volts(1.0), Celsius(25.0))
-            .unwrap()
-            .0;
-        let mut any_different = false;
-        for _ in 0..32 {
-            let sampled = suite
-                .discharge_with_mismatch(
-                    &mut rng,
-                    Seconds(1e-9),
-                    Volts(0.9),
-                    true,
-                    Volts(1.0),
-                    Celsius(25.0),
-                )
-                .unwrap()
-                .0;
-            assert!(sampled >= 0.0);
-            if (sampled - nominal).abs() > 1e-6 {
-                any_different = true;
-            }
-        }
-        assert!(any_different, "mismatch sampling must perturb the value");
-        // A '0' cell is unaffected by mismatch.
-        let zero = suite
-            .discharge_with_mismatch(
-                &mut rng,
-                Seconds(1e-9),
-                Volts(0.9),
-                false,
-                Volts(1.0),
-                Celsius(25.0),
-            )
-            .unwrap();
-        assert_eq!(zero.0, 0.0);
     }
 
     #[test]

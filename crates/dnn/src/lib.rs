@@ -63,8 +63,7 @@ pub mod prelude {
     pub use crate::layers::Layer;
     pub use crate::models::{resnet_style, vgg_style, ModelKind};
     pub use crate::multiplier::{
-        ComposedProducts, DynDispatchProducts, ExactInt4Products, ExactProducts, InMemoryProducts,
-        ProductTable,
+        ComposedProducts, ExactInt4Products, ExactProducts, InMemoryProducts, ProductTable,
     };
     pub use crate::network::Network;
     pub use crate::quantization::QuantizationParams;

@@ -10,10 +10,11 @@
 //! * [`ComposedProducts`] — digital shift-add composition of a wide product
 //!   from a narrower table, mirroring the multi-pass
 //!   `optima_circuit::array::ArrayConfig` slice composition (e.g. INT8
-//!   from 4-bit analog slices),
-//! * [`DynDispatchProducts`] — a decorator that opts a table out of LUT
-//!   snapshotting, forcing the per-product dynamic-dispatch reference path
-//!   that the LUT bit-identity tests and benchmarks compare against.
+//!   from 4-bit analog slices).
+//!
+//! Every product must be a pure function of its operands: the quantized
+//! network snapshots the whole product space into a flat lookup table once
+//! and never calls [`ProductTable::product`] again.
 
 use optima_imc::multiplier::MultiplierTable;
 use std::fmt;
@@ -32,18 +33,6 @@ pub trait ProductTable: Send + Sync {
     /// and activations to this width.  Defaults to the paper's 4 bits.
     fn operand_bits(&self) -> u8 {
         4
-    }
-
-    /// Whether [`ProductTable::product`] is a pure function of its operands,
-    /// allowing the quantized inference engine to snapshot the full product
-    /// space into a flat lookup table once and never call `product` again.
-    ///
-    /// Defaults to `true`.  Tables returning `false` — e.g.
-    /// [`DynDispatchProducts`] — route inference through the per-product
-    /// dynamic-dispatch reference path, so every multiplication calls
-    /// `product`.
-    fn supports_snapshot(&self) -> bool {
-        true
     }
 }
 
@@ -205,37 +194,6 @@ impl ProductTable for ComposedProducts {
     fn operand_bits(&self) -> u8 {
         self.slices * self.inner.operand_bits()
     }
-
-    fn supports_snapshot(&self) -> bool {
-        self.inner.supports_snapshot()
-    }
-}
-
-/// Forwarding decorator that opts the wrapped table out of LUT snapshotting.
-///
-/// Routing a pure table through this wrapper forces
-/// [`crate::quantized::QuantizedNetwork`] onto its per-product
-/// dynamic-dispatch reference path: the oracle of the LUT bit-identity tests
-/// and the "before" side of the LUT-vs-dyn benchmark.
-#[derive(Debug, Clone)]
-pub struct DynDispatchProducts(pub Arc<dyn ProductTable>);
-
-impl ProductTable for DynDispatchProducts {
-    fn product(&self, a: u8, b: u8) -> u16 {
-        self.0.product(a, b)
-    }
-
-    fn name(&self) -> String {
-        format!("dyn({})", self.0.name())
-    }
-
-    fn operand_bits(&self) -> u8 {
-        self.0.operand_bits()
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]
@@ -262,17 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn dyn_dispatch_products_forward_everything_but_the_snapshot() {
-        let composed: Arc<dyn ProductTable> =
-            Arc::new(ComposedProducts::new(Arc::new(ExactInt4Products), 2));
-        let dyn_dispatch = DynDispatchProducts(composed.clone());
-        assert!(!dyn_dispatch.supports_snapshot());
-        assert_eq!(dyn_dispatch.operand_bits(), 8);
-        assert_eq!(dyn_dispatch.name(), format!("dyn({})", composed.name()));
-        assert_eq!(dyn_dispatch.product(200, 17), 3400);
-    }
-
-    #[test]
     fn exact_products_generalize_the_int4_baseline() {
         let int4 = ExactProducts::new(4);
         assert_eq!(int4.operand_bits(), ExactInt4Products.operand_bits());
@@ -291,7 +238,6 @@ mod tests {
     fn composed_int8_products_match_the_widened_reference() {
         let composed = ComposedProducts::new(Arc::new(ExactInt4Products), 2);
         assert_eq!(composed.operand_bits(), 8);
-        assert!(composed.supports_snapshot());
         // Exhaustive over the full 8-bit input space: digital shift-add of
         // exact 4-bit slice products is exact.
         for a in 0..=255u16 {
@@ -303,14 +249,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn composed_products_propagate_the_snapshot_opt_out() {
-        let dyn_dispatch = Arc::new(DynDispatchProducts(Arc::new(ExactInt4Products)));
-        let composed = ComposedProducts::new(dyn_dispatch, 2);
-        assert!(!composed.supports_snapshot());
-        assert_eq!(composed.product(0x12, 0x34), 0x12 * 0x34);
     }
 
     #[test]

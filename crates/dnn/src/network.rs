@@ -65,8 +65,8 @@ impl Network {
     /// The first layer borrows `input`; after that the activation tensor is
     /// threaded through the stack *by value*, so shape-preserving layers
     /// (ReLU, flatten) run in place and no layer ever clones a tensor.  The
-    /// zero-clone property is pinned by a regression test against
-    /// [`crate::tensor::clone_count`].
+    /// zero-clone property is pinned by a unit test that counts
+    /// `Tensor::clone` calls.
     ///
     /// # Errors
     ///

@@ -98,16 +98,8 @@ pub fn quantize_weights_bits(weights: &[f32], bits: u8) -> (Vec<i8>, Quantizatio
     (quantized, params)
 }
 
-/// Quantizes an activation slice (clamped at zero) to unsigned `bits` bits.
-pub fn quantize_activations_bits(activations: &[f32], bits: u8) -> (Vec<u8>, QuantizationParams) {
-    let mut quantized = Vec::with_capacity(activations.len());
-    let params = quantize_activations_bits_into(activations, bits, &mut quantized);
-    (quantized, params)
-}
-
-/// Quantizes an activation slice into a caller-provided buffer, reusing its
-/// capacity — the allocation-free twin of [`quantize_activations_bits`]
-/// used by the scratch-arena inference path.
+/// Quantizes an activation slice (clamped at zero) to unsigned `bits` bits
+/// into a caller-provided buffer, reusing its capacity.
 pub fn quantize_activations_bits_into(
     activations: &[f32],
     bits: u8,
@@ -141,7 +133,8 @@ mod tests {
     #[test]
     fn unsigned_quantization_clamps_negatives() {
         let activations = [-0.2, 0.0, 0.5, 1.0];
-        let (quantized, params) = quantize_activations_bits(&activations, 4);
+        let mut quantized = Vec::new();
+        let params = quantize_activations_bits_into(&activations, 4, &mut quantized);
         assert_eq!(quantized[0], 0);
         assert_eq!(quantized[3], 15);
         assert!((quantized[2] as f32 * params.scale - 0.5).abs() < params.scale);
@@ -152,7 +145,8 @@ mod tests {
         let (quantized, params) = quantize_weights_bits(&[0.0, 0.0], 4);
         assert_eq!(quantized, vec![0, 0]);
         assert_eq!(params.scale, 1.0);
-        let (quantized, params) = quantize_activations_bits(&[0.0], 4);
+        let mut quantized = Vec::new();
+        let params = quantize_activations_bits_into(&[0.0], 4, &mut quantized);
         assert_eq!(quantized, vec![0]);
         assert_eq!(params.scale, 1.0);
     }
@@ -226,7 +220,8 @@ mod tests {
         assert_eq!(quantized[1], 127);
         assert!(params.scale < QuantizationParams::symmetric_for_bits(&weights, 4).scale);
         let activations = [0.0, 1.0, 0.25];
-        let (quantized, _) = quantize_activations_bits(&activations, 8);
+        let mut quantized = Vec::new();
+        quantize_activations_bits_into(&activations, 8, &mut quantized);
         assert_eq!(quantized[1], 255);
     }
 }

@@ -14,16 +14,14 @@
 //! Inference has one entry point, [`QuantizedNetwork::forward_with`], which
 //! draws every buffer from a [`KernelScratch`] arena
 //! ([`QuantizedNetwork::forward`] is a one-line allocating wrapper over it).
-//! When the product table is pure ([`ProductTable::supports_snapshot`]),
-//! construction snapshots all `1 << 2·operand_bits` signed products into a
-//! flat lookup table once, and inference accumulates integer products over
-//! contiguous im2col patches — one array index per product instead of one
-//! virtual call, with convolutions lowered through the same [`crate::im2col`]
-//! unrolling as the FLOAT32 path.  Tables that opt out of the snapshot (e.g.
-//! [`crate::multiplier::DynDispatchProducts`]) run the per-product
-//! dynamic-dispatch reference kernels instead.  Both arms accumulate in the
-//! integer domain, so their outputs are **bit-identical** — pinned by the
-//! equivalence tests, which use the reference arm as their oracle.
+//! Construction snapshots all `1 << 2·operand_bits` signed products of the
+//! (pure) product table into a flat lookup table once, and inference
+//! accumulates integer products over contiguous im2col patches — one array
+//! index per product instead of one virtual call, with convolutions lowered
+//! through the same [`crate::im2col`] unrolling as the FLOAT32 path.
+//! Accumulation is in the integer domain, so the output is **bit-identical**
+//! to calling [`ProductTable::product`] once per nonzero product pair — the
+//! per-product reference of the equivalence tests in `tests/dnn_kernels.rs`.
 
 use crate::error::DnnError;
 use crate::im2col::im2col;
@@ -31,8 +29,7 @@ use crate::layers::{Conv2d, Dense, Flatten, GlobalAvgPool, Layer, MaxPool2d, Rel
 use crate::multiplier::ProductTable;
 use crate::network::Network;
 use crate::quantization::{
-    quantize_activations_bits, quantize_activations_bits_into, quantize_weights_bits,
-    QuantizationParams,
+    quantize_activations_bits_into, quantize_weights_bits, QuantizationParams,
 };
 use crate::scratch::KernelScratch;
 use crate::tensor::Tensor;
@@ -49,9 +46,9 @@ pub const GATHER_LANES: usize = 8;
 /// Index layout: `lut[code * 2^bits + activation]` with
 /// `code = weight + 2^(bits−1)` (weights span `−(2^(bits−1)−1)…2^(bits−1)−1`);
 /// `2^bits` entries per code, `1 << 2·bits` entries total (256 for the
-/// paper's INT4 default).  Entries where either operand is zero are zero,
-/// matching the reference path's skip-zero semantics even for non-ideal
-/// tables whose hardware would produce a nonzero "product" with zero.
+/// paper's INT4 default).  Entries where either operand is zero are zero:
+/// a zero operand skips the multiplier, even for non-ideal tables whose
+/// hardware would produce a nonzero "product" with zero.
 fn snapshot_products(products: &dyn ProductTable) -> Box<[i32]> {
     let bits = products.operand_bits();
     let stride = 1usize << bits;
@@ -567,9 +564,8 @@ struct QConv {
     in_channels: usize,
     out_channels: usize,
     kernel: usize,
-    /// Signed quantized weights in `[out_c, in_c, k, k]` order.
-    weights: Vec<i8>,
-    /// The same weights as LUT codes (`weight + 2^(bits−1)`), precomputed once.
+    /// Quantized weights in `[out_c, in_c, k, k]` order as LUT codes
+    /// (`weight + 2^(bits−1)`).
     codes: Vec<u8>,
     weight_params: QuantizationParams,
     bias: Vec<f32>,
@@ -580,8 +576,8 @@ struct QConv {
 struct QDense {
     inputs: usize,
     outputs: usize,
-    weights: Vec<i8>,
-    /// The same weights as LUT codes (`weight + 2^(bits−1)`), precomputed once.
+    /// Quantized weights in `[outputs, inputs]` order as LUT codes
+    /// (`weight + 2^(bits−1)`).
     codes: Vec<u8>,
     weight_params: QuantizationParams,
     bias: Vec<f32>,
@@ -612,13 +608,11 @@ enum QLayer {
 #[derive(Debug)]
 pub struct QuantizedNetwork {
     layers: Vec<QLayer>,
-    products: Arc<dyn ProductTable>,
     /// Operand width in bits, cached from the product table.
     bits: u8,
     /// Flat signed-product table (`1 << 2·bits` entries) with its byte
-    /// planes; `None` when the product table is stateful and must be
-    /// consulted per product (see [`ProductTable::supports_snapshot`]).
-    lut: Option<ProductLut>,
+    /// planes.
+    lut: ProductLut,
 }
 
 impl QuantizedNetwork {
@@ -647,15 +641,8 @@ impl QuantizedNetwork {
         for layer in network.layers() {
             layers.push(Self::convert_layer(layer.as_ref(), bits)?);
         }
-        let lut = products
-            .supports_snapshot()
-            .then(|| ProductLut::new(snapshot_products(products.as_ref()), bits));
-        Ok(QuantizedNetwork {
-            layers,
-            products,
-            bits,
-            lut,
-        })
+        let lut = ProductLut::new(snapshot_products(products.as_ref()), bits);
+        Ok(QuantizedNetwork { layers, bits, lut })
     }
 
     fn convert_layer(layer: &dyn Layer, bits: u8) -> Result<QLayer, DnnError> {
@@ -665,12 +652,10 @@ impl QuantizedNetwork {
         }
         if let Some(dense) = any.downcast_ref::<Dense>() {
             let (weights, weight_params) = quantize_weights_bits(dense.weights(), bits);
-            let codes = weight_codes(&weights, bits);
             return Ok(QLayer::Dense(QDense {
                 inputs: dense.inputs(),
                 outputs: dense.outputs(),
-                weights,
-                codes,
+                codes: weight_codes(&weights, bits),
                 weight_params,
                 bias: dense.bias().to_vec(),
             }));
@@ -701,33 +686,19 @@ impl QuantizedNetwork {
 
     fn convert_conv(conv: &Conv2d, bits: u8) -> QConv {
         let (weights, weight_params) = quantize_weights_bits(conv.weights(), bits);
-        let codes = weight_codes(&weights, bits);
         QConv {
             in_channels: conv.in_channels(),
             out_channels: conv.out_channels(),
             kernel: conv.kernel(),
-            weights,
-            codes,
+            codes: weight_codes(&weights, bits),
             weight_params,
             bias: conv.bias().to_vec(),
         }
     }
 
-    /// The product table in use.
-    pub fn products(&self) -> &Arc<dyn ProductTable> {
-        &self.products
-    }
-
     /// Operand width in bits (4 for the paper's INT4 pipeline).
     pub fn operand_bits(&self) -> u8 {
         self.bits
-    }
-
-    /// Whether inference runs on the flattened `1 << 2·operand_bits`-entry
-    /// product LUT (`true`) or on the per-product dynamic-dispatch reference
-    /// path.
-    pub fn uses_snapshot(&self) -> bool {
-        self.lut.is_some()
     }
 
     /// Number of layers.
@@ -755,10 +726,8 @@ impl QuantizedNetwork {
     /// Quantized activation codes, u8 im2col patches and the ping-pong
     /// activation tensors all live in the arena, and the result is returned
     /// by reference (valid until the next call that borrows the same
-    /// scratch).  On the snapshot LUT path the steady state performs
-    /// **zero** heap allocations per image; tables without a snapshot run
-    /// the allocating reference kernels (they are test oracles, not hot
-    /// paths).  Activation quantization is per image, so results never
+    /// scratch).  The steady state performs **zero** heap allocations per
+    /// image.  Activation quantization is per image, so results never
     /// depend on what else the scratch has seen.
     ///
     /// # Errors
@@ -841,8 +810,7 @@ impl QuantizedNetwork {
     }
 
     /// Scratch-arena convolution: [`conv_lut_core`] over arena-held
-    /// activation codes and patches.  Tables without a snapshot take the
-    /// allocating reference path and copy into `output`.
+    /// activation codes and patches.
     fn forward_conv_into(
         &self,
         conv: &QConv,
@@ -850,78 +818,6 @@ impl QuantizedNetwork {
         output: &mut Tensor,
         scratch: &mut KernelScratch,
     ) -> Result<(), DnnError> {
-        match &self.lut {
-            Some(lut) => {
-                let (height, width) = Self::check_conv_input(conv, input)?;
-                let activation_params = quantize_activations_bits_into(
-                    input.data(),
-                    self.bits,
-                    &mut scratch.qactivations,
-                );
-                let scale = conv.weight_params.scale * activation_params.scale;
-                im2col(
-                    &scratch.qactivations,
-                    0u8,
-                    conv.in_channels,
-                    height,
-                    width,
-                    conv.kernel,
-                    &mut scratch.qcols,
-                );
-                output.resize_to(&[conv.out_channels, height, width]);
-                conv_lut_core(
-                    conv,
-                    &scratch.qcols,
-                    height * width,
-                    lut,
-                    scale,
-                    output.data_mut(),
-                );
-                Ok(())
-            }
-            None => {
-                let result = self.forward_conv_reference(conv, input)?;
-                output.copy_from(&result);
-                Ok(())
-            }
-        }
-    }
-
-    /// Scratch-arena dense layer (see [`Self::forward_conv_into`]).
-    fn forward_dense_into(
-        &self,
-        dense: &QDense,
-        input: &Tensor,
-        output: &mut Tensor,
-        scratch: &mut KernelScratch,
-    ) -> Result<(), DnnError> {
-        match &self.lut {
-            Some(lut) => {
-                if input.len() != dense.inputs {
-                    return Err(DnnError::ShapeMismatch {
-                        expected: vec![dense.inputs],
-                        found: input.shape().to_vec(),
-                    });
-                }
-                let activation_params = quantize_activations_bits_into(
-                    input.data(),
-                    self.bits,
-                    &mut scratch.qactivations,
-                );
-                let scale = dense.weight_params.scale * activation_params.scale;
-                output.resize_to(&[dense.outputs]);
-                dense_lut_core(dense, &scratch.qactivations, lut, scale, output.data_mut());
-                Ok(())
-            }
-            None => {
-                let result = self.forward_dense_reference(dense, input)?;
-                output.copy_from(&result);
-                Ok(())
-            }
-        }
-    }
-
-    fn check_conv_input(conv: &QConv, input: &Tensor) -> Result<(usize, usize), DnnError> {
         let shape = input.shape();
         if shape.len() != 3 || shape[0] != conv.in_channels {
             return Err(DnnError::ShapeMismatch {
@@ -929,82 +825,58 @@ impl QuantizedNetwork {
                 found: shape.to_vec(),
             });
         }
-        Ok((shape[1], shape[2]))
-    }
-
-    /// Reference path: one [`ProductTable::product`] virtual call per
-    /// nonzero product pair.  Used when the table declines the snapshot and,
-    /// through [`crate::multiplier::DynDispatchProducts`], by the
-    /// equivalence tests as ground truth.
-    fn forward_conv_reference(&self, conv: &QConv, input: &Tensor) -> Result<Tensor, DnnError> {
-        let (height, width) = Self::check_conv_input(conv, input)?;
-        let (activations, activation_params) = quantize_activations_bits(input.data(), self.bits);
-        let pad = conv.kernel / 2;
-        let k = conv.kernel;
+        let (height, width) = (shape[1], shape[2]);
+        let activation_params =
+            quantize_activations_bits_into(input.data(), self.bits, &mut scratch.qactivations);
         let scale = conv.weight_params.scale * activation_params.scale;
-        let mut output = Tensor::zeros(&[conv.out_channels, height, width]);
-        let out = output.data_mut();
-
-        for oc in 0..conv.out_channels {
-            for y in 0..height {
-                for x in 0..width {
-                    let mut accumulator: i64 = 0;
-                    for ic in 0..conv.in_channels {
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let iy = y as isize + ky as isize - pad as isize;
-                                let ix = x as isize + kx as isize - pad as isize;
-                                if iy < 0 || ix < 0 || iy >= height as isize || ix >= width as isize
-                                {
-                                    continue;
-                                }
-                                let weight =
-                                    conv.weights[((oc * conv.in_channels + ic) * k + ky) * k + kx];
-                                if weight == 0 {
-                                    continue;
-                                }
-                                let activation =
-                                    activations[(ic * height + iy as usize) * width + ix as usize];
-                                if activation == 0 {
-                                    continue;
-                                }
-                                let magnitude =
-                                    self.products.product(activation, weight.unsigned_abs());
-                                accumulator += weight.signum() as i64 * magnitude as i64;
-                            }
-                        }
-                    }
-                    out[(oc * height + y) * width + x] = accumulator as f32 * scale + conv.bias[oc];
-                }
-            }
-        }
-        Ok(output)
+        im2col(
+            &scratch.qactivations,
+            0u8,
+            conv.in_channels,
+            height,
+            width,
+            conv.kernel,
+            &mut scratch.qcols,
+        );
+        output.resize_to(&[conv.out_channels, height, width]);
+        conv_lut_core(
+            conv,
+            &scratch.qcols,
+            height * width,
+            &self.lut,
+            scale,
+            output.data_mut(),
+        );
+        Ok(())
     }
 
-    /// Reference dense path (see [`Self::forward_conv_reference`]).
-    fn forward_dense_reference(&self, dense: &QDense, input: &Tensor) -> Result<Tensor, DnnError> {
+    /// Scratch-arena dense layer: [`dense_lut_core`] over arena-held
+    /// activation codes.
+    fn forward_dense_into(
+        &self,
+        dense: &QDense,
+        input: &Tensor,
+        output: &mut Tensor,
+        scratch: &mut KernelScratch,
+    ) -> Result<(), DnnError> {
         if input.len() != dense.inputs {
             return Err(DnnError::ShapeMismatch {
                 expected: vec![dense.inputs],
                 found: input.shape().to_vec(),
             });
         }
-        let (activations, activation_params) = quantize_activations_bits(input.data(), self.bits);
+        let activation_params =
+            quantize_activations_bits_into(input.data(), self.bits, &mut scratch.qactivations);
         let scale = dense.weight_params.scale * activation_params.scale;
-        let mut output = vec![0.0f32; dense.outputs];
-        for (o, out_value) in output.iter_mut().enumerate() {
-            let row = &dense.weights[o * dense.inputs..(o + 1) * dense.inputs];
-            let mut accumulator: i64 = 0;
-            for (weight, &activation) in row.iter().zip(activations.iter()) {
-                if *weight == 0 || activation == 0 {
-                    continue;
-                }
-                let magnitude = self.products.product(activation, weight.unsigned_abs());
-                accumulator += weight.signum() as i64 * magnitude as i64;
-            }
-            *out_value = accumulator as f32 * scale + dense.bias[o];
-        }
-        Tensor::from_vec(&[dense.outputs], output)
+        output.resize_to(&[dense.outputs]);
+        dense_lut_core(
+            dense,
+            &scratch.qactivations,
+            &self.lut,
+            scale,
+            output.data_mut(),
+        );
+        Ok(())
     }
 }
 
@@ -1013,9 +885,7 @@ mod tests {
     use super::*;
     use crate::data::{Dataset, SyntheticImageConfig};
     use crate::layers::{Conv2d, Dense, Flatten, MaxPool2d, Relu};
-    use crate::multiplier::{
-        ComposedProducts, DynDispatchProducts, ExactInt4Products, ExactProducts, InMemoryProducts,
-    };
+    use crate::multiplier::{ComposedProducts, ExactInt4Products, ExactProducts, InMemoryProducts};
     use crate::training::{Trainer, TrainingConfig};
     use optima_imc::multiplier::MultiplierTable;
     use rand::{Rng, SeedableRng};
@@ -1048,7 +918,6 @@ mod tests {
             QuantizedNetwork::from_network(&network, Arc::new(ExactInt4Products)).unwrap();
         assert_eq!(quantized.len(), network.len());
         assert!(!quantized.is_empty());
-        assert!(quantized.uses_snapshot());
 
         // On most samples the INT4 prediction should match the FLOAT32 one.
         let mut agreement = 0usize;
@@ -1065,37 +934,6 @@ mod tests {
             agreement * 10 >= total * 7,
             "only {agreement}/{total} predictions agree after quantization"
         );
-    }
-
-    #[test]
-    fn lut_path_is_bit_identical_to_the_dyn_dispatch_reference() {
-        // Wrapping in DynDispatchProducts disables the snapshot, so the same
-        // table runs once through the LUT and once through the per-product
-        // virtual-call loop; integer accumulation makes them bit-identical.
-        let network = small_cnn(3);
-        let table = MultiplierTable::exact();
-        let fast = QuantizedNetwork::from_network(
-            &network,
-            Arc::new(InMemoryProducts::new(table.clone(), "exact")),
-        )
-        .unwrap();
-        let reference = QuantizedNetwork::from_network(
-            &network,
-            Arc::new(DynDispatchProducts(Arc::new(InMemoryProducts::new(
-                table, "exact",
-            )))),
-        )
-        .unwrap();
-        assert!(fast.uses_snapshot());
-        assert!(!reference.uses_snapshot());
-        for seed in 0..5u64 {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let image =
-                Tensor::from_vec(&[1, 8, 8], (0..64).map(|_| rng.gen::<f32>()).collect()).unwrap();
-            let fast_out = fast.forward(&image).unwrap();
-            let reference_out = reference.forward(&image).unwrap();
-            assert_eq!(fast_out, reference_out, "seed {seed}");
-        }
     }
 
     #[test]
@@ -1132,34 +970,6 @@ mod tests {
         let int8 =
             QuantizedNetwork::from_network(&network, Arc::new(ExactProducts::new(8))).unwrap();
         assert_eq!(int8.operand_bits(), 8);
-        assert!(int8.uses_snapshot());
-    }
-
-    #[test]
-    fn int8_lut_path_is_bit_identical_to_the_dyn_dispatch_reference() {
-        // Same equivalence pin as the INT4 test, at the composed INT8 width:
-        // the 65536-entry LUT must reproduce the per-product virtual-call
-        // loop exactly.
-        let network = small_cnn(3);
-        let composed = || ComposedProducts::new(Arc::new(ExactInt4Products), 2);
-        let fast = QuantizedNetwork::from_network(&network, Arc::new(composed())).unwrap();
-        let reference = QuantizedNetwork::from_network(
-            &network,
-            Arc::new(DynDispatchProducts(Arc::new(composed()))),
-        )
-        .unwrap();
-        assert!(fast.uses_snapshot());
-        assert!(!reference.uses_snapshot());
-        assert_eq!(fast.operand_bits(), 8);
-        assert_eq!(reference.operand_bits(), 8);
-        for seed in 0..3u64 {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let image =
-                Tensor::from_vec(&[1, 8, 8], (0..64).map(|_| rng.gen::<f32>()).collect()).unwrap();
-            let fast_out = fast.forward(&image).unwrap();
-            let reference_out = reference.forward(&image).unwrap();
-            assert_eq!(fast_out, reference_out, "seed {seed}");
-        }
     }
 
     #[test]
@@ -1188,16 +998,10 @@ mod tests {
     }
 
     #[test]
-    fn forward_with_matches_forward_on_the_reference_path() {
-        // Tables without a snapshot run the reference kernels; a reused
-        // scratch must still agree with a fresh one.
+    fn forward_with_recovers_after_a_shape_error() {
         let network = small_cnn(3);
-        let quantized = QuantizedNetwork::from_network(
-            &network,
-            Arc::new(DynDispatchProducts(Arc::new(ExactInt4Products))),
-        )
-        .unwrap();
-        assert!(!quantized.uses_snapshot());
+        let quantized =
+            QuantizedNetwork::from_network(&network, Arc::new(ExactInt4Products)).unwrap();
         let mut scratch = KernelScratch::new();
         let image =
             Tensor::from_vec(&[1, 8, 8], (0..64).map(|i| (i % 9) as f32 / 9.0).collect()).unwrap();
@@ -1256,7 +1060,6 @@ mod tests {
                     in_channels,
                     out_channels,
                     kernel: 3,
-                    weights: Vec::new(),
                     codes: (0..out_channels * patch)
                         .map(|_| rng.gen_range(0..stride) as u8)
                         .collect(),

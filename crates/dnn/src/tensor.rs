@@ -7,22 +7,25 @@
 
 use crate::error::DnnError;
 use serde::{Deserialize, Serialize};
+#[cfg(test)]
 use std::cell::Cell;
 
+#[cfg(test)]
 thread_local! {
     /// Per-thread count of [`Tensor::clone`] calls (see [`clone_count`]).
     static CLONE_COUNT: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Number of `Tensor::clone` calls performed by the *current thread* so far.
+/// Number of `Tensor::clone` calls performed by the *current thread* so far
+/// (unit-test builds only).
 ///
 /// Instrumentation hook for the zero-copy regression tests: the inference
 /// and training hot paths are required to perform **no** intermediate tensor
 /// clones, and the tests pin that down by comparing this counter before and
 /// after a forward/backward pass.  The counter is thread-local so parallel
-/// test threads cannot perturb each other's measurement; the increment is a
-/// plain cell bump — nothing next to the buffer copy the clone itself does.
-pub fn clone_count() -> u64 {
+/// test threads cannot perturb each other's measurement.
+#[cfg(test)]
+pub(crate) fn clone_count() -> u64 {
     CLONE_COUNT.with(Cell::get)
 }
 
@@ -57,6 +60,7 @@ impl Default for Tensor {
 
 impl Clone for Tensor {
     fn clone(&self) -> Self {
+        #[cfg(test)]
         CLONE_COUNT.with(|count| count.set(count.get() + 1));
         Tensor {
             shape: self.shape.clone(),

@@ -109,7 +109,6 @@ fn float_inference_steady_state_performs_zero_allocations_per_image() {
 fn quantized_inference_steady_state_performs_zero_allocations_per_image() {
     let network = full_zoo_network();
     let quantized = QuantizedNetwork::from_network(&network, Arc::new(ExactInt4Products)).unwrap();
-    assert!(quantized.uses_snapshot());
     let images = random_images(12, 8);
     let mut scratch = KernelScratch::new();
     for image in images.iter().take(4) {

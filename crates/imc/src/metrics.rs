@@ -41,12 +41,9 @@ impl MultiplierMetrics {
 }
 
 /// Evaluates a multiplier over the full input space at the given operating
-/// point, through the batched analog grid
-/// ([`InSramMultiplier::outcome_grid`]): the fitted polynomials are
-/// evaluated once per (operand, column) instead of once per operand pair.
-///
-/// Bit-identical to [`evaluate_multiplier_at_scalar`] (enforced by property
-/// tests).
+/// point, through the analog grid ([`InSramMultiplier::outcome_grid`]): the
+/// fitted polynomials are evaluated once per (operand, column) instead of
+/// once per operand pair.
 ///
 /// # Errors
 ///
@@ -60,30 +57,8 @@ pub fn evaluate_multiplier_at(
     metrics_from(&outcomes, &sigmas)
 }
 
-/// The scalar per-pair reference implementation of
-/// [`evaluate_multiplier_at`], kept for bit-identity verification in tests
-/// and the `analog_mac` benches.
-///
-/// # Errors
-///
-/// Propagates multiplier evaluation errors.
-pub fn evaluate_multiplier_at_scalar(
-    multiplier: &InSramMultiplier,
-    at: OperatingPoint,
-) -> Result<MultiplierMetrics, ImcError> {
-    let max = multiplier.array().operand_max();
-    let mut outcomes = Vec::with_capacity(multiplier.array().input_space());
-    let mut sigmas = Vec::with_capacity(multiplier.array().input_space());
-    for a in 0..=max {
-        for d in 0..=max {
-            outcomes.push(multiplier.multiply_at(a, d, at)?);
-            sigmas.push(multiplier.analog_sigma(a, d)?);
-        }
-    }
-    metrics_from(&outcomes, &sigmas)
-}
-
-fn metrics_from(
+/// Aggregates per-pair outcomes and analog σ, both in operand-major order.
+pub(crate) fn metrics_from(
     outcomes: &[crate::multiplier::MultiplyOutcome],
     sigmas: &[Volts],
 ) -> Result<MultiplierMetrics, ImcError> {
@@ -126,8 +101,7 @@ pub fn evaluate_multiplier(multiplier: &InSramMultiplier) -> Result<MultiplierMe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multiplier::{MultiplierConfig, OPERAND_BITS, OPERAND_MAX};
-    use optima_circuit::array::ArrayConfig;
+    use crate::multiplier::{MultiplierConfig, OPERAND_BITS};
     use optima_math::units::{Seconds, Volts};
 
     fn near_ideal() -> InSramMultiplier {
@@ -190,34 +164,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_metrics_are_bit_identical_to_the_scalar_reference() {
-        for multiplier in [near_ideal(), nonlinear()] {
-            let at = multiplier.nominal_operating_point();
-            let batched = evaluate_multiplier_at(&multiplier, at).unwrap();
-            let scalar = evaluate_multiplier_at_scalar(&multiplier, at).unwrap();
-            assert_eq!(batched, scalar);
-        }
-    }
-
-    #[test]
     fn operand_bits_constant_is_four() {
         assert_eq!(OPERAND_BITS, 4);
-        assert_eq!(OPERAND_MAX, 15);
-    }
-
-    #[test]
-    fn int8_metrics_are_bit_identical_between_batched_and_scalar() {
-        let multiplier = InSramMultiplier::new(
-            crate::testsupport::linear_suite(),
-            MultiplierConfig::new(Seconds(0.16e-9), Volts(0.45), Volts(1.0))
-                .with_array(ArrayConfig::int8()),
-        )
-        .unwrap();
-        let at = multiplier.nominal_operating_point();
-        let batched = evaluate_multiplier_at(&multiplier, at).unwrap();
-        let scalar = evaluate_multiplier_at_scalar(&multiplier, at).unwrap();
-        assert_eq!(batched, scalar);
-        assert!(batched.epsilon_mul.is_finite());
-        assert!(batched.energy_per_multiply.0 > 0.0);
     }
 }

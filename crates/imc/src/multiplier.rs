@@ -24,17 +24,14 @@ use optima_math::units::{Celsius, FemtoJoules, Seconds, Volts};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+#[cfg(test)]
+pub(crate) mod reference;
+
 /// Operand bits of the paper's default array geometry.
 ///
 /// Kept for the fixed-width call sites of the paper experiments; geometry-
 /// aware code should use [`ArrayConfig::operand_bits`] instead.
 pub const OPERAND_BITS: u8 = 4;
-
-/// Largest operand value of the paper's default geometry (`2^4 − 1`).
-pub const OPERAND_MAX: u16 = (1 << OPERAND_BITS) - 1;
-
-/// Largest exact product of the paper's default geometry (`15 × 15`).
-pub const PRODUCT_MAX: u16 = OPERAND_MAX * OPERAND_MAX;
 
 /// Static configuration of one multiplier design point.
 ///
@@ -327,18 +324,17 @@ impl InSramMultiplier {
     /// Precomputes every per-(slice operand, column) analog quantity at `at`
     /// through the batched model fills.
     ///
-    /// This is the batched analog hot path: one word-line voltage per slice
-    /// operand and `slice_bits` discharges/energies each are evaluated once,
-    /// and the operand pairs of the full input space are then combined from
-    /// them — bit-identical to evaluating each pair through the scalar
-    /// [`InSramMultiplier::multiply_at`] path, because a pair's discharge is
-    /// the same sum of the same per-column values in the same (bit-ascending)
-    /// order, pass by pass.
+    /// This is the multiplier's one analog path: one word-line voltage per
+    /// slice operand and `slice_bits` discharges/energies each are evaluated
+    /// once, and every multiplication combines its operand pair from them.
+    /// A pair's discharge is the same sum of the same per-column values in
+    /// the same (bit-ascending) order, pass by pass, as evaluating the fitted
+    /// models live for that pair; the unit tests pin the two bit-identical.
     ///
     /// # Errors
     ///
-    /// Propagates converter and model-evaluation errors, in the same
-    /// operand-major order as the scalar input-space loop.
+    /// Propagates converter and model-evaluation errors, slice operand by
+    /// slice operand in ascending order.
     pub fn analog_grid(&self, at: OperatingPoint) -> Result<AnalogOperandGrid, ImcError> {
         let array = &self.config.array;
         let operands = array.slice_max() as usize + 1;
@@ -386,10 +382,10 @@ impl InSramMultiplier {
         })
     }
 
-    /// Evaluates the full input space at `at` through the batched analog
-    /// grid, returning the outcomes in operand-major order (`a` outer, `d`
-    /// inner) — bit-identical to calling [`InSramMultiplier::multiply_at`]
-    /// for every pair.
+    /// Evaluates the full input space at `at` through the analog grid,
+    /// returning the outcomes in operand-major order (`a` outer, `d` inner)
+    /// — the same outcomes as calling [`InSramMultiplier::multiply_at`] for
+    /// every pair.
     ///
     /// # Errors
     ///
@@ -400,23 +396,33 @@ impl InSramMultiplier {
         let mut outcomes = Vec::with_capacity(self.config.array.input_space());
         for a in 0..=max {
             for d in 0..=max {
-                outcomes.push(self.compose_outcome(
-                    a,
-                    d,
-                    |pass, a_slice, d_slice| self.grid_discharge(&grid, pass, a_slice, d_slice, at),
-                    |pass, a_slice, bit| self.grid_energy(&grid, pass, a_slice, bit, at),
-                    grid.write_energy,
-                ));
+                outcomes.push(self.grid_outcome(&grid, a, d, at));
             }
         }
         Ok(outcomes)
     }
 
+    /// The outcome of the pair `(a, d)` read off an analog grid built at `at`.
+    fn grid_outcome(
+        &self,
+        grid: &AnalogOperandGrid,
+        a: u16,
+        d: u16,
+        at: OperatingPoint,
+    ) -> MultiplyOutcome {
+        self.compose_outcome(
+            a,
+            d,
+            |pass, a_slice, d_slice| self.grid_discharge(grid, pass, a_slice, d_slice, at),
+            |pass, a_slice, bit| self.grid_energy(grid, pass, a_slice, bit, at),
+            grid.write_energy,
+        )
+    }
+
     /// Combined discharge of one pass from the precomputed grid, applying
     /// the fault state when one is attached.  The `None` arm is the historic
-    /// pristine path; the faulted arm mirrors the scalar
-    /// [`InSramMultiplier::slice_discharge`] transform per `(pass, bit)`, so
-    /// the batched and scalar faulted paths stay bit-identical.
+    /// pristine path; the faulted arm transforms each `(pass, bit)` the way
+    /// a live per-pair model evaluation would (tested bit-identical).
     fn grid_discharge(
         &self,
         grid: &AnalogOperandGrid,
@@ -475,8 +481,8 @@ impl InSramMultiplier {
     /// Precomputes everything a mismatch Monte-Carlo multiply at `at` needs
     /// that no sample can change: the nominal [`AnalogOperandGrid`] and the
     /// Eq. 6 σ of every `(slice operand, column)`, evaluated at the grid's
-    /// own (supply-adjusted, aged) word lines — exactly the σ the scalar
-    /// [`InSramMultiplier::multiply_with_mismatch`] draws with.
+    /// own (supply-adjusted, aged) word lines — exactly the σ a live
+    /// per-pair mismatch draw would use.
     ///
     /// # Errors
     ///
@@ -508,9 +514,10 @@ impl InSramMultiplier {
     }
 
     /// One mismatch Monte-Carlo multiplication off a precomputed
-    /// [`MismatchGrid`] built by this multiplier — bit-identical to
-    /// [`InSramMultiplier::multiply_with_mismatch`] at the grid's operating
-    /// point, including where the RNG stream ends up: every discharging,
+    /// [`MismatchGrid`] built by this multiplier — bit-identical to drawing
+    /// the mismatch per column while evaluating the fitted models live at the
+    /// grid's operating point, including where the RNG stream ends up
+    /// (pinned by the unit tests): every discharging,
     /// non-shorted column draws one `Gaussian::new(0, σ)` sample when σ ≠ 0,
     /// in pass order and then bit order, and nothing else is evaluated per
     /// sample.
@@ -540,9 +547,9 @@ impl InSramMultiplier {
     }
 
     /// Combined discharge of one pass with mismatch sampling, off the
-    /// precomputed grid: the per-column transform of the scalar
-    /// [`InSramMultiplier::slice_discharge`] with the nominal ΔV and σ looked
-    /// up instead of evaluated.
+    /// precomputed grid: the per-column transform of
+    /// [`InSramMultiplier::grid_discharge`] with a Gaussian deviation added
+    /// to each looked-up nominal ΔV.
     fn sampled_discharge<R: Rng + ?Sized>(
         &self,
         grid: &MismatchGrid,
@@ -583,10 +590,11 @@ impl InSramMultiplier {
         total / slice_bits as f64
     }
 
-    /// Analog mismatch σ of every operand pair, in operand-major order —
-    /// bit-identical to calling [`InSramMultiplier::analog_sigma`] for every
-    /// pair, from `slice_bits` σ-model evaluations per slice operand instead
-    /// of one per set bit of every pair.
+    /// Analog mismatch σ of every operand pair, in operand-major order: the
+    /// root-sum-square of the per-column σ within one pass, and for composed
+    /// geometries the worst pass, since every pass is digitised on its own.
+    /// It takes `slice_bits` σ-model evaluations per slice operand instead of
+    /// one per set bit of every pair, with bit-identical results.
     ///
     /// # Errors
     ///
@@ -625,105 +633,6 @@ impl InSramMultiplier {
         Ok(grid)
     }
 
-    /// Charge-shared combined discharge of one analog pass (`pass` in the
-    /// composed pass order) for the slice operands `a_slice` (DAC input) and
-    /// `d_slice` (stored slice), optionally with mismatch sampling.
-    ///
-    /// An attached fault state changes which columns discharge (stuck cells,
-    /// open/shorted bit-lines via the redundancy remap of `pass`) and scales
-    /// each surviving column's ΔV by its retention drift; shorted bit-lines
-    /// contribute the full rail without a model evaluation (and consume no
-    /// mismatch sample — a shorted column has no transistor to mismatch).
-    fn slice_discharge<R: Rng + ?Sized>(
-        &self,
-        pass: usize,
-        a_slice: u16,
-        d_slice: u16,
-        at: OperatingPoint,
-        mut rng: Option<&mut R>,
-    ) -> Result<f64, ImcError> {
-        let word_line = self.aged_word_line(self.dac.output_with_supply(
-            a_slice,
-            at.vdd,
-            self.models.vdd_nominal(),
-        )?);
-        let mut total = 0.0;
-        for bit in 0..self.config.array.slice_bits {
-            let stored = (d_slice >> bit) & 1 == 1;
-            let discharges = match &self.faults {
-                None => stored,
-                Some(faults) => faults.column_discharges(pass, bit, stored),
-            };
-            if !discharges {
-                continue;
-            }
-            if let Some(faults) = &self.faults {
-                if faults.is_shorted(pass, bit) {
-                    total += at.vdd.0;
-                    continue;
-                }
-            }
-            let duration = self.column_duration(bit);
-            let delta = match rng.as_mut() {
-                Some(rng) => self.models.discharge_with_mismatch(
-                    &mut **rng,
-                    duration,
-                    word_line,
-                    true,
-                    at.vdd,
-                    at.temperature,
-                )?,
-                None => self
-                    .models
-                    .discharge(duration, word_line, true, at.vdd, at.temperature)?,
-            };
-            total += match &self.faults {
-                None => delta.0,
-                Some(faults) => faults.scaled_delta(pass, bit, delta.0),
-            };
-        }
-        // Charge sharing across the slice's sampling capacitors averages the
-        // individual discharges.
-        Ok(total / self.config.array.slice_bits as f64)
-    }
-
-    /// Analog standard deviation of the combined discharge for `(a, d)` due
-    /// to transistor mismatch (root-sum-square of the per-column σ within one
-    /// pass; for composed geometries the worst pass, since every pass is
-    /// digitised on its own).
-    ///
-    /// # Errors
-    ///
-    /// Propagates converter errors for out-of-range operands.
-    pub fn analog_sigma(&self, a: u16, d: u16) -> Result<Volts, ImcError> {
-        self.check_operands(a, d)?;
-        let array = &self.config.array;
-        let slices = array.slices() as u16;
-        let shift = array.slice_bits as u16;
-        let mask = array.slice_max();
-        let mut worst = 0.0f64;
-        for i in 0..slices {
-            let a_slice = (a >> (i * shift)) & mask;
-            let word_line = self.dac.output(a_slice)?;
-            for j in 0..slices {
-                let d_slice = (d >> (j * shift)) & mask;
-                let mut variance = 0.0;
-                for bit in 0..array.slice_bits {
-                    if (d_slice >> bit) & 1 == 0 {
-                        continue;
-                    }
-                    let sigma = self
-                        .models
-                        .mismatch_sigma(self.column_duration(bit), word_line)
-                        .0;
-                    variance += sigma * sigma;
-                }
-                worst = worst.max(variance.sqrt() / array.slice_bits as f64);
-            }
-        }
-        Ok(Volts(worst))
-    }
-
     fn check_operands(&self, a: u16, d: u16) -> Result<(), ImcError> {
         let max = self.config.array.operand_max();
         if a > max {
@@ -739,17 +648,20 @@ impl InSramMultiplier {
     ///
     /// # Errors
     ///
-    /// Returns [`ImcError::OperandOutOfRange`] for operands above
-    /// [`ArrayConfig::operand_max`] and propagates model errors.
+    /// Same as [`InSramMultiplier::multiply_at`].
     pub fn multiply(&self, a: u16, d: u16) -> Result<MultiplyOutcome, ImcError> {
         self.multiply_at(a, d, self.nominal)
     }
 
-    /// Performs one multiplication at an explicit operating point.
+    /// Performs one multiplication at an explicit operating point, read off
+    /// the analog grid at `at` ([`InSramMultiplier::analog_grid`]).
     ///
     /// # Errors
     ///
-    /// Same as [`InSramMultiplier::multiply`].
+    /// Returns [`ImcError::OperandOutOfRange`] for operands above
+    /// [`ArrayConfig::operand_max`].  Otherwise it fails exactly when
+    /// [`InSramMultiplier::outcome_grid`] fails at `at`: a model error for
+    /// any slice operand fails every pair, not only the pairs that use it.
     pub fn multiply_at(
         &self,
         a: u16,
@@ -757,106 +669,8 @@ impl InSramMultiplier {
         at: OperatingPoint,
     ) -> Result<MultiplyOutcome, ImcError> {
         self.check_operands(a, d)?;
-        self.multiply_inner::<rand_chacha::ChaCha8Rng>(a, d, at, None)
-    }
-
-    /// Performs one multiplication with per-column mismatch sampling (one
-    /// Monte Carlo instance; composed geometries sample every pass
-    /// independently, in pass order).
-    ///
-    /// This evaluates the fitted models live for every pair; the Fig. 8
-    /// Monte Carlo draws the same samples off a precomputed grid instead and
-    /// is pinned bit-identical to this per-pair reference.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`InSramMultiplier::multiply`].
-    pub fn multiply_with_mismatch<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        a: u16,
-        d: u16,
-        at: OperatingPoint,
-    ) -> Result<MultiplyOutcome, ImcError> {
-        self.check_operands(a, d)?;
-        self.multiply_inner(a, d, at, Some(rng))
-    }
-
-    /// Shared scalar multiply path: evaluates every analog pass through the
-    /// live models (optionally with mismatch sampling, consuming the RNG in
-    /// pass order), then composes the digital result.
-    fn multiply_inner<R: Rng + ?Sized>(
-        &self,
-        a: u16,
-        d: u16,
-        at: OperatingPoint,
-        mut rng: Option<&mut R>,
-    ) -> Result<MultiplyOutcome, ImcError> {
-        let array = &self.config.array;
-        let slices = array.slices() as u16;
-        let shift = array.slice_bits as u16;
-        let mask = array.slice_max();
-        let mut discharges = Vec::with_capacity(array.passes() as usize);
-        for i in 0..slices {
-            let a_slice = (a >> (i * shift)) & mask;
-            for j in 0..slices {
-                let d_slice = (d >> (j * shift)) & mask;
-                let pass = discharges.len();
-                discharges.push(self.slice_discharge(
-                    pass,
-                    a_slice,
-                    d_slice,
-                    at,
-                    rng.as_deref_mut(),
-                )?);
-            }
-        }
-        let write_energy = FemtoJoules(
-            self.models.write_energy(at.vdd, at.temperature).0 * array.operand_bits as f64,
-        );
-        // Energy readout mirrors the real circuit: it cannot fail once the
-        // pass discharges above succeeded, so fall back to zero-energy terms
-        // instead of propagating.
-        let column_energy = |pass: usize, a_slice: u16, bit: u8| {
-            if let Some(faults) = &self.faults {
-                if faults.is_shorted(pass, bit) {
-                    return self
-                        .models
-                        .discharge_energy(Volts(at.vdd.0), at.vdd, at.temperature)
-                        .0;
-                }
-            }
-            let word_line = self.aged_word_line(
-                self.dac
-                    .output_with_supply(a_slice, at.vdd, self.models.vdd_nominal())
-                    .unwrap_or(Volts(self.config.vdac_zero.0)),
-            );
-            let delta = self
-                .models
-                .discharge(
-                    self.column_duration(bit),
-                    word_line,
-                    true,
-                    at.vdd,
-                    at.temperature,
-                )
-                .map(|v| v.0)
-                .unwrap_or(0.0);
-            let delta = match &self.faults {
-                None => delta,
-                Some(faults) => faults.scaled_delta(pass, bit, delta),
-            };
-            self.models
-                .discharge_energy(Volts(delta), at.vdd, at.temperature)
-                .0
-        };
-        Ok(self.compose_outcome(
-            a,
-            d,
-            |pass, _, _| discharges[pass],
-            column_energy,
-            write_energy,
-        ))
+        let grid = self.analog_grid(at)?;
+        Ok(self.grid_outcome(&grid, a, d, at))
     }
 
     /// Folds `combine` over the analog passes of the pair `(a, d)` in pass
@@ -886,13 +700,13 @@ impl InSramMultiplier {
         acc
     }
 
-    /// Shared readout back half of the scalar and batched multiply paths:
-    /// per-pass ADC quantisation of the combined discharge, digital
-    /// shift-add composition across the passes, and the per-set-bit energy
-    /// combination.  Only how the per-pass discharge and per-column energy
-    /// are obtained differs between the callers (live model evaluation vs.
-    /// precomputed grid, with or without mismatch sampling), so any change
-    /// to the readout model lands in every path.
+    /// Shared readout back half of every multiply: per-pass ADC quantisation
+    /// of the combined discharge, digital shift-add composition across the
+    /// passes, and the per-set-bit energy combination.  Only how the per-pass
+    /// discharge and per-column energy are obtained differs between the
+    /// callers (nominal or mismatch-sampled grid, or the live per-pair
+    /// reference in the unit tests), so any change to the readout model
+    /// lands in every path.
     fn compose_outcome(
         &self,
         a: u16,
@@ -991,9 +805,8 @@ impl AnalogOperandGrid {
     }
 
     /// Charge-shared combined discharge of one pass for the slice pair
-    /// `(a, d)`: the same per-column values summed in the same bit-ascending
-    /// order as the scalar multiply path, so the result is bit-identical to
-    /// it.
+    /// `(a, d)`: the per-column discharges of the stored `1` bits summed in
+    /// bit-ascending order and averaged by charge sharing.
     pub fn combined_discharge(&self, a: u16, d: u16) -> f64 {
         let mut total = 0.0;
         for bit in 0..self.slice_bits {
@@ -1002,11 +815,6 @@ impl AnalogOperandGrid {
             }
         }
         total / self.slice_bits as f64
-    }
-
-    /// Word-line voltage the DAC produced for slice operand `a`.
-    pub fn word_line(&self, a: u16) -> Volts {
-        self.word_lines[a as usize]
     }
 }
 
@@ -1049,12 +857,8 @@ pub struct MultiplierTable {
 
 impl MultiplierTable {
     /// Builds the table by evaluating every operand pair at the given
-    /// operating point through the batched analog grid
+    /// operating point through the analog grid
     /// ([`InSramMultiplier::outcome_grid`]).
-    ///
-    /// Bit-identical to [`MultiplierTable::from_multiplier_scalar`] — the
-    /// equivalence is enforced by property tests and re-checked by the
-    /// `analog_mac` bench report.
     ///
     /// # Errors
     ///
@@ -1067,27 +871,6 @@ impl MultiplierTable {
             multiplier.outcome_grid(at)?,
             multiplier.array().operand_bits,
         )
-    }
-
-    /// Builds the table through the scalar per-pair multiply path — the
-    /// reference implementation the batched
-    /// [`MultiplierTable::from_multiplier`] is verified against.
-    ///
-    /// # Errors
-    ///
-    /// Propagates multiplier errors.
-    pub fn from_multiplier_scalar(
-        multiplier: &InSramMultiplier,
-        at: OperatingPoint,
-    ) -> Result<Self, ImcError> {
-        let max = multiplier.array().operand_max();
-        let mut outcomes = Vec::with_capacity(multiplier.array().input_space());
-        for a in 0..=max {
-            for d in 0..=max {
-                outcomes.push(multiplier.multiply_at(a, d, at)?);
-            }
-        }
-        Self::from_outcomes(outcomes, multiplier.array().operand_bits)
     }
 
     fn from_outcomes(outcomes: Vec<MultiplyOutcome>, operand_bits: u8) -> Result<Self, ImcError> {
@@ -1189,19 +972,7 @@ impl MultiplierTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testsupport::linear_suite;
-    use rand::{RngCore, SeedableRng};
-    use rand_chacha::ChaCha8Rng;
-
-    fn ideal_config() -> MultiplierConfig {
-        // Zero code at the threshold voltage makes the overdrive proportional
-        // to the DAC code, so products are exact up to quantisation.
-        MultiplierConfig::new(Seconds(0.16e-9), Volts(0.45), Volts(1.0))
-    }
-
-    fn int8_config() -> MultiplierConfig {
-        ideal_config().with_array(ArrayConfig::int8())
-    }
+    use crate::testsupport::{ideal_config, int8_config, linear_suite};
 
     #[test]
     fn near_ideal_multiplier_reproduces_products() {
@@ -1297,40 +1068,12 @@ mod tests {
     }
 
     #[test]
-    fn mismatch_sampling_perturbs_results_reproducibly() {
-        let multiplier = InSramMultiplier::new(linear_suite(), ideal_config()).unwrap();
-        let at = multiplier.nominal_operating_point();
-        let mut rng_a = ChaCha8Rng::seed_from_u64(3);
-        let mut rng_b = ChaCha8Rng::seed_from_u64(3);
-        let a = multiplier
-            .multiply_with_mismatch(&mut rng_a, 12, 13, at)
-            .unwrap();
-        let b = multiplier
-            .multiply_with_mismatch(&mut rng_b, 12, 13, at)
-            .unwrap();
-        assert_eq!(a.combined_discharge, b.combined_discharge);
-        // Across many samples the result must deviate from nominal sometimes.
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let nominal = multiplier.multiply(12, 13).unwrap().combined_discharge.0;
-        let any_different = (0..64).any(|_| {
-            let sampled = multiplier
-                .multiply_with_mismatch(&mut rng, 12, 13, at)
-                .unwrap()
-                .combined_discharge
-                .0;
-            (sampled - nominal).abs() > 1e-6
-        });
-        assert!(any_different);
-    }
-
-    #[test]
     fn analog_sigma_grows_with_operands() {
         let multiplier = InSramMultiplier::new(linear_suite(), ideal_config()).unwrap();
-        let small = multiplier.analog_sigma(3, 1).unwrap().0;
-        let large = multiplier.analog_sigma(15, 15).unwrap().0;
-        assert!(large > small);
-        assert_eq!(multiplier.analog_sigma(5, 0).unwrap().0, 0.0);
-        assert!(multiplier.analog_sigma(16, 0).is_err());
+        let sigmas = multiplier.analog_sigma_grid().unwrap();
+        let sigma = |a: usize, d: usize| sigmas[a * 16 + d].0;
+        assert!(sigma(15, 15) > sigma(3, 1));
+        assert_eq!(sigma(5, 0), 0.0);
     }
 
     #[test]
@@ -1347,184 +1090,6 @@ mod tests {
         assert!(table.average_multiply_energy().0 > 0.0);
         assert!(table.average_total_energy().0 > table.average_multiply_energy().0);
         assert!(table.mean_absolute_error() < 1.0);
-    }
-
-    #[test]
-    fn batched_outcome_grid_is_bit_identical_to_scalar_multiplication() {
-        for suite in [
-            crate::testsupport::linear_suite(),
-            crate::testsupport::pvt_sensitive_suite(),
-        ] {
-            let multiplier = InSramMultiplier::new(suite, ideal_config()).unwrap();
-            for at in [
-                multiplier.nominal_operating_point(),
-                OperatingPoint {
-                    vdd: Volts(0.95),
-                    temperature: Celsius(60.0),
-                },
-            ] {
-                let outcomes = multiplier.outcome_grid(at).unwrap();
-                let sigmas = multiplier.analog_sigma_grid().unwrap();
-                assert_eq!(outcomes.len(), 256);
-                for a in 0..=OPERAND_MAX {
-                    for d in 0..=OPERAND_MAX {
-                        let index = (a * (OPERAND_MAX + 1) + d) as usize;
-                        let scalar = multiplier.multiply_at(a, d, at).unwrap();
-                        assert_eq!(outcomes[index], scalar, "a = {a}, d = {d}");
-                        let scalar_sigma = multiplier.analog_sigma(a, d).unwrap();
-                        assert_eq!(
-                            sigmas[index].0.to_bits(),
-                            scalar_sigma.0.to_bits(),
-                            "sigma at a = {a}, d = {d}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Every field of an outcome as raw bits, so `-0.0`/`0.0` and NaN
-    /// payloads count as differences.
-    fn outcome_bits(outcome: &MultiplyOutcome) -> (u16, u16, u64, u64, u64) {
-        (
-            outcome.result,
-            outcome.expected,
-            outcome.combined_discharge.0.to_bits(),
-            outcome.multiply_energy.0.to_bits(),
-            outcome.write_energy.0.to_bits(),
-        )
-    }
-
-    /// Runs one RNG stream through the whole input space at `at`, once via
-    /// the scalar `multiply_with_mismatch` oracle and once via the mismatch
-    /// grid, and requires bit-identical outcomes and equal stream positions
-    /// afterwards (so neither path draws a sample the other skips).
-    fn assert_mismatch_grid_matches_scalar(multiplier: &InSramMultiplier, at: OperatingPoint) {
-        let grid = multiplier.mismatch_grid(at).unwrap();
-        let mut scalar_rng = ChaCha8Rng::seed_from_u64(0x5eed);
-        let mut grid_rng = scalar_rng.clone();
-        let max = multiplier.array().operand_max();
-        for a in 0..=max {
-            for d in 0..=max {
-                let scalar = multiplier
-                    .multiply_with_mismatch(&mut scalar_rng, a, d, at)
-                    .unwrap();
-                let sampled = multiplier
-                    .multiply_on_mismatch_grid(&grid, &mut grid_rng, a, d)
-                    .unwrap();
-                assert_eq!(
-                    outcome_bits(&sampled),
-                    outcome_bits(&scalar),
-                    "a = {a}, d = {d}"
-                );
-            }
-        }
-        assert_eq!(grid_rng.next_u64(), scalar_rng.next_u64());
-    }
-
-    #[test]
-    fn mismatch_grid_is_bit_identical_to_scalar_mismatch_sampling() {
-        // A zero-code DAC output of 0 V gives σ = 0 at a = 0, which must
-        // draw nothing on either path.
-        let zero_word_line = MultiplierConfig::new(Seconds(0.16e-9), Volts(0.0), Volts(1.0));
-        for suite in [linear_suite(), crate::testsupport::pvt_sensitive_suite()] {
-            for config in [ideal_config(), zero_word_line] {
-                let multiplier = InSramMultiplier::new(suite.clone(), config).unwrap();
-                for at in [
-                    multiplier.nominal_operating_point(),
-                    OperatingPoint {
-                        vdd: Volts(0.95),
-                        temperature: Celsius(60.0),
-                    },
-                ] {
-                    assert_mismatch_grid_matches_scalar(&multiplier, at);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn int8_mismatch_grid_is_bit_identical_to_scalar_mismatch_sampling() {
-        let multiplier = InSramMultiplier::new(linear_suite(), int8_config()).unwrap();
-        assert_eq!(multiplier.array().passes(), 4);
-        assert_mismatch_grid_matches_scalar(&multiplier, multiplier.nominal_operating_point());
-    }
-
-    #[test]
-    fn faulted_mismatch_grid_is_bit_identical_to_scalar_mismatch_sampling() {
-        use crate::reliability::FaultState;
-        use optima_circuit::defects::{
-            BitLineFault, CellDefect, DefectMap, DefectModel, LifetimeTrajectory,
-        };
-        let array = ArrayConfig::paper();
-        // One shorted and one open data bit-line, a stuck cell of each kind
-        // on the stored row, and retention drift on every cell.
-        let map = (0..10_000u64)
-            .find_map(|seed| {
-                let map = DefectMap::sample(
-                    &array,
-                    &DefectModel {
-                        stuck_at_zero_rate: 0.3,
-                        stuck_at_one_rate: 0.3,
-                        open_bitline_rate: 0.2,
-                        short_bitline_rate: 0.2,
-                        retention_sigma: 0.1,
-                        seed,
-                    },
-                )
-                .unwrap();
-                let bitlines: Vec<BitLineFault> =
-                    (0..4).map(|c| map.bitline_unchecked(c)).collect();
-                let cells: Vec<CellDefect> = (0..4)
-                    .filter(|&c| bitlines[c as usize] == BitLineFault::Healthy)
-                    .map(|c| map.cell_unchecked(0, c))
-                    .collect();
-                let one = |fault| bitlines.iter().filter(|&&b| b == fault).count() == 1;
-                (one(BitLineFault::Shorted)
-                    && one(BitLineFault::Open)
-                    && cells.contains(&CellDefect::StuckAtZero)
-                    && cells.contains(&CellDefect::StuckAtOne))
-                .then_some(map)
-            })
-            .expect("no defect map with every fault kind found");
-        assert!((0..4).any(|c| map.drift_unchecked(0, c) != 0.0));
-        let state = FaultState::unmitigated(&array, map, 0)
-            .unwrap()
-            .with_lifetime(&LifetimeTrajectory::nbti_like().at(3));
-        assert!(state.vth_shift() > 0.0);
-        let multiplier = InSramMultiplier::new(linear_suite(), ideal_config())
-            .unwrap()
-            .with_faults(state)
-            .unwrap();
-        assert_mismatch_grid_matches_scalar(&multiplier, multiplier.nominal_operating_point());
-    }
-
-    #[test]
-    fn int8_outcome_grid_is_bit_identical_to_scalar_composition() {
-        let multiplier = InSramMultiplier::new(linear_suite(), int8_config()).unwrap();
-        let at = multiplier.nominal_operating_point();
-        let outcomes = multiplier.outcome_grid(at).unwrap();
-        let sigmas = multiplier.analog_sigma_grid().unwrap();
-        assert_eq!(outcomes.len(), 65536);
-        // The full 256×256 space is slow through the live scalar path; a
-        // stratified sample (all slice-boundary patterns plus a diagonal)
-        // covers every composition case.
-        let probes: Vec<u16> = (0..=255u16)
-            .filter(|&v| v % 17 == 0 || !(18..=238).contains(&v) || v % 16 == 0)
-            .collect();
-        for &a in &probes {
-            for &d in &probes {
-                let index = a as usize * 256 + d as usize;
-                let scalar = multiplier.multiply_at(a, d, at).unwrap();
-                assert_eq!(outcomes[index], scalar, "a = {a}, d = {d}");
-                let scalar_sigma = multiplier.analog_sigma(a, d).unwrap();
-                assert_eq!(
-                    sigmas[index].0.to_bits(),
-                    scalar_sigma.0.to_bits(),
-                    "sigma at a = {a}, d = {d}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1568,15 +1133,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_table_is_bit_identical_to_scalar_table() {
-        let multiplier = InSramMultiplier::new(linear_suite(), ideal_config()).unwrap();
-        let at = multiplier.nominal_operating_point();
-        let batched = MultiplierTable::from_multiplier(&multiplier, at).unwrap();
-        let scalar = MultiplierTable::from_multiplier_scalar(&multiplier, at).unwrap();
-        assert_eq!(batched, scalar);
-    }
-
-    #[test]
     fn analog_grid_exposes_per_column_quantities() {
         let multiplier = InSramMultiplier::new(linear_suite(), ideal_config()).unwrap();
         let grid = multiplier
@@ -1587,7 +1143,7 @@ mod tests {
         assert!(single > 0.0);
         assert_eq!(grid.combined_discharge(9, 0), 0.0);
         // Word lines grow with the DAC code for a linear transfer.
-        assert!(grid.word_line(15).0 > grid.word_line(0).0);
+        assert!(grid.word_lines[15].0 > grid.word_lines[0].0);
     }
 
     #[test]
@@ -1626,43 +1182,6 @@ mod tests {
         // With the identity supply model the only effect is the DAC reference,
         // which lowers the word-line voltage and therefore the result.
         assert!(low_supply.result <= nominal.result);
-    }
-
-    #[test]
-    fn pristine_fault_state_is_bit_identical_to_no_fault_state() {
-        use crate::reliability::FaultState;
-        use optima_circuit::defects::DefectMap;
-        let multiplier = InSramMultiplier::new(linear_suite(), ideal_config()).unwrap();
-        let at = multiplier.nominal_operating_point();
-        let baseline = MultiplierTable::from_multiplier(&multiplier, at).unwrap();
-        let array = *multiplier.array();
-        let state = FaultState::unmitigated(&array, DefectMap::none(&array), 0).unwrap();
-        let faulted = multiplier.with_faults(state).unwrap();
-        assert!(faulted.faults().unwrap().is_pristine());
-        let table = MultiplierTable::from_multiplier(&faulted, at).unwrap();
-        assert_eq!(table, baseline);
-        let scalar = MultiplierTable::from_multiplier_scalar(&faulted, at).unwrap();
-        assert_eq!(scalar, baseline);
-    }
-
-    #[test]
-    fn faulted_grid_is_bit_identical_to_faulted_scalar() {
-        use crate::reliability::FaultState;
-        use optima_circuit::defects::{DefectMap, DefectModel, LifetimeTrajectory};
-        let array = ArrayConfig::paper().with_spares(2);
-        let config = ideal_config().with_array(array);
-        let map = DefectMap::sample(&array, &DefectModel::uniform(0.25, 17)).unwrap();
-        let state = FaultState::unmitigated(&array, map, 0)
-            .unwrap()
-            .with_lifetime(&LifetimeTrajectory::nbti_like().at(3));
-        let multiplier = InSramMultiplier::new(linear_suite(), config)
-            .unwrap()
-            .with_faults(state)
-            .unwrap();
-        let at = multiplier.nominal_operating_point();
-        let batched = MultiplierTable::from_multiplier(&multiplier, at).unwrap();
-        let scalar = MultiplierTable::from_multiplier_scalar(&multiplier, at).unwrap();
-        assert_eq!(batched, scalar);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! stream per sample — is bit-identical for any thread count.  Inside each
 //! swept condition the full operand grid is evaluated through the batched
 //! analog path ([`InSramMultiplier::outcome_grid`]), which is bit-identical
-//! to the scalar per-pair loop it replaced.
+//! to a per-pair loop over the live models.
 //!
 //! The mismatch Monte Carlo runs off a table built once per analysis: the
 //! nominal analog grid (ΔV and discharge energy per slice operand and
@@ -24,8 +24,9 @@
 //! grid's own supply-adjusted, aged word lines.  A σ that is not finite
 //! fails the analysis with [`ImcError::NonFiniteSigma`] before any sample
 //! runs.  A sample then only draws its Gaussians and composes the readout,
-//! bit-identical to calling [`InSramMultiplier::multiply_with_mismatch`]
-//! for every pair.  Each sample's RNG stream is consumed in this order:
+//! bit-identical to drawing each column's deviation while evaluating the
+//! fitted models live for every pair (the per-pair reference in the
+//! multiplier's unit tests).  Each sample's RNG stream is consumed in this order:
 //! operand `a` outer, operand `d` inner, then analog pass, then bit
 //! (ascending); one `Gaussian::new(0, σ)` draw is taken per column that
 //! discharges (stored 1 or stuck-at-1) and is not shorted, and columns with
@@ -303,7 +304,7 @@ fn average_error_at(multiplier: &InSramMultiplier, at: OperatingPoint) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multiplier::{MultiplierConfig, PRODUCT_MAX};
+    use crate::multiplier::MultiplierConfig;
     use crate::testsupport::{linear_suite, pvt_sensitive_suite};
     use optima_circuit::array::ArrayConfig;
     use optima_core::model::mismatch::MismatchSigmaModel;
@@ -333,7 +334,7 @@ mod tests {
         let analysis = analysis(false);
         let profile = &analysis.result_profile;
         assert_eq!(profile.expected_results[0], 0);
-        assert_eq!(*profile.expected_results.last().unwrap(), PRODUCT_MAX);
+        assert_eq!(*profile.expected_results.last().unwrap(), 15 * 15);
         assert_eq!(
             profile.expected_results.len(),
             profile.average_error_lsb.len()
@@ -341,7 +342,7 @@ mod tests {
         assert_eq!(profile.expected_results.len(), profile.analog_sigma.len());
         // Expected results of a 4x4-bit multiplier: not every integer occurs
         // (e.g. 211 is prime and > 15), so the list is shorter than 226.
-        assert!(profile.expected_results.len() < PRODUCT_MAX as usize + 1);
+        assert!(profile.expected_results.len() < 15 * 15 + 1);
     }
 
     #[test]

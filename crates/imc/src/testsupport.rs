@@ -1,12 +1,14 @@
 //! Shared fixtures for the unit tests of this crate (compiled only for tests).
 
+use crate::multiplier::MultiplierConfig;
+use optima_circuit::array::ArrayConfig;
 use optima_core::model::discharge::DischargeModel;
 use optima_core::model::energy::{DischargeEnergyModel, WriteEnergyModel};
 use optima_core::model::mismatch::MismatchSigmaModel;
 use optima_core::model::suite::ModelSuite;
 use optima_core::model::supply::SupplyModel;
 use optima_core::model::temperature::TemperatureModel;
-use optima_math::units::{Celsius, Volts};
+use optima_math::units::{Celsius, Seconds, Volts};
 use optima_math::Polynomial;
 
 /// A suite whose discharge is exactly linear in overdrive and time:
@@ -66,4 +68,46 @@ pub(crate) fn pvt_sensitive_suite() -> ModelSuite {
             Polynomial::new(vec![1.0, 3e-4]),
         ),
     )
+}
+
+/// Like [`pvt_sensitive_suite`] but with cubic and quadratic discharge
+/// factors, so the batched fills exercise every Horner stage of Eqs. 3–5.
+pub(crate) fn nonlinear_pvt_suite() -> ModelSuite {
+    ModelSuite::new(
+        DischargeModel::new(
+            Volts(1.0),
+            Volts(0.45),
+            Polynomial::new(vec![0.0, -0.25, 0.02, -0.003]),
+            Polynomial::new(vec![0.0, 1.0, -0.05]),
+            (0.0, 3.0),
+            (0.0, 1.1),
+        ),
+        SupplyModel::new(Volts(1.0), Polynomial::new(vec![1.0, 0.6]), (0.9, 1.1)),
+        TemperatureModel::new(Celsius(25.0), Polynomial::new(vec![1e-4]), (-40.0, 125.0)),
+        MismatchSigmaModel::new(
+            Polynomial::new(vec![0.0, 1.5e-3]),
+            Polynomial::new(vec![0.0, 1.0]),
+        ),
+        WriteEnergyModel::new(
+            Polynomial::new(vec![0.0, 0.0, 11.0]),
+            Polynomial::new(vec![1.0, 4e-4]),
+        ),
+        DischargeEnergyModel::new(
+            Polynomial::new(vec![0.0, 1.0]),
+            Polynomial::new(vec![0.0, 45.0]),
+            Polynomial::new(vec![1.0, 3e-4]),
+        ),
+    )
+}
+
+/// A near-ideal paper-geometry design point: the DAC's zero code sits at
+/// the threshold voltage, so the overdrive is proportional to the DAC code
+/// and products are exact up to quantisation.
+pub(crate) fn ideal_config() -> MultiplierConfig {
+    MultiplierConfig::new(Seconds(0.16e-9), Volts(0.45), Volts(1.0))
+}
+
+/// [`ideal_config`] on the composed INT8 geometry (four 4-bit passes).
+pub(crate) fn int8_config() -> MultiplierConfig {
+    ideal_config().with_array(ArrayConfig::int8())
 }

@@ -99,7 +99,6 @@ fn burst_plan(shards: usize, requests: usize, images: usize) -> Plan {
 fn warm_shard_pool_burst_performs_zero_allocations() {
     let network = small_cnn();
     let quantized = QuantizedNetwork::from_network(&network, Arc::new(ExactInt4Products)).unwrap();
-    assert!(quantized.uses_snapshot());
     let images = image_pool(8, 3);
     let plan = burst_plan(1, 96, images.len());
     assert_eq!(plan.rejected(), 0);

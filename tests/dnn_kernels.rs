@@ -2,16 +2,21 @@
 //! flat-LUT kernels must reproduce the naive scalar reference kernels —
 //! within 1e-4 for FLOAT32, bit-identically for the integer-accumulating
 //! quantized path — over randomly drawn channel/kernel/size combinations.
+//!
+//! The quantized path's oracle is [`per_product_forward`] below: it calls
+//! [`ProductTable::product`] through the trait object once per nonzero
+//! product instead of reading a snapshotted lookup table.
 
 use optima_suite::optima_dnn::eval::evaluate_batched;
 use optima_suite::optima_dnn::layers::{
     Conv2d, Dense, Flatten, GlobalAvgPool, Layer, MaxPool2d, Relu, ResidualBlock,
 };
-use optima_suite::optima_dnn::multiplier::{
-    ComposedProducts, DynDispatchProducts, ExactInt4Products, ProductTable,
-};
+use optima_suite::optima_dnn::multiplier::{ComposedProducts, ExactInt4Products, ProductTable};
 use optima_suite::optima_dnn::network::Network;
 use optima_suite::optima_dnn::prelude::{Dataset, SyntheticImageConfig};
+use optima_suite::optima_dnn::quantization::{
+    quantize_activations_bits_into, quantize_weights_bits,
+};
 use optima_suite::optima_dnn::quantized::QuantizedNetwork;
 use optima_suite::optima_dnn::reference;
 use optima_suite::optima_dnn::scratch::KernelScratch;
@@ -43,17 +48,133 @@ fn infer_fresh(layer: &dyn Layer, input: &Tensor) -> Tensor {
     output
 }
 
-/// INT4 quantizations of `network` through the flat product LUT and through
-/// `DynDispatchProducts`, which declines the snapshot and so forces one
-/// virtual call per product.
-fn lut_and_dyn_dispatch(network: &Network) -> (QuantizedNetwork, QuantizedNetwork) {
-    let lut = QuantizedNetwork::from_network(network, Arc::new(ExactInt4Products)).unwrap();
-    let reference = QuantizedNetwork::from_network(
-        network,
-        Arc::new(DynDispatchProducts(Arc::new(ExactInt4Products))),
-    )
-    .unwrap();
-    (lut, reference)
+/// Quantized convolution with one [`ProductTable::product`] call per
+/// nonzero product pair, accumulated in `i64` ("same" padding, stride 1).
+fn per_product_conv(conv: &Conv2d, table: &dyn ProductTable, input: &Tensor) -> Tensor {
+    let bits = table.operand_bits();
+    let (weights, weight_params) = quantize_weights_bits(conv.weights(), bits);
+    let mut activations = Vec::new();
+    let activation_params = quantize_activations_bits_into(input.data(), bits, &mut activations);
+    let scale = weight_params.scale * activation_params.scale;
+    let (in_channels, height, width) = (input.shape()[0], input.shape()[1], input.shape()[2]);
+    assert_eq!(in_channels, conv.in_channels());
+    let k = conv.kernel();
+    let pad = (k / 2) as isize;
+    let mut output = Tensor::zeros(&[conv.out_channels(), height, width]);
+    let out = output.data_mut();
+    for oc in 0..conv.out_channels() {
+        for y in 0..height {
+            for x in 0..width {
+                let mut accumulator: i64 = 0;
+                for ic in 0..in_channels {
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let iy = y as isize + ky as isize - pad;
+                            let ix = x as isize + kx as isize - pad;
+                            if iy < 0 || ix < 0 || iy >= height as isize || ix >= width as isize {
+                                continue;
+                            }
+                            let weight = weights[((oc * in_channels + ic) * k + ky) * k + kx];
+                            let activation =
+                                activations[(ic * height + iy as usize) * width + ix as usize];
+                            if weight == 0 || activation == 0 {
+                                continue;
+                            }
+                            let magnitude = table.product(activation, weight.unsigned_abs());
+                            accumulator += weight.signum() as i64 * magnitude as i64;
+                        }
+                    }
+                }
+                out[(oc * height + y) * width + x] = accumulator as f32 * scale + conv.bias()[oc];
+            }
+        }
+    }
+    output
+}
+
+/// Quantized dense layer with one [`ProductTable::product`] call per
+/// nonzero product pair, accumulated in `i64`.
+fn per_product_dense(dense: &Dense, table: &dyn ProductTable, input: &Tensor) -> Tensor {
+    let bits = table.operand_bits();
+    let (weights, weight_params) = quantize_weights_bits(dense.weights(), bits);
+    let mut activations = Vec::new();
+    let activation_params = quantize_activations_bits_into(input.data(), bits, &mut activations);
+    let scale = weight_params.scale * activation_params.scale;
+    assert_eq!(activations.len(), dense.inputs());
+    let output = (0..dense.outputs())
+        .map(|o| {
+            let row = &weights[o * dense.inputs()..(o + 1) * dense.inputs()];
+            let mut accumulator: i64 = 0;
+            for (&weight, &activation) in row.iter().zip(&activations) {
+                if weight == 0 || activation == 0 {
+                    continue;
+                }
+                let magnitude = table.product(activation, weight.unsigned_abs());
+                accumulator += weight.signum() as i64 * magnitude as i64;
+            }
+            accumulator as f32 * scale + dense.bias()[o]
+        })
+        .collect();
+    Tensor::from_vec(&[dense.outputs()], output).unwrap()
+}
+
+/// The per-product reference of [`QuantizedNetwork::forward`]: walks
+/// `network`'s layers, quantizing each convolution and dense layer at the
+/// table's operand width and multiplying through [`per_product_conv`] /
+/// [`per_product_dense`].  The residual add and every other layer run in
+/// float, as in the quantized network.
+fn per_product_forward(network: &Network, table: &dyn ProductTable, image: &Tensor) -> Tensor {
+    let relu = |mut tensor: Tensor| {
+        tensor.map_inplace(|v| v.max(0.0));
+        tensor
+    };
+    let mut current = image.clone();
+    for layer in network.layers() {
+        let any = layer.as_any();
+        current = if let Some(conv) = any.downcast_ref::<Conv2d>() {
+            per_product_conv(conv, table, &current)
+        } else if let Some(dense) = any.downcast_ref::<Dense>() {
+            per_product_dense(dense, table, &current)
+        } else if let Some(block) = any.downcast_ref::<ResidualBlock>() {
+            let (conv1, conv2) = block.convolutions();
+            let branch = relu(per_product_conv(conv1, table, &current));
+            let mut output = per_product_conv(conv2, table, &branch);
+            output.add_assign(&current).unwrap();
+            relu(output)
+        } else if any.downcast_ref::<Relu>().is_some() {
+            relu(current)
+        } else if any.downcast_ref::<Flatten>().is_some() {
+            let len = current.len();
+            current.reshaped(&[len]).unwrap()
+        } else {
+            infer_fresh(layer.as_ref(), &current)
+        };
+    }
+    current
+}
+
+/// The LUT forward of `network` quantized against `table`, asserted
+/// bit-identical to [`per_product_forward`], and returned.
+fn assert_lut_matches_per_product(
+    network: &Network,
+    table: Arc<dyn ProductTable>,
+    image: &Tensor,
+) -> Tensor {
+    let lut = QuantizedNetwork::from_network(network, table.clone())
+        .unwrap()
+        .forward(image)
+        .unwrap();
+    let reference = per_product_forward(network, table.as_ref(), image);
+    let bits = |tensor: &Tensor| {
+        tensor
+            .data()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(lut.shape(), reference.shape(), "table {}", table.name());
+    assert_eq!(bits(&lut), bits(&reference), "table {}", table.name());
+    lut
 }
 
 /// A 3×16×16, ten-class CNN with a conv stem and one identity residual
@@ -197,8 +318,9 @@ proptest! {
     }
 
     /// The quantized LUT path is bit-identical to the per-product
-    /// dynamic-dispatch reference on whole-network forwards: a single-conv
-    /// 1-channel net and a two-conv 3-channel net.
+    /// dynamic-dispatch reference ([`per_product_forward`]) on
+    /// whole-network forwards: a single-conv 1-channel net and a two-conv
+    /// 3-channel net.
     #[test]
     fn quantized_lut_is_bit_identical_to_dyn_dispatch(
         image_seed in 0u64..1_000,
@@ -211,24 +333,24 @@ proptest! {
             Box::new(Flatten::new()),
             Box::new(Dense::new(4 * 4 * 4, 3, &mut rng)),
         ]);
-        let (lut, reference) = lut_and_dyn_dispatch(&network);
-        prop_assert!(lut.uses_snapshot());
-        prop_assert!(!reference.uses_snapshot());
         let mut rng = ChaCha8Rng::seed_from_u64(image_seed);
         let image = Tensor::from_vec(
             &[1, 8, 8],
             (0..64).map(|_| rng.gen::<f32>()).collect(),
         )
         .unwrap();
-        prop_assert_eq!(lut.forward(&image).unwrap(), reference.forward(&image).unwrap());
+        assert_lut_matches_per_product(&network, Arc::new(ExactInt4Products), &image);
 
-        let (lut, reference) = lut_and_dyn_dispatch(&multi_channel_network());
         let image = Tensor::from_vec(
             &[3, 16, 16],
             (0..3 * 16 * 16).map(|_| rng.gen::<f32>()).collect(),
         )
         .unwrap();
-        prop_assert_eq!(lut.forward(&image).unwrap(), reference.forward(&image).unwrap());
+        assert_lut_matches_per_product(
+            &multi_channel_network(),
+            Arc::new(ExactInt4Products),
+            &image,
+        );
     }
 
     /// The packed-panel GEMM is **exactly** (bit-for-bit) the lane-ordered
@@ -303,7 +425,7 @@ proptest! {
 
     /// The LUT sweep's 32-pixel row steps, its 8-pixel remainder blocks
     /// and its scalar tail all match the per-product dynamic-dispatch
-    /// reference bit for bit, at INT4 (byte-shuffle sweep) and at INT8
+    /// reference ([`per_product_forward`]) bit for bit, at INT4 (byte-shuffle sweep) and at INT8
     /// composed from 2 × INT4 slices (`vpgatherdd` sweep).  Images are
     /// `height × width` with `hw` from 30 to 312 pixels, so every
     /// `hw % 32` and `hw % 8` remainder occurs.  The scratch path
@@ -322,17 +444,6 @@ proptest! {
             Box::new(Flatten::new()),
             Box::new(Dense::new(4 * height * width, 3, &mut rng)),
         ]);
-        let int8_table = || ComposedProducts::new(Arc::new(ExactInt4Products), 2);
-        let (int4, int4_reference) = lut_and_dyn_dispatch(&network);
-        let int8 = QuantizedNetwork::from_network(&network, Arc::new(int8_table())).unwrap();
-        let int8_reference = QuantizedNetwork::from_network(
-            &network,
-            Arc::new(DynDispatchProducts(Arc::new(int8_table()))),
-        )
-        .unwrap();
-        prop_assert!(int4.uses_snapshot());
-        prop_assert!(int8.uses_snapshot());
-
         let mut rng = ChaCha8Rng::seed_from_u64(image_seed);
         let image = Tensor::from_vec(
             &[1, height, width],
@@ -340,9 +451,12 @@ proptest! {
         )
         .unwrap();
         let mut scratch = KernelScratch::new();
-        for (quantized, reference) in [(&int4, &int4_reference), (&int8, &int8_reference)] {
-            let flat = quantized.forward(&image).unwrap();
-            prop_assert_eq!(&flat, &reference.forward(&image).unwrap());
+        for table in [
+            Arc::new(ExactInt4Products) as Arc<dyn ProductTable>,
+            Arc::new(ComposedProducts::new(Arc::new(ExactInt4Products), 2)),
+        ] {
+            let flat = assert_lut_matches_per_product(&network, table.clone(), &image);
+            let quantized = QuantizedNetwork::from_network(&network, table).unwrap();
             let gathered = quantized.forward_with(&image, &mut scratch).unwrap();
             prop_assert_eq!(gathered, &flat);
         }
@@ -357,12 +471,6 @@ fn large_entry_int4_tables_match_dyn_dispatch() {
     let networks = [multi_channel_network(), residual_network()];
     for max in [32_000u16, 16_000, 8_000, 40_000] {
         for network in &networks {
-            let table = Arc::new(LargeEntries { max });
-            let lut = QuantizedNetwork::from_network(network, table.clone()).unwrap();
-            let reference =
-                QuantizedNetwork::from_network(network, Arc::new(DynDispatchProducts(table)))
-                    .unwrap();
-            assert!(lut.uses_snapshot());
             let mut rng = ChaCha8Rng::seed_from_u64(max as u64);
             for _ in 0..4 {
                 let image = Tensor::from_vec(
@@ -370,11 +478,7 @@ fn large_entry_int4_tables_match_dyn_dispatch() {
                     (0..3 * 16 * 16).map(|_| rng.gen::<f32>()).collect(),
                 )
                 .unwrap();
-                assert_eq!(
-                    lut.forward(&image).unwrap(),
-                    reference.forward(&image).unwrap(),
-                    "max entry {max}"
-                );
+                assert_lut_matches_per_product(network, Arc::new(LargeEntries { max }), &image);
             }
         }
     }
@@ -443,7 +547,6 @@ fn quantized_batched_evaluation_is_identical_at_one_through_eight_threads() {
         Arc::new(ComposedProducts::new(Arc::new(ExactInt4Products), 2)),
     ] {
         let quantized = QuantizedNetwork::from_network(&network, table).unwrap();
-        assert!(quantized.uses_snapshot());
         let serial = evaluate_batched(&quantized, &dataset, 1).unwrap();
         for threads in 1..=8 {
             assert_eq!(
