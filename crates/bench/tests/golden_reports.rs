@@ -28,15 +28,22 @@ fn run_fast(name: &str) -> String {
         .render_text()
 }
 
-/// Masks every digit run in the line containing `marker` (used for the
-/// thread-count preambles, which depend on the host's parallelism).
+/// Masks every digit run in the line containing `marker` with one `#`
+/// (used for the thread-count preambles, which depend on the host's
+/// parallelism and may have any number of digits).
 fn mask_line_digits(text: &str, marker: &str) -> String {
     text.lines()
         .map(|line| {
             if line.contains(marker) {
-                line.chars()
-                    .map(|c| if c.is_ascii_digit() { '#' } else { c })
-                    .collect()
+                let mut masked = String::with_capacity(line.len());
+                for c in line.chars() {
+                    if !c.is_ascii_digit() {
+                        masked.push(c);
+                    } else if !masked.ends_with('#') {
+                        masked.push('#');
+                    }
+                }
+                masked
             } else {
                 line.to_string()
             }

@@ -10,9 +10,8 @@
 //! reuses one packing.  The patch matrix is cached between forward and
 //! backward — the backward pass needs exactly the same patches for the
 //! weight gradient — so the layer never clones its input tensor.  The
-//! original six-deep scalar loop survives as
-//! [`crate::reference::conv2d_forward`] for the equivalence tests and
-//! benches.
+//! original six-deep scalar loop survives as the oracle of the equivalence
+//! tests (`tests/dnn_kernels.rs`).
 
 use crate::error::DnnError;
 use crate::im2col::{col2im_add, im2col};
@@ -331,7 +330,6 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -344,47 +342,6 @@ mod tests {
         let input = Tensor::from_vec(&[1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let output = conv.forward(&input).unwrap();
         assert_eq!(output.data(), input.data());
-    }
-
-    #[test]
-    fn forward_matches_the_naive_reference_over_random_shapes() {
-        let mut rng = ChaCha8Rng::seed_from_u64(99);
-        for case in 0..40u64 {
-            let mut shape_rng = ChaCha8Rng::seed_from_u64(case);
-            let in_channels = shape_rng.gen_range(1..4usize);
-            let out_channels = shape_rng.gen_range(1..5usize);
-            let kernel = [1, 3, 5][shape_rng.gen_range(0..3usize)];
-            let height = shape_rng.gen_range(1..9usize);
-            let width = shape_rng.gen_range(1..9usize);
-            let mut conv = Conv2d::new(in_channels, out_channels, kernel, &mut rng);
-            conv.bias
-                .iter_mut()
-                .for_each(|b| *b = rng.gen::<f32>() - 0.5);
-            let input = Tensor::from_vec(
-                &[in_channels, height, width],
-                (0..in_channels * height * width)
-                    .map(|_| rng.gen::<f32>() * 2.0 - 1.0)
-                    .collect(),
-            )
-            .unwrap();
-            let fast = conv.forward(&input).unwrap();
-            let naive = reference::conv2d_forward(
-                input.data(),
-                in_channels,
-                height,
-                width,
-                &conv.weights,
-                &conv.bias,
-                out_channels,
-                kernel,
-            );
-            for (i, (&a, &b)) in fast.data().iter().zip(naive.iter()).enumerate() {
-                assert!(
-                    (a - b).abs() <= 1e-4,
-                    "case {case} ({in_channels}x{height}x{width} k{kernel}) element {i}: {a} vs {b}"
-                );
-            }
-        }
     }
 
     #[test]

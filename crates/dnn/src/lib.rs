@@ -11,8 +11,6 @@
 //!   dense GEMMs over [`optima_math::gemm`],
 //! * [`layers`] — convolution, dense, pooling, activation and residual layers
 //!   with forward and backward passes,
-//! * [`reference`](mod@reference) — the naive scalar kernels kept as
-//!   equivalence-test and benchmark baselines,
 //! * [`network`] — sequential networks, training state and SGD,
 //! * [`training`] — cross-entropy loss and a simple trainer,
 //! * [`data`] — procedurally generated image-classification datasets
@@ -46,7 +44,6 @@ pub mod multiplier;
 pub mod network;
 pub mod quantization;
 pub mod quantized;
-pub mod reference;
 pub mod scratch;
 pub mod tensor;
 pub mod training;

@@ -66,7 +66,7 @@ pub mod prelude {
     pub use crate::fom::{CornerKind, SelectedCorners};
     pub use crate::metrics::{evaluate_multiplier, MultiplierMetrics};
     pub use crate::multiplier::{
-        AnalogOperandGrid, InSramMultiplier, MultiplierConfig, MultiplierTable, MultiplyOutcome,
+        InSramMultiplier, MultiplierConfig, MultiplierTable, MultiplyOutcome,
     };
     pub use crate::pareto::pareto_front;
     pub use crate::pvt_analysis::{PvtAnalysis, PvtAnalysisConfig};

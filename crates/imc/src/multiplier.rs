@@ -27,6 +27,12 @@ use serde::{Deserialize, Serialize};
 #[cfg(test)]
 pub(crate) mod reference;
 
+/// `u32` keystream words one `Gaussian::sample` consumes: `gen_range`
+/// draws one `u64` for the Box–Muller radius and `gen::<f64>` one for the
+/// angle.  The Monte Carlo seeks a sample's stream by this many words per
+/// mismatch draw (see [`InSramMultiplier::row_mismatch_draws`]).
+pub(crate) const WORDS_PER_DRAW: u128 = 4;
+
 /// Operand bits of the paper's default array geometry.
 ///
 /// Kept for the fixed-width call sites of the paper experiments; geometry-
@@ -335,7 +341,7 @@ impl InSramMultiplier {
     ///
     /// Propagates converter and model-evaluation errors, slice operand by
     /// slice operand in ascending order.
-    pub fn analog_grid(&self, at: OperatingPoint) -> Result<AnalogOperandGrid, ImcError> {
+    pub(crate) fn analog_grid(&self, at: OperatingPoint) -> Result<AnalogOperandGrid, ImcError> {
         let array = &self.config.array;
         let operands = array.slice_max() as usize + 1;
         let bits = array.slice_bits as usize;
@@ -389,7 +395,8 @@ impl InSramMultiplier {
     ///
     /// # Errors
     ///
-    /// Same as [`InSramMultiplier::analog_grid`].
+    /// Propagates converter and model-evaluation errors, slice operand by
+    /// slice operand in ascending order.
     pub fn outcome_grid(&self, at: OperatingPoint) -> Result<Vec<MultiplyOutcome>, ImcError> {
         let grid = self.analog_grid(at)?;
         let max = self.config.array.operand_max();
@@ -513,37 +520,69 @@ impl InSramMultiplier {
         Ok(MismatchGrid { analog, sigmas, at })
     }
 
-    /// One mismatch Monte-Carlo multiplication off a precomputed
-    /// [`MismatchGrid`] built by this multiplier — bit-identical to drawing
-    /// the mismatch per column while evaluating the fitted models live at the
-    /// grid's operating point, including where the RNG stream ends up
-    /// (pinned by the unit tests): every discharging,
-    /// non-shorted column draws one `Gaussian::new(0, σ)` sample when σ ≠ 0,
-    /// in pass order and then bit order, and nothing else is evaluated per
-    /// sample.
+    /// How column `bit` of `pass` enters a mismatch sample for the slice
+    /// pair `(a_slice, d_slice)`: the one place that decides whether a
+    /// column draws a Gaussian, shared by the sampler
+    /// ([`InSramMultiplier::mismatch_result`]) and the draw counter
+    /// ([`InSramMultiplier::mismatch_draws`]), so the two cannot drift apart.
+    #[inline]
+    fn mismatch_column(
+        &self,
+        grid: &MismatchGrid,
+        pass: usize,
+        a_slice: u16,
+        d_slice: u16,
+        bit: u8,
+    ) -> MismatchColumn {
+        let stored = (d_slice >> bit) & 1 == 1;
+        let discharges = match &self.faults {
+            None => stored,
+            Some(faults) => faults.column_discharges(pass, bit, stored),
+        };
+        if !discharges {
+            return MismatchColumn::Idle;
+        }
+        if let Some(faults) = &self.faults {
+            if faults.is_shorted(pass, bit) {
+                return MismatchColumn::Shorted;
+            }
+        }
+        let sigma = grid.sigma(a_slice, bit);
+        if sigma == 0.0 {
+            MismatchColumn::Nominal
+        } else {
+            MismatchColumn::Drawn(sigma)
+        }
+    }
+
+    /// The digitised result of one mismatch Monte-Carlo multiplication off
+    /// a precomputed [`MismatchGrid`] built by this multiplier: every
+    /// discharging, non-shorted column with σ ≠ 0 draws one
+    /// `Gaussian::new(0, σ)` deviation, in pass order and then bit order,
+    /// and each pass goes through the shared ADC readout
+    /// ([`InSramMultiplier::weighted_code`]).  The result and the RNG stream
+    /// position afterwards are bit-identical to drawing the mismatch per
+    /// column while evaluating the fitted models live (pinned by the unit
+    /// tests); the multiply energy, which no Monte Carlo reads, is not
+    /// accumulated.
     ///
     /// # Errors
     ///
     /// Returns [`ImcError::OperandOutOfRange`] for operands above
     /// [`ArrayConfig::operand_max`].
-    pub(crate) fn multiply_on_mismatch_grid<R: Rng + ?Sized>(
+    pub(crate) fn mismatch_result<R: Rng + ?Sized>(
         &self,
         grid: &MismatchGrid,
         rng: &mut R,
         a: u16,
         d: u16,
-    ) -> Result<MultiplyOutcome, ImcError> {
+    ) -> Result<u16, ImcError> {
         self.check_operands(a, d)?;
-        let analog = &grid.analog;
-        Ok(self.compose_outcome(
-            a,
-            d,
-            |pass, a_slice, d_slice| {
-                self.sampled_discharge(grid, &mut *rng, pass, a_slice, d_slice)
-            },
-            |pass, a_slice, bit| self.grid_energy(analog, pass, a_slice, bit, grid.at),
-            analog.write_energy,
-        ))
+        let result = self.fold_passes(a, d, 0u32, |result, pass| {
+            let discharge = self.sampled_discharge(grid, &mut *rng, pass);
+            result + self.weighted_code(discharge, pass)
+        });
+        Ok(saturate_result(result))
     }
 
     /// Combined discharge of one pass with mismatch sampling, off the
@@ -554,40 +593,81 @@ impl InSramMultiplier {
         &self,
         grid: &MismatchGrid,
         rng: &mut R,
-        pass: usize,
-        a_slice: u16,
-        d_slice: u16,
+        pass: Pass,
     ) -> f64 {
         let slice_bits = grid.analog.slice_bits;
         let mut total = 0.0;
         for bit in 0..slice_bits {
-            let stored = (d_slice >> bit) & 1 == 1;
-            let discharges = match &self.faults {
-                None => stored,
-                Some(faults) => faults.column_discharges(pass, bit, stored),
-            };
-            if !discharges {
-                continue;
-            }
-            if let Some(faults) = &self.faults {
-                if faults.is_shorted(pass, bit) {
-                    total += grid.at.vdd.0;
-                    continue;
-                }
-            }
-            let sigma = grid.sigma(a_slice, bit);
-            let deviation = if sigma == 0.0 {
-                0.0
-            } else {
-                Gaussian::new(0.0, sigma).sample(rng)
-            };
-            let delta = (grid.analog.delta(a_slice, bit) + deviation).max(0.0);
+            let deviation =
+                match self.mismatch_column(grid, pass.index, pass.a_slice, pass.d_slice, bit) {
+                    MismatchColumn::Idle => continue,
+                    MismatchColumn::Shorted => {
+                        total += grid.at.vdd.0;
+                        continue;
+                    }
+                    MismatchColumn::Nominal => 0.0,
+                    MismatchColumn::Drawn(sigma) => Gaussian::new(0.0, sigma).sample(rng),
+                };
+            let delta = (grid.analog.delta(pass.a_slice, bit) + deviation).max(0.0);
             total += match &self.faults {
                 None => delta,
-                Some(faults) => faults.scaled_delta(pass, bit, delta),
+                Some(faults) => faults.scaled_delta(pass.index, bit, delta),
             };
         }
         total / slice_bits as f64
+    }
+
+    /// Gaussian draws one mismatch multiplication of `(a, d)` takes: its
+    /// [`MismatchColumn::Drawn`] columns over every pass.  The pair consumes
+    /// [`WORDS_PER_DRAW`] keystream words per draw.
+    #[cfg(test)]
+    pub(crate) fn mismatch_draws(&self, grid: &MismatchGrid, a: u16, d: u16) -> u64 {
+        self.fold_passes(a, d, 0u64, |draws, pass| {
+            draws + self.slice_draws(grid, pass.index, pass.a_slice, pass.d_slice)
+        })
+    }
+
+    /// Gaussian draws of one pass of a mismatch multiplication.
+    fn slice_draws(&self, grid: &MismatchGrid, pass: usize, a_slice: u16, d_slice: u16) -> u64 {
+        (0..grid.analog.slice_bits)
+            .filter(|&bit| {
+                matches!(
+                    self.mismatch_column(grid, pass, a_slice, d_slice, bit),
+                    MismatchColumn::Drawn(_)
+                )
+            })
+            .count() as u64
+    }
+
+    /// Gaussian draws of every row `a` of the input space (the sum of
+    /// [`InSramMultiplier::mismatch_draws`] over every `d`), in `a` order.
+    ///
+    /// A draw depends only on the pass and its slice pair, and as `d` runs
+    /// over the input space each of its slices takes every slice value
+    /// `(slice_max + 1)^(slices − 1)` times, so the rows come from one
+    /// per-(pass, slice operand) table instead of a walk over every pair.
+    pub(crate) fn row_mismatch_draws(&self, grid: &MismatchGrid) -> Vec<u64> {
+        let array = &self.config.array;
+        let slice_operands = array.slice_max() as usize + 1;
+        let passes = array.passes() as usize;
+        let mut per_slice = vec![0u64; passes * slice_operands];
+        for pass in 0..passes {
+            for a_slice in 0..slice_operands {
+                per_slice[pass * slice_operands + a_slice] = (0..slice_operands as u16)
+                    .map(|d_slice| self.slice_draws(grid, pass, a_slice as u16, d_slice))
+                    .sum();
+            }
+        }
+        let repeats = (slice_operands as u64).pow(u32::from(array.slices()) - 1);
+        (0..=array.operand_max())
+            .map(|a| {
+                // `d` = 0 only enumerates the passes and their `a` slices.
+                let row = self.fold_passes(a, 0, 0u64, |draws, pass| {
+                    draws + per_slice[pass.index * slice_operands + pass.a_slice as usize]
+                });
+                row * repeats
+            })
+            .collect()
     }
 
     /// Analog mismatch σ of every operand pair, in operand-major order: the
@@ -617,11 +697,11 @@ impl InSramMultiplier {
         let mut grid = Vec::with_capacity(array.input_space());
         for a in 0..=max {
             for d in 0..=max {
-                let sigma = self.fold_passes(a, d, 0.0f64, |worst, _, a_slice, d_slice| {
+                let sigma = self.fold_passes(a, d, 0.0f64, |worst, pass| {
                     let mut variance = 0.0;
                     for bit in 0..bits {
-                        if (d_slice >> bit) & 1 == 1 {
-                            let sigma = sigmas[a_slice as usize * bits + bit];
+                        if (pass.d_slice >> bit) & 1 == 1 {
+                            let sigma = sigmas[pass.a_slice as usize * bits + bit];
                             variance += sigma * sigma;
                         }
                     }
@@ -654,7 +734,8 @@ impl InSramMultiplier {
     }
 
     /// Performs one multiplication at an explicit operating point, read off
-    /// the analog grid at `at` ([`InSramMultiplier::analog_grid`]).
+    /// the analog grid at `at` (the per-(slice operand, column) discharges
+    /// and energies of [`InSramMultiplier::outcome_grid`]).
     ///
     /// # Errors
     ///
@@ -674,30 +755,44 @@ impl InSramMultiplier {
     }
 
     /// Folds `combine` over the analog passes of the pair `(a, d)` in pass
-    /// order (`a`-slice outer, `d`-slice inner, both low-to-high), passing
-    /// `(accumulator, pass_index, a_slice, d_slice)`.
-    fn fold_passes<T>(
-        &self,
-        a: u16,
-        d: u16,
-        init: T,
-        mut combine: impl FnMut(T, usize, u16, u16) -> T,
-    ) -> T {
+    /// order (`a`-slice outer, `d`-slice inner, both low-to-high).
+    fn fold_passes<T>(&self, a: u16, d: u16, init: T, mut combine: impl FnMut(T, Pass) -> T) -> T {
         let array = &self.config.array;
         let slices = array.slices() as u16;
         let shift = array.slice_bits as u16;
         let mask = array.slice_max();
         let mut acc = init;
-        let mut pass = 0usize;
+        let mut index = 0usize;
         for i in 0..slices {
             let a_slice = (a >> (i * shift)) & mask;
             for j in 0..slices {
                 let d_slice = (d >> (j * shift)) & mask;
-                acc = combine(acc, pass, a_slice, d_slice);
-                pass += 1;
+                let weight = u32::from((i + j) * shift);
+                acc = combine(
+                    acc,
+                    Pass {
+                        index,
+                        weight,
+                        a_slice,
+                        d_slice,
+                    },
+                );
+                index += 1;
             }
         }
         acc
+    }
+
+    /// The readout of one pass: round-to-nearest quantisation of its
+    /// combined discharge in slice-product LSB units, clamped to the ADC
+    /// code range, shifted to the pass's digital weight.  Every readout
+    /// ([`InSramMultiplier::compose_outcome`] and the mismatch Monte Carlo)
+    /// goes through here, so a readout change lands in every path.
+    #[inline]
+    fn weighted_code(&self, discharge: f64, pass: Pass) -> u32 {
+        let raw = (discharge / self.volts_per_lsb).round();
+        let code = raw.clamp(0.0, self.adc.max_code() as f64) as u32;
+        code << pass.weight
     }
 
     /// Shared readout back half of every multiply: per-pass ADC quantisation
@@ -718,7 +813,6 @@ impl InSramMultiplier {
         let array = &self.config.array;
         let slice_bits = array.slice_bits;
         let passes = array.passes() as f64;
-        let max_code = self.adc.max_code() as f64;
         struct Acc {
             result: u32,
             discharge_sum: f64,
@@ -732,45 +826,69 @@ impl InSramMultiplier {
                 discharge_sum: 0.0,
                 multiply_energy: 0.0,
             },
-            |mut acc, pass, a_slice, d_slice| {
-                let discharge = slice_discharge(pass, a_slice, d_slice);
+            |mut acc, pass| {
+                let discharge = slice_discharge(pass.index, pass.a_slice, pass.d_slice);
                 acc.discharge_sum += discharge;
-                // Round-to-nearest quantisation in slice-product LSB units,
-                // clamped to the ADC code range of one pass.
-                let raw = (discharge / self.volts_per_lsb).round();
-                let code = raw.clamp(0.0, max_code) as u32;
-                // Which pass this slice pair is determines its digital weight.
-                let weight = {
-                    let slices = array.slices() as usize;
-                    ((pass / slices + pass % slices) * slice_bits as usize) as u32
-                };
-                acc.result += code << weight;
+                acc.result += self.weighted_code(discharge, pass);
                 acc.multiply_energy += self.converter_overhead.0;
                 // Energy follows the columns that actually discharge: a
                 // fault state can gate a stored 1 off (stuck-at-0, open
                 // bit-line) or a stored 0 on (stuck-at-1, short).
                 let gates = match &self.faults {
-                    None => d_slice,
-                    Some(faults) => faults.gate_bits(pass, d_slice),
+                    None => pass.d_slice,
+                    Some(faults) => faults.gate_bits(pass.index, pass.d_slice),
                 };
                 for bit in 0..slice_bits {
                     if (gates >> bit) & 1 == 1 {
-                        acc.multiply_energy += column_energy(pass, a_slice, bit);
+                        acc.multiply_energy += column_energy(pass.index, pass.a_slice, bit);
                     }
                 }
                 acc
             },
         );
         MultiplyOutcome {
-            // Non-ideal slice results can overshoot the exact product range;
-            // the digital accumulator saturates at the u16 result width.
-            result: acc.result.min(u16::MAX as u32) as u16,
+            result: saturate_result(acc.result),
             expected: a * d,
             combined_discharge: Volts(acc.discharge_sum / passes),
             multiply_energy: FemtoJoules(acc.multiply_energy),
             write_energy,
         }
     }
+}
+
+/// Non-ideal slice results can overshoot the exact product range; the
+/// digital shift-add accumulator saturates at the `u16` result width.
+fn saturate_result(result: u32) -> u16 {
+    result.min(u16::MAX as u32) as u16
+}
+
+/// One analog pass of a (possibly composed) multiplication, as
+/// [`InSramMultiplier::fold_passes`] visits it.
+#[derive(Debug, Clone, Copy)]
+struct Pass {
+    /// Position in pass order (`a`-slice outer, `d`-slice inner).
+    index: usize,
+    /// Digital weight of the pass's code, `(i + j) · slice_bits` for
+    /// `a`-slice `i` and `d`-slice `j`.
+    weight: u32,
+    /// Slice `i` of the DAC operand `a`.
+    a_slice: u16,
+    /// Slice `j` of the stored operand `d`.
+    d_slice: u16,
+}
+
+/// How one column enters a mismatch Monte-Carlo sample
+/// ([`InSramMultiplier::mismatch_column`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum MismatchColumn {
+    /// The column does not discharge (stored 0, stuck-at-0 or open).
+    Idle,
+    /// A shorted bit-line: the full rail, no transistor to mismatch.
+    Shorted,
+    /// Discharges with σ = 0: the nominal ΔV, no draw.
+    Nominal,
+    /// Discharges with this σ: one Gaussian draw.
+    Drawn(f64),
 }
 
 /// Per-(slice operand, column) analog quantities of one multiplier at one
@@ -780,7 +898,7 @@ impl InSramMultiplier {
 /// input space combine these `(slice_max + 1) × slice_bits` values instead of
 /// re-evaluating the fitted polynomials per pair.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AnalogOperandGrid {
+pub(crate) struct AnalogOperandGrid {
     /// Slice width the grid was generated for (row stride of the flats).
     slice_bits: u8,
     /// Word-line voltage per slice operand `a`.
@@ -807,7 +925,7 @@ impl AnalogOperandGrid {
     /// Charge-shared combined discharge of one pass for the slice pair
     /// `(a, d)`: the per-column discharges of the stored `1` bits summed in
     /// bit-ascending order and averaged by charge sharing.
-    pub fn combined_discharge(&self, a: u16, d: u16) -> f64 {
+    pub(crate) fn combined_discharge(&self, a: u16, d: u16) -> f64 {
         let mut total = 0.0;
         for bit in 0..self.slice_bits {
             if (d >> bit) & 1 == 1 {
@@ -823,7 +941,7 @@ impl AnalogOperandGrid {
 /// `(slice operand, column)`, validated finite.
 ///
 /// Built by [`InSramMultiplier::mismatch_grid`] and consumed by
-/// [`InSramMultiplier::multiply_on_mismatch_grid`] of the same multiplier.
+/// [`InSramMultiplier::mismatch_result`] of the same multiplier.
 #[derive(Debug)]
 pub(crate) struct MismatchGrid {
     analog: AnalogOperandGrid,

@@ -240,9 +240,10 @@ mod tests {
     use super::*;
     use crate::dse::{DesignSpace, DesignSpaceExplorer};
     use crate::metrics::evaluate_multiplier_at;
-    use crate::multiplier::MultiplierConfig;
+    use crate::multiplier::{MultiplierConfig, WORDS_PER_DRAW};
     use crate::testsupport::{
-        ideal_config, int8_config, linear_suite, nonlinear_pvt_suite, pvt_sensitive_suite,
+        faulted_multiplier, ideal_config, int8_config, linear_suite, nonlinear_pvt_suite,
+        pvt_sensitive_suite,
     };
     use optima_circuit::array::ArrayConfig;
     use optima_math::units::{Celsius, Seconds};
@@ -303,39 +304,43 @@ mod tests {
         }
     }
 
-    /// Every field of an outcome as raw bits, so `-0.0`/`0.0` and NaN
-    /// payloads count as differences.
-    fn outcome_bits(outcome: &MultiplyOutcome) -> (u16, u16, u64, u64, u64) {
-        (
-            outcome.result,
-            outcome.expected,
-            outcome.combined_discharge.0.to_bits(),
-            outcome.multiply_energy.0.to_bits(),
-            outcome.write_energy.0.to_bits(),
-        )
-    }
-
     /// Runs one RNG stream through the whole input space at `at`, once via
     /// the scalar `multiply_with_mismatch` oracle and once via the mismatch
-    /// grid, and requires bit-identical outcomes and equal stream positions
-    /// afterwards (so neither path draws a sample the other skips).
+    /// grid's codes-only readout, and requires equal results and equal
+    /// stream positions after every pair (so neither path draws a sample the
+    /// other skips).  Each pair must consume [`WORDS_PER_DRAW`] words per
+    /// counted draw, and each row the draws of
+    /// [`InSramMultiplier::row_mismatch_draws`].
     fn assert_mismatch_grid_matches_scalar(multiplier: &InSramMultiplier, at: OperatingPoint) {
         let grid = multiplier.mismatch_grid(at).unwrap();
+        let row_draws = multiplier.row_mismatch_draws(&grid);
         let mut scalar_rng = ChaCha8Rng::seed_from_u64(0x5eed);
         let mut grid_rng = scalar_rng.clone();
         let max = multiplier.array().operand_max();
+        assert_eq!(row_draws.len(), max as usize + 1);
         for a in 0..=max {
+            let row_start = scalar_rng.get_word_pos();
             for d in 0..=max {
+                let before = scalar_rng.get_word_pos();
                 let scalar = multiply_with_mismatch(multiplier, &mut scalar_rng, a, d, at).unwrap();
-                let sampled = multiplier
-                    .multiply_on_mismatch_grid(&grid, &mut grid_rng, a, d)
-                    .unwrap();
+                let words = scalar_rng.get_word_pos() - before;
+                let draws = multiplier.mismatch_draws(&grid, a, d);
                 assert_eq!(
-                    outcome_bits(&sampled),
-                    outcome_bits(&scalar),
+                    words,
+                    WORDS_PER_DRAW * u128::from(draws),
                     "a = {a}, d = {d}"
                 );
+                let result = multiplier
+                    .mismatch_result(&grid, &mut grid_rng, a, d)
+                    .unwrap();
+                assert_eq!(result, scalar.result, "a = {a}, d = {d}");
+                assert_eq!(grid_rng.get_word_pos(), scalar_rng.get_word_pos());
             }
+            assert_eq!(
+                scalar_rng.get_word_pos() - row_start,
+                WORDS_PER_DRAW * u128::from(row_draws[a as usize]),
+                "row a = {a}"
+            );
         }
         assert_eq!(grid_rng.next_u64(), scalar_rng.next_u64());
     }
@@ -370,50 +375,7 @@ mod tests {
 
     #[test]
     fn faulted_mismatch_grid_is_bit_identical_to_scalar_mismatch_sampling() {
-        use crate::reliability::FaultState;
-        use optima_circuit::defects::{
-            BitLineFault, CellDefect, DefectMap, DefectModel, LifetimeTrajectory,
-        };
-        let array = ArrayConfig::paper();
-        // One shorted and one open data bit-line, a stuck cell of each kind
-        // on the stored row, and retention drift on every cell.
-        let map = (0..10_000u64)
-            .find_map(|seed| {
-                let map = DefectMap::sample(
-                    &array,
-                    &DefectModel {
-                        stuck_at_zero_rate: 0.3,
-                        stuck_at_one_rate: 0.3,
-                        open_bitline_rate: 0.2,
-                        short_bitline_rate: 0.2,
-                        retention_sigma: 0.1,
-                        seed,
-                    },
-                )
-                .unwrap();
-                let bitlines: Vec<BitLineFault> =
-                    (0..4).map(|c| map.bitline_unchecked(c)).collect();
-                let cells: Vec<CellDefect> = (0..4)
-                    .filter(|&c| bitlines[c as usize] == BitLineFault::Healthy)
-                    .map(|c| map.cell_unchecked(0, c))
-                    .collect();
-                let one = |fault| bitlines.iter().filter(|&&b| b == fault).count() == 1;
-                (one(BitLineFault::Shorted)
-                    && one(BitLineFault::Open)
-                    && cells.contains(&CellDefect::StuckAtZero)
-                    && cells.contains(&CellDefect::StuckAtOne))
-                .then_some(map)
-            })
-            .expect("no defect map with every fault kind found");
-        assert!((0..4).any(|c| map.drift_unchecked(0, c) != 0.0));
-        let state = FaultState::unmitigated(&array, map, 0)
-            .unwrap()
-            .with_lifetime(&LifetimeTrajectory::nbti_like().at(3));
-        assert!(state.vth_shift() > 0.0);
-        let multiplier = InSramMultiplier::new(linear_suite(), ideal_config())
-            .unwrap()
-            .with_faults(state)
-            .unwrap();
+        let multiplier = faulted_multiplier(linear_suite()).unwrap();
         assert_mismatch_grid_matches_scalar(&multiplier, multiplier.nominal_operating_point());
     }
 

@@ -23,19 +23,28 @@
 //! column) plus the Eq. 6 σ per slice operand and column, evaluated at the
 //! grid's own supply-adjusted, aged word lines.  A σ that is not finite
 //! fails the analysis with [`ImcError::NonFiniteSigma`] before any sample
-//! runs.  A sample then only draws its Gaussians and composes the readout,
-//! bit-identical to drawing each column's deviation while evaluating the
-//! fitted models live for every pair (the per-pair reference in the
-//! multiplier's unit tests).  Each sample's RNG stream is consumed in this order:
-//! operand `a` outer, operand `d` inner, then analog pass, then bit
-//! (ascending); one `Gaussian::new(0, σ)` draw is taken per column that
-//! discharges (stored 1 or stuck-at-1) and is not shorted, and columns with
-//! σ = 0 draw nothing.
+//! runs.  A sample then only draws its Gaussians and reads out each pass's
+//! ADC code, bit-identical to drawing each column's deviation while
+//! evaluating the fitted models live for every pair (the per-pair reference
+//! in the multiplier's unit tests).  Each sample's RNG stream is consumed in
+//! this order: operand `a` outer, operand `d` inner, then analog pass, then
+//! bit (ascending); one `Gaussian::new(0, σ)` draw (four keystream words) is
+//! taken per column that discharges (stored 1 or stuck-at-1) and is not
+//! shorted, and columns with σ = 0 draw nothing.
+//!
+//! The Monte-Carlo work items are (sample, block of `a` rows): a sample
+//! splits into as many row blocks as it takes to give every thread work
+//! (⌈threads / samples⌉, at most one per row).  A block seeds its sample's
+//! stream and seeks it to the first draw of its first row, so it consumes
+//! exactly the words a serial walk would at those rows.  Blocks return the
+//! integer sum of their |errors|; every partial sum is an exact `f64`, so
+//! each sample's mean error has the same bits whatever the split.  The
+//! nominal error bins and ε_mul sum integer errors the same way.
 
 use crate::error::ImcError;
-use crate::multiplier::{InSramMultiplier, OperatingPoint};
+use crate::multiplier::{InSramMultiplier, MultiplyOutcome, OperatingPoint, WORDS_PER_DRAW};
 use optima_circuit::pvt::linspace;
-use optima_core::sweep::{par_map_sweep, par_map_sweep_with, stream_seed};
+use optima_core::sweep::{par_map_sweep, resolve_threads, stream_seed};
 use optima_math::stats;
 use optima_math::units::{Celsius, Volts};
 use rand::SeedableRng;
@@ -176,30 +185,37 @@ impl PvtAnalysis {
                 source: Box::new(source),
             })?;
 
-        let mut per_expected_error: Vec<Vec<f64>> = vec![Vec::new(); product_max as usize + 1];
-        let mut per_expected_sigma: Vec<Vec<f64>> = vec![Vec::new(); product_max as usize + 1];
-        let mut abs_errors = Vec::with_capacity(input_space);
+        // Flat per-expected bins.  Errors are integers, so their sums are
+        // exact and any grouping gives the mean bits of a float sum; the σ
+        // sums are floats and are added in pair order from -0.0, as
+        // `Iterator::sum` does.
+        let bins = product_max as usize + 1;
+        let mut error_sums = vec![0i64; bins];
+        let mut sigma_sums = vec![-0.0f64; bins];
+        let mut counts = vec![0u32; bins];
+        let mut abs_error_sum = 0u64;
         let mut worst_sigma: f64 = 0.0;
         for (outcome, sigma) in outcomes.iter().zip(&sigmas) {
-            let error_lsb = outcome.error_lsb();
-            per_expected_error[outcome.expected as usize].push(error_lsb);
-            per_expected_sigma[outcome.expected as usize].push(sigma.0);
-            abs_errors.push(error_lsb.abs());
+            let bin = outcome.expected as usize;
+            error_sums[bin] += i64::from(outcome.result) - i64::from(outcome.expected);
+            sigma_sums[bin] += sigma.0;
+            counts[bin] += 1;
+            abs_error_sum += abs_error(outcome);
             worst_sigma = worst_sigma.max(sigma.0);
         }
 
         let mut result_profile = ResultProfile::default();
-        for expected in 0..=product_max as usize {
-            if per_expected_error[expected].is_empty() {
+        for (expected, &count) in counts.iter().enumerate() {
+            if count == 0 {
                 continue;
             }
             result_profile.expected_results.push(expected as u16);
             result_profile
                 .average_error_lsb
-                .push(stats::mean(&per_expected_error[expected]));
+                .push(error_sums[expected] as f64 / f64::from(count));
             result_profile
                 .analog_sigma
-                .push(stats::mean(&per_expected_sigma[expected]));
+                .push(sigma_sums[expected] / f64::from(count));
         }
 
         // ---- Fig. 8 right: error vs supply voltage and temperature ----
@@ -247,30 +263,45 @@ impl PvtAnalysis {
                 corner: "nominal mismatch sigma table".to_string(),
                 source: Box::new(source),
             })?;
-        let sample_indices: Vec<u64> = (0..config.mismatch_samples as u64).collect();
-        let per_sample_error_lsb = par_map_sweep_with(
-            &sample_indices,
-            config.threads,
-            || Vec::with_capacity(input_space),
-            |errors: &mut Vec<f64>, _, &sample| {
-                let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(config.seed, sample));
-                errors.clear();
-                // optima-lint: hot
-                for a in 0..=operand_max {
-                    for d in 0..=operand_max {
-                        let outcome =
-                            multiplier.multiply_on_mismatch_grid(&grid, &mut rng, a, d)?;
-                        errors.push(outcome.error_lsb().abs());
-                    }
+        // Work items are (sample, block of `a` rows), sample-major, so the
+        // lowest failing item belongs to the lowest failing sample.  A lone
+        // INT8 sign-off sample splits across the threads while hundreds of
+        // INT4 samples stay one item each.
+        let rows = operand_max as usize + 1;
+        let row_draws = multiplier.row_mismatch_draws(&grid);
+        let blocks = resolve_threads(config.threads)
+            .div_ceil(config.mismatch_samples.max(1))
+            .min(rows);
+        let items: Vec<(u64, usize)> = (0..config.mismatch_samples as u64)
+            .flat_map(|sample| (0..blocks).map(move |block| (sample, block)))
+            .collect();
+        let block_error_sums = par_map_sweep(&items, config.threads, |_, &(sample, block)| {
+            let (first, end) = (block * rows / blocks, (block + 1) * rows / blocks);
+            let draws_before: u64 = row_draws[..first].iter().sum();
+            let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(config.seed, sample));
+            rng.set_word_pos(WORDS_PER_DRAW * u128::from(draws_before));
+            let mut error_sum = 0u64;
+            // optima-lint: hot
+            for a in first as u16..end as u16 {
+                for d in 0..=operand_max {
+                    let result = multiplier.mismatch_result(&grid, &mut rng, a, d)?;
+                    error_sum += u64::from(result.abs_diff(a * d));
                 }
-                // optima-lint: end-hot
-                Ok::<_, ImcError>(stats::mean(errors))
-            },
-        )
+            }
+            // optima-lint: end-hot
+            Ok::<_, ImcError>(error_sum)
+        })
         .map_err(|err| {
-            let sample = sample_indices[err.index];
+            let (sample, _) = items[err.index];
             ImcError::from_sweep(err, format!("mismatch Monte-Carlo sample {sample}"))
         })?;
+        // Every |error| is at most 65,535 and a sample has at most 65,536
+        // of them, so each sum is an exact f64 and the mean has the bits of
+        // summing the errors one by one.
+        let per_sample_error_lsb: Vec<f64> = block_error_sums
+            .chunks(blocks)
+            .map(|sums| sums.iter().sum::<u64>() as f64 / input_space as f64)
+            .collect();
         let mismatch_monte_carlo = MismatchMonteCarlo {
             mean_error_lsb: stats::mean(&per_sample_error_lsb),
             std_error_lsb: stats::std_dev(&per_sample_error_lsb),
@@ -284,28 +315,32 @@ impl PvtAnalysis {
             temperature_sweep,
             mismatch_monte_carlo,
             worst_case_sigma: worst_sigma,
-            nominal_epsilon_mul: stats::mean(&abs_errors),
+            nominal_epsilon_mul: abs_error_sum as f64 / input_space as f64,
         })
     }
 }
 
 /// Average absolute error over the full input space at one operating point,
-/// evaluated through the batched analog grid (bit-identical to the scalar
-/// per-pair loop it replaced).
+/// evaluated through the batched analog grid.
 fn average_error_at(multiplier: &InSramMultiplier, at: OperatingPoint) -> Result<f64, ImcError> {
-    let errors: Vec<f64> = multiplier
-        .outcome_grid(at)?
-        .iter()
-        .map(|outcome| outcome.error_lsb().abs())
-        .collect();
-    Ok(stats::mean(&errors))
+    let outcomes = multiplier.outcome_grid(at)?;
+    let sum: u64 = outcomes.iter().map(abs_error).sum();
+    Ok(sum as f64 / outcomes.len() as f64)
+}
+
+/// `|result − expected|` in product LSBs, as an exact integer.
+fn abs_error(outcome: &MultiplyOutcome) -> u64 {
+    u64::from(outcome.result.abs_diff(outcome.expected))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::multiplier::MultiplierConfig;
-    use crate::testsupport::{linear_suite, pvt_sensitive_suite};
+    use crate::testsupport::{
+        faulted_multiplier, ideal_config, int8_config, linear_suite, noisy_linear_suite,
+        pvt_sensitive_suite,
+    };
     use optima_circuit::array::ArrayConfig;
     use optima_core::model::mismatch::MismatchSigmaModel;
     use optima_core::model::suite::ModelSuite;
@@ -495,30 +530,79 @@ mod tests {
         }
     }
 
+    /// Per-sample mean |error| of a plain serial walk: a fresh stream per
+    /// sample, every pair in `(a, d)` order, the errors buffered as floats
+    /// and averaged.
+    fn walked_monte_carlo(multiplier: &InSramMultiplier, config: &PvtAnalysisConfig) -> Vec<f64> {
+        let grid = multiplier
+            .mismatch_grid(multiplier.nominal_operating_point())
+            .unwrap();
+        let max = multiplier.array().operand_max();
+        (0..config.mismatch_samples as u64)
+            .map(|sample| {
+                let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(config.seed, sample));
+                let mut errors = Vec::new();
+                for a in 0..=max {
+                    for d in 0..=max {
+                        let result = multiplier.mismatch_result(&grid, &mut rng, a, d).unwrap();
+                        errors.push((f64::from(result) - f64::from(a * d)).abs());
+                    }
+                }
+                stats::mean(&errors)
+            })
+            .collect()
+    }
+
     #[test]
     fn analysis_is_bit_identical_at_any_thread_count() {
         // The full analysis — including the Monte-Carlo sweep, whose samples
         // draw independent split-seed RNG streams — must not depend on how
-        // work is distributed over threads.
-        let multiplier = multiplier(true);
-        let serial = PvtAnalysis::run(
-            &multiplier,
-            &PvtAnalysisConfig {
-                threads: 1,
-                ..PvtAnalysisConfig::fast()
-            },
-        )
-        .unwrap();
-        for threads in [2, 8] {
-            let parallel = PvtAnalysis::run(
-                &multiplier,
-                &PvtAnalysisConfig {
-                    threads,
+        // work is distributed over threads.  Few samples on many threads
+        // split each sample into row blocks that seek into the sample's
+        // stream.  The V_DAC,0 = 0 V corner has σ = 0 at a = 0, so those
+        // columns draw nothing and the seek has to skip them too.  The noisy
+        // suite makes most draws move a code, so a block that starts one
+        // word off changes its sample's error, and the serial walk pins
+        // where the first block starts.
+        let noisy = |config| InSramMultiplier::new(noisy_linear_suite(), config).unwrap();
+        let zero_word_line = MultiplierConfig::new(Seconds(0.16e-9), Volts(0.0), Volts(1.0));
+        let mut cases = vec![("pvt sensitive", multiplier(true), PvtAnalysisConfig::fast())];
+        for (name, multiplier) in [
+            ("int4", noisy(ideal_config())),
+            ("int8", noisy(int8_config())),
+            ("faulted", faulted_multiplier(noisy_linear_suite()).unwrap()),
+            ("zero word line", noisy(zero_word_line)),
+        ] {
+            for mismatch_samples in [1, 3] {
+                let config = PvtAnalysisConfig {
+                    supply_voltages: vec![1.0],
+                    temperatures: vec![25.0],
+                    mismatch_samples,
                     ..PvtAnalysisConfig::fast()
-                },
-            )
-            .unwrap();
-            assert_eq!(serial, parallel, "threads = {threads}");
+                };
+                cases.push((name, multiplier.clone(), config));
+            }
+        }
+        let bits = |errors: &[f64]| errors.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        for (name, multiplier, config) in &cases {
+            let samples = config.mismatch_samples;
+            let at = |threads| PvtAnalysisConfig {
+                threads,
+                ..config.clone()
+            };
+            let serial = PvtAnalysis::run(multiplier, &at(1)).unwrap();
+            assert_eq!(
+                bits(&serial.mismatch_monte_carlo.per_sample_error_lsb),
+                bits(&walked_monte_carlo(multiplier, config)),
+                "{name}, {samples} sample(s)"
+            );
+            for threads in [2, 3, 8, 64] {
+                let split = PvtAnalysis::run(multiplier, &at(threads)).unwrap();
+                assert_eq!(
+                    serial, split,
+                    "{name}, {samples} sample(s), {threads} threads"
+                );
+            }
         }
     }
 }

@@ -1,7 +1,12 @@
 //! Shared fixtures for the unit tests of this crate (compiled only for tests).
 
-use crate::multiplier::MultiplierConfig;
+use crate::error::ImcError;
+use crate::multiplier::{InSramMultiplier, MultiplierConfig};
+use crate::reliability::FaultState;
 use optima_circuit::array::ArrayConfig;
+use optima_circuit::defects::{
+    BitLineFault, CellDefect, DefectMap, DefectModel, LifetimeTrajectory,
+};
 use optima_core::model::discharge::DischargeModel;
 use optima_core::model::energy::{DischargeEnergyModel, WriteEnergyModel};
 use optima_core::model::mismatch::MismatchSigmaModel;
@@ -110,4 +115,63 @@ pub(crate) fn ideal_config() -> MultiplierConfig {
 /// [`ideal_config`] on the composed INT8 geometry (four 4-bit passes).
 pub(crate) fn int8_config() -> MultiplierConfig {
     ideal_config().with_array(ArrayConfig::int8())
+}
+
+/// [`linear_suite`] with 20× its mismatch σ (up to tens of millivolts,
+/// several product LSBs), so that most Gaussian draws move a readout code
+/// and a draw taken from the wrong stream position shows in the
+/// Monte-Carlo errors.
+pub(crate) fn noisy_linear_suite() -> ModelSuite {
+    let base = linear_suite();
+    ModelSuite::new(
+        base.discharge_model().clone(),
+        base.supply_model().clone(),
+        base.temperature_model().clone(),
+        MismatchSigmaModel::new(
+            Polynomial::new(vec![0.0, 2e-2]),
+            Polynomial::new(vec![0.0, 1.0]),
+        ),
+        base.write_energy_model().clone(),
+        base.discharge_energy_model().clone(),
+    )
+}
+
+/// A paper-geometry multiplier on `suite` with every fault kind attached:
+/// one shorted and one open data bit-line, a stuck cell of each kind on the
+/// stored row, retention drift and V_th aging.
+pub(crate) fn faulted_multiplier(suite: ModelSuite) -> Result<InSramMultiplier, ImcError> {
+    let array = ArrayConfig::paper();
+    for seed in 0..10_000u64 {
+        let map = DefectMap::sample(
+            &array,
+            &DefectModel {
+                stuck_at_zero_rate: 0.3,
+                stuck_at_one_rate: 0.3,
+                open_bitline_rate: 0.2,
+                short_bitline_rate: 0.2,
+                retention_sigma: 0.1,
+                seed,
+            },
+        )?;
+        let bitlines: Vec<BitLineFault> = (0..4).map(|c| map.bitline_unchecked(c)).collect();
+        let cells: Vec<CellDefect> = (0..4)
+            .filter(|&c| bitlines[c as usize] == BitLineFault::Healthy)
+            .map(|c| map.cell_unchecked(0, c))
+            .collect();
+        let one = |fault| bitlines.iter().filter(|&&b| b == fault).count() == 1;
+        if one(BitLineFault::Shorted)
+            && one(BitLineFault::Open)
+            && cells.contains(&CellDefect::StuckAtZero)
+            && cells.contains(&CellDefect::StuckAtOne)
+        {
+            assert!((0..4).any(|c| map.drift_unchecked(0, c) != 0.0));
+            let state = FaultState::unmitigated(&array, map, 0)?
+                .with_lifetime(&LifetimeTrajectory::nbti_like().at(3));
+            assert!(state.vth_shift() > 0.0);
+            return InSramMultiplier::new(suite, ideal_config())?.with_faults(state);
+        }
+    }
+    Err(ImcError::InvalidConfiguration {
+        context: "no defect map with every fault kind found".to_string(),
+    })
 }

@@ -18,7 +18,6 @@ use optima_suite::optima_dnn::quantization::{
     quantize_activations_bits_into, quantize_weights_bits,
 };
 use optima_suite::optima_dnn::quantized::QuantizedNetwork;
-use optima_suite::optima_dnn::reference;
 use optima_suite::optima_dnn::scratch::KernelScratch;
 use optima_suite::optima_dnn::Tensor;
 use optima_suite::optima_math::gemm::{
@@ -153,6 +152,69 @@ fn per_product_forward(network: &Network, table: &dyn ProductTable, image: &Tens
     current
 }
 
+/// Naive "same"-padded, stride-1 convolution forward pass.
+///
+/// `input` is `[in_channels, height, width]` flat, `weights` is
+/// `[out_channels, in_channels, kernel, kernel]` flat; returns the
+/// `[out_channels, height, width]` output.
+#[allow(clippy::too_many_arguments)] // deliberately a raw flat-slice kernel
+fn conv2d_forward(
+    input: &[f32],
+    in_channels: usize,
+    height: usize,
+    width: usize,
+    weights: &[f32],
+    bias: &[f32],
+    out_channels: usize,
+    kernel: usize,
+) -> Vec<f32> {
+    let pad = kernel / 2;
+    let mut output = vec![0.0f32; out_channels * height * width];
+    for oc in 0..out_channels {
+        for y in 0..height {
+            for x in 0..width {
+                let mut acc = bias[oc];
+                for ic in 0..in_channels {
+                    for ky in 0..kernel {
+                        for kx in 0..kernel {
+                            let iy = y as isize + ky as isize - pad as isize;
+                            let ix = x as isize + kx as isize - pad as isize;
+                            if iy < 0 || ix < 0 || iy >= height as isize || ix >= width as isize {
+                                continue;
+                            }
+                            acc += weights[((oc * in_channels + ic) * kernel + ky) * kernel + kx]
+                                * input[(ic * height + iy as usize) * width + ix as usize];
+                        }
+                    }
+                }
+                output[(oc * height + y) * width + x] = acc;
+            }
+        }
+    }
+    output
+}
+
+/// Naive dense forward pass: `y = W·x + b` with a scalar dot-product loop.
+///
+/// `weights` is row-major `[outputs × inputs]`.
+fn dense_forward(
+    x: &[f32],
+    weights: &[f32],
+    bias: &[f32],
+    inputs: usize,
+    outputs: usize,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; outputs];
+    for (o, out_value) in out.iter_mut().enumerate() {
+        let mut acc = bias[o];
+        for (w, &xi) in weights[o * inputs..(o + 1) * inputs].iter().zip(x.iter()) {
+            acc += w * xi;
+        }
+        *out_value = acc;
+    }
+    out
+}
+
 /// The LUT forward of `network` quantized against `table`, asserted
 /// bit-identical to [`per_product_forward`], and returned.
 fn assert_lut_matches_per_product(
@@ -248,7 +310,7 @@ proptest! {
         let conv = Conv2d::new(in_channels, out_channels, kernel, &mut rng);
         let input = random_tensor(&[in_channels, height, width], &mut rng);
         let fast = infer_fresh(&conv, &input);
-        let naive = reference::conv2d_forward(
+        let naive = conv2d_forward(
             input.data(),
             in_channels,
             height,
@@ -277,7 +339,7 @@ proptest! {
         let dense = Dense::new(inputs, outputs, &mut rng);
         let input = random_tensor(&[inputs], &mut rng);
         let fast = infer_fresh(&dense, &input);
-        let naive = reference::dense_forward(
+        let naive = dense_forward(
             input.data(),
             dense.weights(),
             dense.bias(),
@@ -553,6 +615,66 @@ fn quantized_batched_evaluation_is_identical_at_one_through_eight_threads() {
                 evaluate_batched(&quantized, &dataset, threads).unwrap(),
                 serial,
                 "threads = {threads}"
+            );
+        }
+    }
+}
+
+#[test]
+fn forward_matches_the_naive_reference_over_random_shapes() {
+    let mut rng = ChaCha8Rng::seed_from_u64(99);
+    for case in 0..40u64 {
+        let mut shape_rng = ChaCha8Rng::seed_from_u64(case);
+        let in_channels = shape_rng.gen_range(1..4usize);
+        let out_channels = shape_rng.gen_range(1..5usize);
+        let kernel = [1, 3, 5][shape_rng.gen_range(0..3usize)];
+        let height = shape_rng.gen_range(1..9usize);
+        let width = shape_rng.gen_range(1..9usize);
+        let mut conv = Conv2d::new(in_channels, out_channels, kernel, &mut rng);
+        let bias: Vec<f32> = (0..out_channels).map(|_| rng.gen::<f32>() - 0.5).collect();
+        conv.set_bias(&bias).unwrap();
+        let input = Tensor::from_vec(
+            &[in_channels, height, width],
+            (0..in_channels * height * width)
+                .map(|_| rng.gen::<f32>() * 2.0 - 1.0)
+                .collect(),
+        )
+        .unwrap();
+        let fast = conv.forward(&input).unwrap();
+        let naive = conv2d_forward(
+            input.data(),
+            in_channels,
+            height,
+            width,
+            conv.weights(),
+            conv.bias(),
+            out_channels,
+            kernel,
+        );
+        for (i, (&a, &b)) in fast.data().iter().zip(naive.iter()).enumerate() {
+            assert!(
+                (a - b).abs() <= 1e-4,
+                "case {case} ({in_channels}x{height}x{width} k{kernel}) element {i}: {a} vs {b}"
+            );
+        }
+    }
+}
+
+#[test]
+fn forward_matches_the_naive_reference_over_random_sizes() {
+    let mut rng = ChaCha8Rng::seed_from_u64(42);
+    for &(inputs, outputs) in &[(1usize, 1usize), (3, 7), (16, 5), (65, 33), (128, 10)] {
+        let mut layer = Dense::new(inputs, outputs, &mut rng);
+        let bias: Vec<f32> = (0..outputs).map(|_| rng.gen::<f32>() - 0.5).collect();
+        layer.set_bias(&bias).unwrap();
+        let x: Vec<f32> = (0..inputs).map(|_| rng.gen::<f32>() * 2.0 - 1.0).collect();
+        let input = Tensor::from_slice(&x);
+        let fast = layer.forward(&input).unwrap();
+        let naive = dense_forward(&x, layer.weights(), layer.bias(), inputs, outputs);
+        for (i, (&a, &b)) in fast.data().iter().zip(naive.iter()).enumerate() {
+            assert!(
+                (a - b).abs() <= 1e-4,
+                "{inputs}->{outputs} element {i}: {a} vs {b}"
             );
         }
     }
