@@ -67,14 +67,23 @@ impl MismatchSigmaModel {
     /// Standard deviation of the bit-line voltage at `(t, V_WL)`.
     ///
     /// Negative products (possible outside the calibrated domain) are clamped
-    /// to zero, since a standard deviation cannot be negative.
+    /// to zero, since a standard deviation cannot be negative.  A NaN product
+    /// (a broken fit, or `inf · 0`) is returned as NaN, so callers that
+    /// reject a non-finite σ see it instead of a silent "no mismatch".
     pub fn sigma(&self, time: Seconds, word_line: Volts) -> Volts {
         let t_ns = to_nanoseconds(time.0);
         let sigma = self.factor_time.eval(t_ns) * self.factor_wordline.eval(word_line.0);
+        if sigma.is_nan() {
+            return Volts(sigma);
+        }
         Volts(sigma.max(0.0))
     }
 
     /// Draws one Gaussian deviation sample for a discharge at `(t, V_WL)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the σ at `(t, V_WL)` is not finite (see [`Gaussian::new`]).
     pub fn sample_deviation<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -119,6 +128,19 @@ mod tests {
         let model =
             MismatchSigmaModel::new(Polynomial::new(vec![-1.0]), Polynomial::new(vec![1.0]));
         assert_eq!(model.sigma(Seconds(1e-9), Volts(0.8)).0, 0.0);
+    }
+
+    #[test]
+    fn nan_sigma_is_not_clamped_to_zero() {
+        let model =
+            MismatchSigmaModel::new(Polynomial::new(vec![f64::NAN]), Polynomial::new(vec![1.0]));
+        assert!(model.sigma(Seconds(1e-9), Volts(0.8)).0.is_nan());
+        // `inf · 0` is NaN as well.
+        let model = MismatchSigmaModel::new(
+            Polynomial::new(vec![f64::INFINITY]),
+            Polynomial::new(vec![0.0, 1.0]),
+        );
+        assert!(model.sigma(Seconds(1e-9), Volts(0.0)).0.is_nan());
     }
 
     #[test]

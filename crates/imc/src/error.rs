@@ -48,9 +48,10 @@ pub enum ImcError {
         /// Number of spare columns the geometry provides.
         spares: u16,
     },
-    /// The Eq. 6 mismatch σ of one `(slice operand, column)` is not finite,
-    /// so no Gaussian mismatch sample can be drawn for it.  Raised once when
-    /// a Monte Carlo's σ table is built, before any sample runs.
+    /// The Eq. 6 mismatch σ of one `(slice operand, column)` is not finite
+    /// (NaN included), so no Gaussian mismatch sample can be drawn for it
+    /// and no analog σ reported.  Raised once when a σ table is built: a
+    /// Monte Carlo's, before any sample runs, or the input-space σ profile.
     NonFiniteSigma {
         /// Slice operand (DAC input code) whose word line gives the σ.
         slice_operand: u16,

@@ -19,18 +19,18 @@ use optima_circuit::adc::Adc;
 use optima_circuit::array::ArrayConfig;
 use optima_circuit::dac::{Dac, DacTransfer};
 use optima_core::model::suite::ModelSuite;
-use optima_math::distributions::Gaussian;
 use optima_math::units::{Celsius, FemtoJoules, Seconds, Volts};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 #[cfg(test)]
 pub(crate) mod reference;
 
-/// `u32` keystream words one `Gaussian::sample` consumes: `gen_range`
-/// draws one `u64` for the Box–Muller radius and `gen::<f64>` one for the
-/// angle.  The Monte Carlo seeks a sample's stream by this many words per
-/// mismatch draw (see [`InSramMultiplier::row_mismatch_draws`]).
+/// `u32` keystream words one standard normal consumes
+/// ([`optima_math::distributions::standard_normal`], which every
+/// `Gaussian::sample` draws): `gen_range` takes one `u64` for the
+/// Box–Muller radius and `gen::<f64>` one for the angle.  The Monte Carlo
+/// seeks a sample's stream by this many words per mismatch draw (see
+/// [`InSramMultiplier::row_mismatch_draws`]).
 pub(crate) const WORDS_PER_DRAW: u128 = 4;
 
 /// Operand bits of the paper's default array geometry.
@@ -409,6 +409,49 @@ impl InSramMultiplier {
         Ok(outcomes)
     }
 
+    /// The digitised result of every operand pair at `at`, in operand-major
+    /// order: the `result` of each [`InSramMultiplier::outcome_grid`] entry,
+    /// without the discharge and energies it also accumulates.
+    ///
+    /// Each (pass, slice pair) is read out once, through the same
+    /// [`InSramMultiplier::grid_discharge`] and
+    /// [`InSramMultiplier::weighted_code`] as every other readout, into a
+    /// table of `passes × (slice_max + 1)²` weighted codes; the pass index
+    /// keeps attached fault states exact.  Each pair then sums its passes'
+    /// codes in pass order and saturates, as
+    /// [`InSramMultiplier::compose_outcome`] does.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`InSramMultiplier::outcome_grid`].
+    pub(crate) fn result_grid(&self, at: OperatingPoint) -> Result<Vec<u16>, ImcError> {
+        let grid = self.analog_grid(at)?;
+        let array = &self.config.array;
+        let slice_operands = array.slice_max() as usize + 1;
+        let slice_pairs = slice_operands * slice_operands;
+        let mut codes = Vec::with_capacity(array.passes() as usize * slice_pairs);
+        // `(0, 0)` visits every pass once, in pass order.
+        self.fold_passes(0, 0, (), |(), pass| {
+            for a_slice in 0..slice_operands as u16 {
+                for d_slice in 0..slice_operands as u16 {
+                    let discharge = self.grid_discharge(&grid, pass.index, a_slice, d_slice, at);
+                    codes.push(self.weighted_code(discharge, pass));
+                }
+            }
+        });
+        let max = array.operand_max();
+        let mut results = Vec::with_capacity(array.input_space());
+        for a in 0..=max {
+            for d in 0..=max {
+                let result = self.fold_passes(a, d, 0u32, |result, pass| {
+                    result + codes[pass.index * slice_pairs + pass.slice_pair(slice_operands)]
+                });
+                results.push(saturate_result(result));
+            }
+        }
+        Ok(results)
+    }
+
     /// The outcome of the pair `(a, d)` read off an analog grid built at `at`.
     fn grid_outcome(
         &self,
@@ -555,44 +598,49 @@ impl InSramMultiplier {
         }
     }
 
-    /// The digitised result of one mismatch Monte-Carlo multiplication off
-    /// a precomputed [`MismatchGrid`] built by this multiplier: every
-    /// discharging, non-shorted column with σ ≠ 0 draws one
-    /// `Gaussian::new(0, σ)` deviation, in pass order and then bit order,
-    /// and each pass goes through the shared ADC readout
-    /// ([`InSramMultiplier::weighted_code`]).  The result and the RNG stream
-    /// position afterwards are bit-identical to drawing the mismatch per
-    /// column while evaluating the fitted models live (pinned by the unit
-    /// tests); the multiply energy, which no Monte Carlo reads, is not
-    /// accumulated.
+    /// The digitised result of one mismatch Monte-Carlo multiplication of
+    /// `(a, d)` off a precomputed [`MismatchGrid`] built by this multiplier.
     ///
-    /// # Errors
+    /// Every discharging, non-shorted column with σ ≠ 0 takes the next
+    /// standard normal `z` of `normals` (from index `*next`, which advances
+    /// past the pair's draws) as the deviation `0.0 + σ·z`, in pass order and
+    /// then bit order; each pass goes through the shared ADC readout
+    /// ([`InSramMultiplier::weighted_code`]).  `0.0 + σ·z` is what
+    /// `Gaussian::new(0, σ).sample` returns for the same `z`, so with normals
+    /// drawn by [`optima_math::distributions::standard_normal`] from a
+    /// stream, the result is bit-identical to drawing each column's
+    /// deviation from that stream while evaluating the fitted models live
+    /// (pinned by the unit tests).  The multiply energy, which no Monte Carlo
+    /// reads, is not accumulated.
     ///
-    /// Returns [`ImcError::OperandOutOfRange`] for operands above
-    /// [`ArrayConfig::operand_max`].
-    pub(crate) fn mismatch_result<R: Rng + ?Sized>(
+    /// # Panics
+    ///
+    /// Panics if `normals` runs out: a row's buffer must hold the
+    /// [`InSramMultiplier::row_mismatch_draws`] of that row.
+    pub(crate) fn mismatch_result(
         &self,
         grid: &MismatchGrid,
-        rng: &mut R,
         a: u16,
         d: u16,
-    ) -> Result<u16, ImcError> {
-        self.check_operands(a, d)?;
+        normals: &[f64],
+        next: &mut usize,
+    ) -> u16 {
         let result = self.fold_passes(a, d, 0u32, |result, pass| {
-            let discharge = self.sampled_discharge(grid, &mut *rng, pass);
+            let discharge = self.sampled_discharge(grid, normals, next, pass);
             result + self.weighted_code(discharge, pass)
         });
-        Ok(saturate_result(result))
+        saturate_result(result)
     }
 
     /// Combined discharge of one pass with mismatch sampling, off the
     /// precomputed grid: the per-column transform of
     /// [`InSramMultiplier::grid_discharge`] with a Gaussian deviation added
     /// to each looked-up nominal ΔV.
-    fn sampled_discharge<R: Rng + ?Sized>(
+    fn sampled_discharge(
         &self,
         grid: &MismatchGrid,
-        rng: &mut R,
+        normals: &[f64],
+        next: &mut usize,
         pass: Pass,
     ) -> f64 {
         let slice_bits = grid.analog.slice_bits;
@@ -606,7 +654,11 @@ impl InSramMultiplier {
                         continue;
                     }
                     MismatchColumn::Nominal => 0.0,
-                    MismatchColumn::Drawn(sigma) => Gaussian::new(0.0, sigma).sample(rng),
+                    MismatchColumn::Drawn(sigma) => {
+                        let z = normals[*next];
+                        *next += 1;
+                        0.0 + sigma * z
+                    }
                 };
             let delta = (grid.analog.delta(pass.a_slice, bit) + deviation).max(0.0);
             total += match &self.faults {
@@ -618,8 +670,8 @@ impl InSramMultiplier {
     }
 
     /// Gaussian draws one mismatch multiplication of `(a, d)` takes: its
-    /// [`MismatchColumn::Drawn`] columns over every pass.  The pair consumes
-    /// [`WORDS_PER_DRAW`] keystream words per draw.
+    /// [`MismatchColumn::Drawn`] columns over every pass.  Each draw is one
+    /// standard normal of [`WORDS_PER_DRAW`] keystream words.
     #[cfg(test)]
     pub(crate) fn mismatch_draws(&self, grid: &MismatchGrid, a: u16, d: u16) -> u64 {
         self.fold_passes(a, d, 0u64, |draws, pass| {
@@ -673,12 +725,16 @@ impl InSramMultiplier {
     /// Analog mismatch σ of every operand pair, in operand-major order: the
     /// root-sum-square of the per-column σ within one pass, and for composed
     /// geometries the worst pass, since every pass is digitised on its own.
-    /// It takes `slice_bits` σ-model evaluations per slice operand instead of
-    /// one per set bit of every pair, with bit-identical results.
+    /// It takes `slice_bits` σ-model evaluations per slice operand and one
+    /// root-sum-square per slice pair (a pass's σ does not depend on which
+    /// pass it is) instead of one evaluation per set bit of every pair, with
+    /// bit-identical results.
     ///
     /// # Errors
     ///
-    /// Propagates converter errors.
+    /// * [`ImcError::NonFiniteSigma`] naming the first (operand-major)
+    ///   `(slice operand, column)` whose σ is not finite.
+    /// * Propagates converter errors.
     pub fn analog_sigma_grid(&self) -> Result<Vec<Volts>, ImcError> {
         let array = &self.config.array;
         let slice_operands = array.slice_max() as usize + 1;
@@ -687,10 +743,31 @@ impl InSramMultiplier {
         for a in 0..slice_operands {
             let word_line = self.dac.output(a as u16)?;
             for bit in 0..array.slice_bits {
-                sigmas[a * bits + bit as usize] = self
+                let sigma = self
                     .models
                     .mismatch_sigma(self.column_duration(bit), word_line)
                     .0;
+                if !sigma.is_finite() {
+                    return Err(ImcError::NonFiniteSigma {
+                        slice_operand: a as u16,
+                        column: bit,
+                        sigma,
+                    });
+                }
+                sigmas[a * bits + bit as usize] = sigma;
+            }
+        }
+        let mut slice_pair_sigmas = Vec::with_capacity(slice_operands * slice_operands);
+        for a_slice in 0..slice_operands {
+            for d_slice in 0..slice_operands {
+                let mut variance = 0.0;
+                for bit in 0..bits {
+                    if (d_slice >> bit) & 1 == 1 {
+                        let sigma = sigmas[a_slice * bits + bit];
+                        variance += sigma * sigma;
+                    }
+                }
+                slice_pair_sigmas.push(variance.sqrt() / bits as f64);
             }
         }
         let max = array.operand_max();
@@ -698,14 +775,7 @@ impl InSramMultiplier {
         for a in 0..=max {
             for d in 0..=max {
                 let sigma = self.fold_passes(a, d, 0.0f64, |worst, pass| {
-                    let mut variance = 0.0;
-                    for bit in 0..bits {
-                        if (pass.d_slice >> bit) & 1 == 1 {
-                            let sigma = sigmas[pass.a_slice as usize * bits + bit];
-                            variance += sigma * sigma;
-                        }
-                    }
-                    worst.max(variance.sqrt() / bits as f64)
+                    worst.max(slice_pair_sigmas[pass.slice_pair(slice_operands)])
                 });
                 grid.push(Volts(sigma));
             }
@@ -875,6 +945,14 @@ struct Pass {
     a_slice: u16,
     /// Slice `j` of the stored operand `d`.
     d_slice: u16,
+}
+
+impl Pass {
+    /// Position of the pass's slice pair in a table laid out `a_slice`
+    /// outer, `d_slice` inner, over `slice_operands` values per slice.
+    fn slice_pair(&self, slice_operands: usize) -> usize {
+        self.a_slice as usize * slice_operands + self.d_slice as usize
+    }
 }
 
 /// How one column enters a mismatch Monte-Carlo sample

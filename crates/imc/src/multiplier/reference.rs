@@ -4,9 +4,11 @@
 //! [`ModelSuite::discharge`](optima_core::model::suite::ModelSuite::discharge)
 //! for just the columns the pair needs, optionally adding one mismatch
 //! deviation per column.  The library reads every multiplication off the
-//! precomputed grids instead ([`InSramMultiplier::outcome_grid`],
-//! [`InSramMultiplier::analog_sigma_grid`] and the mismatch grid of the
-//! Fig. 8 Monte Carlo); the tests below pin them bit-identical to this path.
+//! precomputed grids instead ([`InSramMultiplier::outcome_grid`], the code
+//! table [`InSramMultiplier::result_grid`],
+//! [`InSramMultiplier::analog_sigma_grid`] and the row-batched mismatch
+//! readout of the Fig. 8 Monte Carlo); the tests below pin them
+//! bit-identical to this path.
 
 use super::{InSramMultiplier, MultiplierTable, MultiplyOutcome, OperatingPoint};
 use crate::error::ImcError;
@@ -246,6 +248,7 @@ mod tests {
         pvt_sensitive_suite,
     };
     use optima_circuit::array::ArrayConfig;
+    use optima_math::distributions::standard_normal;
     use optima_math::units::{Celsius, Seconds};
     use proptest::prelude::*;
     use rand::{RngCore, SeedableRng};
@@ -285,18 +288,67 @@ mod tests {
                 },
             ] {
                 let outcomes = multiplier.outcome_grid(at).unwrap();
-                let sigmas = multiplier.analog_sigma_grid().unwrap();
                 assert_eq!(outcomes.len(), 256);
                 for a in 0..=15u16 {
                     for d in 0..=15u16 {
                         let index = (a * 16 + d) as usize;
                         let scalar = multiply_at(&multiplier, a, d, at).unwrap();
                         assert_eq!(outcomes[index], scalar, "a = {a}, d = {d}");
-                        let scalar_sigma = analog_sigma(&multiplier, a, d).unwrap();
+                    }
+                }
+            }
+        }
+    }
+
+    /// `result_grid` against the live `multiply_at(..).result`, and
+    /// `analog_sigma_grid` against the live [`analog_sigma`] by bits.
+    #[test]
+    fn result_grid_is_bit_identical_to_scalar_results() {
+        let int4: Vec<u16> = (0..=15).collect();
+        let cases = [
+            (
+                "int4 linear",
+                InSramMultiplier::new(linear_suite(), ideal_config()).unwrap(),
+                int4.clone(),
+            ),
+            (
+                "int4 pvt sensitive",
+                InSramMultiplier::new(pvt_sensitive_suite(), ideal_config()).unwrap(),
+                int4.clone(),
+            ),
+            (
+                "int8",
+                InSramMultiplier::new(linear_suite(), int8_config()).unwrap(),
+                int8_probes(),
+            ),
+            ("faulted", faulted_multiplier(linear_suite()).unwrap(), int4),
+        ];
+        for (name, multiplier, operands) in &cases {
+            let rows = multiplier.array().operand_max() as usize + 1;
+            let sigmas = multiplier.analog_sigma_grid().unwrap();
+            assert_eq!(sigmas.len(), rows * rows);
+            for at in [
+                multiplier.nominal_operating_point(),
+                OperatingPoint {
+                    vdd: Volts(0.95),
+                    temperature: Celsius(60.0),
+                },
+            ] {
+                let results = multiplier.result_grid(at).unwrap();
+                assert_eq!(results.len(), rows * rows);
+                for &a in operands {
+                    for &d in operands {
+                        let index = a as usize * rows + d as usize;
+                        let scalar = multiply_at(multiplier, a, d, at).unwrap();
+                        assert_eq!(
+                            results[index], scalar.result,
+                            "{name}, {at:?}: a = {a}, d = {d}"
+                        );
+                        let scalar_sigma = analog_sigma(multiplier, a, d).unwrap();
                         assert_eq!(
                             sigmas[index].0.to_bits(),
                             scalar_sigma.0.to_bits(),
-                            "sigma at a = {a}, d = {d}"
+                            "{name}: sigma at a = {a}, d = {d}"
                         );
                     }
                 }
@@ -304,13 +356,27 @@ mod tests {
         }
     }
 
+    /// INT8 operands covering every composition case: the full 256×256
+    /// space is slow through the live scalar path, so all slice-boundary
+    /// patterns plus a diagonal.
+    fn int8_probes() -> Vec<u16> {
+        (0..=255u16)
+            .filter(|&v| v % 17 == 0 || !(18..=238).contains(&v) || v % 16 == 0)
+            .collect()
+    }
+
     /// Runs one RNG stream through the whole input space at `at`, once via
-    /// the scalar `multiply_with_mismatch` oracle and once via the mismatch
-    /// grid's codes-only readout, and requires equal results and equal
-    /// stream positions after every pair (so neither path draws a sample the
-    /// other skips).  Each pair must consume [`WORDS_PER_DRAW`] words per
-    /// counted draw, and each row the draws of
-    /// [`InSramMultiplier::row_mismatch_draws`].
+    /// the scalar `multiply_with_mismatch` oracle and once row-batched, as
+    /// the Monte Carlo does: each row's
+    /// [`InSramMultiplier::row_mismatch_draws`] standard normals are drawn
+    /// up front and read out pair by pair by
+    /// [`InSramMultiplier::mismatch_result`].  Results must be equal pair by
+    /// pair.  Each pair must take as many normals as
+    /// [`InSramMultiplier::mismatch_draws`] counts, and the oracle must
+    /// consume [`WORDS_PER_DRAW`] words per counted draw; each row must use
+    /// all of its normals, and the two streams must stand at the same
+    /// position after every row (so neither path draws a sample the other
+    /// skips).
     fn assert_mismatch_grid_matches_scalar(multiplier: &InSramMultiplier, at: OperatingPoint) {
         let grid = multiplier.mismatch_grid(at).unwrap();
         let row_draws = multiplier.row_mismatch_draws(&grid);
@@ -319,7 +385,10 @@ mod tests {
         let max = multiplier.array().operand_max();
         assert_eq!(row_draws.len(), max as usize + 1);
         for a in 0..=max {
-            let row_start = scalar_rng.get_word_pos();
+            let normals: Vec<f64> = (0..row_draws[a as usize])
+                .map(|_| standard_normal(&mut grid_rng))
+                .collect();
+            let mut next = 0;
             for d in 0..=max {
                 let before = scalar_rng.get_word_pos();
                 let scalar = multiply_with_mismatch(multiplier, &mut scalar_rng, a, d, at).unwrap();
@@ -330,15 +399,15 @@ mod tests {
                     WORDS_PER_DRAW * u128::from(draws),
                     "a = {a}, d = {d}"
                 );
-                let result = multiplier
-                    .mismatch_result(&grid, &mut grid_rng, a, d)
-                    .unwrap();
+                let first = next;
+                let result = multiplier.mismatch_result(&grid, a, d, &normals, &mut next);
                 assert_eq!(result, scalar.result, "a = {a}, d = {d}");
-                assert_eq!(grid_rng.get_word_pos(), scalar_rng.get_word_pos());
+                assert_eq!((next - first) as u64, draws, "a = {a}, d = {d}");
             }
+            assert_eq!(next, normals.len(), "row a = {a}");
             assert_eq!(
-                scalar_rng.get_word_pos() - row_start,
-                WORDS_PER_DRAW * u128::from(row_draws[a as usize]),
+                grid_rng.get_word_pos(),
+                scalar_rng.get_word_pos(),
                 "row a = {a}"
             );
         }
@@ -384,25 +453,13 @@ mod tests {
         let multiplier = InSramMultiplier::new(linear_suite(), int8_config()).unwrap();
         let at = multiplier.nominal_operating_point();
         let outcomes = multiplier.outcome_grid(at).unwrap();
-        let sigmas = multiplier.analog_sigma_grid().unwrap();
         assert_eq!(outcomes.len(), 65536);
-        // The full 256×256 space is slow through the live scalar path; a
-        // stratified sample (all slice-boundary patterns plus a diagonal)
-        // covers every composition case.
-        let probes: Vec<u16> = (0..=255u16)
-            .filter(|&v| v % 17 == 0 || !(18..=238).contains(&v) || v % 16 == 0)
-            .collect();
+        let probes = int8_probes();
         for &a in &probes {
             for &d in &probes {
                 let index = a as usize * 256 + d as usize;
                 let scalar = multiply_at(&multiplier, a, d, at).unwrap();
                 assert_eq!(outcomes[index], scalar, "a = {a}, d = {d}");
-                let scalar_sigma = analog_sigma(&multiplier, a, d).unwrap();
-                assert_eq!(
-                    sigmas[index].0.to_bits(),
-                    scalar_sigma.0.to_bits(),
-                    "sigma at a = {a}, d = {d}"
-                );
             }
         }
     }

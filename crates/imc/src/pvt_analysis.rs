@@ -13,24 +13,43 @@
 //! [`optima_core::sweep`]: a failing condition aborts the analysis with
 //! [`ImcError::CornerFailed`] naming it, and every reported number —
 //! including the Monte-Carlo statistics, which draw one split-seed RNG
-//! stream per sample — is bit-identical for any thread count.  Inside each
-//! swept condition the full operand grid is evaluated through the batched
-//! analog path ([`InSramMultiplier::outcome_grid`]), which is bit-identical
-//! to a per-pair loop over the live models.
+//! stream per sample — is bit-identical for any thread count.
+//!
+//! The nominal profile and each supply or temperature condition read only
+//! the digitised results, so they skip the energies and discharges of
+//! [`InSramMultiplier::outcome_grid`].  The multiplier's code table
+//! (`result_grid`) builds the analog grid at the condition once and reads
+//! out one ADC code per (pass, slice pair) — `passes × (slice_max + 1)²`
+//! codes, 1,024 for INT8 — and each operand pair sums its passes' codes.
+//! The results are bit-identical to a per-pair loop over the live models;
+//! the expected product comes from the loop index.  The analog σ profile
+//! evaluates one root-sum-square per slice pair and takes each operand
+//! pair's worst pass ([`InSramMultiplier::analog_sigma_grid`]).
 //!
 //! The mismatch Monte Carlo runs off a table built once per analysis: the
 //! nominal analog grid (ΔV and discharge energy per slice operand and
 //! column) plus the Eq. 6 σ per slice operand and column, evaluated at the
 //! grid's own supply-adjusted, aged word lines.  A σ that is not finite
-//! fails the analysis with [`ImcError::NonFiniteSigma`] before any sample
-//! runs.  A sample then only draws its Gaussians and reads out each pass's
-//! ADC code, bit-identical to drawing each column's deviation while
-//! evaluating the fitted models live for every pair (the per-pair reference
-//! in the multiplier's unit tests).  Each sample's RNG stream is consumed in
-//! this order: operand `a` outer, operand `d` inner, then analog pass, then
-//! bit (ascending); one `Gaussian::new(0, σ)` draw (four keystream words) is
-//! taken per column that discharges (stored 1 or stuck-at-1) and is not
-//! shorted, and columns with σ = 0 draw nothing.
+//! (here or in the σ profile) fails the analysis with
+//! [`ImcError::NonFiniteSigma`] before any sample runs.  A sample then only
+//! draws its Gaussians and reads out each pass's ADC code, bit-identical to
+//! drawing each column's deviation while evaluating the fitted models live
+//! for every pair (the per-pair reference in the multiplier's unit tests).
+//! Each sample's RNG stream is consumed in this order: operand `a` outer,
+//! operand `d` inner, then analog pass, then bit (ascending); one standard
+//! normal (four keystream words) is taken per column that discharges
+//! (stored 1 or stuck-at-1) and is not shorted, and columns with σ = 0 draw
+//! nothing.
+//!
+//! The normals are drawn a row at a time: for each row `a` a worker fills
+//! its own buffer with the row's draws
+//! ([`optima_math::distributions::standard_normal`], in stream order, one
+//! tight loop), then reads the row out pair by pair, turning the next
+//! normal `z` into the deviation `0.0 + σ·z` — the bits
+//! `Gaussian::new(0, σ).sample` gives for the same `z`.  The buffer holds
+//! the widest row (2,048 normals for INT8) and is reused for every row the
+//! worker reads, so neither the fill nor the readout allocates.  The
+//! consumption order above is unchanged.
 //!
 //! The Monte-Carlo work items are (sample, block of `a` rows): a sample
 //! splits into as many row blocks as it takes to give every thread work
@@ -42,14 +61,16 @@
 //! nominal error bins and ε_mul sum integer errors the same way.
 
 use crate::error::ImcError;
-use crate::multiplier::{InSramMultiplier, MultiplyOutcome, OperatingPoint, WORDS_PER_DRAW};
+use crate::multiplier::{InSramMultiplier, OperatingPoint, WORDS_PER_DRAW};
 use optima_circuit::pvt::linspace;
-use optima_core::sweep::{par_map_sweep, resolve_threads, stream_seed};
+use optima_core::sweep::{par_map_sweep, par_map_sweep_with, resolve_threads, stream_seed};
+use optima_math::distributions::standard_normal;
 use optima_math::stats;
 use optima_math::units::{Celsius, Volts};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 
 /// Configuration of the PVT analysis sweeps.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -164,19 +185,18 @@ impl PvtAnalysis {
         let input_space = multiplier.array().input_space();
 
         // ---- Fig. 8 left: error and sigma binned by expected result ----
-        // The whole input space is evaluated in one batched analog-grid
-        // pass ([`InSramMultiplier::outcome_grid`]); outcomes come back in
+        // The whole input space is read out from one code table
+        // ([`InSramMultiplier::result_grid`]); results come back in
         // operand-major order, so binning sees samples in the same (a, d)
-        // order as the historical serial double loop — and the grid itself is
-        // bit-identical to that loop.
-        let outcomes =
-            multiplier
-                .outcome_grid(nominal)
-                .map_err(|source| ImcError::CornerFailed {
-                    index: 0,
-                    corner: "nominal input-space grid".to_string(),
-                    source: Box::new(source),
-                })?;
+        // order as the historical serial double loop — and the table itself
+        // is bit-identical to that loop.
+        let results = multiplier
+            .result_grid(nominal)
+            .map_err(|source| ImcError::CornerFailed {
+                index: 0,
+                corner: "nominal input-space grid".to_string(),
+                source: Box::new(source),
+            })?;
         let sigmas = multiplier
             .analog_sigma_grid()
             .map_err(|source| ImcError::CornerFailed {
@@ -195,12 +215,12 @@ impl PvtAnalysis {
         let mut counts = vec![0u32; bins];
         let mut abs_error_sum = 0u64;
         let mut worst_sigma: f64 = 0.0;
-        for (outcome, sigma) in outcomes.iter().zip(&sigmas) {
-            let bin = outcome.expected as usize;
-            error_sums[bin] += i64::from(outcome.result) - i64::from(outcome.expected);
+        for ((expected, &result), sigma) in products(operand_max).zip(&results).zip(&sigmas) {
+            let bin = expected as usize;
+            error_sums[bin] += i64::from(result) - i64::from(expected);
             sigma_sums[bin] += sigma.0;
             counts[bin] += 1;
-            abs_error_sum += abs_error(outcome);
+            abs_error_sum += u64::from(result.abs_diff(expected));
             worst_sigma = worst_sigma.max(sigma.0);
         }
 
@@ -263,38 +283,50 @@ impl PvtAnalysis {
                 corner: "nominal mismatch sigma table".to_string(),
                 source: Box::new(source),
             })?;
-        // Work items are (sample, block of `a` rows), sample-major, so the
-        // lowest failing item belongs to the lowest failing sample.  A lone
+        // Work items are (sample, block of `a` rows), sample-major.  A lone
         // INT8 sign-off sample splits across the threads while hundreds of
         // INT4 samples stay one item each.
         let rows = operand_max as usize + 1;
         let row_draws = multiplier.row_mismatch_draws(&grid);
+        let widest_row = row_draws.iter().copied().max().unwrap_or(0) as usize;
         let blocks = resolve_threads(config.threads)
             .div_ceil(config.mismatch_samples.max(1))
             .min(rows);
         let items: Vec<(u64, usize)> = (0..config.mismatch_samples as u64)
             .flat_map(|sample| (0..blocks).map(move |block| (sample, block)))
             .collect();
-        let block_error_sums = par_map_sweep(&items, config.threads, |_, &(sample, block)| {
-            let (first, end) = (block * rows / blocks, (block + 1) * rows / blocks);
-            let draws_before: u64 = row_draws[..first].iter().sum();
-            let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(config.seed, sample));
-            rng.set_word_pos(WORDS_PER_DRAW * u128::from(draws_before));
-            let mut error_sum = 0u64;
-            // optima-lint: hot
-            for a in first as u16..end as u16 {
-                for d in 0..=operand_max {
-                    let result = multiplier.mismatch_result(&grid, &mut rng, a, d)?;
-                    error_sum += u64::from(result.abs_diff(a * d));
+        // Each worker owns one buffer of a row's standard normals.  Once the
+        // σ table is built no sample can fail.
+        let block_error_sums = match par_map_sweep_with(
+            &items,
+            config.threads,
+            || vec![0.0f64; widest_row],
+            |normals, _, &(sample, block)| {
+                let (first, end) = (block * rows / blocks, (block + 1) * rows / blocks);
+                let draws_before: u64 = row_draws[..first].iter().sum();
+                let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(config.seed, sample));
+                rng.set_word_pos(WORDS_PER_DRAW * u128::from(draws_before));
+                let mut error_sum = 0u64;
+                // optima-lint: hot
+                for a in first..end {
+                    let row = &mut normals[..row_draws[a] as usize];
+                    for z in row.iter_mut() {
+                        *z = standard_normal(&mut rng);
+                    }
+                    let a = a as u16;
+                    let mut next = 0;
+                    for d in 0..=operand_max {
+                        let result = multiplier.mismatch_result(&grid, a, d, row, &mut next);
+                        error_sum += u64::from(result.abs_diff(a * d));
+                    }
                 }
-            }
-            // optima-lint: end-hot
-            Ok::<_, ImcError>(error_sum)
-        })
-        .map_err(|err| {
-            let (sample, _) = items[err.index];
-            ImcError::from_sweep(err, format!("mismatch Monte-Carlo sample {sample}"))
-        })?;
+                // optima-lint: end-hot
+                Ok::<_, Infallible>(error_sum)
+            },
+        ) {
+            Ok(sums) => sums,
+            Err(impossible) => match impossible.source {},
+        };
         // Every |error| is at most 65,535 and a sample has at most 65,536
         // of them, so each sum is an exact f64 and the mean has the bits of
         // summing the errors one by one.
@@ -321,22 +353,27 @@ impl PvtAnalysis {
 }
 
 /// Average absolute error over the full input space at one operating point,
-/// evaluated through the batched analog grid.
+/// read out from the code table ([`InSramMultiplier::result_grid`]).  The
+/// |errors| are summed as exact integers.
 fn average_error_at(multiplier: &InSramMultiplier, at: OperatingPoint) -> Result<f64, ImcError> {
-    let outcomes = multiplier.outcome_grid(at)?;
-    let sum: u64 = outcomes.iter().map(abs_error).sum();
-    Ok(sum as f64 / outcomes.len() as f64)
+    let results = multiplier.result_grid(at)?;
+    let sum: u64 = products(multiplier.array().operand_max())
+        .zip(&results)
+        .map(|(expected, &result)| u64::from(result.abs_diff(expected)))
+        .sum();
+    Ok(sum as f64 / results.len() as f64)
 }
 
-/// `|result − expected|` in product LSBs, as an exact integer.
-fn abs_error(outcome: &MultiplyOutcome) -> u64 {
-    u64::from(outcome.result.abs_diff(outcome.expected))
+/// The exact product `a · d` of every operand pair, in operand-major order.
+fn products(operand_max: u16) -> impl Iterator<Item = u16> {
+    (0..=operand_max).flat_map(move |a| (0..=operand_max).map(move |d| a * d))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multiplier::MultiplierConfig;
+    use crate::metrics::evaluate_multiplier;
+    use crate::multiplier::{reference, MultiplierConfig};
     use crate::testsupport::{
         faulted_multiplier, ideal_config, int8_config, linear_suite, noisy_linear_suite,
         pvt_sensitive_suite,
@@ -492,51 +529,58 @@ mod tests {
     #[test]
     fn non_finite_mismatch_sigma_fails_the_analysis_instead_of_panicking() {
         // An Eq. 6 factor of +inf would reach `Gaussian::new` inside a sweep
-        // worker; the σ table is validated up front instead.
-        let base = linear_suite();
-        let suite = ModelSuite::new(
-            base.discharge_model().clone(),
-            base.supply_model().clone(),
-            base.temperature_model().clone(),
-            MismatchSigmaModel::new(
-                Polynomial::new(vec![f64::INFINITY]),
-                Polynomial::new(vec![1.0]),
-            ),
-            base.write_energy_model().clone(),
-            base.discharge_energy_model().clone(),
-        );
-        let multiplier = InSramMultiplier::new(
-            suite,
-            MultiplierConfig::new(Seconds(0.16e-9), Volts(0.45), Volts(1.0)),
-        )
-        .unwrap();
-        let config = PvtAnalysisConfig {
-            threads: 2,
-            ..PvtAnalysisConfig::fast()
-        };
-        match PvtAnalysis::run(&multiplier, &config) {
-            Err(ImcError::CornerFailed { source, .. }) => assert!(
+        // worker, and a NaN one used to read as σ = 0 ("no mismatch"); the
+        // σ tables are validated up front instead.
+        for factor in [f64::INFINITY, f64::NAN] {
+            let base = linear_suite();
+            let suite = ModelSuite::new(
+                base.discharge_model().clone(),
+                base.supply_model().clone(),
+                base.temperature_model().clone(),
+                MismatchSigmaModel::new(Polynomial::new(vec![factor]), Polynomial::new(vec![1.0])),
+                base.write_energy_model().clone(),
+                base.discharge_energy_model().clone(),
+            );
+            let multiplier = InSramMultiplier::new(
+                suite,
+                MultiplierConfig::new(Seconds(0.16e-9), Volts(0.45), Volts(1.0)),
+            )
+            .unwrap();
+            let config = PvtAnalysisConfig {
+                threads: 2,
+                ..PvtAnalysisConfig::fast()
+            };
+            let is_first_column = |err: &ImcError| {
                 matches!(
-                    *source,
+                    err,
                     ImcError::NonFiniteSigma {
                         slice_operand: 0,
                         column: 0,
                         ..
                     }
-                ),
-                "{source}"
-            ),
-            other => panic!("expected a non-finite sigma error, got {other:?}"),
+                )
+            };
+            match PvtAnalysis::run(&multiplier, &config) {
+                Err(ImcError::CornerFailed { source, .. }) => {
+                    assert!(is_first_column(&source), "{factor}: {source}")
+                }
+                other => panic!("{factor}: expected a non-finite sigma error, got {other:?}"),
+            }
+            match evaluate_multiplier(&multiplier) {
+                Err(err) => assert!(is_first_column(&err), "{factor}: {err}"),
+                Ok(metrics) => {
+                    panic!("{factor}: expected a non-finite sigma error, got {metrics:?}")
+                }
+            }
         }
     }
 
-    /// Per-sample mean |error| of a plain serial walk: a fresh stream per
-    /// sample, every pair in `(a, d)` order, the errors buffered as floats
-    /// and averaged.
+    /// Per-sample mean |error| of a plain serial walk through the live
+    /// per-pair oracle: a fresh stream per sample, every pair in `(a, d)`
+    /// order drawing its own deviations while evaluating the models, the
+    /// errors buffered as floats and averaged.
     fn walked_monte_carlo(multiplier: &InSramMultiplier, config: &PvtAnalysisConfig) -> Vec<f64> {
-        let grid = multiplier
-            .mismatch_grid(multiplier.nominal_operating_point())
-            .unwrap();
+        let at = multiplier.nominal_operating_point();
         let max = multiplier.array().operand_max();
         (0..config.mismatch_samples as u64)
             .map(|sample| {
@@ -544,8 +588,10 @@ mod tests {
                 let mut errors = Vec::new();
                 for a in 0..=max {
                     for d in 0..=max {
-                        let result = multiplier.mismatch_result(&grid, &mut rng, a, d).unwrap();
-                        errors.push((f64::from(result) - f64::from(a * d)).abs());
+                        let outcome =
+                            reference::multiply_with_mismatch(multiplier, &mut rng, a, d, at)
+                                .unwrap();
+                        errors.push(outcome.error_lsb().abs());
                     }
                 }
                 stats::mean(&errors)

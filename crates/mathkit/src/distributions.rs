@@ -56,7 +56,12 @@ impl Gaussian {
 }
 
 /// Draws a standard-normal sample using the Box–Muller transform.
-fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+///
+/// It consumes two `u64` words of `rng` (the radius, then the angle) and
+/// is the `z` of [`Gaussian::sample`], which returns `mean + std_dev · z`;
+/// a caller that draws many normals ahead of time and scales them later
+/// gets the same bits as sampling each [`Gaussian`] in turn.
+pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Guard against u1 == 0 which would give ln(0).
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen::<f64>();
