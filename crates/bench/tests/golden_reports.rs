@@ -69,11 +69,13 @@ fn table1_corners_text_output_is_byte_identical_to_the_pre_refactor_binary() {
 }
 
 #[test]
-fn fig8_corner_pvt_text_output_is_byte_identical_to_the_scalar_monte_carlo() {
-    // Captured while the mismatch Monte Carlo still ran every pair through
-    // the live models (today the per-pair reference in optima_imc's unit
-    // tests); the grid-based sweep must draw the same samples.  The report
-    // prints no thread count, so nothing is masked.
+fn fig8_corner_pvt_text_output_pins_one_chip_per_monte_carlo_instance() {
+    // The result profile and the supply and temperature sweeps were
+    // captured while every pair still ran through the live models.  The
+    // Monte-Carlo rows were regenerated when an instance became one chip:
+    // each cell keeps one mismatch draw for every operand pair, and the
+    // per-pair oracle in optima_imc's unit tests walks the same chips.  The
+    // report prints no thread count, so nothing is masked.
     assert_eq!(run_fast("fig8_corner_pvt"), golden("fig8_corner_pvt"));
 }
 

@@ -25,14 +25,6 @@ use serde::{Deserialize, Serialize};
 #[cfg(test)]
 pub(crate) mod reference;
 
-/// `u32` keystream words one standard normal consumes
-/// ([`optima_math::distributions::standard_normal`], which every
-/// `Gaussian::sample` draws): `gen_range` takes one `u64` for the
-/// Box–Muller radius and `gen::<f64>` one for the angle.  The Monte Carlo
-/// seeks a sample's stream by this many words per mismatch draw (see
-/// [`InSramMultiplier::row_mismatch_draws`]).
-pub(crate) const WORDS_PER_DRAW: u128 = 4;
-
 /// Operand bits of the paper's default array geometry.
 ///
 /// Kept for the fixed-width call sites of the paper experiments; geometry-
@@ -411,45 +403,65 @@ impl InSramMultiplier {
 
     /// The digitised result of every operand pair at `at`, in operand-major
     /// order: the `result` of each [`InSramMultiplier::outcome_grid`] entry,
-    /// without the discharge and energies it also accumulates.
-    ///
-    /// Each (pass, slice pair) is read out once, through the same
-    /// [`InSramMultiplier::grid_discharge`] and
-    /// [`InSramMultiplier::weighted_code`] as every other readout, into a
-    /// table of `passes × (slice_max + 1)²` weighted codes; the pass index
-    /// keeps attached fault states exact.  Each pair then sums its passes'
-    /// codes in pass order and saturates, as
-    /// [`InSramMultiplier::compose_outcome`] does.
+    /// without the discharge and energies it also accumulates.  It is
+    /// [`InSramMultiplier::pair_results`] of the pristine
+    /// [`InSramMultiplier::code_table`].
     ///
     /// # Errors
     ///
     /// Same as [`InSramMultiplier::outcome_grid`].
     pub(crate) fn result_grid(&self, at: OperatingPoint) -> Result<Vec<u16>, ImcError> {
         let grid = self.analog_grid(at)?;
-        let array = &self.config.array;
-        let slice_operands = array.slice_max() as usize + 1;
-        let slice_pairs = slice_operands * slice_operands;
-        let mut codes = Vec::with_capacity(array.passes() as usize * slice_pairs);
+        let codes = self.code_table(&grid, at, None);
+        Ok(self.pair_results(&codes).collect())
+    }
+
+    /// The weighted ADC code of every (pass, slice pair) off a grid built at
+    /// `at`, pass-major, `a_slice` then `d_slice`: `passes × (slice_max + 1)²`
+    /// codes, 1,024 for INT8 on the paper array.
+    ///
+    /// Each code goes through the same [`InSramMultiplier::grid_discharge`]
+    /// and [`InSramMultiplier::weighted_code`] as every other readout; the
+    /// pass index keeps attached fault states exact, and `instance` (a
+    /// Monte-Carlo chip) perturbs every discharging cell by its frozen
+    /// mismatch.
+    pub(crate) fn code_table(
+        &self,
+        grid: &AnalogOperandGrid,
+        at: OperatingPoint,
+        instance: Option<MismatchInstance<'_>>,
+    ) -> Vec<u32> {
+        let slice_operands = self.config.array.slice_max() + 1;
+        let passes = self.config.array.passes() as usize;
+        let mut codes = Vec::with_capacity(passes * usize::from(slice_operands).pow(2));
         // `(0, 0)` visits every pass once, in pass order.
         self.fold_passes(0, 0, (), |(), pass| {
-            for a_slice in 0..slice_operands as u16 {
-                for d_slice in 0..slice_operands as u16 {
-                    let discharge = self.grid_discharge(&grid, pass.index, a_slice, d_slice, at);
+            for a_slice in 0..slice_operands {
+                for d_slice in 0..slice_operands {
+                    let discharge =
+                        self.grid_discharge(grid, pass.index, a_slice, d_slice, at, instance);
                     codes.push(self.weighted_code(discharge, pass));
                 }
             }
         });
-        let max = array.operand_max();
-        let mut results = Vec::with_capacity(array.input_space());
-        for a in 0..=max {
-            for d in 0..=max {
-                let result = self.fold_passes(a, d, 0u32, |result, pass| {
+        codes
+    }
+
+    /// The result of every operand pair read off a
+    /// [`InSramMultiplier::code_table`], in operand-major order: each pair
+    /// sums its passes' codes in pass order and saturates, as
+    /// [`InSramMultiplier::compose_outcome`] does.  Nothing is allocated.
+    pub(crate) fn pair_results<'a>(&'a self, codes: &'a [u32]) -> impl Iterator<Item = u16> + 'a {
+        let slice_operands = self.config.array.slice_max() as usize + 1;
+        let slice_pairs = slice_operands * slice_operands;
+        let max = self.config.array.operand_max();
+        (0..=max).flat_map(move |a| {
+            (0..=max).map(move |d| {
+                saturate_result(self.fold_passes(a, d, 0u32, |result, pass| {
                     result + codes[pass.index * slice_pairs + pass.slice_pair(slice_operands)]
-                });
-                results.push(saturate_result(result));
-            }
-        }
-        Ok(results)
+                }))
+            })
+        })
     }
 
     /// The outcome of the pair `(a, d)` read off an analog grid built at `at`.
@@ -463,16 +475,19 @@ impl InSramMultiplier {
         self.compose_outcome(
             a,
             d,
-            |pass, a_slice, d_slice| self.grid_discharge(grid, pass, a_slice, d_slice, at),
+            |pass, a_slice, d_slice| self.grid_discharge(grid, pass, a_slice, d_slice, at, None),
             |pass, a_slice, bit| self.grid_energy(grid, pass, a_slice, bit, at),
             grid.write_energy,
         )
     }
 
     /// Combined discharge of one pass from the precomputed grid, applying
-    /// the fault state when one is attached.  The `None` arm is the historic
-    /// pristine path; the faulted arm transforms each `(pass, bit)` the way
-    /// a live per-pair model evaluation would (tested bit-identical).
+    /// the mismatch instance and the fault state when they are present.
+    /// Without either it is the historic pristine path; otherwise each
+    /// `(pass, bit)` is transformed the way a live per-pair model evaluation
+    /// would (tested bit-identical): an instance adds `σ·z` of the cell's
+    /// data column to the nominal ΔV and clamps at zero, then the fault
+    /// state scales the result by the cell's retention drift.
     fn grid_discharge(
         &self,
         grid: &AnalogOperandGrid,
@@ -480,25 +495,40 @@ impl InSramMultiplier {
         a_slice: u16,
         d_slice: u16,
         at: OperatingPoint,
+        instance: Option<MismatchInstance<'_>>,
     ) -> f64 {
-        match &self.faults {
-            None => grid.combined_discharge(a_slice, d_slice),
-            Some(faults) => {
-                let mut total = 0.0;
-                for bit in 0..grid.slice_bits {
-                    let stored = (d_slice >> bit) & 1 == 1;
-                    if !faults.column_discharges(pass, bit, stored) {
-                        continue;
-                    }
-                    if faults.is_shorted(pass, bit) {
-                        total += at.vdd.0;
-                        continue;
-                    }
-                    total += faults.scaled_delta(pass, bit, grid.delta(a_slice, bit));
-                }
-                total / grid.slice_bits as f64
-            }
+        if self.faults.is_none() && instance.is_none() {
+            return grid.combined_discharge(a_slice, d_slice);
         }
+        let slice_bits = grid.slice_bits as usize;
+        // Pass `p` reads d-slice `p % slices`, as `FaultState` maps it.
+        let first_column = (pass % self.config.array.slices() as usize) * slice_bits;
+        let mut total = 0.0;
+        for bit in 0..grid.slice_bits {
+            let stored = (d_slice >> bit) & 1 == 1;
+            if let Some(faults) = &self.faults {
+                if !faults.column_discharges(pass, bit, stored) {
+                    continue;
+                }
+                if faults.is_shorted(pass, bit) {
+                    total += at.vdd.0;
+                    continue;
+                }
+            } else if !stored {
+                continue;
+            }
+            let mut delta = grid.delta(a_slice, bit);
+            if let Some(instance) = instance {
+                let sigma = instance.sigmas[a_slice as usize * slice_bits + bit as usize];
+                let z = instance.normals[first_column + bit as usize];
+                delta = (delta + sigma * z).max(0.0);
+            }
+            total += match &self.faults {
+                None => delta,
+                Some(faults) => faults.scaled_delta(pass, bit, delta),
+            };
+        }
+        total / slice_bits as f64
     }
 
     /// Per-column discharge energy from the precomputed grid, applying the
@@ -528,23 +558,20 @@ impl InSramMultiplier {
         }
     }
 
-    /// Precomputes everything a mismatch Monte-Carlo multiply at `at` needs
-    /// that no sample can change: the nominal [`AnalogOperandGrid`] and the
-    /// Eq. 6 σ of every `(slice operand, column)`, evaluated at the grid's
-    /// own (supply-adjusted, aged) word lines — exactly the σ a live
-    /// per-pair mismatch draw would use.
+    /// The Eq. 6 σ of every `(slice operand, column)` of a Monte-Carlo
+    /// instance read off `grid`, laid out like the grid's discharges and
+    /// evaluated at the grid's own (supply-adjusted, aged) word lines —
+    /// exactly the σ a live per-pair evaluation would use.
     ///
     /// # Errors
     ///
-    /// * [`ImcError::NonFiniteSigma`] naming the first (operand-major)
-    ///   `(slice operand, column)` whose σ is not finite, so a broken Eq. 6
-    ///   fit fails here instead of panicking inside a sampling worker.
-    /// * Same as [`InSramMultiplier::analog_grid`].
-    pub(crate) fn mismatch_grid(&self, at: OperatingPoint) -> Result<MismatchGrid, ImcError> {
-        let analog = self.analog_grid(at)?;
+    /// [`ImcError::NonFiniteSigma`] naming the first (operand-major)
+    /// `(slice operand, column)` whose σ is not finite, so a broken Eq. 6
+    /// fit fails before any instance is read out.
+    pub(crate) fn mismatch_sigmas(&self, grid: &AnalogOperandGrid) -> Result<Vec<f64>, ImcError> {
         let bits = self.config.array.slice_bits;
-        let mut sigmas = Vec::with_capacity(analog.word_lines.len() * bits as usize);
-        for (a, &word_line) in analog.word_lines.iter().enumerate() {
+        let mut sigmas = Vec::with_capacity(grid.word_lines.len() * bits as usize);
+        for (a, &word_line) in grid.word_lines.iter().enumerate() {
             for bit in 0..bits {
                 let sigma = self
                     .models
@@ -560,166 +587,7 @@ impl InSramMultiplier {
                 sigmas.push(sigma);
             }
         }
-        Ok(MismatchGrid { analog, sigmas, at })
-    }
-
-    /// How column `bit` of `pass` enters a mismatch sample for the slice
-    /// pair `(a_slice, d_slice)`: the one place that decides whether a
-    /// column draws a Gaussian, shared by the sampler
-    /// ([`InSramMultiplier::mismatch_result`]) and the draw counter
-    /// ([`InSramMultiplier::mismatch_draws`]), so the two cannot drift apart.
-    #[inline]
-    fn mismatch_column(
-        &self,
-        grid: &MismatchGrid,
-        pass: usize,
-        a_slice: u16,
-        d_slice: u16,
-        bit: u8,
-    ) -> MismatchColumn {
-        let stored = (d_slice >> bit) & 1 == 1;
-        let discharges = match &self.faults {
-            None => stored,
-            Some(faults) => faults.column_discharges(pass, bit, stored),
-        };
-        if !discharges {
-            return MismatchColumn::Idle;
-        }
-        if let Some(faults) = &self.faults {
-            if faults.is_shorted(pass, bit) {
-                return MismatchColumn::Shorted;
-            }
-        }
-        let sigma = grid.sigma(a_slice, bit);
-        if sigma == 0.0 {
-            MismatchColumn::Nominal
-        } else {
-            MismatchColumn::Drawn(sigma)
-        }
-    }
-
-    /// The digitised result of one mismatch Monte-Carlo multiplication of
-    /// `(a, d)` off a precomputed [`MismatchGrid`] built by this multiplier.
-    ///
-    /// Every discharging, non-shorted column with σ ≠ 0 takes the next
-    /// standard normal `z` of `normals` (from index `*next`, which advances
-    /// past the pair's draws) as the deviation `0.0 + σ·z`, in pass order and
-    /// then bit order; each pass goes through the shared ADC readout
-    /// ([`InSramMultiplier::weighted_code`]).  `0.0 + σ·z` is what
-    /// `Gaussian::new(0, σ).sample` returns for the same `z`, so with normals
-    /// drawn by [`optima_math::distributions::standard_normal`] from a
-    /// stream, the result is bit-identical to drawing each column's
-    /// deviation from that stream while evaluating the fitted models live
-    /// (pinned by the unit tests).  The multiply energy, which no Monte Carlo
-    /// reads, is not accumulated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `normals` runs out: a row's buffer must hold the
-    /// [`InSramMultiplier::row_mismatch_draws`] of that row.
-    pub(crate) fn mismatch_result(
-        &self,
-        grid: &MismatchGrid,
-        a: u16,
-        d: u16,
-        normals: &[f64],
-        next: &mut usize,
-    ) -> u16 {
-        let result = self.fold_passes(a, d, 0u32, |result, pass| {
-            let discharge = self.sampled_discharge(grid, normals, next, pass);
-            result + self.weighted_code(discharge, pass)
-        });
-        saturate_result(result)
-    }
-
-    /// Combined discharge of one pass with mismatch sampling, off the
-    /// precomputed grid: the per-column transform of
-    /// [`InSramMultiplier::grid_discharge`] with a Gaussian deviation added
-    /// to each looked-up nominal ΔV.
-    fn sampled_discharge(
-        &self,
-        grid: &MismatchGrid,
-        normals: &[f64],
-        next: &mut usize,
-        pass: Pass,
-    ) -> f64 {
-        let slice_bits = grid.analog.slice_bits;
-        let mut total = 0.0;
-        for bit in 0..slice_bits {
-            let deviation =
-                match self.mismatch_column(grid, pass.index, pass.a_slice, pass.d_slice, bit) {
-                    MismatchColumn::Idle => continue,
-                    MismatchColumn::Shorted => {
-                        total += grid.at.vdd.0;
-                        continue;
-                    }
-                    MismatchColumn::Nominal => 0.0,
-                    MismatchColumn::Drawn(sigma) => {
-                        let z = normals[*next];
-                        *next += 1;
-                        0.0 + sigma * z
-                    }
-                };
-            let delta = (grid.analog.delta(pass.a_slice, bit) + deviation).max(0.0);
-            total += match &self.faults {
-                None => delta,
-                Some(faults) => faults.scaled_delta(pass.index, bit, delta),
-            };
-        }
-        total / slice_bits as f64
-    }
-
-    /// Gaussian draws one mismatch multiplication of `(a, d)` takes: its
-    /// [`MismatchColumn::Drawn`] columns over every pass.  Each draw is one
-    /// standard normal of [`WORDS_PER_DRAW`] keystream words.
-    #[cfg(test)]
-    pub(crate) fn mismatch_draws(&self, grid: &MismatchGrid, a: u16, d: u16) -> u64 {
-        self.fold_passes(a, d, 0u64, |draws, pass| {
-            draws + self.slice_draws(grid, pass.index, pass.a_slice, pass.d_slice)
-        })
-    }
-
-    /// Gaussian draws of one pass of a mismatch multiplication.
-    fn slice_draws(&self, grid: &MismatchGrid, pass: usize, a_slice: u16, d_slice: u16) -> u64 {
-        (0..grid.analog.slice_bits)
-            .filter(|&bit| {
-                matches!(
-                    self.mismatch_column(grid, pass, a_slice, d_slice, bit),
-                    MismatchColumn::Drawn(_)
-                )
-            })
-            .count() as u64
-    }
-
-    /// Gaussian draws of every row `a` of the input space (the sum of
-    /// [`InSramMultiplier::mismatch_draws`] over every `d`), in `a` order.
-    ///
-    /// A draw depends only on the pass and its slice pair, and as `d` runs
-    /// over the input space each of its slices takes every slice value
-    /// `(slice_max + 1)^(slices − 1)` times, so the rows come from one
-    /// per-(pass, slice operand) table instead of a walk over every pair.
-    pub(crate) fn row_mismatch_draws(&self, grid: &MismatchGrid) -> Vec<u64> {
-        let array = &self.config.array;
-        let slice_operands = array.slice_max() as usize + 1;
-        let passes = array.passes() as usize;
-        let mut per_slice = vec![0u64; passes * slice_operands];
-        for pass in 0..passes {
-            for a_slice in 0..slice_operands {
-                per_slice[pass * slice_operands + a_slice] = (0..slice_operands as u16)
-                    .map(|d_slice| self.slice_draws(grid, pass, a_slice as u16, d_slice))
-                    .sum();
-            }
-        }
-        let repeats = (slice_operands as u64).pow(u32::from(array.slices()) - 1);
-        (0..=array.operand_max())
-            .map(|a| {
-                // `d` = 0 only enumerates the passes and their `a` slices.
-                let row = self.fold_passes(a, 0, 0u64, |draws, pass| {
-                    draws + per_slice[pass.index * slice_operands + pass.a_slice as usize]
-                });
-                row * repeats
-            })
-            .collect()
+        Ok(sigmas)
     }
 
     /// Analog mismatch σ of every operand pair, in operand-major order: the
@@ -856,8 +724,9 @@ impl InSramMultiplier {
     /// The readout of one pass: round-to-nearest quantisation of its
     /// combined discharge in slice-product LSB units, clamped to the ADC
     /// code range, shifted to the pass's digital weight.  Every readout
-    /// ([`InSramMultiplier::compose_outcome`] and the mismatch Monte Carlo)
-    /// goes through here, so a readout change lands in every path.
+    /// ([`InSramMultiplier::compose_outcome`] and the code table of the
+    /// Fig. 8 sweeps and Monte-Carlo instances) goes through here, so a
+    /// readout change lands in every path.
     #[inline]
     fn weighted_code(&self, discharge: f64, pass: Pass) -> u32 {
         let raw = (discharge / self.volts_per_lsb).round();
@@ -869,9 +738,8 @@ impl InSramMultiplier {
     /// of the combined discharge, digital shift-add composition across the
     /// passes, and the per-set-bit energy combination.  Only how the per-pass
     /// discharge and per-column energy are obtained differs between the
-    /// callers (nominal or mismatch-sampled grid, or the live per-pair
-    /// reference in the unit tests), so any change to the readout model
-    /// lands in every path.
+    /// callers (the analog grid, or the live per-pair reference in the unit
+    /// tests), so any change to the readout model lands in every path.
     fn compose_outcome(
         &self,
         a: u16,
@@ -955,20 +823,6 @@ impl Pass {
     }
 }
 
-/// How one column enters a mismatch Monte-Carlo sample
-/// ([`InSramMultiplier::mismatch_column`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum MismatchColumn {
-    /// The column does not discharge (stored 0, stuck-at-0 or open).
-    Idle,
-    /// A shorted bit-line: the full rail, no transistor to mismatch.
-    Shorted,
-    /// Discharges with σ = 0: the nominal ΔV, no draw.
-    Nominal,
-    /// Discharges with this σ: one Gaussian draw.
-    Drawn(f64),
-}
-
 /// Per-(slice operand, column) analog quantities of one multiplier at one
 /// operating point, precomputed through the batched model fills.
 ///
@@ -1014,26 +868,23 @@ impl AnalogOperandGrid {
     }
 }
 
-/// The sample-invariant part of a mismatch Monte Carlo at one operating
-/// point: the nominal [`AnalogOperandGrid`] plus the Eq. 6 σ per
-/// `(slice operand, column)`, validated finite.
+/// One Monte-Carlo instance: a chip whose every cell keeps one mismatch
+/// draw for all the operations it takes part in, read out through
+/// [`InSramMultiplier::code_table`].
 ///
-/// Built by [`InSramMultiplier::mismatch_grid`] and consumed by
-/// [`InSramMultiplier::mismatch_result`] of the same multiplier.
-#[derive(Debug)]
-pub(crate) struct MismatchGrid {
-    analog: AnalogOperandGrid,
-    /// Mismatch σ per `(a, bit)` in volts, laid out like the grid's deltas.
-    sigmas: Vec<f64>,
-    /// Operating point the grid was evaluated at.
-    at: OperatingPoint,
-}
-
-impl MismatchGrid {
-    /// Mismatch σ of column `bit` for slice operand `a` (volts).
-    fn sigma(&self, a: u16, bit: u8) -> f64 {
-        self.sigmas[a as usize * self.analog.slice_bits as usize + bit as usize]
-    }
+/// The cell on data column `c` of the stored word discharges by
+/// `ΔV + σ·normals[c]`, clamped at zero, where `σ` is the Eq. 6 σ of its
+/// `(slice operand, column)`.  Pass `p` at bit `b` reads data column
+/// `(p % slices) · slice_bits + b`, so the passes of a composed geometry
+/// that share a stored slice share its cells' draws.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MismatchInstance<'a> {
+    /// Eq. 6 σ per `(slice operand, column)` in volts, laid out like the
+    /// grid's discharges ([`InSramMultiplier::mismatch_sigmas`]).
+    pub(crate) sigmas: &'a [f64],
+    /// One standard normal per data column of the stored word, in column
+    /// order.
+    pub(crate) normals: &'a [f64],
 }
 
 /// A pre-computed result table of a multiplier configuration over its full

@@ -2,44 +2,48 @@
 //!
 //! Every analog pass evaluates the fitted models through
 //! [`ModelSuite::discharge`](optima_core::model::suite::ModelSuite::discharge)
-//! for just the columns the pair needs, optionally adding one mismatch
-//! deviation per column.  The library reads every multiplication off the
-//! precomputed grids instead ([`InSramMultiplier::outcome_grid`], the code
-//! table [`InSramMultiplier::result_grid`],
-//! [`InSramMultiplier::analog_sigma_grid`] and the row-batched mismatch
-//! readout of the Fig. 8 Monte Carlo); the tests below pin them
-//! bit-identical to this path.
+//! for just the columns the pair needs.  A mismatch Monte-Carlo instance is
+//! one chip: one standard normal per data column of the stored word, frozen
+//! for every pair, which perturbs each discharging cell by the Eq. 6 σ of
+//! its `(t, V_WL)` times its column's normal.  The library reads every
+//! multiplication off the precomputed grids instead
+//! ([`InSramMultiplier::outcome_grid`], the code table
+//! [`InSramMultiplier::code_table`] of the Fig. 8 sweeps and Monte-Carlo
+//! instances, and [`InSramMultiplier::analog_sigma_grid`]); the tests below
+//! pin them bit-identical to this path.
 
 use super::{InSramMultiplier, MultiplierTable, MultiplyOutcome, OperatingPoint};
 use crate::error::ImcError;
 use crate::metrics::{metrics_from, MultiplierMetrics};
 use optima_math::units::{FemtoJoules, Volts};
-use rand::Rng;
 
 /// Charge-shared combined discharge of one analog pass (`pass` in the
 /// composed pass order) for the slice operands `a_slice` (DAC input) and
-/// `d_slice` (stored slice), optionally with mismatch sampling.
+/// `d_slice` (stored slice), optionally on a mismatch instance.
 ///
 /// An attached fault state changes which columns discharge (stuck cells,
 /// open/shorted bit-lines via the redundancy remap of `pass`) and scales
 /// each surviving column's ΔV by its retention drift; shorted bit-lines
-/// contribute the full rail without a model evaluation (and consume no
-/// mismatch sample — a shorted column has no transistor to mismatch).
-fn slice_discharge<R: Rng + ?Sized>(
+/// contribute the full rail without a model evaluation (and see no
+/// mismatch — a shorted column has no transistor to mismatch).  An
+/// instance's `normals` hold one standard normal per data column; pass
+/// `pass` at bit `b` reads column `(pass % slices) · slice_bits + b`.
+fn slice_discharge(
     m: &InSramMultiplier,
     pass: usize,
     a_slice: u16,
     d_slice: u16,
     at: OperatingPoint,
-    mut rng: Option<&mut R>,
+    normals: Option<&[f64]>,
 ) -> Result<f64, ImcError> {
+    let array = &m.config.array;
     let word_line = m.aged_word_line(m.dac.output_with_supply(
         a_slice,
         at.vdd,
         m.models.vdd_nominal(),
     )?);
     let mut total = 0.0;
-    for bit in 0..m.config.array.slice_bits {
+    for bit in 0..array.slice_bits {
         let stored = (d_slice >> bit) & 1 == 1;
         let discharges = match &m.faults {
             None => stored,
@@ -59,13 +63,12 @@ fn slice_discharge<R: Rng + ?Sized>(
             .models
             .discharge(duration, word_line, true, at.vdd, at.temperature)?
             .0;
-        let delta = match rng.as_mut() {
-            Some(rng) => {
-                let deviation = m
-                    .models
-                    .mismatch_model()
-                    .sample_deviation(&mut **rng, duration, word_line);
-                (nominal + deviation.0).max(0.0)
+        let delta = match normals {
+            Some(normals) => {
+                let sigma = m.models.mismatch_sigma(duration, word_line).0;
+                let column =
+                    (pass % array.slices() as usize) * array.slice_bits as usize + bit as usize;
+                (nominal + sigma * normals[column]).max(0.0)
             }
             None => nominal,
         };
@@ -76,18 +79,17 @@ fn slice_discharge<R: Rng + ?Sized>(
     }
     // Charge sharing across the slice's sampling capacitors averages the
     // individual discharges.
-    Ok(total / m.config.array.slice_bits as f64)
+    Ok(total / array.slice_bits as f64)
 }
 
-/// One multiplication through the live models (optionally with mismatch
-/// sampling, consuming the RNG in pass order), composed by the library's
-/// own readout.
-fn multiply_inner<R: Rng + ?Sized>(
+/// One multiplication through the live models (optionally on a mismatch
+/// instance), composed by the library's own readout.
+fn multiply_inner(
     m: &InSramMultiplier,
     a: u16,
     d: u16,
     at: OperatingPoint,
-    mut rng: Option<&mut R>,
+    normals: Option<&[f64]>,
 ) -> Result<MultiplyOutcome, ImcError> {
     m.check_operands(a, d)?;
     let array = &m.config.array;
@@ -100,14 +102,7 @@ fn multiply_inner<R: Rng + ?Sized>(
         for j in 0..slices {
             let d_slice = (d >> (j * shift)) & mask;
             let pass = discharges.len();
-            discharges.push(slice_discharge(
-                m,
-                pass,
-                a_slice,
-                d_slice,
-                at,
-                rng.as_deref_mut(),
-            )?);
+            discharges.push(slice_discharge(m, pass, a_slice, d_slice, at, normals)?);
         }
     }
     let write_energy =
@@ -164,19 +159,21 @@ pub(crate) fn multiply_at(
     d: u16,
     at: OperatingPoint,
 ) -> Result<MultiplyOutcome, ImcError> {
-    multiply_inner::<rand_chacha::ChaCha8Rng>(m, a, d, at, None)
+    multiply_inner(m, a, d, at, None)
 }
 
-/// One mismatch Monte Carlo multiplication at `at` through the live models
-/// (composed geometries sample every pass independently, in pass order).
-pub(crate) fn multiply_with_mismatch<R: Rng + ?Sized>(
+/// One multiplication at `at` through the live models on the mismatch
+/// instance whose cells draw `normals` (one standard normal per data column
+/// of the stored word, in column order).  Walking every pair with the same
+/// `normals` walks one chip.
+pub(crate) fn multiply_with_mismatch(
     m: &InSramMultiplier,
-    rng: &mut R,
+    normals: &[f64],
     a: u16,
     d: u16,
     at: OperatingPoint,
 ) -> Result<MultiplyOutcome, ImcError> {
-    multiply_inner(m, a, d, at, Some(rng))
+    multiply_inner(m, a, d, at, Some(normals))
 }
 
 /// Analog σ of the combined discharge for `(a, d)`: the root-sum-square of
@@ -242,32 +239,42 @@ mod tests {
     use super::*;
     use crate::dse::{DesignSpace, DesignSpaceExplorer};
     use crate::metrics::evaluate_multiplier_at;
-    use crate::multiplier::{MultiplierConfig, WORDS_PER_DRAW};
+    use crate::multiplier::{MismatchInstance, MultiplierConfig};
     use crate::testsupport::{
-        faulted_multiplier, ideal_config, int8_config, linear_suite, nonlinear_pvt_suite,
-        pvt_sensitive_suite,
+        faulted_multiplier, ideal_config, int8_config, linear_suite, noisy_linear_suite,
+        nonlinear_pvt_suite, pvt_sensitive_suite,
     };
     use optima_circuit::array::ArrayConfig;
+    use optima_core::sweep::stream_seed;
     use optima_math::distributions::standard_normal;
     use optima_math::units::{Celsius, Seconds};
     use proptest::prelude::*;
-    use rand::{RngCore, SeedableRng};
+    use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// The standard normals of Monte-Carlo instance `instance`: one per data
+    /// column of the stored word, from the instance's own stream.
+    fn instance_normals(m: &InSramMultiplier, instance: u64) -> Vec<f64> {
+        let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(0x5eed, instance));
+        (0..m.array().operand_bits)
+            .map(|_| standard_normal(&mut rng))
+            .collect()
+    }
 
     #[test]
     fn mismatch_sampling_perturbs_results_reproducibly() {
         let multiplier = InSramMultiplier::new(linear_suite(), ideal_config()).unwrap();
         let at = multiplier.nominal_operating_point();
-        let mut rng_a = ChaCha8Rng::seed_from_u64(3);
-        let mut rng_b = ChaCha8Rng::seed_from_u64(3);
-        let a = multiply_with_mismatch(&multiplier, &mut rng_a, 12, 13, at).unwrap();
-        let b = multiply_with_mismatch(&multiplier, &mut rng_b, 12, 13, at).unwrap();
+        let normals = instance_normals(&multiplier, 3);
+        let a = multiply_with_mismatch(&multiplier, &normals, 12, 13, at).unwrap();
+        let b = multiply_with_mismatch(&multiplier, &normals, 12, 13, at).unwrap();
         assert_eq!(a.combined_discharge, b.combined_discharge);
-        // Across many samples the result must deviate from nominal sometimes.
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        // Across many instances the result must deviate from nominal
+        // sometimes.
         let nominal = multiplier.multiply(12, 13).unwrap().combined_discharge.0;
-        let any_different = (0..64).any(|_| {
-            let sampled = multiply_with_mismatch(&multiplier, &mut rng, 12, 13, at)
+        let any_different = (0..64).any(|instance| {
+            let normals = instance_normals(&multiplier, instance);
+            let sampled = multiply_with_mismatch(&multiplier, &normals, 12, 13, at)
                 .unwrap()
                 .combined_discharge
                 .0;
@@ -365,87 +372,93 @@ mod tests {
             .collect()
     }
 
-    /// Runs one RNG stream through the whole input space at `at`, once via
-    /// the scalar `multiply_with_mismatch` oracle and once row-batched, as
-    /// the Monte Carlo does: each row's
-    /// [`InSramMultiplier::row_mismatch_draws`] standard normals are drawn
-    /// up front and read out pair by pair by
-    /// [`InSramMultiplier::mismatch_result`].  Results must be equal pair by
-    /// pair.  Each pair must take as many normals as
-    /// [`InSramMultiplier::mismatch_draws`] counts, and the oracle must
-    /// consume [`WORDS_PER_DRAW`] words per counted draw; each row must use
-    /// all of its normals, and the two streams must stand at the same
-    /// position after every row (so neither path draws a sample the other
-    /// skips).
-    fn assert_mismatch_grid_matches_scalar(multiplier: &InSramMultiplier, at: OperatingPoint) {
-        let grid = multiplier.mismatch_grid(at).unwrap();
-        let row_draws = multiplier.row_mismatch_draws(&grid);
-        let mut scalar_rng = ChaCha8Rng::seed_from_u64(0x5eed);
-        let mut grid_rng = scalar_rng.clone();
-        let max = multiplier.array().operand_max();
-        assert_eq!(row_draws.len(), max as usize + 1);
-        for a in 0..=max {
-            let normals: Vec<f64> = (0..row_draws[a as usize])
-                .map(|_| standard_normal(&mut grid_rng))
-                .collect();
-            let mut next = 0;
-            for d in 0..=max {
-                let before = scalar_rng.get_word_pos();
-                let scalar = multiply_with_mismatch(multiplier, &mut scalar_rng, a, d, at).unwrap();
-                let words = scalar_rng.get_word_pos() - before;
-                let draws = multiplier.mismatch_draws(&grid, a, d);
-                assert_eq!(
-                    words,
-                    WORDS_PER_DRAW * u128::from(draws),
-                    "a = {a}, d = {d}"
-                );
-                let first = next;
-                let result = multiplier.mismatch_result(&grid, a, d, &normals, &mut next);
-                assert_eq!(result, scalar.result, "a = {a}, d = {d}");
-                assert_eq!((next - first) as u64, draws, "a = {a}, d = {d}");
-            }
-            assert_eq!(next, normals.len(), "row a = {a}");
-            assert_eq!(
-                grid_rng.get_word_pos(),
-                scalar_rng.get_word_pos(),
-                "row a = {a}"
-            );
-        }
-        assert_eq!(grid_rng.next_u64(), scalar_rng.next_u64());
-    }
-
+    /// Monte-Carlo instances read out through the code table, as the
+    /// Fig. 8 Monte Carlo reads them, against the per-pair oracle walking
+    /// the same chip, pair by pair and bit for bit.  The noisy suite makes
+    /// most normals move a code, so a cell that reads the wrong column's
+    /// normal shows; the V_DAC,0 = 0 V corner has σ = 0 at a = 0.
     #[test]
-    fn mismatch_grid_is_bit_identical_to_scalar_mismatch_sampling() {
-        // A zero-code DAC output of 0 V gives σ = 0 at a = 0, which must
-        // draw nothing on either path.
+    fn mismatch_instance_readout_is_bit_identical_to_the_per_pair_oracle() {
+        let noisy = |config| InSramMultiplier::new(noisy_linear_suite(), config).unwrap();
+        let int4: Vec<u16> = (0..=15).collect();
         let zero_word_line = MultiplierConfig::new(Seconds(0.16e-9), Volts(0.0), Volts(1.0));
-        for suite in [linear_suite(), pvt_sensitive_suite()] {
-            for config in [ideal_config(), zero_word_line] {
-                let multiplier = InSramMultiplier::new(suite.clone(), config).unwrap();
-                for at in [
-                    multiplier.nominal_operating_point(),
-                    OperatingPoint {
-                        vdd: Volts(0.95),
-                        temperature: Celsius(60.0),
-                    },
-                ] {
-                    assert_mismatch_grid_matches_scalar(&multiplier, at);
+        let cases = [
+            ("int4", noisy(ideal_config()), int4.clone()),
+            ("zero word line", noisy(zero_word_line), int4.clone()),
+            ("int8", noisy(int8_config()), int8_probes()),
+            (
+                "faulted",
+                faulted_multiplier(noisy_linear_suite()).unwrap(),
+                int4,
+            ),
+        ];
+        for (name, multiplier, operands) in &cases {
+            let rows = multiplier.array().operand_max() as usize + 1;
+            for at in [
+                multiplier.nominal_operating_point(),
+                OperatingPoint {
+                    vdd: Volts(0.95),
+                    temperature: Celsius(60.0),
+                },
+            ] {
+                let grid = multiplier.analog_grid(at).unwrap();
+                let sigmas = multiplier.mismatch_sigmas(&grid).unwrap();
+                let nominal = multiplier.result_grid(at).unwrap();
+                let mut moved = 0;
+                for instance in 0..2 {
+                    let normals = instance_normals(multiplier, instance);
+                    let chip = MismatchInstance {
+                        sigmas: &sigmas,
+                        normals: &normals,
+                    };
+                    let codes = multiplier.code_table(&grid, at, Some(chip));
+                    let results: Vec<u16> = multiplier.pair_results(&codes).collect();
+                    assert_eq!(results.len(), rows * rows);
+                    for &a in operands {
+                        for &d in operands {
+                            let oracle =
+                                multiply_with_mismatch(multiplier, &normals, a, d, at).unwrap();
+                            assert_eq!(
+                                results[a as usize * rows + d as usize],
+                                oracle.result,
+                                "{name}, {at:?}, instance {instance}: a = {a}, d = {d}"
+                            );
+                        }
+                    }
+                    moved += results.iter().zip(&nominal).filter(|(r, n)| r != n).count();
                 }
+                // The faulted chip's shorted bit-line saturates every code,
+                // so no mismatch can show there.
+                assert!(
+                    moved > 0 || *name == "faulted",
+                    "{name}, {at:?}: no instance moved a result"
+                );
             }
         }
     }
 
+    /// With σ = 0 every cell keeps its nominal ΔV whatever its normal, so
+    /// the instance readout is exactly the pristine code table.
     #[test]
-    fn int8_mismatch_grid_is_bit_identical_to_scalar_mismatch_sampling() {
-        let multiplier = InSramMultiplier::new(linear_suite(), int8_config()).unwrap();
-        assert_eq!(multiplier.array().passes(), 4);
-        assert_mismatch_grid_matches_scalar(&multiplier, multiplier.nominal_operating_point());
-    }
-
-    #[test]
-    fn faulted_mismatch_grid_is_bit_identical_to_scalar_mismatch_sampling() {
-        let multiplier = faulted_multiplier(linear_suite()).unwrap();
-        assert_mismatch_grid_matches_scalar(&multiplier, multiplier.nominal_operating_point());
+    fn a_zero_sigma_instance_reads_the_nominal_results() {
+        let noisy = |config| InSramMultiplier::new(noisy_linear_suite(), config).unwrap();
+        for multiplier in [
+            noisy(ideal_config()),
+            noisy(int8_config()),
+            faulted_multiplier(noisy_linear_suite()).unwrap(),
+        ] {
+            let at = multiplier.nominal_operating_point();
+            let grid = multiplier.analog_grid(at).unwrap();
+            let zeros = vec![0.0; multiplier.mismatch_sigmas(&grid).unwrap().len()];
+            let normals = instance_normals(&multiplier, 7);
+            let chip = MismatchInstance {
+                sigmas: &zeros,
+                normals: &normals,
+            };
+            let codes = multiplier.code_table(&grid, at, Some(chip));
+            let results: Vec<u16> = multiplier.pair_results(&codes).collect();
+            assert_eq!(results, multiplier.result_grid(at).unwrap());
+        }
     }
 
     #[test]

@@ -13,57 +13,44 @@
 //! [`optima_core::sweep`]: a failing condition aborts the analysis with
 //! [`ImcError::CornerFailed`] naming it, and every reported number —
 //! including the Monte-Carlo statistics, which draw one split-seed RNG
-//! stream per sample — is bit-identical for any thread count.
+//! stream per instance — is bit-identical for any thread count.
 //!
-//! The nominal profile and each supply or temperature condition read only
-//! the digitised results, so they skip the energies and discharges of
-//! [`InSramMultiplier::outcome_grid`].  The multiplier's code table
-//! (`result_grid`) builds the analog grid at the condition once and reads
-//! out one ADC code per (pass, slice pair) — `passes × (slice_max + 1)²`
-//! codes, 1,024 for INT8 — and each operand pair sums its passes' codes.
-//! The results are bit-identical to a per-pair loop over the live models;
-//! the expected product comes from the loop index.  The analog σ profile
-//! evaluates one root-sum-square per slice pair and takes each operand
-//! pair's worst pass ([`InSramMultiplier::analog_sigma_grid`]).
+//! Every sweep reads only digitised results, so none builds the energies
+//! and discharges of [`InSramMultiplier::outcome_grid`].  The multiplier's
+//! code table (`code_table`) reads an analog grid out once per (pass, slice
+//! pair) — `passes × (slice_max + 1)²` ADC codes, 1,024 for INT8 — and each
+//! operand pair sums its passes' codes.  The results are bit-identical to a
+//! per-pair loop over the live models; the expected product comes from the
+//! loop index.  The nominal analog grid is built once per analysis: the
+//! nominal profile, the mismatch σ table and every Monte-Carlo instance
+//! read that one grid.  The analog σ profile evaluates one root-sum-square
+//! per slice pair and takes each operand pair's worst pass
+//! ([`InSramMultiplier::analog_sigma_grid`]).
 //!
-//! The mismatch Monte Carlo runs off a table built once per analysis: the
-//! nominal analog grid (ΔV and discharge energy per slice operand and
-//! column) plus the Eq. 6 σ per slice operand and column, evaluated at the
-//! grid's own supply-adjusted, aged word lines.  A σ that is not finite
-//! (here or in the σ profile) fails the analysis with
-//! [`ImcError::NonFiniteSigma`] before any sample runs.  A sample then only
-//! draws its Gaussians and reads out each pass's ADC code, bit-identical to
-//! drawing each column's deviation while evaluating the fitted models live
-//! for every pair (the per-pair reference in the multiplier's unit tests).
-//! Each sample's RNG stream is consumed in this order: operand `a` outer,
-//! operand `d` inner, then analog pass, then bit (ascending); one standard
-//! normal (four keystream words) is taken per column that discharges
-//! (stored 1 or stuck-at-1) and is not shorted, and columns with σ = 0 draw
-//! nothing.
-//!
-//! The normals are drawn a row at a time: for each row `a` a worker fills
-//! its own buffer with the row's draws
-//! ([`optima_math::distributions::standard_normal`], in stream order, one
-//! tight loop), then reads the row out pair by pair, turning the next
-//! normal `z` into the deviation `0.0 + σ·z` — the bits
-//! `Gaussian::new(0, σ).sample` gives for the same `z`.  The buffer holds
-//! the widest row (2,048 normals for INT8) and is reused for every row the
-//! worker reads, so neither the fill nor the readout allocates.  The
-//! consumption order above is unchanged.
-//!
-//! The Monte-Carlo work items are (sample, block of `a` rows): a sample
-//! splits into as many row blocks as it takes to give every thread work
-//! (⌈threads / samples⌉, at most one per row).  A block seeds its sample's
-//! stream and seeks it to the first draw of its first row, so it consumes
-//! exactly the words a serial walk would at those rows.  Blocks return the
-//! integer sum of their |errors|; every partial sum is an exact `f64`, so
-//! each sample's mean error has the same bits whatever the split.  The
-//! nominal error bins and ε_mul sum integer errors the same way.
+//! A Monte-Carlo instance is one chip.  Eq. 6 is fitted to the spread of
+//! ΔV across mismatch instances, where an instance is one physical cell.
+//! On the golden circuit a cell's deviation from the nominal ΔV moves with
+//! itself across the discharge times of one chip (correlation 1.000) and
+//! largely across its word-line voltages (0.953 between 0.5 V and 0.7 V),
+//! pinned by a unit test below; a frozen instance takes that correlation
+//! as 1.  So instance `k` draws one standard normal `z[c]` per data
+//! column `c` of the stored word, in column order, from the stream
+//! [`optima_core::sweep::stream_seed`]`(seed, k)` — 4 normals for INT4,
+//! 8 for INT8 — and keeps them for every operand pair.  Each discharging
+//! cell reads `max(ΔV + σ·z[c], 0)`, with the Eq. 6 σ of its
+//! `(slice operand, column)` evaluated at the grid's own supply-adjusted,
+//! aged word lines; a σ that is not finite (here or in the σ profile)
+//! fails the analysis with [`ImcError::NonFiniteSigma`] before any instance
+//! runs.  The instance is then read out by the same code table as the
+//! nominal profile and returns the integer sum of its |errors|: every sum
+//! is an exact `f64`, so each instance's mean error has the same bits
+//! whatever the thread count.  The nominal error bins and ε_mul sum integer
+//! errors the same way.
 
 use crate::error::ImcError;
-use crate::multiplier::{InSramMultiplier, OperatingPoint, WORDS_PER_DRAW};
+use crate::multiplier::{InSramMultiplier, MismatchInstance, OperatingPoint};
 use optima_circuit::pvt::linspace;
-use optima_core::sweep::{par_map_sweep, par_map_sweep_with, resolve_threads, stream_seed};
+use optima_core::sweep::{par_map_sweep, stream_seed};
 use optima_math::distributions::standard_normal;
 use optima_math::stats;
 use optima_math::units::{Celsius, Volts};
@@ -79,10 +66,11 @@ pub struct PvtAnalysisConfig {
     pub supply_voltages: Vec<f64>,
     /// Temperatures of the temperature sweep (°C).
     pub temperatures: Vec<f64>,
-    /// Number of mismatch Monte Carlo instances (each covers the full
-    /// input space of the analysed geometry).
+    /// Number of mismatch Monte Carlo instances.  Each instance is one chip:
+    /// every cell keeps one mismatch draw while the chip multiplies the full
+    /// input space of the analysed geometry.
     pub mismatch_samples: usize,
-    /// Base RNG seed of the Monte Carlo sampling; every sample derives its
+    /// Base RNG seed of the Monte Carlo sampling; every instance derives its
     /// own independent stream from it (see
     /// [`optima_core::sweep::stream_seed`]).
     pub seed: u64,
@@ -185,25 +173,26 @@ impl PvtAnalysis {
         let input_space = multiplier.array().input_space();
 
         // ---- Fig. 8 left: error and sigma binned by expected result ----
-        // The whole input space is read out from one code table
-        // ([`InSramMultiplier::result_grid`]); results come back in
-        // operand-major order, so binning sees samples in the same (a, d)
-        // order as the historical serial double loop — and the table itself
-        // is bit-identical to that loop.
-        let results = multiplier
-            .result_grid(nominal)
-            .map_err(|source| ImcError::CornerFailed {
+        // The whole input space is read out from one code table of the
+        // nominal grid, which the Monte Carlo below reads as well; results
+        // come in operand-major order, so binning sees samples in the same
+        // (a, d) order as the historical serial double loop — and the table
+        // itself is bit-identical to that loop.
+        let nominal_failed = |corner: &str| {
+            let corner = corner.to_string();
+            move |source: ImcError| ImcError::CornerFailed {
                 index: 0,
-                corner: "nominal input-space grid".to_string(),
+                corner,
                 source: Box::new(source),
-            })?;
+            }
+        };
+        let grid = multiplier
+            .analog_grid(nominal)
+            .map_err(nominal_failed("nominal input-space grid"))?;
+        let codes = multiplier.code_table(&grid, nominal, None);
         let sigmas = multiplier
             .analog_sigma_grid()
-            .map_err(|source| ImcError::CornerFailed {
-                index: 0,
-                corner: "nominal input-space sigma grid".to_string(),
-                source: Box::new(source),
-            })?;
+            .map_err(nominal_failed("nominal input-space sigma grid"))?;
 
         // Flat per-expected bins.  Errors are integers, so their sums are
         // exact and any grouping gives the mean bits of a float sum; the σ
@@ -215,7 +204,8 @@ impl PvtAnalysis {
         let mut counts = vec![0u32; bins];
         let mut abs_error_sum = 0u64;
         let mut worst_sigma: f64 = 0.0;
-        for ((expected, &result), sigma) in products(operand_max).zip(&results).zip(&sigmas) {
+        let results = multiplier.pair_results(&codes);
+        for ((expected, result), sigma) in products(operand_max).zip(results).zip(&sigmas) {
             let bin = expected as usize;
             error_sums[bin] += i64::from(result) - i64::from(expected);
             sigma_sums[bin] += sigma.0;
@@ -275,64 +265,38 @@ impl PvtAnalysis {
             average_error_lsb: temperature_errors,
         };
 
-        // ---- Mismatch Monte Carlo: one split-seed RNG stream per sample ----
-        let grid = multiplier
-            .mismatch_grid(nominal)
-            .map_err(|source| ImcError::CornerFailed {
-                index: 0,
-                corner: "nominal mismatch sigma table".to_string(),
-                source: Box::new(source),
-            })?;
-        // Work items are (sample, block of `a` rows), sample-major.  A lone
-        // INT8 sign-off sample splits across the threads while hundreds of
-        // INT4 samples stay one item each.
-        let rows = operand_max as usize + 1;
-        let row_draws = multiplier.row_mismatch_draws(&grid);
-        let widest_row = row_draws.iter().copied().max().unwrap_or(0) as usize;
-        let blocks = resolve_threads(config.threads)
-            .div_ceil(config.mismatch_samples.max(1))
-            .min(rows);
-        let items: Vec<(u64, usize)> = (0..config.mismatch_samples as u64)
-            .flat_map(|sample| (0..blocks).map(move |block| (sample, block)))
-            .collect();
-        // Each worker owns one buffer of a row's standard normals.  Once the
-        // σ table is built no sample can fail.
-        let block_error_sums = match par_map_sweep_with(
-            &items,
-            config.threads,
-            || vec![0.0f64; widest_row],
-            |normals, _, &(sample, block)| {
-                let (first, end) = (block * rows / blocks, (block + 1) * rows / blocks);
-                let draws_before: u64 = row_draws[..first].iter().sum();
-                let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(config.seed, sample));
-                rng.set_word_pos(WORDS_PER_DRAW * u128::from(draws_before));
-                let mut error_sum = 0u64;
-                // optima-lint: hot
-                for a in first..end {
-                    let row = &mut normals[..row_draws[a] as usize];
-                    for z in row.iter_mut() {
-                        *z = standard_normal(&mut rng);
-                    }
-                    let a = a as u16;
-                    let mut next = 0;
-                    for d in 0..=operand_max {
-                        let result = multiplier.mismatch_result(&grid, a, d, row, &mut next);
-                        error_sum += u64::from(result.abs_diff(a * d));
-                    }
-                }
-                // optima-lint: end-hot
-                Ok::<_, Infallible>(error_sum)
-            },
-        ) {
+        // ---- Mismatch Monte Carlo: one chip per instance ----
+        let mismatch_sigmas = multiplier
+            .mismatch_sigmas(&grid)
+            .map_err(nominal_failed("nominal mismatch sigma table"))?;
+        let columns = usize::from(multiplier.array().operand_bits);
+        let instances: Vec<u64> = (0..config.mismatch_samples as u64).collect();
+        // Once the σ table is built no instance can fail.
+        let error_sums = match par_map_sweep(&instances, config.threads, |_, &instance| {
+            let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(config.seed, instance));
+            let normals: Vec<f64> = (0..columns).map(|_| standard_normal(&mut rng)).collect();
+            let chip = MismatchInstance {
+                sigmas: &mismatch_sigmas,
+                normals: &normals,
+            };
+            let codes = multiplier.code_table(&grid, nominal, Some(chip));
+            // optima-lint: hot
+            let error_sum: u64 = products(operand_max)
+                .zip(multiplier.pair_results(&codes))
+                .map(|(expected, result)| u64::from(result.abs_diff(expected)))
+                .sum();
+            // optima-lint: end-hot
+            Ok::<_, Infallible>(error_sum)
+        }) {
             Ok(sums) => sums,
             Err(impossible) => match impossible.source {},
         };
-        // Every |error| is at most 65,535 and a sample has at most 65,536
+        // Every |error| is at most 65,535 and an instance has at most 65,536
         // of them, so each sum is an exact f64 and the mean has the bits of
         // summing the errors one by one.
-        let per_sample_error_lsb: Vec<f64> = block_error_sums
-            .chunks(blocks)
-            .map(|sums| sums.iter().sum::<u64>() as f64 / input_space as f64)
+        let per_sample_error_lsb: Vec<f64> = error_sums
+            .iter()
+            .map(|&sum| sum as f64 / input_space as f64)
             .collect();
         let mismatch_monte_carlo = MismatchMonteCarlo {
             mean_error_lsb: stats::mean(&per_sample_error_lsb),
@@ -575,21 +539,24 @@ mod tests {
         }
     }
 
-    /// Per-sample mean |error| of a plain serial walk through the live
-    /// per-pair oracle: a fresh stream per sample, every pair in `(a, d)`
-    /// order drawing its own deviations while evaluating the models, the
-    /// errors buffered as floats and averaged.
+    /// Per-instance mean |error| of a plain serial walk through the live
+    /// per-pair oracle: each instance draws its chip's normals from a fresh
+    /// stream, then every pair in `(a, d)` order evaluates the models on
+    /// that chip, the errors buffered as floats and averaged.
     fn walked_monte_carlo(multiplier: &InSramMultiplier, config: &PvtAnalysisConfig) -> Vec<f64> {
         let at = multiplier.nominal_operating_point();
         let max = multiplier.array().operand_max();
         (0..config.mismatch_samples as u64)
-            .map(|sample| {
-                let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(config.seed, sample));
+            .map(|instance| {
+                let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(config.seed, instance));
+                let normals: Vec<f64> = (0..multiplier.array().operand_bits)
+                    .map(|_| standard_normal(&mut rng))
+                    .collect();
                 let mut errors = Vec::new();
                 for a in 0..=max {
                     for d in 0..=max {
                         let outcome =
-                            reference::multiply_with_mismatch(multiplier, &mut rng, a, d, at)
+                            reference::multiply_with_mismatch(multiplier, &normals, a, d, at)
                                 .unwrap();
                         errors.push(outcome.error_lsb().abs());
                     }
@@ -601,15 +568,13 @@ mod tests {
 
     #[test]
     fn analysis_is_bit_identical_at_any_thread_count() {
-        // The full analysis — including the Monte-Carlo sweep, whose samples
-        // draw independent split-seed RNG streams — must not depend on how
-        // work is distributed over threads.  Few samples on many threads
-        // split each sample into row blocks that seek into the sample's
-        // stream.  The V_DAC,0 = 0 V corner has σ = 0 at a = 0, so those
-        // columns draw nothing and the seek has to skip them too.  The noisy
-        // suite makes most draws move a code, so a block that starts one
-        // word off changes its sample's error, and the serial walk pins
-        // where the first block starts.
+        // The full analysis — including the Monte-Carlo sweep, whose
+        // instances draw independent split-seed RNG streams — must not
+        // depend on how work is distributed over threads, and one thread
+        // must match the serial walk of the per-pair oracle.  The noisy
+        // suite makes most normals move a code, so an instance that reads a
+        // cell's normal from the wrong column or the wrong stream changes
+        // its error.  The V_DAC,0 = 0 V corner has σ = 0 at a = 0.
         let noisy = |config| InSramMultiplier::new(noisy_linear_suite(), config).unwrap();
         let zero_word_line = MultiplierConfig::new(Seconds(0.16e-9), Volts(0.0), Volts(1.0));
         let mut cases = vec![("pvt sensitive", multiplier(true), PvtAnalysisConfig::fast())];
@@ -650,5 +615,63 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Pearson correlation of two equally long series.
+    fn correlation(x: &[f64], y: &[f64]) -> f64 {
+        let (mx, my) = (stats::mean(x), stats::mean(y));
+        let (mut sxy, mut sxx, mut syy) = (0.0, 0.0, 0.0);
+        for (&a, &b) in x.iter().zip(y) {
+            sxy += (a - mx) * (b - my);
+            sxx += (a - mx) * (a - mx);
+            syy += (b - my) * (b - my);
+        }
+        sxy / (sxx * syy).sqrt()
+    }
+
+    /// The physical premise of a frozen instance, on the golden circuit: a
+    /// mismatched cell's deviation from the nominal ΔV moves with itself
+    /// across the discharge times and word-line voltages one chip sees.
+    /// 400 cells at nominal PVT, each correlated with itself across
+    /// t = 0.16 ns and 1.28 ns at V_WL = 0.7 V (measured 1.000), and across
+    /// V_WL = 0.5 V and 0.7 V at t = 1.28 ns (measured 0.953).
+    #[test]
+    fn golden_cell_mismatch_is_frozen_across_operating_points() {
+        use optima_circuit::prelude::{
+            DischargeStimulus, MismatchModel, MismatchSample, PvtConditions, Technology,
+            TransientSimulator,
+        };
+        let technology = Technology::tsmc65_like();
+        let simulator = TransientSimulator::new(technology.clone());
+        let pvt = PvtConditions::nominal(&technology);
+        let mut cells = vec![MismatchSample::none()];
+        cells.extend(MismatchModel::from_technology(&technology).sample_n(400, 0x6011));
+        let times = [Seconds(0.0), Seconds(0.16e-9), Seconds(1.28e-9)];
+        // Per query time after 0, each mismatched cell's ΔV minus the
+        // nominal cell's.
+        let deviations = |word_line: f64| -> Vec<Vec<f64>> {
+            let stimulus = DischargeStimulus {
+                word_line_voltage: Volts(word_line),
+                duration: Seconds(1.28e-9),
+                ..DischargeStimulus::default()
+            };
+            let mut voltages = vec![0.0; cells.len() * times.len()];
+            simulator
+                .fill_mismatch_voltages(&stimulus, &pvt, &cells, &times, &mut voltages)
+                .unwrap();
+            let (initial, later) = voltages.split_at(cells.len());
+            later
+                .chunks_exact(cells.len())
+                .map(|at_t| {
+                    let delta = |k: usize| initial[k] - at_t[k];
+                    (1..cells.len()).map(|k| delta(k) - delta(0)).collect()
+                })
+                .collect()
+        };
+        let (low, high) = (deviations(0.5), deviations(0.7));
+        let across_time = correlation(&high[0], &high[1]);
+        let across_word_line = correlation(&low[1], &high[1]);
+        assert!(across_time > 0.999, "across t: {across_time}");
+        assert!(across_word_line > 0.9, "across V_WL: {across_word_line}");
     }
 }
