@@ -46,7 +46,7 @@ impl Experiment for AblationDac {
             ] {
                 let multiplier =
                     InSramMultiplier::new(models.clone(), config.with_dac_transfer(transfer))?;
-                let metrics = evaluate_multiplier(&multiplier)?;
+                let metrics = evaluate_multiplier(&multiplier);
                 table.push_row(vec![
                     Scalar::text(name),
                     Scalar::text(label),

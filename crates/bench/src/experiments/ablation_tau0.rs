@@ -46,7 +46,7 @@ impl Experiment for AblationTau0 {
             let tau0 = Seconds(tau0_ps as f64 * 1e-12);
             let config = MultiplierConfig::new(tau0, Volts(0.3), Volts(1.0));
             let multiplier = InSramMultiplier::new(models.clone(), config)?;
-            let metrics = evaluate_multiplier(&multiplier)?;
+            let metrics = evaluate_multiplier(&multiplier);
             table.push_row(vec![
                 Scalar::Float(tau0.0 * 1e9, 2),
                 Scalar::Float(metrics.epsilon_mul, 2),

@@ -106,7 +106,7 @@ impl GeometrySweep {
 
         let config = MultiplierConfig::paper_fom_corner().with_array(array);
         let multiplier = InSramMultiplier::new(models, config)?;
-        let metrics = evaluate_multiplier(&multiplier)?;
+        let metrics = evaluate_multiplier(&multiplier);
         let table =
             MultiplierTable::from_multiplier(&multiplier, multiplier.nominal_operating_point())?;
         let products = Arc::new(InMemoryProducts::new(table, array.describe()));

@@ -68,9 +68,8 @@ pub struct DesignSpace {
 
 impl DesignSpace {
     /// The paper's 48-corner grid: τ0 ∈ {0.16, 0.20, 0.24} ns,
-    /// V_DAC,0 ∈ {0.3, 0.4, 0.5} V, V_DAC,FS ∈ {0.7, 0.8, 0.9, 1.0} V
-    /// (3 × 4 × 4 = 48 corners, counting V_DAC,0 < V_DAC,FS combinations of
-    /// the extended zero grid {0.3, 0.4, 0.5, 0.6} used in Fig. 7 left).
+    /// V_DAC,0 ∈ {0.3, 0.4, 0.5, 0.6} V, V_DAC,FS ∈ {0.7, 0.8, 0.9, 1.0} V
+    /// (3 × 4 × 4 = 48 corners; every V_DAC,0 lies below every V_DAC,FS).
     pub fn paper_sweep() -> Self {
         DesignSpace {
             tau0_values: vec![0.16e-9, 0.20e-9, 0.24e-9],
@@ -161,14 +160,15 @@ impl DesignSpaceExplorer {
         self
     }
 
-    /// Evaluates a single design point.
+    /// Evaluates a single design point: the metrics read the nominal grid
+    /// the multiplier built at construction.
     ///
     /// # Errors
     ///
-    /// Propagates multiplier construction and evaluation errors.
+    /// Propagates multiplier construction errors.
     pub fn evaluate_point(&self, point: DesignPoint) -> Result<DesignPointResult, ImcError> {
         let multiplier = InSramMultiplier::new(self.models.clone(), point.to_config())?;
-        let metrics = evaluate_multiplier(&multiplier)?;
+        let metrics = evaluate_multiplier(&multiplier);
         Ok(DesignPointResult { point, metrics })
     }
 

@@ -5,9 +5,11 @@
 //! and the average energy per operation (`E_mul`); the corner selection of
 //! Table I additionally needs the analog standard deviation at the maximum
 //! discharge.
+//!
+//! Both are read off the multiplier's kept nominal grid and σ table, which
+//! construction built and validated, so the evaluation cannot fail.
 
-use crate::error::ImcError;
-use crate::multiplier::{InSramMultiplier, OperatingPoint};
+use crate::multiplier::{InSramMultiplier, MultiplyOutcome};
 use optima_math::stats;
 use optima_math::units::{FemtoJoules, Volts};
 use serde::{Deserialize, Serialize};
@@ -40,28 +42,8 @@ impl MultiplierMetrics {
     }
 }
 
-/// Evaluates a multiplier over the full input space at the given operating
-/// point, through the analog grid ([`InSramMultiplier::outcome_grid`]): the
-/// fitted polynomials are evaluated once per (operand, column) instead of
-/// once per operand pair.
-///
-/// # Errors
-///
-/// Propagates multiplier evaluation errors.
-pub fn evaluate_multiplier_at(
-    multiplier: &InSramMultiplier,
-    at: OperatingPoint,
-) -> Result<MultiplierMetrics, ImcError> {
-    let outcomes = multiplier.outcome_grid(at)?;
-    let sigmas = multiplier.analog_sigma_grid()?;
-    metrics_from(&outcomes, &sigmas)
-}
-
 /// Aggregates per-pair outcomes and analog σ, both in operand-major order.
-pub(crate) fn metrics_from(
-    outcomes: &[crate::multiplier::MultiplyOutcome],
-    sigmas: &[Volts],
-) -> Result<MultiplierMetrics, ImcError> {
+pub(crate) fn metrics_from(outcomes: &[MultiplyOutcome], sigmas: &[Volts]) -> MultiplierMetrics {
     let mut abs_errors = Vec::with_capacity(outcomes.len());
     let mut signed_errors = Vec::with_capacity(outcomes.len());
     let mut multiply_energies = Vec::with_capacity(outcomes.len());
@@ -76,7 +58,7 @@ pub(crate) fn metrics_from(
         worst_sigma = worst_sigma.max(sigma.0);
     }
 
-    Ok(MultiplierMetrics {
+    MultiplierMetrics {
         epsilon_mul: stats::mean(&abs_errors),
         rms_error_lsb: stats::rms(&signed_errors),
         max_error_lsb: abs_errors.iter().cloned().fold(0.0, f64::max),
@@ -86,16 +68,17 @@ pub(crate) fn metrics_from(
         // optima-lint: allow(R3) -- the operand grid always has at least (0, 0)
         sigma_at_max_discharge: *sigmas.last().expect("input space is never empty"),
         worst_case_sigma: Volts(worst_sigma),
-    })
+    }
 }
 
-/// Evaluates a multiplier over the full input space at its nominal operating point.
-///
-/// # Errors
-///
-/// Propagates multiplier evaluation errors.
-pub fn evaluate_multiplier(multiplier: &InSramMultiplier) -> Result<MultiplierMetrics, ImcError> {
-    evaluate_multiplier_at(multiplier, multiplier.nominal_operating_point())
+/// Evaluates a multiplier over the full input space at its nominal
+/// operating point: the outcomes of [`InSramMultiplier::outcome_grid`] and
+/// the σ of [`InSramMultiplier::analog_sigma_grid`], both off the kept grid.
+pub fn evaluate_multiplier(multiplier: &InSramMultiplier) -> MultiplierMetrics {
+    metrics_from(
+        &multiplier.nominal_outcomes(),
+        &multiplier.analog_sigma_grid(),
+    )
 }
 
 #[cfg(test)]
@@ -125,7 +108,7 @@ mod tests {
 
     #[test]
     fn near_ideal_configuration_has_sub_lsb_error() {
-        let metrics = evaluate_multiplier(&near_ideal()).unwrap();
+        let metrics = evaluate_multiplier(&near_ideal());
         assert!(
             metrics.epsilon_mul < 1.0,
             "epsilon = {}",
@@ -139,8 +122,8 @@ mod tests {
 
     #[test]
     fn misaligned_dac_zero_increases_error() {
-        let good = evaluate_multiplier(&near_ideal()).unwrap();
-        let bad = evaluate_multiplier(&nonlinear()).unwrap();
+        let good = evaluate_multiplier(&near_ideal());
+        let bad = evaluate_multiplier(&nonlinear());
         assert!(
             bad.epsilon_mul > good.epsilon_mul,
             "bad {} <= good {}",
@@ -151,15 +134,15 @@ mod tests {
 
     #[test]
     fn sigma_metrics_are_consistent() {
-        let metrics = evaluate_multiplier(&near_ideal()).unwrap();
+        let metrics = evaluate_multiplier(&near_ideal());
         assert!(metrics.worst_case_sigma.0 >= metrics.sigma_at_max_discharge.0 - 1e-12);
         assert!(metrics.sigma_at_max_discharge.0 > 0.0);
     }
 
     #[test]
     fn figure_of_merit_prefers_accurate_and_efficient_corners() {
-        let good = evaluate_multiplier(&near_ideal()).unwrap();
-        let bad = evaluate_multiplier(&nonlinear()).unwrap();
+        let good = evaluate_multiplier(&near_ideal());
+        let bad = evaluate_multiplier(&nonlinear());
         assert!(good.figure_of_merit() > bad.figure_of_merit());
     }
 

@@ -12,6 +12,10 @@
 //! each operand, and wider operands (e.g. INT8 on a 4-bit array) are composed
 //! from `slices² ` passes with digital shift-add accumulation.  The default
 //! geometry reproduces the paper's array bit-for-bit.
+//!
+//! Construction evaluates the fitted models once, into the nominal analog
+//! grid and its Eq. 6 σ table; every nominal readout reads them, and only an
+//! off-nominal operating point or an aging fault state builds a new grid.
 
 use crate::error::ImcError;
 use crate::reliability::FaultState;
@@ -21,6 +25,7 @@ use optima_circuit::dac::{Dac, DacTransfer};
 use optima_core::model::suite::ModelSuite;
 use optima_math::units::{Celsius, FemtoJoules, Seconds, Volts};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 #[cfg(test)]
 pub(crate) mod reference;
@@ -152,15 +157,20 @@ pub struct InSramMultiplier {
     /// float operations; a pristine `Some` state is bit-identical to it
     /// (property-tested).
     faults: Option<FaultState>,
+    /// The analog grid at `nominal` under `faults`.
+    grid: AnalogOperandGrid,
+    /// The finite Eq. 6 σ table of `grid` ([`InSramMultiplier::mismatch_sigmas`]).
+    sigmas: Vec<f64>,
 }
 
 impl InSramMultiplier {
     /// Builds a multiplier for the given fitted models and design point.
     ///
-    /// Construction performs a one-time transfer-curve calibration (the
-    /// mapping from combined discharge to product LSBs) at nominal
-    /// conditions, mirroring how the readout reference of the real circuit
-    /// would be trimmed.
+    /// Construction builds the nominal analog grid and its Eq. 6 σ table
+    /// once, then performs a one-time transfer-curve calibration (the
+    /// mapping from combined discharge to product LSBs) on that grid,
+    /// mirroring how the readout reference of the real circuit would be
+    /// trimmed.
     ///
     /// # Errors
     ///
@@ -168,6 +178,8 @@ impl InSramMultiplier {
     ///   inconsistent, `τ0` is non-positive or the array geometry is invalid.
     /// * Propagates model-evaluation errors if the configuration drives the
     ///   models outside their calibrated domain.
+    /// * [`ImcError::NonFiniteSigma`] naming the first (operand-major)
+    ///   `(slice operand, column)` whose Eq. 6 σ is not finite.
     pub fn new(models: ModelSuite, config: MultiplierConfig) -> Result<Self, ImcError> {
         if config.tau0.0 <= 0.0 || !config.tau0.0.is_finite() {
             return Err(ImcError::InvalidConfiguration {
@@ -211,9 +223,19 @@ impl InSramMultiplier {
             converter_overhead: FemtoJoules(2.0 / config.array.column_mux as f64),
             nominal,
             faults: None,
+            grid: AnalogOperandGrid::default(),
+            sigmas: Vec::new(),
         };
+        multiplier.build_nominal_grid()?;
         multiplier.calibrate_transfer()?;
         Ok(multiplier)
+    }
+
+    /// Builds the kept nominal grid and σ table under the attached faults.
+    fn build_nominal_grid(&mut self) -> Result<(), ImcError> {
+        self.grid = self.analog_grid(self.nominal)?;
+        self.sigmas = self.mismatch_sigmas(&self.grid)?;
+        Ok(())
     }
 
     /// The design-point configuration.
@@ -251,11 +273,14 @@ impl InSramMultiplier {
     /// re-calibrated: the readout reference of the real circuit is trimmed
     /// once at test time on (presumed-good) reference columns, so deployed
     /// defects and aging show up as output error, exactly as in the field.
+    /// The nominal grid and σ table are rebuilt at the aged word lines.
     ///
     /// # Errors
     ///
-    /// [`ImcError::InvalidConfiguration`] when the fault state was built for
-    /// a different array geometry.
+    /// * [`ImcError::InvalidConfiguration`] when the fault state was built
+    ///   for a different array geometry.
+    /// * The model-evaluation and [`ImcError::NonFiniteSigma`] errors of
+    ///   [`InSramMultiplier::new`], at the aged word lines.
     pub fn with_faults(mut self, faults: FaultState) -> Result<Self, ImcError> {
         if faults.array() != &self.config.array {
             return Err(ImcError::InvalidConfiguration {
@@ -267,6 +292,7 @@ impl InSramMultiplier {
             });
         }
         self.faults = Some(faults);
+        self.build_nominal_grid()?;
         Ok(self)
     }
 
@@ -287,13 +313,12 @@ impl InSramMultiplier {
     }
 
     /// Least-squares calibration of the discharge-to-LSB transfer factor over
-    /// the full slice input space at nominal conditions (batched: the analog
-    /// grid is evaluated once, then combined per operand pair).
+    /// the full slice input space on the kept nominal grid.
     ///
     /// Composed geometries calibrate the single analog pass; the digital
     /// shift-add composition is exact and needs no trimming of its own.
     fn calibrate_transfer(&mut self) -> Result<(), ImcError> {
-        let grid = self.analog_grid(self.nominal)?;
+        let grid = &self.grid;
         let slice_max = self.config.array.slice_max();
         let mut numerator = 0.0;
         let mut denominator = 0.0;
@@ -380,6 +405,16 @@ impl InSramMultiplier {
         })
     }
 
+    /// The kept grid when `at` is the nominal operating point, otherwise a
+    /// fresh [`InSramMultiplier::analog_grid`].
+    fn grid_at(&self, at: OperatingPoint) -> Result<Cow<'_, AnalogOperandGrid>, ImcError> {
+        if at == self.nominal {
+            Ok(Cow::Borrowed(&self.grid))
+        } else {
+            self.analog_grid(at).map(Cow::Owned)
+        }
+    }
+
     /// Evaluates the full input space at `at` through the analog grid,
     /// returning the outcomes in operand-major order (`a` outer, `d` inner)
     /// — the same outcomes as calling [`InSramMultiplier::multiply_at`] for
@@ -390,15 +425,25 @@ impl InSramMultiplier {
     /// Propagates converter and model-evaluation errors, slice operand by
     /// slice operand in ascending order.
     pub fn outcome_grid(&self, at: OperatingPoint) -> Result<Vec<MultiplyOutcome>, ImcError> {
-        let grid = self.analog_grid(at)?;
+        let grid = self.grid_at(at)?;
+        Ok(self.outcomes(&grid, at))
+    }
+
+    /// [`InSramMultiplier::outcome_grid`] off the kept nominal grid.
+    pub(crate) fn nominal_outcomes(&self) -> Vec<MultiplyOutcome> {
+        self.outcomes(&self.grid, self.nominal)
+    }
+
+    /// The outcome of every pair, operand-major, off a grid built at `at`.
+    fn outcomes(&self, grid: &AnalogOperandGrid, at: OperatingPoint) -> Vec<MultiplyOutcome> {
         let max = self.config.array.operand_max();
         let mut outcomes = Vec::with_capacity(self.config.array.input_space());
         for a in 0..=max {
             for d in 0..=max {
-                outcomes.push(self.grid_outcome(&grid, a, d, at));
+                outcomes.push(self.grid_outcome(grid, a, d, at));
             }
         }
-        Ok(outcomes)
+        outcomes
     }
 
     /// The digitised result of every operand pair at `at`, in operand-major
@@ -411,9 +456,18 @@ impl InSramMultiplier {
     ///
     /// Same as [`InSramMultiplier::outcome_grid`].
     pub(crate) fn result_grid(&self, at: OperatingPoint) -> Result<Vec<u16>, ImcError> {
-        let grid = self.analog_grid(at)?;
+        let grid = self.grid_at(at)?;
         let codes = self.code_table(&grid, at, None);
         Ok(self.pair_results(&codes).collect())
+    }
+
+    /// The [`InSramMultiplier::code_table`] of the kept nominal grid: the
+    /// pristine readout, or with `normals` the Monte-Carlo chip whose data
+    /// column `c` draws `normals[c]`, perturbed by the kept σ table.
+    pub(crate) fn nominal_code_table(&self, normals: Option<&[f64]>) -> Vec<u32> {
+        let sigmas = &self.sigmas;
+        let instance = normals.map(|normals| MismatchInstance { sigmas, normals });
+        self.code_table(&self.grid, self.nominal, instance)
     }
 
     /// The weighted ADC code of every (pass, slice pair) off a grid built at
@@ -558,16 +612,16 @@ impl InSramMultiplier {
         }
     }
 
-    /// The Eq. 6 σ of every `(slice operand, column)` of a Monte-Carlo
-    /// instance read off `grid`, laid out like the grid's discharges and
-    /// evaluated at the grid's own (supply-adjusted, aged) word lines —
-    /// exactly the σ a live per-pair evaluation would use.
+    /// The Eq. 6 σ of every `(slice operand, column)` of `grid`, laid out
+    /// like the grid's discharges and evaluated at the grid's own
+    /// (supply-adjusted, aged) word lines — exactly the σ a live per-pair
+    /// evaluation would use.
     ///
     /// # Errors
     ///
     /// [`ImcError::NonFiniteSigma`] naming the first (operand-major)
     /// `(slice operand, column)` whose σ is not finite, so a broken Eq. 6
-    /// fit fails before any instance is read out.
+    /// fit fails the multiplier's construction.
     pub(crate) fn mismatch_sigmas(&self, grid: &AnalogOperandGrid) -> Result<Vec<f64>, ImcError> {
         let bits = self.config.array.slice_bits;
         let mut sigmas = Vec::with_capacity(grid.word_lines.len() * bits as usize);
@@ -590,51 +644,24 @@ impl InSramMultiplier {
         Ok(sigmas)
     }
 
-    /// Analog mismatch σ of every operand pair, in operand-major order: the
-    /// root-sum-square of the per-column σ within one pass, and for composed
-    /// geometries the worst pass, since every pass is digitised on its own.
-    /// It takes `slice_bits` σ-model evaluations per slice operand and one
+    /// Analog mismatch σ of every operand pair at the nominal operating
+    /// point, in operand-major order: the root-sum-square of the kept
+    /// per-column σ table within one pass, and for composed geometries the
+    /// worst pass, since every pass is digitised on its own.  It takes one
     /// root-sum-square per slice pair (a pass's σ does not depend on which
-    /// pass it is) instead of one evaluation per set bit of every pair, with
-    /// bit-identical results.
-    ///
-    /// # Errors
-    ///
-    /// * [`ImcError::NonFiniteSigma`] naming the first (operand-major)
-    ///   `(slice operand, column)` whose σ is not finite.
-    /// * Propagates converter errors.
-    pub fn analog_sigma_grid(&self) -> Result<Vec<Volts>, ImcError> {
+    /// pass it is) instead of one per set bit of every pair, with
+    /// bit-identical results.  Like the Monte Carlo, it sees the aged word
+    /// lines of an attached fault state.
+    pub fn analog_sigma_grid(&self) -> Vec<Volts> {
         let array = &self.config.array;
         let slice_operands = array.slice_max() as usize + 1;
         let bits = array.slice_bits as usize;
-        let mut sigmas = vec![0.0; slice_operands * bits];
-        for a in 0..slice_operands {
-            let word_line = self.dac.output(a as u16)?;
-            for bit in 0..array.slice_bits {
-                let sigma = self
-                    .models
-                    .mismatch_sigma(self.column_duration(bit), word_line)
-                    .0;
-                if !sigma.is_finite() {
-                    return Err(ImcError::NonFiniteSigma {
-                        slice_operand: a as u16,
-                        column: bit,
-                        sigma,
-                    });
-                }
-                sigmas[a * bits + bit as usize] = sigma;
-            }
-        }
         let mut slice_pair_sigmas = Vec::with_capacity(slice_operands * slice_operands);
-        for a_slice in 0..slice_operands {
+        for row in self.sigmas.chunks_exact(bits) {
             for d_slice in 0..slice_operands {
-                let mut variance = 0.0;
-                for bit in 0..bits {
-                    if (d_slice >> bit) & 1 == 1 {
-                        let sigma = sigmas[a_slice * bits + bit];
-                        variance += sigma * sigma;
-                    }
-                }
+                let variance = (0..bits)
+                    .filter(|bit| (d_slice >> bit) & 1 == 1)
+                    .fold(0.0, |variance, bit| variance + row[bit] * row[bit]);
                 slice_pair_sigmas.push(variance.sqrt() / bits as f64);
             }
         }
@@ -648,7 +675,7 @@ impl InSramMultiplier {
                 grid.push(Volts(sigma));
             }
         }
-        Ok(grid)
+        grid
     }
 
     fn check_operands(&self, a: u16, d: u16) -> Result<(), ImcError> {
@@ -688,7 +715,7 @@ impl InSramMultiplier {
         at: OperatingPoint,
     ) -> Result<MultiplyOutcome, ImcError> {
         self.check_operands(a, d)?;
-        let grid = self.analog_grid(at)?;
+        let grid = self.grid_at(at)?;
         Ok(self.grid_outcome(&grid, a, d, at))
     }
 
@@ -826,10 +853,11 @@ impl Pass {
 /// Per-(slice operand, column) analog quantities of one multiplier at one
 /// operating point, precomputed through the batched model fills.
 ///
-/// Built by [`InSramMultiplier::analog_grid`]; the operand pairs of the full
-/// input space combine these `(slice_max + 1) × slice_bits` values instead of
+/// Built by [`InSramMultiplier::analog_grid`]; the multiplier keeps the one
+/// at its nominal operating point.  The operand pairs of the full input
+/// space combine these `(slice_max + 1) × slice_bits` values instead of
 /// re-evaluating the fitted polynomials per pair.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct AnalogOperandGrid {
     /// Slice width the grid was generated for (row stride of the flats).
     slice_bits: u8,
@@ -1019,7 +1047,7 @@ impl MultiplierTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testsupport::{ideal_config, int8_config, linear_suite};
+    use crate::testsupport::{faulted_multiplier, ideal_config, int8_config, linear_suite};
 
     #[test]
     fn near_ideal_multiplier_reproduces_products() {
@@ -1117,7 +1145,7 @@ mod tests {
     #[test]
     fn analog_sigma_grows_with_operands() {
         let multiplier = InSramMultiplier::new(linear_suite(), ideal_config()).unwrap();
-        let sigmas = multiplier.analog_sigma_grid().unwrap();
+        let sigmas = multiplier.analog_sigma_grid();
         let sigma = |a: usize, d: usize| sigmas[a * 16 + d].0;
         assert!(sigma(15, 15) > sigma(3, 1));
         assert_eq!(sigma(5, 0), 0.0);
@@ -1179,18 +1207,35 @@ mod tests {
         }
     }
 
+    /// The kept nominal grid and σ table are what a fresh build at the
+    /// nominal point gives, also after attaching a fault state whose V_th
+    /// aging moves the word lines.
     #[test]
-    fn analog_grid_exposes_per_column_quantities() {
-        let multiplier = InSramMultiplier::new(linear_suite(), ideal_config()).unwrap();
-        let grid = multiplier
-            .analog_grid(multiplier.nominal_operating_point())
-            .unwrap();
-        // d = 1 uses only column 0, so the combined discharge is delta/4.
-        let single = grid.combined_discharge(9, 1);
-        assert!(single > 0.0);
-        assert_eq!(grid.combined_discharge(9, 0), 0.0);
-        // Word lines grow with the DAC code for a linear transfer.
-        assert!(grid.word_lines[15].0 > grid.word_lines[0].0);
+    fn kept_grid_and_sigmas_match_a_fresh_nominal_build() {
+        use crate::reliability::FaultState;
+        use optima_circuit::defects::{DefectMap, LifetimeTrajectory};
+        let new = |config| InSramMultiplier::new(linear_suite(), config).unwrap();
+        let pristine = new(ideal_config());
+        assert!(pristine.grid.combined_discharge(9, 1) > 0.0);
+        assert_eq!(pristine.grid.combined_discharge(9, 0), 0.0);
+        assert!(pristine.grid.word_lines[15].0 > pristine.grid.word_lines[0].0);
+        let array = ArrayConfig::paper();
+        let aged_state = FaultState::unmitigated(&array, DefectMap::none(&array), 0)
+            .unwrap()
+            .with_lifetime(&LifetimeTrajectory::nbti_like().at(10));
+        let aged = pristine.clone().with_faults(aged_state).unwrap();
+        assert_ne!(aged.grid.word_lines, pristine.grid.word_lines);
+        for (name, multiplier) in [
+            ("int4", pristine),
+            ("int8", new(int8_config())),
+            ("faulted", faulted_multiplier(linear_suite()).unwrap()),
+            ("aged", aged),
+        ] {
+            let fresh = multiplier.analog_grid(multiplier.nominal).unwrap();
+            assert_eq!(multiplier.grid, fresh, "{name}");
+            let sigmas = multiplier.mismatch_sigmas(&fresh).unwrap();
+            assert_eq!(multiplier.sigmas, sigmas, "{name}");
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! multiplication off the precomputed grids instead
 //! ([`InSramMultiplier::outcome_grid`], the code table
 //! [`InSramMultiplier::code_table`] of the Fig. 8 sweeps and Monte-Carlo
-//! instances, and [`InSramMultiplier::analog_sigma_grid`]); the tests below
-//! pin them bit-identical to this path.
+//! instances, and [`InSramMultiplier::analog_sigma_grid`]), at the nominal
+//! point the multiplier's kept grid; the tests below pin them bit-identical.
 
 use super::{InSramMultiplier, MultiplierTable, MultiplyOutcome, OperatingPoint};
 use crate::error::ImcError;
@@ -176,8 +176,9 @@ pub(crate) fn multiply_with_mismatch(
     multiply_inner(m, a, d, at, Some(normals))
 }
 
-/// Analog σ of the combined discharge for `(a, d)`: the root-sum-square of
-/// the per-column σ within one pass, the worst pass for composed geometries.
+/// Analog σ of the combined discharge for `(a, d)` at the (aged) nominal
+/// word lines: the root-sum-square of the per-column σ within one pass, the
+/// worst pass for composed geometries.
 pub(crate) fn analog_sigma(m: &InSramMultiplier, a: u16, d: u16) -> Result<Volts, ImcError> {
     m.check_operands(a, d)?;
     let array = &m.config.array;
@@ -187,7 +188,7 @@ pub(crate) fn analog_sigma(m: &InSramMultiplier, a: u16, d: u16) -> Result<Volts
     let mut worst = 0.0f64;
     for i in 0..slices {
         let a_slice = (a >> (i * shift)) & mask;
-        let word_line = m.dac.output(a_slice)?;
+        let word_line = m.aged_word_line(m.dac.output(a_slice)?);
         for j in 0..slices {
             let d_slice = (d >> (j * shift)) & mask;
             let mut variance = 0.0;
@@ -204,12 +205,10 @@ pub(crate) fn analog_sigma(m: &InSramMultiplier, a: u16, d: u16) -> Result<Volts
     Ok(Volts(worst))
 }
 
-/// The input-space metrics at `at`, one [`multiply_at`] and one
-/// [`analog_sigma`] per pair.
-pub(crate) fn input_space(
-    m: &InSramMultiplier,
-    at: OperatingPoint,
-) -> Result<MultiplierMetrics, ImcError> {
+/// The input-space metrics at the nominal point, one [`multiply_at`] and
+/// one [`analog_sigma`] per pair.
+pub(crate) fn input_space(m: &InSramMultiplier) -> Result<MultiplierMetrics, ImcError> {
+    let at = m.nominal_operating_point();
     let max = m.array().operand_max();
     let mut outcomes = Vec::with_capacity(m.array().input_space());
     let mut sigmas = Vec::with_capacity(m.array().input_space());
@@ -219,7 +218,7 @@ pub(crate) fn input_space(
             sigmas.push(analog_sigma(m, a, d)?);
         }
     }
-    metrics_from(&outcomes, &sigmas)
+    Ok(metrics_from(&outcomes, &sigmas))
 }
 
 /// The multiplier table at `at`, one [`multiply_at`] per pair.
@@ -238,7 +237,7 @@ pub(crate) fn table(m: &InSramMultiplier, at: OperatingPoint) -> Result<Multipli
 mod tests {
     use super::*;
     use crate::dse::{DesignSpace, DesignSpaceExplorer};
-    use crate::metrics::evaluate_multiplier_at;
+    use crate::metrics::evaluate_multiplier;
     use crate::multiplier::{MismatchInstance, MultiplierConfig};
     use crate::testsupport::{
         faulted_multiplier, ideal_config, int8_config, linear_suite, noisy_linear_suite,
@@ -308,7 +307,9 @@ mod tests {
     }
 
     /// `result_grid` against the live `multiply_at(..).result`, and
-    /// `analog_sigma_grid` against the live [`analog_sigma`] by bits.
+    /// `analog_sigma_grid` against the live [`analog_sigma`] by bits.  The
+    /// faulted chip's V_th aging moves its word lines, so its σ differs
+    /// from its pristine twin's.
     #[test]
     fn result_grid_is_bit_identical_to_scalar_results() {
         let int4: Vec<u16> = (0..=15).collect();
@@ -330,9 +331,13 @@ mod tests {
             ),
             ("faulted", faulted_multiplier(linear_suite()).unwrap(), int4),
         ];
+        assert_ne!(
+            cases[3].1.analog_sigma_grid(),
+            cases[0].1.analog_sigma_grid()
+        );
         for (name, multiplier, operands) in &cases {
             let rows = multiplier.array().operand_max() as usize + 1;
-            let sigmas = multiplier.analog_sigma_grid().unwrap();
+            let sigmas = multiplier.analog_sigma_grid();
             assert_eq!(sigmas.len(), rows * rows);
             for at in [
                 multiplier.nominal_operating_point(),
@@ -448,14 +453,13 @@ mod tests {
             faulted_multiplier(noisy_linear_suite()).unwrap(),
         ] {
             let at = multiplier.nominal_operating_point();
-            let grid = multiplier.analog_grid(at).unwrap();
-            let zeros = vec![0.0; multiplier.mismatch_sigmas(&grid).unwrap().len()];
+            let zeros = vec![0.0; multiplier.sigmas.len()];
             let normals = instance_normals(&multiplier, 7);
             let chip = MismatchInstance {
                 sigmas: &zeros,
                 normals: &normals,
             };
-            let codes = multiplier.code_table(&grid, at, Some(chip));
+            let codes = multiplier.code_table(&multiplier.grid, at, Some(chip));
             let results: Vec<u16> = multiplier.pair_results(&codes).collect();
             assert_eq!(results, multiplier.result_grid(at).unwrap());
         }
@@ -523,40 +527,38 @@ mod tests {
         assert_eq!(batched, scalar);
     }
 
+    /// The corner metrics off the kept grid and σ table against one live
+    /// evaluation per pair, including a faulted chip's aged word lines.
     #[test]
     fn batched_metrics_are_bit_identical_to_the_scalar_reference() {
-        for config in [
-            ideal_config(),
+        let new = |config| InSramMultiplier::new(linear_suite(), config).unwrap();
+        for multiplier in [
+            new(ideal_config()),
             // Zero code well below the threshold voltage: small DAC codes
             // produce almost no discharge.
-            MultiplierConfig::new(Seconds(0.16e-9), Volts(0.1), Volts(1.0)),
+            new(MultiplierConfig::new(
+                Seconds(0.16e-9),
+                Volts(0.1),
+                Volts(1.0),
+            )),
+            new(int8_config()),
+            faulted_multiplier(linear_suite()).unwrap(),
         ] {
-            let multiplier = InSramMultiplier::new(linear_suite(), config).unwrap();
-            let at = multiplier.nominal_operating_point();
-            let batched = evaluate_multiplier_at(&multiplier, at).unwrap();
-            let scalar = input_space(&multiplier, at).unwrap();
-            assert_eq!(batched, scalar);
+            let batched = evaluate_multiplier(&multiplier);
+            assert_eq!(batched, input_space(&multiplier).unwrap());
+            assert!(batched.epsilon_mul.is_finite());
+            assert!(batched.energy_per_multiply.0 > 0.0);
         }
-    }
-
-    #[test]
-    fn int8_metrics_are_bit_identical_between_batched_and_scalar() {
-        let multiplier = InSramMultiplier::new(linear_suite(), int8_config()).unwrap();
-        let at = multiplier.nominal_operating_point();
-        let batched = evaluate_multiplier_at(&multiplier, at).unwrap();
-        let scalar = input_space(&multiplier, at).unwrap();
-        assert_eq!(batched, scalar);
-        assert!(batched.epsilon_mul.is_finite());
-        assert!(batched.energy_per_multiply.0 > 0.0);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Multiplier-table construction, the input-space outcomes and the
-        /// corner metrics off the analog grid are bit-identical to the live
-        /// per-pair path for arbitrary design points and operating points,
-        /// including off-nominal VDD × temperature corners.
+        /// Multiplier-table construction and the input-space outcomes off the
+        /// analog grid are bit-identical to the live per-pair path for
+        /// arbitrary design points and operating points, including
+        /// off-nominal VDD × temperature corners, and so are the nominal
+        /// corner metrics.
         #[test]
         fn batched_multiplier_table_is_bit_identical_to_scalar(
             tau0_ps in 100.0f64..300.0,
@@ -576,8 +578,8 @@ mod tests {
             let batched = MultiplierTable::from_multiplier(&multiplier, at).unwrap();
             prop_assert_eq!(batched, table(&multiplier, at).unwrap());
             prop_assert_eq!(
-                evaluate_multiplier_at(&multiplier, at).unwrap(),
-                input_space(&multiplier, at).unwrap()
+                evaluate_multiplier(&multiplier),
+                input_space(&multiplier).unwrap()
             );
             let outcomes = multiplier.outcome_grid(at).unwrap();
             for a in 0..=15u16 {
@@ -602,7 +604,7 @@ mod tests {
         for result in &results {
             let multiplier =
                 InSramMultiplier::new(nonlinear_pvt_suite(), result.point.to_config()).unwrap();
-            let reference = input_space(&multiplier, multiplier.nominal_operating_point()).unwrap();
+            let reference = input_space(&multiplier).unwrap();
             assert_eq!(result.metrics, reference, "{:?}", result.point);
         }
     }

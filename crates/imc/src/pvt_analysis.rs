@@ -10,10 +10,11 @@
 //!   sweep of Section V).
 //!
 //! All three sweeps run on the error-strict parallel engine of
-//! [`optima_core::sweep`]: a failing condition aborts the analysis with
-//! [`ImcError::CornerFailed`] naming it, and every reported number —
-//! including the Monte-Carlo statistics, which draw one split-seed RNG
-//! stream per instance — is bit-identical for any thread count.
+//! [`optima_core::sweep`]: a failing supply or temperature condition aborts
+//! the analysis with [`ImcError::CornerFailed`] naming it, and every
+//! reported number — including the Monte-Carlo statistics, which draw one
+//! split-seed RNG stream per instance — is bit-identical for any thread
+//! count.
 //!
 //! Every sweep reads only digitised results, so none builds the energies
 //! and discharges of [`InSramMultiplier::outcome_grid`].  The multiplier's
@@ -21,10 +22,12 @@
 //! pair) — `passes × (slice_max + 1)²` ADC codes, 1,024 for INT8 — and each
 //! operand pair sums its passes' codes.  The results are bit-identical to a
 //! per-pair loop over the live models; the expected product comes from the
-//! loop index.  The nominal analog grid is built once per analysis: the
-//! nominal profile, the mismatch σ table and every Monte-Carlo instance
-//! read that one grid.  The analog σ profile evaluates one root-sum-square
-//! per slice pair and takes each operand pair's worst pass
+//! loop index.  Nothing here builds the nominal analog grid: the nominal
+//! profile, the σ profile and every Monte-Carlo instance read the grid and
+//! Eq. 6 σ table that the multiplier built once, at construction, and so
+//! does a supply or temperature condition equal to the nominal point.  The
+//! analog σ profile evaluates one root-sum-square per slice pair and takes
+//! each operand pair's worst pass
 //! ([`InSramMultiplier::analog_sigma_grid`]).
 //!
 //! A Monte-Carlo instance is one chip.  Eq. 6 is fitted to the spread of
@@ -39,16 +42,16 @@
 //! 8 for INT8 — and keeps them for every operand pair.  Each discharging
 //! cell reads `max(ΔV + σ·z[c], 0)`, with the Eq. 6 σ of its
 //! `(slice operand, column)` evaluated at the grid's own supply-adjusted,
-//! aged word lines; a σ that is not finite (here or in the σ profile)
-//! fails the analysis with [`ImcError::NonFiniteSigma`] before any instance
-//! runs.  The instance is then read out by the same code table as the
-//! nominal profile and returns the integer sum of its |errors|: every sum
-//! is an exact `f64`, so each instance's mean error has the same bits
-//! whatever the thread count.  The nominal error bins and ε_mul sum integer
-//! errors the same way.
+//! aged word lines, the same table the σ profile reads; a σ that is not
+//! finite fails [`InSramMultiplier::new`] with [`ImcError::NonFiniteSigma`],
+//! so no analysis runs on it.  The instance is then read out by the same
+//! code table as the nominal profile and returns the integer sum of its
+//! |errors|: every sum is an exact `f64`, so each instance's mean error has
+//! the same bits whatever the thread count.  The nominal error bins and
+//! ε_mul sum integer errors the same way.
 
 use crate::error::ImcError;
-use crate::multiplier::{InSramMultiplier, MismatchInstance, OperatingPoint};
+use crate::multiplier::{InSramMultiplier, OperatingPoint};
 use optima_circuit::pvt::linspace;
 use optima_core::sweep::{par_map_sweep, stream_seed};
 use optima_math::distributions::standard_normal;
@@ -159,10 +162,11 @@ impl PvtAnalysis {
     ///
     /// # Errors
     ///
-    /// Returns [`ImcError::CornerFailed`] naming the first failing sweep
-    /// condition; no partial analysis is ever returned.  A non-finite
-    /// mismatch σ fails before the Monte Carlo starts, as a `CornerFailed`
-    /// wrapping [`ImcError::NonFiniteSigma`].
+    /// Returns [`ImcError::CornerFailed`] naming the first failing supply or
+    /// temperature condition; no partial analysis is ever returned.  The
+    /// nominal profile and the Monte Carlo read the multiplier's kept grid
+    /// and σ table, which cannot fail (a non-finite σ already failed
+    /// [`InSramMultiplier::new`] with [`ImcError::NonFiniteSigma`]).
     pub fn run(
         multiplier: &InSramMultiplier,
         config: &PvtAnalysisConfig,
@@ -174,25 +178,12 @@ impl PvtAnalysis {
 
         // ---- Fig. 8 left: error and sigma binned by expected result ----
         // The whole input space is read out from one code table of the
-        // nominal grid, which the Monte Carlo below reads as well; results
-        // come in operand-major order, so binning sees samples in the same
-        // (a, d) order as the historical serial double loop — and the table
-        // itself is bit-identical to that loop.
-        let nominal_failed = |corner: &str| {
-            let corner = corner.to_string();
-            move |source: ImcError| ImcError::CornerFailed {
-                index: 0,
-                corner,
-                source: Box::new(source),
-            }
-        };
-        let grid = multiplier
-            .analog_grid(nominal)
-            .map_err(nominal_failed("nominal input-space grid"))?;
-        let codes = multiplier.code_table(&grid, nominal, None);
-        let sigmas = multiplier
-            .analog_sigma_grid()
-            .map_err(nominal_failed("nominal input-space sigma grid"))?;
+        // multiplier's kept nominal grid, which the Monte Carlo below reads
+        // as well; results come in operand-major order, so binning sees
+        // samples in the same (a, d) order as the historical serial double
+        // loop — and the table itself is bit-identical to that loop.
+        let codes = multiplier.nominal_code_table(None);
+        let sigmas = multiplier.analog_sigma_grid();
 
         // Flat per-expected bins.  Errors are integers, so their sums are
         // exact and any grouping gives the mean bits of a float sum; the σ
@@ -266,20 +257,14 @@ impl PvtAnalysis {
         };
 
         // ---- Mismatch Monte Carlo: one chip per instance ----
-        let mismatch_sigmas = multiplier
-            .mismatch_sigmas(&grid)
-            .map_err(nominal_failed("nominal mismatch sigma table"))?;
         let columns = usize::from(multiplier.array().operand_bits);
         let instances: Vec<u64> = (0..config.mismatch_samples as u64).collect();
-        // Once the σ table is built no instance can fail.
+        // The kept σ table was validated at construction, so no instance
+        // can fail.
         let error_sums = match par_map_sweep(&instances, config.threads, |_, &instance| {
             let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(config.seed, instance));
             let normals: Vec<f64> = (0..columns).map(|_| standard_normal(&mut rng)).collect();
-            let chip = MismatchInstance {
-                sigmas: &mismatch_sigmas,
-                normals: &normals,
-            };
-            let codes = multiplier.code_table(&grid, nominal, Some(chip));
+            let codes = multiplier.nominal_code_table(Some(&normals));
             // optima-lint: hot
             let error_sum: u64 = products(operand_max)
                 .zip(multiplier.pair_results(&codes))
@@ -336,7 +321,7 @@ fn products(operand_max: u16) -> impl Iterator<Item = u16> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::evaluate_multiplier;
+    use crate::dse::{DesignSpace, DesignSpaceExplorer};
     use crate::multiplier::{reference, MultiplierConfig};
     use crate::testsupport::{
         faulted_multiplier, ideal_config, int8_config, linear_suite, noisy_linear_suite,
@@ -494,7 +479,8 @@ mod tests {
     fn non_finite_mismatch_sigma_fails_the_analysis_instead_of_panicking() {
         // An Eq. 6 factor of +inf would reach `Gaussian::new` inside a sweep
         // worker, and a NaN one used to read as σ = 0 ("no mismatch"); the
-        // σ tables are validated up front instead.
+        // kept σ table is validated when the multiplier is built instead, so
+        // neither an analysis nor a design-space corner runs on it.
         for factor in [f64::INFINITY, f64::NAN] {
             let base = linear_suite();
             let suite = ModelSuite::new(
@@ -505,15 +491,6 @@ mod tests {
                 base.write_energy_model().clone(),
                 base.discharge_energy_model().clone(),
             );
-            let multiplier = InSramMultiplier::new(
-                suite,
-                MultiplierConfig::new(Seconds(0.16e-9), Volts(0.45), Volts(1.0)),
-            )
-            .unwrap();
-            let config = PvtAnalysisConfig {
-                threads: 2,
-                ..PvtAnalysisConfig::fast()
-            };
             let is_first_column = |err: &ImcError| {
                 matches!(
                     err,
@@ -524,17 +501,11 @@ mod tests {
                     }
                 )
             };
-            match PvtAnalysis::run(&multiplier, &config) {
-                Err(ImcError::CornerFailed { source, .. }) => {
-                    assert!(is_first_column(&source), "{factor}: {source}")
-                }
+            let err = InSramMultiplier::new(suite.clone(), ideal_config()).unwrap_err();
+            assert!(is_first_column(&err), "{factor}: {err}");
+            match DesignSpaceExplorer::new(suite).explore(&DesignSpace::small()) {
+                Err(ImcError::CornerFailed { source, .. }) if is_first_column(&source) => {}
                 other => panic!("{factor}: expected a non-finite sigma error, got {other:?}"),
-            }
-            match evaluate_multiplier(&multiplier) {
-                Err(err) => assert!(is_first_column(&err), "{factor}: {err}"),
-                Ok(metrics) => {
-                    panic!("{factor}: expected a non-finite sigma error, got {metrics:?}")
-                }
             }
         }
     }

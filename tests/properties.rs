@@ -385,7 +385,7 @@ proptest! {
                 result.point.to_config(),
             )
             .unwrap();
-            prop_assert_eq!(result.metrics, evaluate_multiplier(&multiplier).unwrap());
+            prop_assert_eq!(result.metrics, evaluate_multiplier(&multiplier));
         }
     }
 
