@@ -94,7 +94,9 @@ impl TransientSimulator {
     ///
     /// Returns [`CircuitError::InvalidOperatingPoint`] for non-physical
     /// stimulus parameters (non-positive duration, zero steps, V_WL outside
-    /// `[0, 1.5·VDD]`) and for a step too small to advance the time axis.
+    /// `[0, 1.5·VDD]` or NaN, a supply that is not positive and finite, a
+    /// temperature that is not finite) and for a step too small to advance
+    /// the time axis.
     pub fn discharge_waveform(
         &self,
         stimulus: &DischargeStimulus,
@@ -230,15 +232,22 @@ impl TransientSimulator {
                 context: "a bit-line needs at least one attached cell".to_string(),
             });
         }
-        let v_wl = stimulus.word_line_voltage.0;
-        if v_wl < 0.0 || v_wl > 1.5 * pvt.vdd.0 {
+        // Every comparison below is written to fail on NaN.
+        let vdd = pvt.vdd.0;
+        if !(vdd > 0.0 && vdd.is_finite()) {
             return Err(CircuitError::InvalidOperatingPoint {
-                context: format!("word-line voltage {v_wl} outside [0, {}]", 1.5 * pvt.vdd.0),
+                context: format!("supply voltage must be positive and finite, got {vdd}"),
             });
         }
-        if pvt.vdd.0 <= 0.0 {
+        let v_wl = stimulus.word_line_voltage.0;
+        if !(0.0..=1.5 * vdd).contains(&v_wl) {
             return Err(CircuitError::InvalidOperatingPoint {
-                context: "supply voltage must be positive".to_string(),
+                context: format!("word-line voltage {v_wl} outside [0, {}]", 1.5 * vdd),
+            });
+        }
+        if !pvt.temperature.0.is_finite() {
+            return Err(CircuitError::InvalidOperatingPoint {
+                context: format!("temperature must be finite, got {}", pvt.temperature.0),
             });
         }
         Ok(())
@@ -683,6 +692,70 @@ mod tests {
             .unwrap()
             .0;
         assert!(slow_device < nominal);
+    }
+
+    /// Requires `discharge_delta` and `fill_mismatch_voltages`, which share
+    /// the operating-point validation, to reject `stimulus` at `pvt` with
+    /// [`CircuitError::InvalidOperatingPoint`].
+    fn assert_invalid_operating_point(stimulus: &DischargeStimulus, pvt: &PvtConditions) {
+        let (sim, _) = sim();
+        let delta = sim.discharge_delta(stimulus, pvt, &MismatchSample::none());
+        assert!(
+            matches!(delta, Err(CircuitError::InvalidOperatingPoint { .. })),
+            "discharge_delta: {delta:?}"
+        );
+        let mut out = [0.0; 2];
+        let fill = sim.fill_mismatch_voltages(
+            stimulus,
+            pvt,
+            &[MismatchSample::none(); 2],
+            &[Seconds(0.5e-9)],
+            &mut out,
+        );
+        assert!(
+            matches!(fill, Err(CircuitError::InvalidOperatingPoint { .. })),
+            "fill_mismatch_voltages: {fill:?}"
+        );
+    }
+
+    #[test]
+    fn nan_word_line_voltage_is_rejected() {
+        let (_, pvt) = sim();
+        let stimulus = DischargeStimulus {
+            word_line_voltage: Volts(f64::NAN),
+            ..DischargeStimulus::default()
+        };
+        assert_invalid_operating_point(&stimulus, &pvt);
+    }
+
+    #[test]
+    fn nan_supply_voltage_is_rejected() {
+        let (_, pvt) = sim();
+        let pvt = PvtConditions {
+            vdd: Volts(f64::NAN),
+            ..pvt
+        };
+        assert_invalid_operating_point(&DischargeStimulus::default(), &pvt);
+    }
+
+    #[test]
+    fn infinite_supply_voltage_is_rejected() {
+        let (_, pvt) = sim();
+        let pvt = PvtConditions {
+            vdd: Volts(f64::INFINITY),
+            ..pvt
+        };
+        assert_invalid_operating_point(&DischargeStimulus::default(), &pvt);
+    }
+
+    #[test]
+    fn nan_temperature_is_rejected() {
+        let (_, pvt) = sim();
+        let pvt = PvtConditions {
+            temperature: Celsius(f64::NAN),
+            ..pvt
+        };
+        assert_invalid_operating_point(&DischargeStimulus::default(), &pvt);
     }
 
     #[test]

@@ -446,76 +446,165 @@ impl InSramMultiplier {
         outcomes
     }
 
-    /// The digitised result of every operand pair at `at`, in operand-major
-    /// order: the `result` of each [`InSramMultiplier::outcome_grid`] entry,
-    /// without the discharge and energies it also accumulates.  It is
-    /// [`InSramMultiplier::pair_results`] of the pristine
-    /// [`InSramMultiplier::code_table`].
+    /// The pristine [`InSramMultiplier::code_table`] at `at`, off the kept
+    /// grid when `at` is the nominal operating point.
     ///
     /// # Errors
     ///
     /// Same as [`InSramMultiplier::outcome_grid`].
-    pub(crate) fn result_grid(&self, at: OperatingPoint) -> Result<Vec<u16>, ImcError> {
+    pub(crate) fn result_codes(&self, at: OperatingPoint) -> Result<Vec<u32>, ImcError> {
         let grid = self.grid_at(at)?;
-        let codes = self.code_table(&grid, at, None);
-        Ok(self.pair_results(&codes).collect())
+        let mut codes = Vec::new();
+        self.code_table(&grid, at, None, &mut codes);
+        Ok(codes)
     }
 
-    /// The [`InSramMultiplier::code_table`] of the kept nominal grid: the
-    /// pristine readout, or with `normals` the Monte-Carlo chip whose data
-    /// column `c` draws `normals[c]`, perturbed by the kept σ table.
-    pub(crate) fn nominal_code_table(&self, normals: Option<&[f64]>) -> Vec<u32> {
+    /// The digitised result of every operand pair at `at`, in operand-major
+    /// order: the `result` of each [`InSramMultiplier::outcome_grid`] entry,
+    /// read off [`InSramMultiplier::result_codes`].
+    #[cfg(test)]
+    pub(crate) fn result_grid(&self, at: OperatingPoint) -> Result<Vec<u16>, ImcError> {
+        Ok(self.collect_results(&self.result_codes(at)?))
+    }
+
+    /// The [`InSramMultiplier::code_table`] of the kept nominal grid, into
+    /// `codes`: the pristine readout, or with `normals` the Monte-Carlo chip
+    /// whose data column `c` draws `normals[c]`, perturbed by the kept σ
+    /// table.
+    pub(crate) fn nominal_code_table(&self, normals: Option<&[f64]>, codes: &mut Vec<u32>) {
         let sigmas = &self.sigmas;
         let instance = normals.map(|normals| MismatchInstance { sigmas, normals });
-        self.code_table(&self.grid, self.nominal, instance)
+        self.code_table(&self.grid, self.nominal, instance, codes);
     }
 
-    /// The weighted ADC code of every (pass, slice pair) off a grid built at
-    /// `at`, pass-major, `a_slice` then `d_slice`: `passes × (slice_max + 1)²`
-    /// codes, 1,024 for INT8 on the paper array.
+    /// Writes the weighted ADC code of every (pass, slice pair) off a grid
+    /// built at `at` into `codes`, pass-major, `a_slice` then `d_slice`:
+    /// `passes × (slice_max + 1)²` codes, 1,024 for INT8 on the paper array.
+    /// `codes` is resized in place, so a reused buffer allocates nothing.
     ///
-    /// Each code goes through the same [`InSramMultiplier::grid_discharge`]
-    /// and [`InSramMultiplier::weighted_code`] as every other readout; the
-    /// pass index keeps attached fault states exact, and `instance` (a
-    /// Monte-Carlo chip) perturbs every discharging cell by its frozen
-    /// mismatch.
+    /// Each (pass, slice operand) row takes every column's
+    /// [`InSramMultiplier::column_discharge`] once, for a stored 0 and a
+    /// stored 1, and builds the combined discharge of all `2^slice_bits`
+    /// stored slices by bit-ascending prefix sums ([`slice_sums`]): about one
+    /// add per table entry, in the order of a per-slice loop over its columns,
+    /// so every code keeps the bits of that loop.  The charge-shared average
+    /// is then read out by [`InSramMultiplier::weighted_code`].  Pristine,
+    /// faulted and Monte-Carlo chips (`instance`) all take this one path.
     pub(crate) fn code_table(
         &self,
         grid: &AnalogOperandGrid,
         at: OperatingPoint,
         instance: Option<MismatchInstance<'_>>,
-    ) -> Vec<u32> {
-        let slice_operands = self.config.array.slice_max() + 1;
-        let passes = self.config.array.passes() as usize;
-        let mut codes = Vec::with_capacity(passes * usize::from(slice_operands).pow(2));
+        codes: &mut Vec<u32>,
+    ) {
+        let slice_bits = self.config.array.slice_bits;
+        let slice_operands = usize::from(self.config.array.slice_max()) + 1;
+        let passes = usize::from(self.config.array.passes());
+        codes.resize(passes * slice_operands * slice_operands, 0);
+        let mut discharges = [0.0; MAX_SLICE_TABLE];
+        let discharges = &mut discharges[..slice_operands];
+        // optima-lint: hot
         // `(0, 0)` visits every pass once, in pass order.
         self.fold_passes(0, 0, (), |(), pass| {
             for a_slice in 0..slice_operands {
-                for d_slice in 0..slice_operands {
-                    let discharge =
-                        self.grid_discharge(grid, pass.index, a_slice, d_slice, at, instance);
-                    codes.push(self.weighted_code(discharge, pass));
+                slice_sums(discharges, slice_bits, |bit| {
+                    self.column_discharge(grid, at, instance, pass.index, a_slice as u16, bit)
+                });
+                let start = (pass.index * slice_operands + a_slice) * slice_operands;
+                for (code, &discharge) in codes[start..start + slice_operands]
+                    .iter_mut()
+                    .zip(&*discharges)
+                {
+                    *code = self.weighted_code(discharge / f64::from(slice_bits), pass);
                 }
             }
         });
-        codes
+        // optima-lint: end-hot
     }
 
-    /// The result of every operand pair read off a
-    /// [`InSramMultiplier::code_table`], in operand-major order: each pair
-    /// sums its passes' codes in pass order and saturates, as
-    /// [`InSramMultiplier::compose_outcome`] does.  Nothing is allocated.
-    pub(crate) fn pair_results<'a>(&'a self, codes: &'a [u32]) -> impl Iterator<Item = u16> + 'a {
-        let slice_operands = self.config.array.slice_max() as usize + 1;
-        let slice_pairs = slice_operands * slice_operands;
-        let max = self.config.array.operand_max();
-        (0..=max).flat_map(move |a| {
-            (0..=max).map(move |d| {
-                saturate_result(self.fold_passes(a, d, 0u32, |result, pass| {
-                    result + codes[pass.index * slice_pairs + pass.slice_pair(slice_operands)]
-                }))
-            })
-        })
+    /// Visits the result of every operand pair read off a
+    /// [`InSramMultiplier::code_table`], in operand-major order, as
+    /// `visit(a, d, result)`: each pair sums its passes' codes and
+    /// saturates, as [`InSramMultiplier::compose_outcome`] does.  The sums
+    /// are exact `u32` arithmetic, taken per operand row
+    /// ([`InSramMultiplier::pair_fold`]): each d-slice position's codes are
+    /// summed over the row's a-slices once, then spread over every `d` at
+    /// one add per pair, for any slice count.  Nothing is allocated.
+    pub(crate) fn pair_results(&self, codes: &[u32], mut visit: impl FnMut(u16, u16, u16)) {
+        self.pair_fold(
+            codes,
+            0,
+            |sum, code| sum + code,
+            |a, d, sum| visit(a, d, saturate_result(sum)),
+        );
+    }
+
+    /// [`InSramMultiplier::pair_results`] collected in operand-major order.
+    #[cfg(test)]
+    pub(crate) fn collect_results(&self, codes: &[u32]) -> Vec<u16> {
+        let mut results = Vec::with_capacity(self.config.array.input_space());
+        self.pair_results(codes, |_, _, result| results.push(result));
+        results
+    }
+
+    /// Folds the entries of a pass-major `(pass, a_slice, d_slice)` table
+    /// over each operand pair's passes and visits every pair in
+    /// operand-major order, as `visit(a, d, folded)`.
+    ///
+    /// Per operand `a`, each d-slice position first folds its entries over
+    /// the slices of `a`: `slice_max + 1` partial folds per position, the
+    /// lowest position's straight into the row of all `d`.  The row is then
+    /// spread from the higher positions' partials, lowest first, as
+    /// [`slice_sums`] spreads columns: each entry extends the fold of its
+    /// lower slices by one `combine`.  This regroups the pair's passes, so
+    /// `combine` must not depend on their order and `zero` must be its
+    /// identity: exact integer sums, or the maximum of non-negative values.
+    /// Nothing is allocated.
+    fn pair_fold<T: Copy>(
+        &self,
+        table: &[T],
+        zero: T,
+        combine: impl Fn(T, T) -> T,
+        mut visit: impl FnMut(u16, u16, T),
+    ) {
+        let array = &self.config.array;
+        let slices = usize::from(array.slices());
+        let slice_operands = usize::from(array.slice_max()) + 1;
+        let mut row = [zero; MAX_SLICE_TABLE];
+        let row = &mut row[..=usize::from(array.operand_max())];
+        let mut partials = [zero; MAX_SLICE_TABLE];
+        let partials = &mut partials[..(slices - 1) * slice_operands];
+        // optima-lint: hot
+        for a in 0..=array.operand_max() {
+            row[..slice_operands].fill(zero);
+            partials.fill(zero);
+            self.fold_passes(a, 0, (), |(), pass| {
+                let folds = match pass.index % slices {
+                    0 => &mut row[..slice_operands],
+                    position => &mut partials[(position - 1) * slice_operands..][..slice_operands],
+                };
+                let start =
+                    pass.index * slice_operands * slice_operands + pass.slice_pair(slice_operands);
+                for (fold, &entry) in folds.iter_mut().zip(&table[start..start + slice_operands]) {
+                    *fold = combine(*fold, entry);
+                }
+            });
+            let mut filled = slice_operands;
+            for position in partials.chunks_exact(slice_operands) {
+                // Descending, so the filled prefix is read before the
+                // slice value 0 extends it in place.
+                for (d_slice, &partial) in position.iter().enumerate().rev() {
+                    for low in 0..filled {
+                        row[d_slice * filled + low] = combine(row[low], partial);
+                    }
+                }
+                filled *= slice_operands;
+            }
+            for (d, &folded) in (0..).zip(&*row) {
+                visit(a, d, folded);
+            }
+        }
+        // optima-lint: end-hot
     }
 
     /// The outcome of the pair `(a, d)` read off an analog grid built at `at`.
@@ -529,19 +618,17 @@ impl InSramMultiplier {
         self.compose_outcome(
             a,
             d,
-            |pass, a_slice, d_slice| self.grid_discharge(grid, pass, a_slice, d_slice, at, None),
+            |pass, a_slice, d_slice| self.grid_discharge(grid, pass, a_slice, d_slice, at),
             |pass, a_slice, bit| self.grid_energy(grid, pass, a_slice, bit, at),
             grid.write_energy,
         )
     }
 
-    /// Combined discharge of one pass from the precomputed grid, applying
-    /// the mismatch instance and the fault state when they are present.
-    /// Without either it is the historic pristine path; otherwise each
-    /// `(pass, bit)` is transformed the way a live per-pair model evaluation
-    /// would (tested bit-identical): an instance adds `σ·z` of the cell's
-    /// data column to the nominal ΔV and clamps at zero, then the fault
-    /// state scales the result by the cell's retention drift.
+    /// Combined discharge of one pass from the precomputed grid: the
+    /// [`InSramMultiplier::column_discharge`] of each stored bit, summed in
+    /// bit-ascending order and averaged by charge sharing.  Without a fault
+    /// state that is [`AnalogOperandGrid::combined_discharge`], which reads
+    /// the grid directly instead of taking the per-column rule bit by bit.
     fn grid_discharge(
         &self,
         grid: &AnalogOperandGrid,
@@ -549,40 +636,74 @@ impl InSramMultiplier {
         a_slice: u16,
         d_slice: u16,
         at: OperatingPoint,
-        instance: Option<MismatchInstance<'_>>,
     ) -> f64 {
-        if self.faults.is_none() && instance.is_none() {
+        if self.faults.is_none() {
             return grid.combined_discharge(a_slice, d_slice);
         }
-        let slice_bits = grid.slice_bits as usize;
-        // Pass `p` reads d-slice `p % slices`, as `FaultState` maps it.
-        let first_column = (pass % self.config.array.slices() as usize) * slice_bits;
         let mut total = 0.0;
         for bit in 0..grid.slice_bits {
-            let stored = (d_slice >> bit) & 1 == 1;
-            if let Some(faults) = &self.faults {
-                if !faults.column_discharges(pass, bit, stored) {
-                    continue;
-                }
-                if faults.is_shorted(pass, bit) {
-                    total += at.vdd.0;
-                    continue;
-                }
-            } else if !stored {
-                continue;
+            let stored = usize::from((d_slice >> bit) & 1);
+            if let Some(discharge) =
+                self.column_discharge(grid, at, None, pass, a_slice, bit)[stored]
+            {
+                total += discharge;
             }
+        }
+        total / f64::from(grid.slice_bits)
+    }
+
+    /// How the column of `(pass, bit)` responds to the bit `stored` written
+    /// there, under the attached fault state.
+    #[inline]
+    fn column(&self, pass: usize, bit: u8, stored: bool) -> Column {
+        match &self.faults {
+            None if stored => Column::Cell,
+            None => Column::Off,
+            Some(faults) if !faults.column_discharges(pass, bit, stored) => Column::Off,
+            Some(faults) if faults.is_shorted(pass, bit) => Column::Shorted,
+            Some(_) => Column::Cell,
+        }
+    }
+
+    /// What the column of `(pass, bit)` adds to the combined discharge of
+    /// slice operand `a_slice` off `grid`, for a stored 0 and a stored 1
+    /// (`None` where it does not discharge): the one per-cell rule of every
+    /// readout.  A shorted bit-line discharges the full rail.  A cell
+    /// discharges its ΔV; on a Monte-Carlo `instance` it adds `σ·z` of its
+    /// data column and clamps at zero, then an attached fault state scales
+    /// it by the cell's retention drift.  Each step is the float operation
+    /// a live per-pair model evaluation performs (tested bit-identical).
+    #[inline]
+    fn column_discharge(
+        &self,
+        grid: &AnalogOperandGrid,
+        at: OperatingPoint,
+        instance: Option<MismatchInstance<'_>>,
+        pass: usize,
+        a_slice: u16,
+        bit: u8,
+    ) -> [Option<f64>; 2] {
+        let cell = || {
             let mut delta = grid.delta(a_slice, bit);
             if let Some(instance) = instance {
-                let sigma = instance.sigmas[a_slice as usize * slice_bits + bit as usize];
-                let z = instance.normals[first_column + bit as usize];
-                delta = (delta + sigma * z).max(0.0);
+                let slice_bits = usize::from(grid.slice_bits);
+                // Pass `p` reads d-slice `p % slices`, as `FaultState` maps it.
+                let slices = usize::from(self.config.array.slices());
+                let column = (pass % slices) * slice_bits + usize::from(bit);
+                let sigma = instance.sigmas[usize::from(a_slice) * slice_bits + usize::from(bit)];
+                delta = (delta + sigma * instance.normals[column]).max(0.0);
             }
-            total += match &self.faults {
+            match &self.faults {
                 None => delta,
                 Some(faults) => faults.scaled_delta(pass, bit, delta),
-            };
-        }
-        total / slice_bits as f64
+            }
+        };
+        let discharge = |stored| match self.column(pass, bit, stored) {
+            Column::Off => None,
+            Column::Shorted => Some(at.vdd.0),
+            Column::Cell => Some(cell()),
+        };
+        [discharge(false), discharge(true)]
     }
 
     /// Per-column discharge energy from the precomputed grid, applying the
@@ -647,34 +768,45 @@ impl InSramMultiplier {
     /// Analog mismatch σ of every operand pair at the nominal operating
     /// point, in operand-major order: the root-sum-square of the kept
     /// per-column σ table within one pass, and for composed geometries the
-    /// worst pass, since every pass is digitised on its own.  It takes one
-    /// root-sum-square per slice pair (a pass's σ does not depend on which
-    /// pass it is) instead of one per set bit of every pair, with
-    /// bit-identical results.  Like the Monte Carlo, it sees the aged word
-    /// lines of an attached fault state.
+    /// worst pass, since every pass is digitised on its own.  Only the
+    /// columns whose cell discharges contribute, by the rule the Monte
+    /// Carlo applies: an attached fault state's stuck cells and open
+    /// bit-lines gate a column off or on, and a shorted bit-line has no
+    /// cell to mismatch.  Each `(pass, slice pair)` takes one
+    /// root-sum-square of its bit-ascending prefix sum, and each operand
+    /// row folds the per-pass maxima once.  Like the Monte Carlo, it sees
+    /// the aged word lines of an attached fault state.
     pub fn analog_sigma_grid(&self) -> Vec<Volts> {
         let array = &self.config.array;
-        let slice_operands = array.slice_max() as usize + 1;
-        let bits = array.slice_bits as usize;
-        let mut slice_pair_sigmas = Vec::with_capacity(slice_operands * slice_operands);
-        for row in self.sigmas.chunks_exact(bits) {
-            for d_slice in 0..slice_operands {
-                let variance = (0..bits)
-                    .filter(|bit| (d_slice >> bit) & 1 == 1)
-                    .fold(0.0, |variance, bit| variance + row[bit] * row[bit]);
-                slice_pair_sigmas.push(variance.sqrt() / bits as f64);
-            }
-        }
-        let max = array.operand_max();
-        let mut grid = Vec::with_capacity(array.input_space());
-        for a in 0..=max {
-            for d in 0..=max {
-                let sigma = self.fold_passes(a, d, 0.0f64, |worst, pass| {
-                    worst.max(slice_pair_sigmas[pass.slice_pair(slice_operands)])
+        let slice_operands = usize::from(array.slice_max()) + 1;
+        let bits = usize::from(array.slice_bits);
+        let mut sigmas = vec![0.0; usize::from(array.passes()) * slice_operands * slice_operands];
+        let mut variances = [0.0; MAX_SLICE_TABLE];
+        let variances = &mut variances[..slice_operands];
+        for (pass, rows) in sigmas
+            .chunks_exact_mut(slice_operands * slice_operands)
+            .enumerate()
+        {
+            for (row, column_sigmas) in rows
+                .chunks_exact_mut(slice_operands)
+                .zip(self.sigmas.chunks_exact(bits))
+            {
+                slice_sums(variances, array.slice_bits, |bit| {
+                    let sigma = column_sigmas[usize::from(bit)];
+                    let variance = |stored| {
+                        (self.column(pass, bit, stored) == Column::Cell).then_some(sigma * sigma)
+                    };
+                    [variance(false), variance(true)]
                 });
-                grid.push(Volts(sigma));
+                for (sigma, &variance) in row.iter_mut().zip(&*variances) {
+                    *sigma = variance.sqrt() / bits as f64;
+                }
             }
         }
+        let mut grid = Vec::with_capacity(array.input_space());
+        self.pair_fold(&sigmas, 0.0, f64::max, |_, _, sigma| {
+            grid.push(Volts(sigma))
+        });
         grid
     }
 
@@ -756,9 +888,7 @@ impl InSramMultiplier {
     /// readout change lands in every path.
     #[inline]
     fn weighted_code(&self, discharge: f64, pass: Pass) -> u32 {
-        let raw = (discharge / self.volts_per_lsb).round();
-        let code = raw.clamp(0.0, self.adc.max_code() as f64) as u32;
-        code << pass.weight
+        quantise(discharge / self.volts_per_lsb, self.adc.max_code()) << pass.weight
     }
 
     /// Shared readout back half of every multiply: per-pass ADC quantisation
@@ -825,6 +955,65 @@ impl InSramMultiplier {
 /// digital shift-add accumulator saturates at the `u16` result width.
 fn saturate_result(result: u32) -> u16 {
     result.min(u16::MAX as u32) as u16
+}
+
+/// `level.round().clamp(0.0, max_code as f64) as u32`, without the float
+/// rounding call: a level below one half (or NaN) reads 0, one at or above
+/// `max_code` reads `max_code`, and any other level rounds half away from
+/// zero off its exact integer and fractional parts.
+#[inline]
+fn quantise(level: f64, max_code: u32) -> u32 {
+    if level >= f64::from(max_code) {
+        max_code
+    } else if level >= 0.5 {
+        // `0.5 <= level < max_code`: the cast truncates exactly and the
+        // subtraction leaves the exact fractional part.
+        let whole = level as u32;
+        whole + u32::from(level - f64::from(whole) >= 0.5)
+    } else {
+        0
+    }
+}
+
+/// Capacity of the per-row scratch of the readout tables: `2^slice_bits`
+/// stored slices, and `slices · 2^slice_bits` per-row partials, are at most
+/// 256 for every valid geometry (operand and slice widths of 1..=8 bits).
+const MAX_SLICE_TABLE: usize = 256;
+
+/// Fills `sums[d]`, for every stored slice `d < 2^slice_bits`, with the
+/// bit-ascending sum from `0.0` of `column(bit)[d's bit]`, skipping `None`.
+///
+/// Slices that share their lower bits share that prefix: bit `b` extends
+/// each of the `2^b` filled prefixes into a slice with bit `b` clear and
+/// one with it set, by one add or none, exactly where a per-slice loop over
+/// the columns adds or skips.  So each entry has the bits of that loop, at
+/// about one add per entry.
+fn slice_sums(sums: &mut [f64], slice_bits: u8, mut column: impl FnMut(u8) -> [Option<f64>; 2]) {
+    sums[0] = 0.0;
+    for bit in 0..slice_bits {
+        let [zero, one] = column(bit);
+        let filled = 1usize << bit;
+        let (low, high) = sums[..2 * filled].split_at_mut(filled);
+        for (prefix, extended) in low.iter_mut().zip(high) {
+            *extended = one.map_or(*prefix, |value| *prefix + value);
+            if let Some(value) = zero {
+                *prefix += value;
+            }
+        }
+    }
+}
+
+/// How the column of one (pass, bit) responds to the bit written there,
+/// as [`InSramMultiplier::column`] reads it off the attached fault state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Column {
+    /// No discharge: a stored 0 on a healthy column, a stuck-at-0 cell or
+    /// an open bit-line.
+    Off,
+    /// The cell discharges the bit-line by its (mismatched, drifted) ΔV.
+    Cell,
+    /// A bit-line shorted to ground: the full rail, with no cell involved.
+    Shorted,
 }
 
 /// One analog pass of a (possibly composed) multiplication, as
@@ -1149,6 +1338,117 @@ mod tests {
         let sigma = |a: usize, d: usize| sigmas[a * 16 + d].0;
         assert!(sigma(15, 15) > sigma(3, 1));
         assert_eq!(sigma(5, 0), 0.0);
+    }
+
+    /// The readout's quantiser is `round`, then `clamp`, then the cast,
+    /// at every half-code boundary and its neighbours, out of range, at
+    /// the float specials and at random levels, for ADC widths 1–16.
+    #[test]
+    fn quantise_is_round_then_clamp() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x9a47);
+        for bits in 1..=16u32 {
+            let max_code = (1u32 << bits) - 1;
+            let mut levels = vec![
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::MAX,
+                f64::MIN_POSITIVE,
+                -0.0,
+                0.0,
+                -0.5,
+                0.499_999_999_999_999_94,
+                1e300,
+                f64::from(max_code),
+            ];
+            for k in 0..=max_code.min(600) + 2 {
+                for level in [f64::from(k), f64::from(k) + 0.5] {
+                    let up = f64::from_bits(level.to_bits() + 1);
+                    levels.extend([level, up, -level]);
+                    if level > 0.0 {
+                        levels.push(f64::from_bits(level.to_bits() - 1));
+                    }
+                }
+            }
+            for half in [f64::from(max_code) - 0.5, f64::from(max_code) + 0.5] {
+                levels.extend([
+                    half,
+                    f64::from_bits(half.to_bits() - 1),
+                    f64::from_bits(half.to_bits() + 1),
+                ]);
+            }
+            levels.extend((0..2000).map(|_| rng.gen::<f64>() * 1.2 * f64::from(max_code)));
+            for level in levels {
+                let expected = level.round().clamp(0.0, f64::from(max_code)) as u32;
+                assert_eq!(
+                    quantise(level, max_code),
+                    expected,
+                    "{level:e}, max {max_code}"
+                );
+            }
+        }
+    }
+
+    /// The prefix-sum table has the bits of a per-slice loop that adds
+    /// each column's value for its stored bit in bit-ascending order from
+    /// `0.0`, skipping the columns that do not discharge.  The values span
+    /// six decades, so any other summation order shows in the low bits.
+    #[test]
+    fn slice_sums_match_a_per_slice_loop() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x51ce);
+        let mut sums = [0.0; MAX_SLICE_TABLE];
+        for slice_bits in 1..=8u8 {
+            for _ in 0..50 {
+                let value = |rng: &mut rand_chacha::ChaCha8Rng| {
+                    rng.gen_bool(0.8)
+                        .then(|| 10f64.powf(rng.gen_range(-3.0..3.0)))
+                };
+                let columns: Vec<[Option<f64>; 2]> = (0..slice_bits)
+                    .map(|_| [value(&mut rng), value(&mut rng)])
+                    .collect();
+                let sums = &mut sums[..1 << slice_bits];
+                slice_sums(sums, slice_bits, |bit| columns[usize::from(bit)]);
+                for (d, sum) in sums.iter().enumerate() {
+                    let mut total = 0.0;
+                    for (bit, column) in columns.iter().enumerate() {
+                        if let Some(value) = column[(d >> bit) & 1] {
+                            total += value;
+                        }
+                    }
+                    assert_eq!(sum.to_bits(), total.to_bits(), "{slice_bits} bits, d = {d}");
+                }
+            }
+        }
+    }
+
+    /// On the faulted chip no column follows the stored bit: the shorted
+    /// bit-line has no cell to mismatch, the open bit-line and the
+    /// stuck-at-0 cell never discharge, and the stuck-at-1 cell always
+    /// does.  So every σ is the stuck-at-1 cell's alone, whatever `d`
+    /// stores — also for `d = 0`, which has no stored 1 bit to count.
+    #[test]
+    fn faulted_sigma_counts_the_cells_that_discharge() {
+        let multiplier = faulted_multiplier(linear_suite()).unwrap();
+        let faults = multiplier.faults().unwrap();
+        let discharging: Vec<u8> = (0..4)
+            .filter(|&bit| faults.column_discharges(0, bit, false) && !faults.is_shorted(0, bit))
+            .collect();
+        assert_eq!(discharging.len(), 1);
+        let sigmas = multiplier.analog_sigma_grid();
+        for a in 0..16 {
+            let cell = multiplier.sigmas[a * 4 + usize::from(discharging[0])];
+            let expected = (0.0 + cell * cell).sqrt() / 4.0;
+            for d in 0..16 {
+                assert_eq!(
+                    sigmas[a * 16 + d].0.to_bits(),
+                    expected.to_bits(),
+                    "a = {a}, d = {d}"
+                );
+            }
+        }
+        assert!(sigmas[15 * 16].0 > 0.0);
     }
 
     #[test]

@@ -178,7 +178,9 @@ pub(crate) fn multiply_with_mismatch(
 
 /// Analog σ of the combined discharge for `(a, d)` at the (aged) nominal
 /// word lines: the root-sum-square of the per-column σ within one pass, the
-/// worst pass for composed geometries.
+/// worst pass for composed geometries.  A column contributes where its cell
+/// discharges, as in [`slice_discharge`]: the fault state gates stuck cells
+/// and open bit-lines, and a shorted bit-line has no cell to mismatch.
 pub(crate) fn analog_sigma(m: &InSramMultiplier, a: u16, d: u16) -> Result<Volts, ImcError> {
     m.check_operands(a, d)?;
     let array = &m.config.array;
@@ -191,9 +193,17 @@ pub(crate) fn analog_sigma(m: &InSramMultiplier, a: u16, d: u16) -> Result<Volts
         let word_line = m.aged_word_line(m.dac.output(a_slice)?);
         for j in 0..slices {
             let d_slice = (d >> (j * shift)) & mask;
+            let pass = usize::from(i * slices + j);
             let mut variance = 0.0;
             for bit in 0..array.slice_bits {
-                if (d_slice >> bit) & 1 == 0 {
+                let stored = (d_slice >> bit) & 1 == 1;
+                let cell = match &m.faults {
+                    None => stored,
+                    Some(faults) => {
+                        faults.column_discharges(pass, bit, stored) && !faults.is_shorted(pass, bit)
+                    }
+                };
+                if !cell {
                     continue;
                 }
                 let sigma = m.models.mismatch_sigma(m.column_duration(bit), word_line).0;
@@ -240,8 +250,8 @@ mod tests {
     use crate::metrics::evaluate_multiplier;
     use crate::multiplier::{MismatchInstance, MultiplierConfig};
     use crate::testsupport::{
-        faulted_multiplier, ideal_config, int8_config, linear_suite, noisy_linear_suite,
-        nonlinear_pvt_suite, pvt_sensitive_suite,
+        faulted_multiplier, ideal_config, int8_config, int8_two_bit_config, linear_suite,
+        noisy_linear_suite, nonlinear_pvt_suite, pvt_sensitive_suite, unshorted_faulted_multiplier,
     };
     use optima_circuit::array::ArrayConfig;
     use optima_core::sweep::stream_seed;
@@ -307,9 +317,10 @@ mod tests {
     }
 
     /// `result_grid` against the live `multiply_at(..).result`, and
-    /// `analog_sigma_grid` against the live [`analog_sigma`] by bits.  The
-    /// faulted chip's V_th aging moves its word lines, so its σ differs
-    /// from its pristine twin's.
+    /// `analog_sigma_grid` against the live [`analog_sigma`] by bits, on
+    /// one, two and four slices per operand.  The faulted chip's V_th aging
+    /// moves its word lines and its faults gate which cells carry
+    /// mismatch, so its σ differs from its pristine twin's.
     #[test]
     fn result_grid_is_bit_identical_to_scalar_results() {
         let int4: Vec<u16> = (0..=15).collect();
@@ -330,6 +341,11 @@ mod tests {
                 int8_probes(),
             ),
             ("faulted", faulted_multiplier(linear_suite()).unwrap(), int4),
+            (
+                "int8 2-bit slices",
+                InSramMultiplier::new(linear_suite(), int8_two_bit_config()).unwrap(),
+                int8_probes(),
+            ),
         ];
         assert_ne!(
             cases[3].1.analog_sigma_grid(),
@@ -381,7 +397,9 @@ mod tests {
     /// Fig. 8 Monte Carlo reads them, against the per-pair oracle walking
     /// the same chip, pair by pair and bit for bit.  The noisy suite makes
     /// most normals move a code, so a cell that reads the wrong column's
-    /// normal shows; the V_DAC,0 = 0 V corner has σ = 0 at a = 0.
+    /// normal shows; the V_DAC,0 = 0 V corner has σ = 0 at a = 0.  The
+    /// geometries take one, two and four slices per operand; the unshorted
+    /// faulted chip is the faulted chip on which mismatch shows.
     #[test]
     fn mismatch_instance_readout_is_bit_identical_to_the_per_pair_oracle() {
         let noisy = |config| InSramMultiplier::new(noisy_linear_suite(), config).unwrap();
@@ -392,8 +410,18 @@ mod tests {
             ("zero word line", noisy(zero_word_line), int4.clone()),
             ("int8", noisy(int8_config()), int8_probes()),
             (
+                "int8 2-bit slices",
+                noisy(int8_two_bit_config()),
+                int8_probes(),
+            ),
+            (
                 "faulted",
                 faulted_multiplier(noisy_linear_suite()).unwrap(),
+                int4.clone(),
+            ),
+            (
+                "unshorted faulted",
+                unshorted_faulted_multiplier(noisy_linear_suite()).unwrap(),
                 int4,
             ),
         ];
@@ -416,8 +444,9 @@ mod tests {
                         sigmas: &sigmas,
                         normals: &normals,
                     };
-                    let codes = multiplier.code_table(&grid, at, Some(chip));
-                    let results: Vec<u16> = multiplier.pair_results(&codes).collect();
+                    let mut codes = Vec::new();
+                    multiplier.code_table(&grid, at, Some(chip), &mut codes);
+                    let results = multiplier.collect_results(&codes);
                     assert_eq!(results.len(), rows * rows);
                     for &a in operands {
                         for &d in operands {
@@ -459,8 +488,9 @@ mod tests {
                 sigmas: &zeros,
                 normals: &normals,
             };
-            let codes = multiplier.code_table(&multiplier.grid, at, Some(chip));
-            let results: Vec<u16> = multiplier.pair_results(&codes).collect();
+            let mut codes = Vec::new();
+            multiplier.code_table(&multiplier.grid, at, Some(chip), &mut codes);
+            let results = multiplier.collect_results(&codes);
             assert_eq!(results, multiplier.result_grid(at).unwrap());
         }
     }

@@ -19,16 +19,21 @@
 //! Every sweep reads only digitised results, so none builds the energies
 //! and discharges of [`InSramMultiplier::outcome_grid`].  The multiplier's
 //! code table (`code_table`) reads an analog grid out once per (pass, slice
-//! pair) — `passes × (slice_max + 1)²` ADC codes, 1,024 for INT8 — and each
-//! operand pair sums its passes' codes.  The results are bit-identical to a
-//! per-pair loop over the live models; the expected product comes from the
-//! loop index.  Nothing here builds the nominal analog grid: the nominal
-//! profile, the σ profile and every Monte-Carlo instance read the grid and
-//! Eq. 6 σ table that the multiplier built once, at construction, and so
-//! does a supply or temperature condition equal to the nominal point.  The
-//! analog σ profile evaluates one root-sum-square per slice pair and takes
-//! each operand pair's worst pass
-//! ([`InSramMultiplier::analog_sigma_grid`]).
+//! pair) — `passes × (slice_max + 1)²` ADC codes, 1,024 for INT8 — building
+//! each (pass, slice operand) row of discharges by bit-ascending prefix
+//! sums, about one add per code.  `pair_results` then folds the codes per operand
+//! row: each d-slice position's codes are summed over the row's a-slices
+//! once and spread over every `d`, one add per pair.  The results are
+//! bit-identical to a per-pair loop over the live models; the expected
+//! product is `a · d` of the visited pair.  Nothing here builds the nominal
+//! analog grid: the nominal profile, the σ profile and every Monte-Carlo
+//! instance read the grid and Eq. 6 σ table that the multiplier built once,
+//! at construction, and so does a supply or temperature condition equal to
+//! the nominal point.  The analog σ profile
+//! ([`InSramMultiplier::analog_sigma_grid`]) takes one root-sum-square per
+//! (pass, slice pair) over the cells that discharge, by the rule the Monte
+//! Carlo applies, and each operand pair's worst pass through the same
+//! per-row fold.
 //!
 //! A Monte-Carlo instance is one chip.  Eq. 6 is fitted to the spread of
 //! ΔV across mismatch instances, where an instance is one physical cell.
@@ -45,15 +50,16 @@
 //! aged word lines, the same table the σ profile reads; a σ that is not
 //! finite fails [`InSramMultiplier::new`] with [`ImcError::NonFiniteSigma`],
 //! so no analysis runs on it.  The instance is then read out by the same
-//! code table as the nominal profile and returns the integer sum of its
-//! |errors|: every sum is an exact `f64`, so each instance's mean error has
-//! the same bits whatever the thread count.  The nominal error bins and
-//! ε_mul sum integer errors the same way.
+//! code table and per-row fold as the nominal profile, in the normal and
+//! code buffers its sweep worker keeps, and adds every pair's |error|
+//! straight into an integer sum: every sum is an exact `f64`, so each
+//! instance's mean error has the same bits whatever the thread count.  The
+//! nominal error bins and ε_mul sum integer errors the same way.
 
 use crate::error::ImcError;
 use crate::multiplier::{InSramMultiplier, OperatingPoint};
 use optima_circuit::pvt::linspace;
-use optima_core::sweep::{par_map_sweep, stream_seed};
+use optima_core::sweep::{par_map_sweep, par_map_sweep_with, stream_seed};
 use optima_math::distributions::standard_normal;
 use optima_math::stats;
 use optima_math::units::{Celsius, Volts};
@@ -182,7 +188,8 @@ impl PvtAnalysis {
         // as well; results come in operand-major order, so binning sees
         // samples in the same (a, d) order as the historical serial double
         // loop — and the table itself is bit-identical to that loop.
-        let codes = multiplier.nominal_code_table(None);
+        let mut codes = Vec::new();
+        multiplier.nominal_code_table(None, &mut codes);
         let sigmas = multiplier.analog_sigma_grid();
 
         // Flat per-expected bins.  Errors are integers, so their sums are
@@ -195,15 +202,17 @@ impl PvtAnalysis {
         let mut counts = vec![0u32; bins];
         let mut abs_error_sum = 0u64;
         let mut worst_sigma: f64 = 0.0;
-        let results = multiplier.pair_results(&codes);
-        for ((expected, result), sigma) in products(operand_max).zip(results).zip(&sigmas) {
-            let bin = expected as usize;
+        let rows = usize::from(operand_max) + 1;
+        multiplier.pair_results(&codes, |a, d, result| {
+            let expected = a * d;
+            let bin = usize::from(expected);
+            let sigma = sigmas[usize::from(a) * rows + usize::from(d)].0;
             error_sums[bin] += i64::from(result) - i64::from(expected);
-            sigma_sums[bin] += sigma.0;
+            sigma_sums[bin] += sigma;
             counts[bin] += 1;
             abs_error_sum += u64::from(result.abs_diff(expected));
-            worst_sigma = worst_sigma.max(sigma.0);
-        }
+            worst_sigma = worst_sigma.max(sigma);
+        });
 
         let mut result_profile = ResultProfile::default();
         for (expected, &count) in counts.iter().enumerate() {
@@ -259,20 +268,25 @@ impl PvtAnalysis {
         // ---- Mismatch Monte Carlo: one chip per instance ----
         let columns = usize::from(multiplier.array().operand_bits);
         let instances: Vec<u64> = (0..config.mismatch_samples as u64).collect();
-        // The kept σ table was validated at construction, so no instance
-        // can fail.
-        let error_sums = match par_map_sweep(&instances, config.threads, |_, &instance| {
-            let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(config.seed, instance));
-            let normals: Vec<f64> = (0..columns).map(|_| standard_normal(&mut rng)).collect();
-            let codes = multiplier.nominal_code_table(Some(&normals));
-            // optima-lint: hot
-            let error_sum: u64 = products(operand_max)
-                .zip(multiplier.pair_results(&codes))
-                .map(|(expected, result)| u64::from(result.abs_diff(expected)))
-                .sum();
-            // optima-lint: end-hot
-            Ok::<_, Infallible>(error_sum)
-        }) {
+        // Each worker reuses one normal and one code buffer across its
+        // instances.  The kept σ table was validated at construction, so no
+        // instance can fail.
+        let error_sums = match par_map_sweep_with(
+            &instances,
+            config.threads,
+            || (vec![0.0; columns], Vec::new()),
+            |(normals, codes), _, &instance| {
+                // optima-lint: hot
+                let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(config.seed, instance));
+                for normal in normals.iter_mut() {
+                    *normal = standard_normal(&mut rng);
+                }
+                multiplier.nominal_code_table(Some(normals), codes);
+                let error_sum = absolute_error_sum(multiplier, codes);
+                // optima-lint: end-hot
+                Ok::<_, Infallible>(error_sum)
+            },
+        ) {
             Ok(sums) => sums,
             Err(impossible) => match impossible.source {},
         };
@@ -302,20 +316,23 @@ impl PvtAnalysis {
 }
 
 /// Average absolute error over the full input space at one operating point,
-/// read out from the code table ([`InSramMultiplier::result_grid`]).  The
-/// |errors| are summed as exact integers.
+/// read out from the pristine code table
+/// ([`InSramMultiplier::result_codes`]).
 fn average_error_at(multiplier: &InSramMultiplier, at: OperatingPoint) -> Result<f64, ImcError> {
-    let results = multiplier.result_grid(at)?;
-    let sum: u64 = products(multiplier.array().operand_max())
-        .zip(&results)
-        .map(|(expected, &result)| u64::from(result.abs_diff(expected)))
-        .sum();
-    Ok(sum as f64 / results.len() as f64)
+    let codes = multiplier.result_codes(at)?;
+    let sum = absolute_error_sum(multiplier, &codes);
+    Ok(sum as f64 / multiplier.array().input_space() as f64)
 }
 
-/// The exact product `a · d` of every operand pair, in operand-major order.
-fn products(operand_max: u16) -> impl Iterator<Item = u16> {
-    (0..=operand_max).flat_map(move |a| (0..=operand_max).map(move |d| a * d))
+/// The exact integer sum of every operand pair's |result − expected|, the
+/// results read off `codes` ([`InSramMultiplier::pair_results`]) without
+/// collecting them.
+fn absolute_error_sum(multiplier: &InSramMultiplier, codes: &[u32]) -> u64 {
+    let mut sum = 0u64;
+    multiplier.pair_results(codes, |a, d, result| {
+        sum += u64::from(result.abs_diff(a * d))
+    });
+    sum
 }
 
 #[cfg(test)]
@@ -324,8 +341,8 @@ mod tests {
     use crate::dse::{DesignSpace, DesignSpaceExplorer};
     use crate::multiplier::{reference, MultiplierConfig};
     use crate::testsupport::{
-        faulted_multiplier, ideal_config, int8_config, linear_suite, noisy_linear_suite,
-        pvt_sensitive_suite,
+        faulted_multiplier, ideal_config, int8_config, int8_two_bit_config, linear_suite,
+        noisy_linear_suite, pvt_sensitive_suite, unshorted_faulted_multiplier,
     };
     use optima_circuit::array::ArrayConfig;
     use optima_core::model::mismatch::MismatchSigmaModel;
@@ -552,7 +569,12 @@ mod tests {
         for (name, multiplier) in [
             ("int4", noisy(ideal_config())),
             ("int8", noisy(int8_config())),
+            ("int8 2-bit slices", noisy(int8_two_bit_config())),
             ("faulted", faulted_multiplier(noisy_linear_suite()).unwrap()),
+            (
+                "unshorted faulted",
+                unshorted_faulted_multiplier(noisy_linear_suite()).unwrap(),
+            ),
             ("zero word line", noisy(zero_word_line)),
         ] {
             for mismatch_samples in [1, 3] {

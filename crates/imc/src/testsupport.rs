@@ -117,6 +117,15 @@ pub(crate) fn int8_config() -> MultiplierConfig {
     ideal_config().with_array(ArrayConfig::int8())
 }
 
+/// [`ideal_config`] on INT8 composed from 2-bit slices: four slices per
+/// operand, sixteen passes.
+pub(crate) fn int8_two_bit_config() -> MultiplierConfig {
+    ideal_config().with_array(ArrayConfig {
+        slice_bits: 2,
+        ..ArrayConfig::int8()
+    })
+}
+
 /// [`linear_suite`] with 20× its mismatch σ (up to tens of millivolts,
 /// several product LSBs), so that most Gaussian draws move a readout code
 /// and a draw taken from the wrong stream position shows in the
@@ -140,6 +149,24 @@ pub(crate) fn noisy_linear_suite() -> ModelSuite {
 /// one shorted and one open data bit-line, a stuck cell of each kind on the
 /// stored row, retention drift and V_th aging.
 pub(crate) fn faulted_multiplier(suite: ModelSuite) -> Result<InSramMultiplier, ImcError> {
+    multiplier_with_faults(suite, true)
+}
+
+/// [`faulted_multiplier`] without the shorted bit-line, whose full-rail
+/// discharge saturates every code: one open data bit-line, a stuck cell of
+/// each kind and one healthy cell on the stored row, retention drift and
+/// V_th aging, so that cell mismatch can move a result.
+pub(crate) fn unshorted_faulted_multiplier(
+    suite: ModelSuite,
+) -> Result<InSramMultiplier, ImcError> {
+    multiplier_with_faults(suite, false)
+}
+
+/// The first sampled paper-geometry fault state with one open bit-line, a
+/// shorted one when `shorted`, a stuck cell of each kind on the stored row
+/// and (without the short) one healthy cell, attached to a multiplier on
+/// `suite`.
+fn multiplier_with_faults(suite: ModelSuite, shorted: bool) -> Result<InSramMultiplier, ImcError> {
     let array = ArrayConfig::paper();
     for seed in 0..10_000u64 {
         let map = DefectMap::sample(
@@ -148,7 +175,7 @@ pub(crate) fn faulted_multiplier(suite: ModelSuite) -> Result<InSramMultiplier, 
                 stuck_at_zero_rate: 0.3,
                 stuck_at_one_rate: 0.3,
                 open_bitline_rate: 0.2,
-                short_bitline_rate: 0.2,
+                short_bitline_rate: if shorted { 0.2 } else { 0.0 },
                 retention_sigma: 0.1,
                 seed,
             },
@@ -158,11 +185,12 @@ pub(crate) fn faulted_multiplier(suite: ModelSuite) -> Result<InSramMultiplier, 
             .filter(|&c| bitlines[c as usize] == BitLineFault::Healthy)
             .map(|c| map.cell_unchecked(0, c))
             .collect();
-        let one = |fault| bitlines.iter().filter(|&&b| b == fault).count() == 1;
-        if one(BitLineFault::Shorted)
-            && one(BitLineFault::Open)
+        let count = |fault| bitlines.iter().filter(|&&b| b == fault).count();
+        if count(BitLineFault::Shorted) == usize::from(shorted)
+            && count(BitLineFault::Open) == 1
             && cells.contains(&CellDefect::StuckAtZero)
             && cells.contains(&CellDefect::StuckAtOne)
+            && (shorted || cells.contains(&CellDefect::Healthy))
         {
             assert!((0..4).any(|c| map.drift_unchecked(0, c) != 0.0));
             let state = FaultState::unmitigated(&array, map, 0)?
@@ -172,6 +200,6 @@ pub(crate) fn faulted_multiplier(suite: ModelSuite) -> Result<InSramMultiplier, 
         }
     }
     Err(ImcError::InvalidConfiguration {
-        context: "no defect map with every fault kind found".to_string(),
+        context: "no defect map with the requested fault kinds found".to_string(),
     })
 }
