@@ -7,10 +7,12 @@
 //! discharge.
 //!
 //! Both are read off the multiplier's kept nominal grid and σ table, which
-//! construction built and validated, so the evaluation cannot fail.
+//! construction built and validated, so the evaluation cannot fail.  The
+//! results come from the grid's code table, so the error statistics are
+//! exact integer sums; only the energies are float sums, one per-pair chain
+//! at a time, in operand-major order.
 
-use crate::multiplier::{InSramMultiplier, MultiplyOutcome};
-use optima_math::stats;
+use crate::multiplier::InSramMultiplier;
 use optima_math::units::{FemtoJoules, Volts};
 use serde::{Deserialize, Serialize};
 
@@ -28,7 +30,9 @@ pub struct MultiplierMetrics {
     pub energy_per_multiply: FemtoJoules,
     /// Average total (write + multiply) energy per operation.
     pub energy_per_operation: FemtoJoules,
-    /// Analog mismatch standard deviation at the maximum discharge (a = d = 15).
+    /// Analog mismatch standard deviation at the maximum discharge, the
+    /// pair `(operand_max, operand_max)`: (15, 15) for INT4, (255, 255) for
+    /// INT8.
     pub sigma_at_max_discharge: Volts,
     /// Worst-case analog mismatch standard deviation over the input space.
     pub worst_case_sigma: Volts,
@@ -42,49 +46,49 @@ impl MultiplierMetrics {
     }
 }
 
-/// Aggregates per-pair outcomes and analog σ, both in operand-major order.
-pub(crate) fn metrics_from(outcomes: &[MultiplyOutcome], sigmas: &[Volts]) -> MultiplierMetrics {
-    let mut abs_errors = Vec::with_capacity(outcomes.len());
-    let mut signed_errors = Vec::with_capacity(outcomes.len());
-    let mut multiply_energies = Vec::with_capacity(outcomes.len());
-    let mut total_energies = Vec::with_capacity(outcomes.len());
-    let mut worst_sigma: f64 = 0.0;
-
-    for (outcome, sigma) in outcomes.iter().zip(sigmas) {
-        signed_errors.push(outcome.error_lsb());
-        abs_errors.push(outcome.error_lsb().abs());
-        multiply_energies.push(outcome.multiply_energy.0);
-        total_energies.push(outcome.total_energy().0);
-        worst_sigma = worst_sigma.max(sigma.0);
-    }
-
+/// Evaluates a multiplier over the full input space at its nominal
+/// operating point, off the kept grid: the σ of
+/// [`InSramMultiplier::analog_sigma_grid`], and every pair's result and
+/// energy read off the grid's code table.
+///
+/// Every |error| is at most 65,535 and there are at most 65,536 pairs, so
+/// the integer sums of |error| and error² are exact in an `f64`: ε_mul and
+/// the RMS error have the bits of summing the errors one by one as floats.
+/// The energies are summed from zero in operand-major order.
+pub fn evaluate_multiplier(multiplier: &InSramMultiplier) -> MultiplierMetrics {
+    let sigmas = multiplier.analog_sigma_grid();
+    let mut codes = Vec::new();
+    multiplier.nominal_code_table(None, &mut codes);
+    let (mut abs_sum, mut square_sum, mut max_error) = (0u64, 0u64, 0u64);
+    let (mut energy_sum, mut total_sum) = (0.0, 0.0);
+    // optima-lint: hot
+    multiplier.nominal_pair_outcomes(&codes, |outcome| {
+        let error = u64::from(outcome.result.abs_diff(outcome.expected));
+        abs_sum += error;
+        square_sum += error * error;
+        max_error = max_error.max(error);
+        energy_sum += outcome.multiply_energy.0;
+        total_sum += outcome.total_energy().0;
+    });
+    // optima-lint: end-hot
+    let count = multiplier.array().input_space() as f64;
     MultiplierMetrics {
-        epsilon_mul: stats::mean(&abs_errors),
-        rms_error_lsb: stats::rms(&signed_errors),
-        max_error_lsb: abs_errors.iter().cloned().fold(0.0, f64::max),
-        energy_per_multiply: FemtoJoules(stats::mean(&multiply_energies)),
-        energy_per_operation: FemtoJoules(stats::mean(&total_energies)),
+        epsilon_mul: abs_sum as f64 / count,
+        rms_error_lsb: (square_sum as f64 / count).sqrt(),
+        max_error_lsb: max_error as f64,
+        energy_per_multiply: FemtoJoules(energy_sum / count),
+        energy_per_operation: FemtoJoules(total_sum / count),
         // The last grid entry is (a, d) = (max, max): the maximum discharge.
         // optima-lint: allow(R3) -- the operand grid always has at least (0, 0)
         sigma_at_max_discharge: *sigmas.last().expect("input space is never empty"),
-        worst_case_sigma: Volts(worst_sigma),
+        worst_case_sigma: Volts(sigmas.iter().fold(0.0, |worst, sigma| worst.max(sigma.0))),
     }
-}
-
-/// Evaluates a multiplier over the full input space at its nominal
-/// operating point: the outcomes of [`InSramMultiplier::outcome_grid`] and
-/// the σ of [`InSramMultiplier::analog_sigma_grid`], both off the kept grid.
-pub fn evaluate_multiplier(multiplier: &InSramMultiplier) -> MultiplierMetrics {
-    metrics_from(
-        &multiplier.nominal_outcomes(),
-        &multiplier.analog_sigma_grid(),
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multiplier::{MultiplierConfig, OPERAND_BITS};
+    use crate::multiplier::MultiplierConfig;
     use optima_math::units::{Seconds, Volts};
 
     fn near_ideal() -> InSramMultiplier {
@@ -144,10 +148,5 @@ mod tests {
         let good = evaluate_multiplier(&near_ideal());
         let bad = evaluate_multiplier(&nonlinear());
         assert!(good.figure_of_merit() > bad.figure_of_merit());
-    }
-
-    #[test]
-    fn operand_bits_constant_is_four() {
-        assert_eq!(OPERAND_BITS, 4);
     }
 }

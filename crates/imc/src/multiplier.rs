@@ -16,6 +16,10 @@
 //! Construction evaluates the fitted models once, into the nominal analog
 //! grid and its Eq. 6 σ table; every nominal readout reads them, and only an
 //! off-nominal operating point or an aging fault state builds a new grid.
+//!
+//! Every result is read off one code table per grid (`code_table`: one ADC
+//! code per (pass, slice pair)), summed over each pair's passes.  Only the energy is a per-pair chain, in
+//! pass order, through the same per-column fault rule as the discharge.
 
 use crate::error::ImcError;
 use crate::reliability::FaultState;
@@ -29,12 +33,6 @@ use std::borrow::Cow;
 
 #[cfg(test)]
 pub(crate) mod reference;
-
-/// Operand bits of the paper's default array geometry.
-///
-/// Kept for the fixed-width call sites of the paper experiments; geometry-
-/// aware code should use [`ArrayConfig::operand_bits`] instead.
-pub const OPERAND_BITS: u8 = 4;
 
 /// Static configuration of one multiplier design point.
 ///
@@ -107,9 +105,6 @@ pub struct MultiplyOutcome {
     pub result: u16,
     /// Exact product `a · d`.
     pub expected: u16,
-    /// Combined analog discharge presented to the ADC (for composed
-    /// geometries: the mean over the analog passes).
-    pub combined_discharge: Volts,
     /// Energy of the multiplication (discharges + converter overhead over
     /// every analog pass), excluding the operand write.
     pub multiply_energy: FemtoJoules,
@@ -317,14 +312,22 @@ impl InSramMultiplier {
     ///
     /// Composed geometries calibrate the single analog pass; the digital
     /// shift-add composition is exact and needs no trimming of its own.
+    /// Each slice pair's combined discharge comes from the prefix sums of
+    /// the code table ([`slice_sums`] over the pristine
+    /// [`InSramMultiplier::column_discharge`]).
     fn calibrate_transfer(&mut self) -> Result<(), ImcError> {
-        let grid = &self.grid;
-        let slice_max = self.config.array.slice_max();
+        let slice_bits = self.config.array.slice_bits;
+        let slice_operands = usize::from(self.config.array.slice_max()) + 1;
+        let mut sums = [0.0; MAX_SLICE_TABLE];
+        let sums = &mut sums[..slice_operands];
         let mut numerator = 0.0;
         let mut denominator = 0.0;
-        for a in 0..=slice_max {
-            for d in 0..=slice_max {
-                let discharge = grid.combined_discharge(a, d);
+        for a in 0..slice_operands {
+            slice_sums(sums, slice_bits, |bit| {
+                self.column_discharge(&self.grid, self.nominal, None, 0, a as u16, bit)
+            });
+            for (d, &sum) in sums.iter().enumerate() {
+                let discharge = sum / f64::from(slice_bits);
                 let expected = (a * d) as f64;
                 numerator += discharge * expected;
                 denominator += expected * expected;
@@ -415,56 +418,28 @@ impl InSramMultiplier {
         }
     }
 
-    /// Evaluates the full input space at `at` through the analog grid,
-    /// returning the outcomes in operand-major order (`a` outer, `d` inner)
-    /// — the same outcomes as calling [`InSramMultiplier::multiply_at`] for
-    /// every pair.
+    /// The grid at `at` ([`InSramMultiplier::grid_at`]) and its pristine
+    /// [`InSramMultiplier::code_table`].
     ///
     /// # Errors
     ///
     /// Propagates converter and model-evaluation errors, slice operand by
     /// slice operand in ascending order.
-    pub fn outcome_grid(&self, at: OperatingPoint) -> Result<Vec<MultiplyOutcome>, ImcError> {
-        let grid = self.grid_at(at)?;
-        Ok(self.outcomes(&grid, at))
-    }
-
-    /// [`InSramMultiplier::outcome_grid`] off the kept nominal grid.
-    pub(crate) fn nominal_outcomes(&self) -> Vec<MultiplyOutcome> {
-        self.outcomes(&self.grid, self.nominal)
-    }
-
-    /// The outcome of every pair, operand-major, off a grid built at `at`.
-    fn outcomes(&self, grid: &AnalogOperandGrid, at: OperatingPoint) -> Vec<MultiplyOutcome> {
-        let max = self.config.array.operand_max();
-        let mut outcomes = Vec::with_capacity(self.config.array.input_space());
-        for a in 0..=max {
-            for d in 0..=max {
-                outcomes.push(self.grid_outcome(grid, a, d, at));
-            }
-        }
-        outcomes
-    }
-
-    /// The pristine [`InSramMultiplier::code_table`] at `at`, off the kept
-    /// grid when `at` is the nominal operating point.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`InSramMultiplier::outcome_grid`].
-    pub(crate) fn result_codes(&self, at: OperatingPoint) -> Result<Vec<u32>, ImcError> {
+    pub(crate) fn grid_and_codes(
+        &self,
+        at: OperatingPoint,
+    ) -> Result<(Cow<'_, AnalogOperandGrid>, Vec<u32>), ImcError> {
         let grid = self.grid_at(at)?;
         let mut codes = Vec::new();
         self.code_table(&grid, at, None, &mut codes);
-        Ok(codes)
+        Ok((grid, codes))
     }
 
     /// The digitised result of every operand pair at `at`, in operand-major
-    /// order: the `result` of each [`InSramMultiplier::outcome_grid`] entry,
-    /// read off [`InSramMultiplier::result_codes`].
+    /// order, read off [`InSramMultiplier::grid_and_codes`].
     #[cfg(test)]
     pub(crate) fn result_grid(&self, at: OperatingPoint) -> Result<Vec<u16>, ImcError> {
-        Ok(self.collect_results(&self.result_codes(at)?))
+        Ok(self.collect_results(&self.grid_and_codes(at)?.1))
     }
 
     /// The [`InSramMultiplier::code_table`] of the kept nominal grid, into
@@ -525,7 +500,7 @@ impl InSramMultiplier {
     /// Visits the result of every operand pair read off a
     /// [`InSramMultiplier::code_table`], in operand-major order, as
     /// `visit(a, d, result)`: each pair sums its passes' codes and
-    /// saturates, as [`InSramMultiplier::compose_outcome`] does.  The sums
+    /// saturates, as [`InSramMultiplier::multiply_at`] does.  The sums
     /// are exact `u32` arithmetic, taken per operand row
     /// ([`InSramMultiplier::pair_fold`]): each d-slice position's codes are
     /// summed over the row's a-slices once, then spread over every `d` at
@@ -537,6 +512,39 @@ impl InSramMultiplier {
             |sum, code| sum + code,
             |a, d, sum| visit(a, d, saturate_result(sum)),
         );
+    }
+
+    /// Visits the outcome of every operand pair off the kept nominal grid, in
+    /// operand-major order: the result read off the grid's pristine code
+    /// table `codes` ([`InSramMultiplier::nominal_code_table`]) by
+    /// [`InSramMultiplier::pair_results`], and the energy of
+    /// [`InSramMultiplier::pair_energy`].  Nothing is allocated.
+    pub(crate) fn nominal_pair_outcomes(
+        &self,
+        codes: &[u32],
+        mut visit: impl FnMut(MultiplyOutcome),
+    ) {
+        self.pair_results(codes, |a, d, result| {
+            visit(self.outcome(&self.grid, self.nominal, a, d, result))
+        });
+    }
+
+    /// The outcome of the pair `(a, d)` whose passes' codes sum to `result`,
+    /// off `grid` built at `at`.
+    fn outcome(
+        &self,
+        grid: &AnalogOperandGrid,
+        at: OperatingPoint,
+        a: u16,
+        d: u16,
+        result: u16,
+    ) -> MultiplyOutcome {
+        MultiplyOutcome {
+            result,
+            expected: a * d,
+            multiply_energy: FemtoJoules(self.pair_energy(grid, at, a, d)),
+            write_energy: grid.write_energy,
+        }
     }
 
     /// [`InSramMultiplier::pair_results`] collected in operand-major order.
@@ -583,8 +591,7 @@ impl InSramMultiplier {
                     0 => &mut row[..slice_operands],
                     position => &mut partials[(position - 1) * slice_operands..][..slice_operands],
                 };
-                let start =
-                    pass.index * slice_operands * slice_operands + pass.slice_pair(slice_operands);
+                let start = pass.code_index(slice_operands);
                 for (fold, &entry) in folds.iter_mut().zip(&table[start..start + slice_operands]) {
                     *fold = combine(*fold, entry);
                 }
@@ -605,51 +612,6 @@ impl InSramMultiplier {
             }
         }
         // optima-lint: end-hot
-    }
-
-    /// The outcome of the pair `(a, d)` read off an analog grid built at `at`.
-    fn grid_outcome(
-        &self,
-        grid: &AnalogOperandGrid,
-        a: u16,
-        d: u16,
-        at: OperatingPoint,
-    ) -> MultiplyOutcome {
-        self.compose_outcome(
-            a,
-            d,
-            |pass, a_slice, d_slice| self.grid_discharge(grid, pass, a_slice, d_slice, at),
-            |pass, a_slice, bit| self.grid_energy(grid, pass, a_slice, bit, at),
-            grid.write_energy,
-        )
-    }
-
-    /// Combined discharge of one pass from the precomputed grid: the
-    /// [`InSramMultiplier::column_discharge`] of each stored bit, summed in
-    /// bit-ascending order and averaged by charge sharing.  Without a fault
-    /// state that is [`AnalogOperandGrid::combined_discharge`], which reads
-    /// the grid directly instead of taking the per-column rule bit by bit.
-    fn grid_discharge(
-        &self,
-        grid: &AnalogOperandGrid,
-        pass: usize,
-        a_slice: u16,
-        d_slice: u16,
-        at: OperatingPoint,
-    ) -> f64 {
-        if self.faults.is_none() {
-            return grid.combined_discharge(a_slice, d_slice);
-        }
-        let mut total = 0.0;
-        for bit in 0..grid.slice_bits {
-            let stored = usize::from((d_slice >> bit) & 1);
-            if let Some(discharge) =
-                self.column_discharge(grid, at, None, pass, a_slice, bit)[stored]
-            {
-                total += discharge;
-            }
-        }
-        total / f64::from(grid.slice_bits)
     }
 
     /// How the column of `(pass, bit)` responds to the bit `stored` written
@@ -706,31 +668,38 @@ impl InSramMultiplier {
         [discharge(false), discharge(true)]
     }
 
-    /// Per-column discharge energy from the precomputed grid, applying the
-    /// fault state when one is attached (shorted bit-lines burn the energy
-    /// of a full-rail discharge; drifted cells the energy of their scaled
-    /// ΔV).
-    fn grid_energy(
-        &self,
-        grid: &AnalogOperandGrid,
-        pass: usize,
-        a_slice: u16,
-        bit: u8,
-        at: OperatingPoint,
-    ) -> f64 {
-        match &self.faults {
-            None => grid.energy(a_slice, bit),
-            Some(faults) => {
-                let delta = if faults.is_shorted(pass, bit) {
-                    at.vdd.0
-                } else {
-                    faults.scaled_delta(pass, bit, grid.delta(a_slice, bit))
+    /// Multiplication energy of the pair `(a, d)` off `grid` built at `at`,
+    /// excluding the write: per pass, in pass order, the converter overhead,
+    /// then the energy of each column that discharges, in bit-ascending
+    /// order.  The columns follow [`InSramMultiplier::column`], the rule of
+    /// the discharge: a shorted bit-line burns the energy of a full-rail
+    /// discharge, a cell the grid's energy, or under an attached fault state
+    /// the energy of its drifted ΔV.
+    fn pair_energy(&self, grid: &AnalogOperandGrid, at: OperatingPoint, a: u16, d: u16) -> f64 {
+        let discharge_energy = |delta| {
+            self.models
+                .discharge_energy(Volts(delta), at.vdd, at.temperature)
+                .0
+        };
+        self.fold_passes(a, d, 0.0, |mut energy, pass| {
+            energy += self.converter_overhead.0;
+            for bit in 0..grid.slice_bits {
+                let stored = (pass.d_slice >> bit) & 1 == 1;
+                energy += match self.column(pass.index, bit, stored) {
+                    Column::Off => continue,
+                    Column::Shorted => discharge_energy(at.vdd.0),
+                    Column::Cell => match &self.faults {
+                        None => grid.energy(pass.a_slice, bit),
+                        Some(faults) => discharge_energy(faults.scaled_delta(
+                            pass.index,
+                            bit,
+                            grid.delta(pass.a_slice, bit),
+                        )),
+                    },
                 };
-                self.models
-                    .discharge_energy(Volts(delta), at.vdd, at.temperature)
-                    .0
             }
-        }
+            energy
+        })
     }
 
     /// The Eq. 6 σ of every `(slice operand, column)` of `grid`, laid out
@@ -830,16 +799,16 @@ impl InSramMultiplier {
         self.multiply_at(a, d, self.nominal)
     }
 
-    /// Performs one multiplication at an explicit operating point, read off
-    /// the analog grid at `at` (the per-(slice operand, column) discharges
-    /// and energies of [`InSramMultiplier::outcome_grid`]).
+    /// Performs one multiplication at an explicit operating point: the sum
+    /// of the pair's codes in the code table of the grid at `at`, saturated,
+    /// and the pair's energy chain.
     ///
     /// # Errors
     ///
     /// Returns [`ImcError::OperandOutOfRange`] for operands above
-    /// [`ArrayConfig::operand_max`].  Otherwise it fails exactly when
-    /// [`InSramMultiplier::outcome_grid`] fails at `at`: a model error for
-    /// any slice operand fails every pair, not only the pairs that use it.
+    /// [`ArrayConfig::operand_max`].  Otherwise it fails exactly when the
+    /// grid at `at` fails: a model error for any slice operand fails every
+    /// pair, not only the pairs that use it.
     pub fn multiply_at(
         &self,
         a: u16,
@@ -847,8 +816,12 @@ impl InSramMultiplier {
         at: OperatingPoint,
     ) -> Result<MultiplyOutcome, ImcError> {
         self.check_operands(a, d)?;
-        let grid = self.grid_at(at)?;
-        Ok(self.grid_outcome(&grid, a, d, at))
+        let (grid, codes) = self.grid_and_codes(at)?;
+        let slice_operands = usize::from(self.config.array.slice_max()) + 1;
+        let sum = self.fold_passes(a, d, 0, |sum, pass| {
+            sum + codes[pass.code_index(slice_operands)]
+        });
+        Ok(self.outcome(&grid, at, a, d, saturate_result(sum)))
     }
 
     /// Folds `combine` over the analog passes of the pair `(a, d)` in pass
@@ -882,72 +855,12 @@ impl InSramMultiplier {
 
     /// The readout of one pass: round-to-nearest quantisation of its
     /// combined discharge in slice-product LSB units, clamped to the ADC
-    /// code range, shifted to the pass's digital weight.  Every readout
-    /// ([`InSramMultiplier::compose_outcome`] and the code table of the
-    /// Fig. 8 sweeps and Monte-Carlo instances) goes through here, so a
-    /// readout change lands in every path.
+    /// code range, shifted to the pass's digital weight.  Only
+    /// [`InSramMultiplier::code_table`] reads out a discharge, so every
+    /// result of every readout goes through here.
     #[inline]
     fn weighted_code(&self, discharge: f64, pass: Pass) -> u32 {
         quantise(discharge / self.volts_per_lsb, self.adc.max_code()) << pass.weight
-    }
-
-    /// Shared readout back half of every multiply: per-pass ADC quantisation
-    /// of the combined discharge, digital shift-add composition across the
-    /// passes, and the per-set-bit energy combination.  Only how the per-pass
-    /// discharge and per-column energy are obtained differs between the
-    /// callers (the analog grid, or the live per-pair reference in the unit
-    /// tests), so any change to the readout model lands in every path.
-    fn compose_outcome(
-        &self,
-        a: u16,
-        d: u16,
-        mut slice_discharge: impl FnMut(usize, u16, u16) -> f64,
-        column_energy: impl Fn(usize, u16, u8) -> f64,
-        write_energy: FemtoJoules,
-    ) -> MultiplyOutcome {
-        let array = &self.config.array;
-        let slice_bits = array.slice_bits;
-        let passes = array.passes() as f64;
-        struct Acc {
-            result: u32,
-            discharge_sum: f64,
-            multiply_energy: f64,
-        }
-        let acc = self.fold_passes(
-            a,
-            d,
-            Acc {
-                result: 0,
-                discharge_sum: 0.0,
-                multiply_energy: 0.0,
-            },
-            |mut acc, pass| {
-                let discharge = slice_discharge(pass.index, pass.a_slice, pass.d_slice);
-                acc.discharge_sum += discharge;
-                acc.result += self.weighted_code(discharge, pass);
-                acc.multiply_energy += self.converter_overhead.0;
-                // Energy follows the columns that actually discharge: a
-                // fault state can gate a stored 1 off (stuck-at-0, open
-                // bit-line) or a stored 0 on (stuck-at-1, short).
-                let gates = match &self.faults {
-                    None => pass.d_slice,
-                    Some(faults) => faults.gate_bits(pass.index, pass.d_slice),
-                };
-                for bit in 0..slice_bits {
-                    if (gates >> bit) & 1 == 1 {
-                        acc.multiply_energy += column_energy(pass.index, pass.a_slice, bit);
-                    }
-                }
-                acc
-            },
-        );
-        MultiplyOutcome {
-            result: saturate_result(acc.result),
-            expected: a * d,
-            combined_discharge: Volts(acc.discharge_sum / passes),
-            multiply_energy: FemtoJoules(acc.multiply_energy),
-            write_energy,
-        }
     }
 }
 
@@ -1032,10 +945,11 @@ struct Pass {
 }
 
 impl Pass {
-    /// Position of the pass's slice pair in a table laid out `a_slice`
-    /// outer, `d_slice` inner, over `slice_operands` values per slice.
-    fn slice_pair(&self, slice_operands: usize) -> usize {
-        self.a_slice as usize * slice_operands + self.d_slice as usize
+    /// Position of the pass's entry in a pass-major table laid out `a_slice`
+    /// then `d_slice`, over `slice_operands` values per slice.
+    fn code_index(&self, slice_operands: usize) -> usize {
+        (self.index * slice_operands + usize::from(self.a_slice)) * slice_operands
+            + usize::from(self.d_slice)
     }
 }
 
@@ -1069,19 +983,6 @@ impl AnalogOperandGrid {
     /// Discharge energy of column `bit` for slice operand `a` (femtojoules).
     fn energy(&self, a: u16, bit: u8) -> f64 {
         self.energies[a as usize * self.slice_bits as usize + bit as usize]
-    }
-
-    /// Charge-shared combined discharge of one pass for the slice pair
-    /// `(a, d)`: the per-column discharges of the stored `1` bits summed in
-    /// bit-ascending order and averaged by charge sharing.
-    pub(crate) fn combined_discharge(&self, a: u16, d: u16) -> f64 {
-        let mut total = 0.0;
-        for bit in 0..self.slice_bits {
-            if (d >> bit) & 1 == 1 {
-                total += self.delta(a, bit);
-            }
-        }
-        total / self.slice_bits as f64
     }
 }
 
@@ -1120,9 +1021,9 @@ pub struct MultiplierTable {
 }
 
 impl MultiplierTable {
-    /// Builds the table by evaluating every operand pair at the given
-    /// operating point through the analog grid
-    /// ([`InSramMultiplier::outcome_grid`]).
+    /// Builds the table of every operand pair at the given operating point:
+    /// the results read off the code table of the grid at `at`, and the
+    /// energies of each pair's chain, averaged in operand-major order.
     ///
     /// # Errors
     ///
@@ -1131,33 +1032,29 @@ impl MultiplierTable {
         multiplier: &InSramMultiplier,
         at: OperatingPoint,
     ) -> Result<Self, ImcError> {
-        Self::from_outcomes(
-            multiplier.outcome_grid(at)?,
-            multiplier.array().operand_bits,
-        )
-    }
-
-    fn from_outcomes(outcomes: Vec<MultiplyOutcome>, operand_bits: u8) -> Result<Self, ImcError> {
-        let mut results = Vec::with_capacity(outcomes.len());
+        let (grid, codes) = multiplier.grid_and_codes(at)?;
+        let mut results = Vec::with_capacity(multiplier.array().input_space());
         let mut energy_sum = 0.0;
         let mut total_sum = 0.0;
-        for outcome in &outcomes {
-            results.push(outcome.result);
+        multiplier.pair_results(&codes, |a, d, result| {
+            let outcome = multiplier.outcome(&grid, at, a, d, result);
+            results.push(result);
             energy_sum += outcome.multiply_energy.0;
             total_sum += outcome.total_energy().0;
-        }
-        let count = outcomes.len() as f64;
+        });
+        let count = results.len() as f64;
         Ok(MultiplierTable {
-            operand_bits,
+            operand_bits: multiplier.array().operand_bits,
             results,
             average_multiply_energy: FemtoJoules(energy_sum / count),
             average_total_energy: FemtoJoules(total_sum / count),
         })
     }
 
-    /// An ideal (error-free) 4-bit table, used as the exact-INT4 baseline.
+    /// An ideal (error-free) table over the paper array's 4-bit operands,
+    /// used as the exact-INT4 baseline.
     pub fn exact() -> Self {
-        Self::exact_for_bits(OPERAND_BITS)
+        Self::exact_for_bits(ArrayConfig::paper().operand_bits)
     }
 
     /// An ideal (error-free) table over `operand_bits`-wide operands (1..=8).
@@ -1516,8 +1413,7 @@ mod tests {
         use optima_circuit::defects::{DefectMap, LifetimeTrajectory};
         let new = |config| InSramMultiplier::new(linear_suite(), config).unwrap();
         let pristine = new(ideal_config());
-        assert!(pristine.grid.combined_discharge(9, 1) > 0.0);
-        assert_eq!(pristine.grid.combined_discharge(9, 0), 0.0);
+        assert!(pristine.grid.delta(9, 0) > 0.0);
         assert!(pristine.grid.word_lines[15].0 > pristine.grid.word_lines[0].0);
         let array = ArrayConfig::paper();
         let aged_state = FaultState::unmitigated(&array, DefectMap::none(&array), 0)
@@ -1657,14 +1553,14 @@ mod tests {
             .unwrap()
             .with_lifetime(&LifetimeTrajectory::nbti_like().at(10));
         let aged = pristine.clone().with_faults(aged_state).unwrap();
+        // The aged word lines weaken every cell that discharges at all.
+        let pairs = aged.grid.deltas.iter().zip(&pristine.grid.deltas);
+        assert!(pairs
+            .clone()
+            .all(|(old, fresh)| old < fresh || *fresh == 0.0));
+        assert!(pairs.clone().any(|(old, _)| *old > 0.0));
         let fresh = pristine.multiply(15, 15).unwrap();
         let old = aged.multiply(15, 15).unwrap();
-        assert!(
-            old.combined_discharge.0 < fresh.combined_discharge.0,
-            "V_th aging must weaken the discharge: {} vs {}",
-            old.combined_discharge.0,
-            fresh.combined_discharge.0
-        );
         assert!(old.result <= fresh.result);
     }
 

@@ -5,16 +5,22 @@
 //! for just the columns the pair needs.  A mismatch Monte-Carlo instance is
 //! one chip: one standard normal per data column of the stored word, frozen
 //! for every pair, which perturbs each discharging cell by the Eq. 6 σ of
-//! its `(t, V_WL)` times its column's normal.  The library reads every
-//! multiplication off the precomputed grids instead
-//! ([`InSramMultiplier::outcome_grid`], the code table
-//! [`InSramMultiplier::code_table`] of the Fig. 8 sweeps and Monte-Carlo
-//! instances, and [`InSramMultiplier::analog_sigma_grid`]), at the nominal
-//! point the multiplier's kept grid; the tests below pin them bit-identical.
+//! its `(t, V_WL)` times its column's normal.  The oracle composes its own
+//! outcome: each pass rounds its discharge with `f64::round` and `clamp`,
+//! the codes add up shifted by their digital weight, and the energy gates
+//! each column by the fault state's own accessors.  Its metrics and tables
+//! buffer every outcome and average them as floats.
+//!
+//! The library reads every multiplication off the precomputed grids instead:
+//! every result off the code table [`InSramMultiplier::code_table`], every
+//! energy off the per-pair chain [`InSramMultiplier::pair_energy`], and
+//! every σ off [`InSramMultiplier::analog_sigma_grid`], at the nominal point
+//! off the multiplier's kept grid; the tests below pin them bit-identical.
 
 use super::{InSramMultiplier, MultiplierTable, MultiplyOutcome, OperatingPoint};
 use crate::error::ImcError;
-use crate::metrics::{metrics_from, MultiplierMetrics};
+use crate::metrics::MultiplierMetrics;
+use optima_math::stats;
 use optima_math::units::{FemtoJoules, Volts};
 
 /// Charge-shared combined discharge of one analog pass (`pass` in the
@@ -83,7 +89,9 @@ fn slice_discharge(
 }
 
 /// One multiplication through the live models (optionally on a mismatch
-/// instance), composed by the library's own readout.
+/// instance): per pass in pass order, the rounded, clamped code of the
+/// pass's discharge shifted by its weight, and the energy of the converter
+/// overhead and of every column that discharges, in bit-ascending order.
 fn multiply_inner(
     m: &InSramMultiplier,
     a: u16,
@@ -96,20 +104,10 @@ fn multiply_inner(
     let slices = array.slices() as u16;
     let shift = array.slice_bits as u16;
     let mask = array.slice_max();
-    let mut discharges = Vec::with_capacity(array.passes() as usize);
-    for i in 0..slices {
-        let a_slice = (a >> (i * shift)) & mask;
-        for j in 0..slices {
-            let d_slice = (d >> (j * shift)) & mask;
-            let pass = discharges.len();
-            discharges.push(slice_discharge(m, pass, a_slice, d_slice, at, normals)?);
-        }
-    }
-    let write_energy =
-        FemtoJoules(m.models.write_energy(at.vdd, at.temperature).0 * array.operand_bits as f64);
+    let max_code = f64::from(m.adc.max_code());
     // Energy readout mirrors the real circuit: it cannot fail once the
-    // pass discharges above succeeded, so fall back to zero-energy terms
-    // instead of propagating.
+    // pass discharges succeeded, so fall back to zero-energy terms instead
+    // of propagating.
     let column_energy = |pass: usize, a_slice: u16, bit: u8| {
         if let Some(faults) = &m.faults {
             if faults.is_shorted(pass, bit) {
@@ -143,13 +141,37 @@ fn multiply_inner(
             .discharge_energy(Volts(delta), at.vdd, at.temperature)
             .0
     };
-    Ok(m.compose_outcome(
-        a,
-        d,
-        |pass, _, _| discharges[pass],
-        column_energy,
-        write_energy,
-    ))
+    let mut result = 0u32;
+    let mut multiply_energy = 0.0;
+    for i in 0..slices {
+        let a_slice = (a >> (i * shift)) & mask;
+        for j in 0..slices {
+            let d_slice = (d >> (j * shift)) & mask;
+            let pass = usize::from(i * slices + j);
+            let discharge = slice_discharge(m, pass, a_slice, d_slice, at, normals)?;
+            let code = (discharge / m.volts_per_lsb).round().clamp(0.0, max_code) as u32;
+            result += code << ((i + j) * shift);
+            multiply_energy += m.converter_overhead.0;
+            for bit in 0..array.slice_bits {
+                let stored = (d_slice >> bit) & 1 == 1;
+                let discharges = match &m.faults {
+                    None => stored,
+                    Some(faults) => faults.column_discharges(pass, bit, stored),
+                };
+                if discharges {
+                    multiply_energy += column_energy(pass, a_slice, bit);
+                }
+            }
+        }
+    }
+    Ok(MultiplyOutcome {
+        result: result.min(u32::from(u16::MAX)) as u16,
+        expected: a * d,
+        multiply_energy: FemtoJoules(multiply_energy),
+        write_energy: FemtoJoules(
+            m.models.write_energy(at.vdd, at.temperature).0 * array.operand_bits as f64,
+        ),
+    })
 }
 
 /// One multiplication at `at` through the live models.
@@ -215,32 +237,56 @@ pub(crate) fn analog_sigma(m: &InSramMultiplier, a: u16, d: u16) -> Result<Volts
     Ok(Volts(worst))
 }
 
-/// The input-space metrics at the nominal point, one [`multiply_at`] and
-/// one [`analog_sigma`] per pair.
-pub(crate) fn input_space(m: &InSramMultiplier) -> Result<MultiplierMetrics, ImcError> {
-    let at = m.nominal_operating_point();
+/// Every operand pair's outcome at `at`, one [`multiply_at`] per pair, in
+/// operand-major order.
+fn outcomes(m: &InSramMultiplier, at: OperatingPoint) -> Result<Vec<MultiplyOutcome>, ImcError> {
     let max = m.array().operand_max();
     let mut outcomes = Vec::with_capacity(m.array().input_space());
-    let mut sigmas = Vec::with_capacity(m.array().input_space());
     for a in 0..=max {
         for d in 0..=max {
             outcomes.push(multiply_at(m, a, d, at)?);
-            sigmas.push(analog_sigma(m, a, d)?);
         }
     }
-    Ok(metrics_from(&outcomes, &sigmas))
+    Ok(outcomes)
+}
+
+/// The float mean of `value` over `outcomes`, as [`stats::mean`] sums it.
+fn mean(outcomes: &[MultiplyOutcome], value: impl Fn(&MultiplyOutcome) -> f64) -> f64 {
+    stats::mean(&outcomes.iter().map(value).collect::<Vec<_>>())
+}
+
+/// The input-space metrics at the nominal point, one [`multiply_at`] and
+/// one [`analog_sigma`] per pair, averaged as floats.
+pub(crate) fn input_space(m: &InSramMultiplier) -> Result<MultiplierMetrics, ImcError> {
+    let outcomes = outcomes(m, m.nominal_operating_point())?;
+    let max = m.array().operand_max();
+    let mut worst_sigma = 0.0f64;
+    for a in 0..=max {
+        for d in 0..=max {
+            worst_sigma = worst_sigma.max(analog_sigma(m, a, d)?.0);
+        }
+    }
+    let errors: Vec<f64> = outcomes.iter().map(MultiplyOutcome::error_lsb).collect();
+    Ok(MultiplierMetrics {
+        epsilon_mul: mean(&outcomes, |o| o.error_lsb().abs()),
+        rms_error_lsb: stats::rms(&errors),
+        max_error_lsb: errors.iter().map(|e| e.abs()).fold(0.0, f64::max),
+        energy_per_multiply: FemtoJoules(mean(&outcomes, |o| o.multiply_energy.0)),
+        energy_per_operation: FemtoJoules(mean(&outcomes, |o| o.total_energy().0)),
+        sigma_at_max_discharge: analog_sigma(m, max, max)?,
+        worst_case_sigma: Volts(worst_sigma),
+    })
 }
 
 /// The multiplier table at `at`, one [`multiply_at`] per pair.
 pub(crate) fn table(m: &InSramMultiplier, at: OperatingPoint) -> Result<MultiplierTable, ImcError> {
-    let max = m.array().operand_max();
-    let mut outcomes = Vec::with_capacity(m.array().input_space());
-    for a in 0..=max {
-        for d in 0..=max {
-            outcomes.push(multiply_at(m, a, d, at)?);
-        }
-    }
-    MultiplierTable::from_outcomes(outcomes, m.array().operand_bits)
+    let outcomes = outcomes(m, at)?;
+    Ok(MultiplierTable {
+        operand_bits: m.array().operand_bits,
+        results: outcomes.iter().map(|o| o.result).collect(),
+        average_multiply_energy: FemtoJoules(mean(&outcomes, |o| o.multiply_energy.0)),
+        average_total_energy: FemtoJoules(mean(&outcomes, |o| o.total_energy().0)),
+    })
 }
 
 #[cfg(test)]
@@ -277,25 +323,30 @@ mod tests {
         let normals = instance_normals(&multiplier, 3);
         let a = multiply_with_mismatch(&multiplier, &normals, 12, 13, at).unwrap();
         let b = multiply_with_mismatch(&multiplier, &normals, 12, 13, at).unwrap();
-        assert_eq!(a.combined_discharge, b.combined_discharge);
-        // Across many instances the result must deviate from nominal
+        assert_eq!(a, b);
+        // Across many instances the discharge must deviate from nominal
         // sometimes.
-        let nominal = multiplier.multiply(12, 13).unwrap().combined_discharge.0;
+        let discharge =
+            |normals: Option<&[f64]>| slice_discharge(&multiplier, 0, 12, 13, at, normals).unwrap();
+        let nominal = discharge(None);
         let any_different = (0..64).any(|instance| {
             let normals = instance_normals(&multiplier, instance);
-            let sampled = multiply_with_mismatch(&multiplier, &normals, 12, 13, at)
-                .unwrap()
-                .combined_discharge
-                .0;
-            (sampled - nominal).abs() > 1e-6
+            (discharge(Some(&normals)) - nominal).abs() > 1e-6
         });
         assert!(any_different);
     }
 
+    /// `multiply_at` against the live oracle, whole outcomes (energies
+    /// included) pair by pair, at the nominal point and off it, on a
+    /// pristine chip of two suites and on the faulted chip.
     #[test]
-    fn batched_outcome_grid_is_bit_identical_to_scalar_multiplication() {
-        for suite in [linear_suite(), pvt_sensitive_suite()] {
-            let multiplier = InSramMultiplier::new(suite, ideal_config()).unwrap();
+    fn batched_outcomes_are_bit_identical_to_scalar_multiplication() {
+        let new = |suite| InSramMultiplier::new(suite, ideal_config()).unwrap();
+        for multiplier in [
+            new(linear_suite()),
+            new(pvt_sensitive_suite()),
+            faulted_multiplier(linear_suite()).unwrap(),
+        ] {
             for at in [
                 multiplier.nominal_operating_point(),
                 OperatingPoint {
@@ -303,13 +354,13 @@ mod tests {
                     temperature: Celsius(60.0),
                 },
             ] {
-                let outcomes = multiplier.outcome_grid(at).unwrap();
-                assert_eq!(outcomes.len(), 256);
                 for a in 0..=15u16 {
                     for d in 0..=15u16 {
-                        let index = (a * 16 + d) as usize;
-                        let scalar = multiply_at(&multiplier, a, d, at).unwrap();
-                        assert_eq!(outcomes[index], scalar, "a = {a}, d = {d}");
+                        assert_eq!(
+                            multiplier.multiply_at(a, d, at).unwrap(),
+                            multiply_at(&multiplier, a, d, at).unwrap(),
+                            "{at:?}: a = {a}, d = {d}"
+                        );
                     }
                 }
             }
@@ -495,29 +546,49 @@ mod tests {
         }
     }
 
+    /// `multiply_at` on 4 and 16 passes against the live oracle, whole
+    /// outcomes pair by pair: an energy chain regrouped across passes shows
+    /// in a pair's low bits, though the table averages round it away.
     #[test]
-    fn int8_outcome_grid_is_bit_identical_to_scalar_composition() {
-        let multiplier = InSramMultiplier::new(linear_suite(), int8_config()).unwrap();
-        let at = multiplier.nominal_operating_point();
-        let outcomes = multiplier.outcome_grid(at).unwrap();
-        assert_eq!(outcomes.len(), 65536);
+    fn int8_outcomes_are_bit_identical_to_scalar_composition() {
         let probes = int8_probes();
-        for &a in &probes {
-            for &d in &probes {
-                let index = a as usize * 256 + d as usize;
-                let scalar = multiply_at(&multiplier, a, d, at).unwrap();
-                assert_eq!(outcomes[index], scalar, "a = {a}, d = {d}");
+        for config in [int8_config(), int8_two_bit_config()] {
+            let multiplier = InSramMultiplier::new(linear_suite(), config).unwrap();
+            let at = multiplier.nominal_operating_point();
+            for &a in &probes {
+                for &d in &probes {
+                    assert_eq!(
+                        multiplier.multiply_at(a, d, at).unwrap(),
+                        multiply_at(&multiplier, a, d, at).unwrap(),
+                        "{}: a = {a}, d = {d}",
+                        multiplier.array().describe()
+                    );
+                }
             }
         }
     }
 
+    /// The table's results and energy averages against one live evaluation
+    /// per pair, also off the nominal point on the faulted chip and on 16
+    /// passes of 2-bit slices.
     #[test]
     fn batched_table_is_bit_identical_to_scalar_table() {
-        let multiplier = InSramMultiplier::new(linear_suite(), ideal_config()).unwrap();
-        let at = multiplier.nominal_operating_point();
-        let batched = MultiplierTable::from_multiplier(&multiplier, at).unwrap();
-        let scalar = table(&multiplier, at).unwrap();
-        assert_eq!(batched, scalar);
+        let off_nominal = OperatingPoint {
+            vdd: Volts(0.95),
+            temperature: Celsius(60.0),
+        };
+        let int4 = InSramMultiplier::new(linear_suite(), ideal_config()).unwrap();
+        let two_bit = InSramMultiplier::new(linear_suite(), int8_two_bit_config()).unwrap();
+        let faulted = faulted_multiplier(linear_suite()).unwrap();
+        for (name, multiplier, at) in [
+            ("int4", &int4, int4.nominal_operating_point()),
+            ("faulted off nominal", &faulted, off_nominal),
+            ("2-bit slices", &two_bit, two_bit.nominal_operating_point()),
+            ("2-bit slices off nominal", &two_bit, off_nominal),
+        ] {
+            let batched = MultiplierTable::from_multiplier(multiplier, at).unwrap();
+            assert_eq!(batched, table(multiplier, at).unwrap(), "{name}");
+        }
     }
 
     #[test]
@@ -558,11 +629,22 @@ mod tests {
     }
 
     /// The corner metrics off the kept grid and σ table against one live
-    /// evaluation per pair, including a faulted chip's aged word lines.
+    /// evaluation per pair, on one, two and four slices per operand,
+    /// including the faulted chips' gated columns and an aged chip's word
+    /// lines.
     #[test]
     fn batched_metrics_are_bit_identical_to_the_scalar_reference() {
+        use crate::reliability::FaultState;
+        use optima_circuit::defects::{DefectMap, LifetimeTrajectory};
         let new = |config| InSramMultiplier::new(linear_suite(), config).unwrap();
+        let array = ArrayConfig::paper();
+        let aged = FaultState::unmitigated(&array, DefectMap::none(&array), 0)
+            .unwrap()
+            .with_lifetime(&LifetimeTrajectory::nbti_like().at(10));
         for multiplier in [
+            new(ideal_config()).with_faults(aged).unwrap(),
+            new(int8_two_bit_config()),
+            unshorted_faulted_multiplier(linear_suite()).unwrap(),
             new(ideal_config()),
             // Zero code well below the threshold voltage: small DAC codes
             // produce almost no discharge.
@@ -584,8 +666,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Multiplier-table construction and the input-space outcomes off the
-        /// analog grid are bit-identical to the live per-pair path for
+        /// Multiplier-table construction and every pair's `multiply_at` off
+        /// the analog grid are bit-identical to the live per-pair path for
         /// arbitrary design points and operating points, including
         /// off-nominal VDD × temperature corners, and so are the nominal
         /// corner metrics.
@@ -611,11 +693,12 @@ mod tests {
                 evaluate_multiplier(&multiplier),
                 input_space(&multiplier).unwrap()
             );
-            let outcomes = multiplier.outcome_grid(at).unwrap();
             for a in 0..=15u16 {
                 for d in 0..=15u16 {
-                    let scalar_outcome = multiply_at(&multiplier, a, d, at).unwrap();
-                    prop_assert_eq!(outcomes[(a * 16 + d) as usize], scalar_outcome);
+                    prop_assert_eq!(
+                        multiplier.multiply_at(a, d, at).unwrap(),
+                        multiply_at(&multiplier, a, d, at).unwrap()
+                    );
                 }
             }
         }

@@ -16,8 +16,10 @@
 //! split-seed RNG stream per instance — is bit-identical for any thread
 //! count.
 //!
-//! Every sweep reads only digitised results, so none builds the energies
-//! and discharges of [`InSramMultiplier::outcome_grid`].  The multiplier's
+//! Every sweep reads only digitised results, so none takes the per-pair
+//! energy chain of [`InSramMultiplier::multiply_at`].  The supply and
+//! temperature conditions run as one sweep over a single list of operating
+//! points.  The multiplier's
 //! code table (`code_table`) reads an analog grid out once per (pass, slice
 //! pair) — `passes × (slice_max + 1)²` ADC codes, 1,024 for INT8 — building
 //! each (pass, slice operand) row of discharges by bit-ascending prefix
@@ -59,7 +61,7 @@
 use crate::error::ImcError;
 use crate::multiplier::{InSramMultiplier, OperatingPoint};
 use optima_circuit::pvt::linspace;
-use optima_core::sweep::{par_map_sweep, par_map_sweep_with, stream_seed};
+use optima_core::sweep::{par_map_sweep, par_map_sweep_with, stream_seed, SweepError};
 use optima_math::distributions::standard_normal;
 use optima_math::stats;
 use optima_math::units::{Celsius, Volts};
@@ -229,40 +231,46 @@ impl PvtAnalysis {
         }
 
         // ---- Fig. 8 right: error vs supply voltage and temperature ----
-        let supply_errors = par_map_sweep(&config.supply_voltages, config.threads, |_, &vdd| {
-            average_error_at(
-                multiplier,
-                OperatingPoint {
-                    vdd: Volts(vdd),
-                    temperature: nominal.temperature,
-                },
-            )
+        // One sweep over the supply conditions, then the temperatures, so
+        // the workers start once.  The lowest failing index is a supply
+        // condition whenever one fails, as if the supply sweep ran first.
+        let supplies = config.supply_voltages.len();
+        let conditions: Vec<OperatingPoint> = config
+            .supply_voltages
+            .iter()
+            .map(|&vdd| OperatingPoint {
+                vdd: Volts(vdd),
+                temperature: nominal.temperature,
+            })
+            .chain(config.temperatures.iter().map(|&temp| OperatingPoint {
+                vdd: nominal.vdd,
+                temperature: Celsius(temp),
+            }))
+            .collect();
+        let mut errors = par_map_sweep(&conditions, config.threads, |_, &at| {
+            average_error_at(multiplier, at)
         })
         .map_err(|err| {
-            let vdd = config.supply_voltages[err.index];
-            ImcError::from_sweep(err, format!("supply sweep V_DD = {vdd} V"))
-        })?;
-        let supply_sweep = ConditionSweep {
-            condition_values: config.supply_voltages.clone(),
-            average_error_lsb: supply_errors,
-        };
-
-        let temperature_errors = par_map_sweep(&config.temperatures, config.threads, |_, &temp| {
-            average_error_at(
-                multiplier,
-                OperatingPoint {
-                    vdd: nominal.vdd,
-                    temperature: Celsius(temp),
-                },
-            )
-        })
-        .map_err(|err| {
-            let temp = config.temperatures[err.index];
-            ImcError::from_sweep(err, format!("temperature sweep T = {temp} degC"))
+            let (index, corner) = match err.index.checked_sub(supplies) {
+                None => {
+                    let vdd = config.supply_voltages[err.index];
+                    (err.index, format!("supply sweep V_DD = {vdd} V"))
+                }
+                Some(index) => {
+                    let temp = config.temperatures[index];
+                    (index, format!("temperature sweep T = {temp} degC"))
+                }
+            };
+            let source = err.source;
+            ImcError::from_sweep(SweepError { index, source }, corner)
         })?;
         let temperature_sweep = ConditionSweep {
             condition_values: config.temperatures.clone(),
-            average_error_lsb: temperature_errors,
+            average_error_lsb: errors.split_off(supplies),
+        };
+        let supply_sweep = ConditionSweep {
+            condition_values: config.supply_voltages.clone(),
+            average_error_lsb: errors,
         };
 
         // ---- Mismatch Monte Carlo: one chip per instance ----
@@ -317,9 +325,9 @@ impl PvtAnalysis {
 
 /// Average absolute error over the full input space at one operating point,
 /// read out from the pristine code table
-/// ([`InSramMultiplier::result_codes`]).
+/// ([`InSramMultiplier::grid_and_codes`]).
 fn average_error_at(multiplier: &InSramMultiplier, at: OperatingPoint) -> Result<f64, ImcError> {
-    let codes = multiplier.result_codes(at)?;
+    let (_, codes) = multiplier.grid_and_codes(at)?;
     let sum = absolute_error_sum(multiplier, &codes);
     Ok(sum as f64 / multiplier.array().input_space() as f64)
 }
@@ -490,6 +498,28 @@ mod tests {
         assert_eq!(*profile.expected_results.last().unwrap(), 65025);
         assert!(analysis.nominal_epsilon_mul.is_finite());
         assert_eq!(analysis.mismatch_monte_carlo.per_sample_error_lsb.len(), 2);
+    }
+
+    /// The supply and temperature conditions share one sweep, but a failing
+    /// supply condition is still reported by its index among the supply
+    /// voltages: at V_DD = 2 V the DAC's full-scale word line leaves the
+    /// discharge model's calibrated domain.
+    #[test]
+    fn a_failing_supply_condition_names_itself() {
+        for threads in [1, 2, 5] {
+            let config = PvtAnalysisConfig {
+                supply_voltages: vec![1.0, 2.0, 3.0],
+                mismatch_samples: 1,
+                threads,
+                ..PvtAnalysisConfig::fast()
+            };
+            let err = PvtAnalysis::run(&multiplier(false), &config).unwrap_err();
+            let corner = "sweep corner 1 (supply sweep V_DD = 2 V) failed";
+            assert!(
+                err.to_string().starts_with(corner),
+                "{threads} threads: {err}"
+            );
+        }
     }
 
     #[test]

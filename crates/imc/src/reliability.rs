@@ -255,20 +255,6 @@ impl FaultState {
         let drift = self.map.drift_unchecked(self.row, column);
         (raw * (1.0 + drift * self.retention_scale)).max(0.0)
     }
-
-    /// The set of bits of `(pass, d_slice)` whose columns discharge — the
-    /// per-pass gating word the energy accounting iterates over.
-    #[inline]
-    pub(crate) fn gate_bits(&self, pass: usize, d_slice: u16) -> u16 {
-        let mut gates = 0u16;
-        for bit in 0..self.array.slice_bits {
-            let stored = (d_slice >> bit) & 1 == 1;
-            if self.column_discharges(pass, bit, stored) {
-                gates |= 1 << bit;
-            }
-        }
-        gates
-    }
 }
 
 /// Shared geometry validation of the reliability constructors.
@@ -394,6 +380,9 @@ mod tests {
         let array = spare_array();
         let state = FaultState::unmitigated(&array, DefectMap::none(&array), 0).unwrap();
         assert!(state.is_pristine());
+        // A pristine state's scaled delta is the identity transform.
+        let raw = 0.123456789;
+        assert_eq!(state.scaled_delta(0, 2, raw).to_bits(), raw.to_bits());
         let fresh = state
             .clone()
             .with_lifetime(&LifetimeTrajectory::nbti_like().at(0));
@@ -424,17 +413,5 @@ mod tests {
         // Stuck-at-one discharges even when the written bit is 0.
         assert!(state.column_discharges(0, column as u8, false));
         assert!(state.column_discharges(0, column as u8, true));
-    }
-
-    #[test]
-    fn pristine_gate_bits_equal_the_stored_slice() {
-        let array = spare_array();
-        let state = FaultState::unmitigated(&array, DefectMap::none(&array), 0).unwrap();
-        for d_slice in 0..=15u16 {
-            assert_eq!(state.gate_bits(0, d_slice), d_slice);
-        }
-        // And the scaled delta is the identity transform.
-        let raw = 0.123456789;
-        assert_eq!(state.scaled_delta(0, 2, raw).to_bits(), raw.to_bits());
     }
 }
