@@ -161,11 +161,12 @@ impl Mosfet {
 /// once per transient instead of once per derivative evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct GateBias {
-    overdrive: f64,
-    beta: f64,
+    /// `V_GS − V_th`; at or below zero the device is subthreshold.
+    pub(crate) overdrive: f64,
+    pub(crate) beta: f64,
     /// `β/2 · overdrive²`, the saturation current before channel-length modulation.
-    saturation: f64,
-    lambda: f64,
+    pub(crate) saturation: f64,
+    pub(crate) lambda: f64,
     /// Subthreshold current before drain saturation (zero above threshold).
     subthreshold: f64,
 }

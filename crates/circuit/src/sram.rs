@@ -93,10 +93,10 @@ impl SramCell {
 /// An [`SramCell`] at a fixed word-line voltage, from [`SramCell::at_word_line`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct WordLineBias {
-    stored_bit: bool,
-    access: GateBias,
-    pulldown: GateBias,
-    series_factor: f64,
+    pub(crate) stored_bit: bool,
+    pub(crate) access: GateBias,
+    pub(crate) pulldown: GateBias,
+    pub(crate) series_factor: f64,
 }
 
 impl WordLineBias {

@@ -8,24 +8,37 @@
 //! produced here, and the paper's speed-up claim is measured as the runtime
 //! ratio between this simulator and the fitted models.
 //!
-//! One private fixed-step RK4 kernel does all the integration.  It steps up
-//! to eight bit-lines in lock-step, stage by stage, so the serial divide and
-//! `exp` latency of one instance's RK chain overlaps the independent chains
-//! of the others, and it writes every step straight into a caller-owned
-//! buffer.  A single waveform ([`TransientSimulator::discharge_waveform`]) is
-//! the one-lane case; a mismatch Monte Carlo
-//! ([`TransientSimulator::fill_mismatch_voltages`]) runs eight instances per
-//! pass.  Each lane performs exactly the same float operations in the same
-//! order whatever its neighbours, so every lane is bit-identical to a lone
-//! transient of the same instance.
+//! One private fixed-step RK4 scheme does all the integration, in two forms
+//! that perform the same float operations in the same order, each writing
+//! the nodes its caller reads straight into a caller-owned buffer (a batch
+//! keeps only the nodes its query times interpolate between, and the first
+//! and last):
+//!
+//! * A lone transient ([`TransientSimulator::discharge_waveform`], and a
+//!   batch chunk of one query) runs a scalar chain.
+//! * A batch ([`TransientSimulator::fill_transients`], and the mismatch
+//!   Monte Carlo [`TransientSimulator::fill_mismatch_voltages`] over the same
+//!   chunk loop) steps up to [`LANES`] bit-lines in lock-step, stage by
+//!   stage, so the divide latency of one chain overlaps the others.  Each
+//!   lane has its own cell and its own supply (its initial voltage); the
+//!   lanes share the bit-line capacitance, the step and the node count.  The
+//!   lane body is branch-free over fixed `[f64; LANES]` arrays: it computes
+//!   both the linear and the saturation current of each device and selects
+//!   one, so it vectorises, and it has an AVX2 clone chosen at run time.
+//! * A lane that stores a 0, or whose access or pull-down device sits at or
+//!   below threshold, takes the scalar current instead, lane by lane, so only
+//!   subthreshold lanes call `exp`.
+//!
+//! Every lane is therefore bit-identical to a lone transient of its query.
 
 use crate::error::CircuitError;
 use crate::montecarlo::MismatchSample;
+use crate::mosfet::GateBias;
 use crate::pvt::PvtConditions;
 use crate::sram::{SramCell, WordLineBias};
 use crate::technology::Technology;
 use crate::waveform::{self, Waveform};
-use optima_math::interp;
+use optima_math::interp::{self, Bracket};
 use optima_math::units::{Seconds, Volts};
 use serde::{Deserialize, Serialize};
 
@@ -53,6 +66,79 @@ impl Default for DischargeStimulus {
             cells_on_bitline: 16,
             time_steps: 400,
         }
+    }
+}
+
+/// One transient of a batch: a stimulus at an operating point, through one
+/// mismatch instance of the cell.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TransientQuery {
+    /// The discharge stimulus.
+    pub stimulus: DischargeStimulus,
+    /// The operating point.
+    pub pvt: PvtConditions,
+    /// The cell's mismatch instance.
+    pub mismatch: MismatchSample,
+}
+
+impl TransientQuery {
+    /// A query through the mismatch-free cell.
+    pub fn nominal(stimulus: DischargeStimulus, pvt: PvtConditions) -> Self {
+        TransientQuery {
+            stimulus,
+            pvt,
+            mismatch: MismatchSample::none(),
+        }
+    }
+}
+
+/// The scratch of [`TransientSimulator::fill_transients`]: the shared time
+/// axis, the nodes the query times read and each lane's voltages at those
+/// nodes.  Keep one per worker; it grows to the largest batch it has seen
+/// and is then reused.
+#[derive(Debug, Clone, Default)]
+pub struct LaneBuffer {
+    axis: Vec<f64>,
+    /// Ascending node indices a batch keeps: node 0, the last node and the
+    /// nodes every query time reads.
+    kept: Vec<usize>,
+    /// Each query time's bracket, indexing `kept`.
+    brackets: Vec<Bracket>,
+    /// Lane `l`'s voltage at `kept[s]` in `values[l * kept.len() + s]`.
+    values: Vec<f64>,
+}
+
+impl LaneBuffer {
+    /// Lays out the buffer for a batch of `shape` read at `times`, returns
+    /// the step.
+    fn prepare(
+        &mut self,
+        shape: &DischargeStimulus,
+        times: &[Seconds],
+    ) -> Result<f64, CircuitError> {
+        let nodes = shape.time_steps + 1;
+        self.axis.resize(nodes, 0.0);
+        let h = time_axis(shape, &mut self.axis);
+        waveform::check_axis(&self.axis)?;
+        self.brackets.clear();
+        self.kept.clear();
+        self.kept.extend([0, nodes - 1]);
+        for t in times {
+            let bracket = interp::bracket_sorted(&self.axis, t.0)?;
+            match bracket {
+                Bracket::At(i) => self.kept.push(i),
+                Bracket::Between(i, _) => self.kept.extend([i - 1, i]),
+            }
+            self.brackets.push(bracket);
+        }
+        self.kept.sort_unstable();
+        self.kept.dedup();
+        let kept = &self.kept;
+        for bracket in &mut self.brackets {
+            *bracket = bracket.reindex(|node| kept.partition_point(|&k| k < node));
+        }
+        self.values.resize(LANES * kept.len(), 0.0);
+        Ok(h)
     }
 }
 
@@ -104,26 +190,104 @@ impl TransientSimulator {
         mismatch: &MismatchSample,
     ) -> Result<Waveform, CircuitError> {
         self.validate(stimulus, pvt)?;
-        let cell = SramCell::new(stimulus.stored_bit, &self.technology, pvt, mismatch)
-            .at_word_line(stimulus.word_line_voltage);
+        let lane = self.lane(stimulus, pvt, mismatch);
         let nodes = stimulus.time_steps + 1;
         let mut times = vec![0.0; nodes];
         let mut values = vec![0.0; nodes];
         let h = time_axis(stimulus, &mut times);
-        integrate(
-            &[cell],
-            self.capacitance(stimulus),
-            pvt.vdd.0,
-            h,
-            nodes,
-            &mut values,
-        );
+        let capacitance = self.capacitance(stimulus);
+        integrate_lone(&lane, capacitance, h, nodes, |node, v| values[node] = v);
         Waveform::from_samples(times, values)
     }
 
-    /// Runs one transient per mismatch instance and samples each at `times`,
-    /// eight instances at a time through the lock-step kernel; no per-instance
-    /// waveform is built.
+    /// Runs one transient per query, [`LANES`] queries at a time through the
+    /// lock-step kernel, and samples each at `times`; no waveform is built.
+    ///
+    /// `voltages[k * times.len() + j]` receives query `k` at `times[j]`, and
+    /// `deltas[k]` its discharge `V(0) − V(duration)`.  Every value equals
+    /// `discharge_waveform(..)?.sample_at(times[j])?` and every delta
+    /// `discharge_delta(..)?` of the same query bit for bit.  The queries
+    /// must share the duration, step count and bit-line cells; word line,
+    /// stored bit, operating point and mismatch are free per query.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`TransientSimulator::discharge_waveform`] for any query
+    /// followed by [`Waveform::sample_at`] (a NaN query time), and
+    /// [`CircuitError::InvalidOperatingPoint`] when the queries do not share
+    /// one duration, step count and bit-line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `voltages.len() != queries.len() * times.len()` or
+    /// `deltas.len() != queries.len()`.
+    pub fn fill_transients(
+        &self,
+        queries: &[TransientQuery],
+        times: &[Seconds],
+        buffer: &mut LaneBuffer,
+        voltages: &mut [f64],
+        deltas: &mut [f64],
+    ) -> Result<(), CircuitError> {
+        self.fill_transients_with(integrate_lanes, queries, times, buffer, voltages, deltas)
+    }
+
+    /// [`TransientSimulator::fill_transients`] through the lane kernel
+    /// `kernel`.
+    fn fill_transients_with(
+        &self,
+        kernel: LaneKernel,
+        queries: &[TransientQuery],
+        times: &[Seconds],
+        buffer: &mut LaneBuffer,
+        voltages: &mut [f64],
+        deltas: &mut [f64],
+    ) -> Result<(), CircuitError> {
+        assert!(
+            voltages.len() == queries.len() * times.len() && deltas.len() == queries.len(),
+            "fill_transients needs one voltage per query and time and one delta per query"
+        );
+        let Some(first) = queries.first() else {
+            return Ok(());
+        };
+        let shape = first.stimulus;
+        for query in queries {
+            self.validate(&query.stimulus, &query.pvt)?;
+            let stimulus = &query.stimulus;
+            if (
+                stimulus.duration,
+                stimulus.time_steps,
+                stimulus.cells_on_bitline,
+            ) != (shape.duration, shape.time_steps, shape.cells_on_bitline)
+            {
+                return Err(CircuitError::InvalidOperatingPoint {
+                    context: "a batch of transients shares one duration, step count and bit-line"
+                        .to_string(),
+                });
+            }
+        }
+        let columns = times.len();
+        self.for_each_lane(
+            kernel,
+            &shape,
+            &mut queries
+                .iter()
+                .map(|query| self.lane(&query.stimulus, &query.pvt, &query.mismatch)),
+            times,
+            buffer,
+            &mut |k, lane| {
+                let samples = &mut voltages[k * columns..(k + 1) * columns];
+                for (j, slot) in samples.iter_mut().enumerate() {
+                    *slot = lane.sample(j);
+                }
+                deltas[k] = lane.delta();
+            },
+        )
+    }
+
+    /// Runs one transient per mismatch instance and samples each at `times`:
+    /// [`TransientSimulator::fill_transients`] of one stimulus and operating
+    /// point, laid out by time.
     ///
     /// `out[j * mismatch.len() + k]` receives instance `k` at `times[j]`, so
     /// the `mismatch.len()` values at one time are contiguous.  Every value
@@ -152,39 +316,21 @@ impl TransientSimulator {
             "fill_mismatch_voltages needs one output slot per instance and time"
         );
         self.validate(stimulus, pvt)?;
-        let nodes = stimulus.time_steps + 1;
-        let mut axis = vec![0.0; nodes];
-        let h = time_axis(stimulus, &mut axis);
-        waveform::check_axis(&axis)?;
-        let capacitance = self.capacitance(stimulus);
-        let cell = |sample: &MismatchSample| {
-            SramCell::new(stimulus.stored_bit, &self.technology, pvt, sample)
-                .at_word_line(stimulus.word_line_voltage)
-        };
         let instances = mismatch.len();
-        let mut values = vec![0.0; LANES * nodes];
-        for (chunk_index, chunk) in mismatch.chunks(LANES).enumerate() {
-            let mut cells = [cell(&chunk[0]); LANES];
-            for (slot, sample) in cells.iter_mut().zip(chunk).skip(1) {
-                *slot = cell(sample);
-            }
-            let lanes = chunk.len();
-            integrate(
-                &cells[..lanes],
-                capacitance,
-                pvt.vdd.0,
-                h,
-                nodes,
-                &mut values,
-            );
-            for (lane, waveform) in values.chunks_exact(nodes).take(lanes).enumerate() {
-                let instance = chunk_index * LANES + lane;
-                for (j, t) in times.iter().enumerate() {
-                    out[j * instances + instance] = interp::linear_sorted(&axis, waveform, t.0)?;
+        self.for_each_lane(
+            integrate_lanes,
+            stimulus,
+            &mut mismatch
+                .iter()
+                .map(|sample| self.lane(stimulus, pvt, sample)),
+            times,
+            &mut LaneBuffer::default(),
+            &mut |k, lane| {
+                for j in 0..times.len() {
+                    out[j * instances + k] = lane.sample(j);
                 }
-            }
-        }
-        Ok(())
+            },
+        )
     }
 
     /// Convenience wrapper returning only the discharge `ΔV_BL` observed at
@@ -201,6 +347,71 @@ impl TransientSimulator {
     ) -> Result<Volts, CircuitError> {
         let waveform = self.discharge_waveform(stimulus, pvt, mismatch)?;
         Ok(Volts(waveform.initial_value() - waveform.final_value()))
+    }
+
+    /// The chunk loop of every batch: integrates the validated `lanes` of
+    /// `shape`'s duration, steps and bit-line, [`LANES`] at a time (a chunk
+    /// of one through the scalar chain), keeping only the nodes `times`
+    /// read, and hands the `k`-th lane to `visit(k, lane)`.
+    fn for_each_lane(
+        &self,
+        kernel: LaneKernel,
+        shape: &DischargeStimulus,
+        lanes: &mut dyn ExactSizeIterator<Item = Lane>,
+        times: &[Seconds],
+        buffer: &mut LaneBuffer,
+        visit: &mut dyn FnMut(usize, LaneSamples<'_>),
+    ) -> Result<(), CircuitError> {
+        let h = buffer.prepare(shape, times)?;
+        let capacitance = self.capacitance(shape);
+        let nodes = shape.time_steps + 1;
+        let LaneBuffer {
+            kept,
+            brackets,
+            values,
+            ..
+        } = buffer;
+        let count = lanes.len();
+        let mut first = 0;
+        while let Some(lane) = lanes.next() {
+            let chunk_lanes = LANES.min(count - first);
+            if chunk_lanes == 1 {
+                let mut slot = 0;
+                integrate_lone(&lane, capacitance, h, nodes, |node, v| {
+                    if kept.get(slot) == Some(&node) {
+                        values[slot] = v;
+                        slot += 1;
+                    }
+                });
+            } else {
+                let mut chunk = [lane; LANES];
+                for (slot, lane) in chunk[1..chunk_lanes].iter_mut().zip(&mut *lanes) {
+                    *slot = lane;
+                }
+                let set = LaneSet::new(capacitance, &chunk, chunk_lanes);
+                kernel(&set, h, kept, values);
+            }
+            let chunk_values = values.chunks_exact(kept.len()).take(chunk_lanes);
+            for (offset, values) in chunk_values.enumerate() {
+                visit(first + offset, LaneSamples { values, brackets });
+            }
+            first += chunk_lanes;
+        }
+        Ok(())
+    }
+
+    /// The cell of one transient with its word line held, and its supply.
+    fn lane(
+        &self,
+        stimulus: &DischargeStimulus,
+        pvt: &PvtConditions,
+        mismatch: &MismatchSample,
+    ) -> Lane {
+        Lane {
+            cell: SramCell::new(stimulus.stored_bit, &self.technology, pvt, mismatch)
+                .at_word_line(stimulus.word_line_voltage),
+            vdd: pvt.vdd.0,
+        }
     }
 
     fn capacitance(&self, stimulus: &DischargeStimulus) -> f64 {
@@ -254,8 +465,28 @@ impl TransientSimulator {
     }
 }
 
-/// Bit-lines the RK4 kernel integrates in lock-step.
-const LANES: usize = 8;
+/// Bit-lines the lock-step RK4 kernel integrates at once.
+pub const LANES: usize = 16;
+
+/// One lane of a batch: its voltages at the kept nodes, read through the
+/// query times' brackets.
+#[derive(Debug, Clone, Copy)]
+struct LaneSamples<'a> {
+    values: &'a [f64],
+    brackets: &'a [Bracket],
+}
+
+impl LaneSamples<'_> {
+    /// The voltage at query time `j`, as `Waveform::sample_at` reads it.
+    fn sample(&self, j: usize) -> f64 {
+        self.brackets[j].interpolate(|slot| self.values[slot])
+    }
+
+    /// The discharge `V(0) − V(duration)`: the first and the last kept node.
+    fn delta(&self) -> f64 {
+        self.values[0] - self.values[self.values.len() - 1]
+    }
+}
 
 /// Fills `times` with the shared time axis, `t` from `0.0` advanced by `+= h`
 /// per step, and returns the step `h`.
@@ -269,49 +500,204 @@ fn time_axis(stimulus: &DischargeStimulus, times: &mut [f64]) -> f64 {
     h
 }
 
-/// Integrates `C · dV/dt = −I(V)` from `V = vdd` for `cells.len() <= LANES`
-/// bit-lines in lock-step with the classic fixed-step RK4 scheme.
-///
-/// Lane `l`'s voltage at node `i < nodes` lands in `values[l * nodes + i]`.
-/// Each lane runs exactly the arithmetic of a lone RK4 chain.
-fn integrate(
-    cells: &[WordLineBias],
-    capacitance: f64,
+/// One transient's cell, with its word line held, and its supply (the
+/// bit-line's initial voltage).
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    cell: WordLineBias,
     vdd: f64,
+}
+
+/// The RK4 slope `−I(V)/C` of `cell` at bit-line voltage `v`.
+fn slope(cell: &WordLineBias, capacitance: f64, v: f64) -> f64 {
+    -cell.discharge_current(Volts(v.max(0.0))).0 / capacitance
+}
+
+/// Integrates `C · dV/dt = −I(V)` from `V = vdd` for one lane with the
+/// classic fixed-step RK4 scheme over `nodes` nodes, handing every node's
+/// voltage to `store(node, v)`.
+fn integrate_lone(
+    lane: &Lane,
+    capacitance: f64,
     h: f64,
     nodes: usize,
-    values: &mut [f64],
+    mut store: impl FnMut(usize, f64),
 ) {
-    let lanes = cells.len();
-    debug_assert!(lanes <= LANES && values.len() >= lanes * nodes);
-    let slope = |cell: &WordLineBias, v: f64| {
-        let current = cell.discharge_current(Volts(v.max(0.0))).0;
-        -current / capacitance
-    };
-    let mut y = [vdd; LANES];
-    let (mut k1, mut k2, mut k3) = ([0.0; LANES], [0.0; LANES], [0.0; LANES]);
-    for lane in 0..lanes {
-        values[lane * nodes] = vdd;
-    }
+    let slope = |v: f64| slope(&lane.cell, capacitance, v);
+    let mut y = lane.vdd;
+    store(0, y);
     // optima-lint: hot
     for node in 1..nodes {
-        for l in 0..lanes {
-            k1[l] = slope(&cells[l], y[l]);
-        }
-        for l in 0..lanes {
-            k2[l] = slope(&cells[l], y[l] + 0.5 * h * k1[l]);
-        }
-        for l in 0..lanes {
-            k3[l] = slope(&cells[l], y[l] + 0.5 * h * k2[l]);
-        }
-        for l in 0..lanes {
-            let k4 = slope(&cells[l], y[l] + h * k3[l]);
-            y[l] += h / 6.0 * (k1[l] + 2.0 * k2[l] + 2.0 * k3[l] + k4);
-            values[l * nodes + node] = y[l];
-        }
+        let k1 = slope(y);
+        let k2 = slope(y + 0.5 * h * k1);
+        let k3 = slope(y + 0.5 * h * k2);
+        let k4 = slope(y + h * k3);
+        y += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
+        store(node, y);
     }
     // optima-lint: end-hot
 }
+
+/// A lock-step kernel: integrates every lane of the set with step `h` up to
+/// the last node of the ascending `kept`, which starts at node 0, and stores
+/// lane `l`'s voltage at `kept[s]` in `values[l * kept.len() + s]`.
+type LaneKernel = fn(&LaneSet, f64, &[usize], &mut [f64]);
+
+/// One device's gate-only terms across the lanes.
+#[derive(Debug, Clone, Copy)]
+struct GateLanes {
+    overdrive: [f64; LANES],
+    beta: [f64; LANES],
+    saturation: [f64; LANES],
+    lambda: [f64; LANES],
+}
+
+impl GateLanes {
+    fn new(gate: impl Fn(usize) -> GateBias) -> Self {
+        GateLanes {
+            overdrive: std::array::from_fn(|l| gate(l).overdrive),
+            beta: std::array::from_fn(|l| gate(l).beta),
+            saturation: std::array::from_fn(|l| gate(l).saturation),
+            lambda: std::array::from_fn(|l| gate(l).lambda),
+        }
+    }
+
+    /// Lane `l`'s drain current at `v_ds` above threshold: the IEEE
+    /// operations of `GateBias::drain_current` in the same order, with both
+    /// the linear and the saturation current computed and one selected.
+    #[inline(always)]
+    fn drain_current(&self, l: usize, v_ds: f64) -> f64 {
+        let v_ds = v_ds.max(0.0);
+        let overdrive = self.overdrive[l];
+        let linear = self.beta[l] * (overdrive - 0.5 * v_ds) * v_ds;
+        let saturated = self.saturation[l] * (1.0 + self.lambda[l] * (v_ds - overdrive));
+        let current = if v_ds < overdrive { linear } else { saturated };
+        current.max(0.0)
+    }
+}
+
+/// Two to [`LANES`] lanes of one bit-line, laid out field by field for the
+/// branch-free body.  The slots past `lanes` repeat lane 0 and are never
+/// read back.
+#[derive(Debug, Clone)]
+struct LaneSet {
+    lanes: usize,
+    capacitance: f64,
+    vdd: [f64; LANES],
+    access: GateLanes,
+    pulldown: GateLanes,
+    series_factor: [f64; LANES],
+    cells: [WordLineBias; LANES],
+    /// The lanes the branch-free body cannot answer (a stored 0, or a
+    /// device at or below threshold), in its first `scalar_lanes` slots.
+    scalar: [usize; LANES],
+    scalar_lanes: usize,
+}
+
+impl LaneSet {
+    fn new(capacitance: f64, chunk: &[Lane; LANES], lanes: usize) -> Self {
+        let cells: [WordLineBias; LANES] = std::array::from_fn(|l| chunk[l].cell);
+        let mut scalar = [0; LANES];
+        let mut scalar_lanes = 0;
+        for (l, cell) in cells.iter().enumerate().take(lanes) {
+            if !(cell.stored_bit && cell.access.overdrive > 0.0 && cell.pulldown.overdrive > 0.0) {
+                scalar[scalar_lanes] = l;
+                scalar_lanes += 1;
+            }
+        }
+        LaneSet {
+            lanes,
+            capacitance,
+            vdd: std::array::from_fn(|l| chunk[l].vdd),
+            access: GateLanes::new(|l| cells[l].access),
+            pulldown: GateLanes::new(|l| cells[l].pulldown),
+            series_factor: std::array::from_fn(|l| cells[l].series_factor),
+            cells,
+            scalar,
+            scalar_lanes,
+        }
+    }
+}
+
+// optima-lint: hot
+
+/// Every lane's slope `−I(V)/C` at `v`: the branch-free cell current
+/// (`WordLineBias::discharge_current` above threshold), then the scalar
+/// current in the lanes listed as scalar.
+#[inline(always)]
+fn lane_slopes(set: &LaneSet, v: &[f64; LANES], slopes: &mut [f64; LANES]) {
+    for l in 0..LANES {
+        let v_blb = v[l].max(0.0);
+        let access = set.access.drain_current(l, v_blb);
+        let pulldown = set.pulldown.drain_current(l, v_blb);
+        slopes[l] = -(access.min(pulldown) * set.series_factor[l]) / set.capacitance;
+    }
+    for &l in &set.scalar[..set.scalar_lanes] {
+        slopes[l] = slope(&set.cells[l], set.capacitance, v[l]);
+    }
+}
+
+/// The lock-step RK4 kernel (a [`LaneKernel`]): every lane runs the
+/// arithmetic of [`integrate_lone`], stage by stage across the lanes.
+#[inline(always)]
+fn integrate_lanes_body(set: &LaneSet, h: f64, kept: &[usize], values: &mut [f64]) {
+    let slots = kept.len();
+    let mut y = set.vdd;
+    let mut stage = [0.0; LANES];
+    let (mut k1, mut k2, mut k3, mut k4) = ([0.0; LANES], [0.0; LANES], [0.0; LANES], [0.0; LANES]);
+    for (l, &vdd) in y.iter().enumerate().take(set.lanes) {
+        values[l * slots] = vdd;
+    }
+    let mut slot = 1;
+    for node in 1..=kept[slots - 1] {
+        lane_slopes(set, &y, &mut k1);
+        for l in 0..LANES {
+            stage[l] = y[l] + 0.5 * h * k1[l];
+        }
+        lane_slopes(set, &stage, &mut k2);
+        for l in 0..LANES {
+            stage[l] = y[l] + 0.5 * h * k2[l];
+        }
+        lane_slopes(set, &stage, &mut k3);
+        for l in 0..LANES {
+            stage[l] = y[l] + h * k3[l];
+        }
+        lane_slopes(set, &stage, &mut k4);
+        for l in 0..LANES {
+            y[l] += h / 6.0 * (k1[l] + 2.0 * k2[l] + 2.0 * k3[l] + k4[l]);
+        }
+        if kept.get(slot) == Some(&node) {
+            for (l, &v) in y.iter().enumerate().take(set.lanes) {
+                values[l * slots + slot] = v;
+            }
+            slot += 1;
+        }
+    }
+}
+
+// The same body compiled for AVX2: a `[f64; LANES]` row is four ymm
+// registers instead of eight xmm ones.  Both clones run the identical IEEE
+// operations in the identical order (no FMA contraction), so they are
+// bit-identical to each other and to the scalar chain.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+unsafe fn integrate_lanes_avx2(set: &LaneSet, h: f64, kept: &[usize], values: &mut [f64]) {
+    integrate_lanes_body(set, h, kept, values);
+}
+
+/// The lock-step kernel of this CPU: the AVX2 clone where available, the
+/// portable body otherwise.
+fn integrate_lanes(set: &LaneSet, h: f64, kept: &[usize], values: &mut [f64]) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the AVX2 clone only runs after the (cached) runtime
+        // feature check above confirmed the CPU supports it.
+        return unsafe { integrate_lanes_avx2(set, h, kept, values) };
+    }
+    integrate_lanes_body(set, h, kept, values);
+}
+
+// optima-lint: end-hot
 
 #[cfg(test)]
 mod tests {
@@ -467,6 +853,148 @@ mod tests {
                 assert_eq!(wf.values()[i].to_bits(), y[0].to_bits(), "{name}: v[{i}]");
             }
         }
+    }
+
+    /// Runs `queries` through `fill_transients` with the lane kernel
+    /// `kernel` and requires every sample to equal the lone waveform's
+    /// `sample_at` and every delta `discharge_delta`, bit for bit.
+    fn assert_batch_matches_lone_transients(
+        sim: &TransientSimulator,
+        (name, kernel): (&str, LaneKernel),
+        queries: &[TransientQuery],
+        times: &[Seconds],
+        buffer: &mut LaneBuffer,
+    ) {
+        let n = queries.len();
+        let mut voltages = vec![f64::NAN; n * times.len()];
+        let mut deltas = vec![f64::NAN; n];
+        sim.fill_transients_with(kernel, queries, times, buffer, &mut voltages, &mut deltas)
+            .unwrap();
+        for (k, query) in queries.iter().enumerate() {
+            let (stimulus, pvt, mismatch) = (&query.stimulus, &query.pvt, &query.mismatch);
+            let waveform = sim.discharge_waveform(stimulus, pvt, mismatch).unwrap();
+            for (j, &t) in times.iter().enumerate() {
+                assert_eq!(
+                    voltages[k * times.len() + j].to_bits(),
+                    waveform.sample_at(t).unwrap().0.to_bits(),
+                    "{name}, {n} lanes, query {k} ({query:?}), t = {}",
+                    t.0
+                );
+            }
+            let delta = sim.discharge_delta(stimulus, pvt, mismatch).unwrap().0;
+            assert_eq!(
+                deltas[k].to_bits(),
+                delta.to_bits(),
+                "{name}, {n} lanes, query {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn batched_lanes_are_bit_identical_to_lone_transients() {
+        let (sim, nominal) = sim();
+        let skewed = MismatchSample {
+            delta_vth: Volts(0.021),
+            delta_beta_rel: -0.037,
+        };
+        let query = |v_wl: f64, stored_bit: bool, pvt: PvtConditions, mismatch| TransientQuery {
+            stimulus: DischargeStimulus {
+                word_line_voltage: Volts(v_wl),
+                stored_bit,
+                duration: Seconds(1.5e-9),
+                time_steps: 150,
+                ..DischargeStimulus::default()
+            },
+            pvt,
+            mismatch,
+        };
+        let none = MismatchSample::none();
+        // Subthreshold, at V_th and strong word lines, both supplies, both
+        // temperature extremes, both skewed corners, a stored 0 and a
+        // mismatched cell, so every chunk mixes scalar and branch-free lanes.
+        let mix = [
+            query(0.3, true, nominal, none),
+            query(0.8, true, nominal.with_vdd(Volts(0.9)), none),
+            query(0.45, true, nominal, none),
+            query(1.1, true, nominal.with_vdd(Volts(1.1)), none),
+            query(0.6, true, nominal.with_temperature(Celsius(-40.0)), none),
+            query(0.9, false, nominal, none),
+            query(0.7, true, nominal.with_temperature(Celsius(125.0)), none),
+            query(
+                0.75,
+                true,
+                nominal.with_corner(ProcessCorner::FastFast),
+                none,
+            ),
+            query(
+                1.0,
+                true,
+                nominal.with_corner(ProcessCorner::SlowSlow),
+                none,
+            ),
+            query(0.65, true, nominal, skewed),
+            query(0.45, true, nominal.with_vdd(Volts(1.1)), skewed),
+            query(1.1, true, nominal.with_vdd(Volts(0.9)), none),
+        ];
+        let axis_step = 1.5e-9 / 150.0;
+        let times = [0.0, 3.0 * axis_step, 40.4 * axis_step, 1.5e-9].map(Seconds);
+        let mut kernels: Vec<(&str, LaneKernel)> = vec![("portable", integrate_lanes_body)];
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: only reached once the CPU is known to support AVX2.
+            kernels.push(("avx2", |set, h, kept, values| unsafe {
+                integrate_lanes_avx2(set, h, kept, values)
+            }));
+        }
+        for kernel in kernels {
+            let mut buffer = LaneBuffer::default();
+            for count in [1, 2, 15, 16, 17, 35] {
+                let queries: Vec<TransientQuery> =
+                    (0..count).map(|k| mix[(k + count) % mix.len()]).collect();
+                assert_batch_matches_lone_transients(&sim, kernel, &queries, &times, &mut buffer);
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_shares_one_duration_step_count_and_bit_line() {
+        let (sim, pvt) = sim();
+        let query = TransientQuery::nominal(DischargeStimulus::default(), pvt);
+        let other = |stimulus| TransientQuery::nominal(stimulus, pvt);
+        for stimulus in [
+            DischargeStimulus {
+                duration: Seconds(1e-9),
+                ..query.stimulus
+            },
+            DischargeStimulus {
+                time_steps: 100,
+                ..query.stimulus
+            },
+            DischargeStimulus {
+                cells_on_bitline: 32,
+                ..query.stimulus
+            },
+        ] {
+            let result = sim.fill_transients(
+                &[query, other(stimulus)],
+                &[],
+                &mut LaneBuffer::default(),
+                &mut [],
+                &mut [0.0; 2],
+            );
+            assert!(
+                matches!(result, Err(CircuitError::InvalidOperatingPoint { .. })),
+                "{result:?}"
+            );
+        }
+        sim.fill_transients(
+            &[],
+            &[Seconds(1e-9)],
+            &mut LaneBuffer::default(),
+            &mut [],
+            &mut [],
+        )
+        .unwrap();
     }
 
     #[test]
@@ -694,9 +1222,9 @@ mod tests {
         assert!(slow_device < nominal);
     }
 
-    /// Requires `discharge_delta` and `fill_mismatch_voltages`, which share
-    /// the operating-point validation, to reject `stimulus` at `pvt` with
-    /// [`CircuitError::InvalidOperatingPoint`].
+    /// Requires `discharge_delta`, `fill_mismatch_voltages` and
+    /// `fill_transients`, which share the operating-point validation, to
+    /// reject `stimulus` at `pvt` with [`CircuitError::InvalidOperatingPoint`].
     fn assert_invalid_operating_point(stimulus: &DischargeStimulus, pvt: &PvtConditions) {
         let (sim, _) = sim();
         let delta = sim.discharge_delta(stimulus, pvt, &MismatchSample::none());
@@ -715,6 +1243,22 @@ mod tests {
         assert!(
             matches!(fill, Err(CircuitError::InvalidOperatingPoint { .. })),
             "fill_mismatch_voltages: {fill:?}"
+        );
+        // The invalid query second in a batch, after a valid one.
+        let valid = TransientQuery::nominal(
+            DischargeStimulus::default(),
+            PvtConditions::nominal(sim.technology()),
+        );
+        let batch = sim.fill_transients(
+            &[valid, TransientQuery::nominal(*stimulus, *pvt)],
+            &[Seconds(0.5e-9)],
+            &mut LaneBuffer::default(),
+            &mut out,
+            &mut [0.0; 2],
+        );
+        assert!(
+            matches!(batch, Err(CircuitError::InvalidOperatingPoint { .. })),
+            "fill_transients: {batch:?}"
         );
     }
 

@@ -29,10 +29,13 @@
 
 use crate::error::ModelError;
 use crate::model::suite::ModelSuite;
+use crate::sweep::{par_map_sweep_with, SweepError};
 use optima_circuit::energy as circuit_energy;
 use optima_circuit::montecarlo::MismatchSample;
 use optima_circuit::pvt::PvtConditions;
-use optima_circuit::transient::{DischargeStimulus, TransientSimulator};
+use optima_circuit::transient::{
+    DischargeStimulus, LaneBuffer, TransientQuery, TransientSimulator, LANES,
+};
 use optima_math::units::{FemtoJoules, Seconds, Volts};
 
 /// A backend that can answer the analog questions about one bit-line
@@ -185,6 +188,70 @@ impl DischargeBackend for TransientSimulator {
         )
         .to_femtojoules())
     }
+}
+
+/// The golden circuit's answers to a batch of queries, in query order.
+#[derive(Debug, Default)]
+pub(crate) struct GoldenSamples {
+    /// Query `k` at `times[j]` in `voltages[k * times.len() + j]`.
+    pub(crate) voltages: Vec<f64>,
+    /// Query `k`'s discharge `ΔV = V(0) − V(duration)` in `deltas[k]`.
+    pub(crate) deltas: Vec<f64>,
+}
+
+/// Answers `queries` on the golden circuit, sampled at `times`, in
+/// lock-step batches.
+///
+/// Each sweep item is one chunk of [`LANES`] queries through
+/// [`TransientSimulator::fill_transients`], and each worker reuses one lane
+/// buffer.  The samples and `ΔV`s equal the golden backend's per-query
+/// answers bit for bit at any thread count, and so does the error: a chunk
+/// whose batch fails reruns its queries one at a time, so the
+/// [`SweepError`] names the lowest failing query, where a sweep of one
+/// query per item stops.
+pub(crate) fn golden_sweep(
+    simulator: &TransientSimulator,
+    queries: &[TransientQuery],
+    times: &[Seconds],
+    threads: usize,
+) -> Result<GoldenSamples, SweepError<ModelError>> {
+    let columns = times.len();
+    let chunks: Vec<&[TransientQuery]> = queries.chunks(LANES).collect();
+    let answers = par_map_sweep_with(
+        &chunks,
+        threads,
+        LaneBuffer::default,
+        |buffer, chunk_index, chunk| {
+            let mut answer = GoldenSamples {
+                voltages: vec![0.0; chunk.len() * columns],
+                deltas: vec![0.0; chunk.len()],
+            };
+            let (voltages, deltas) = (&mut answer.voltages, &mut answer.deltas);
+            if let Err(err) = simulator.fill_transients(chunk, times, buffer, voltages, deltas) {
+                for k in 0..chunk.len() {
+                    let samples = &mut voltages[k * columns..(k + 1) * columns];
+                    simulator
+                        .fill_transients(&chunk[k..=k], times, buffer, samples, &mut deltas[k..=k])
+                        .map_err(|err| SweepError {
+                            index: chunk_index * LANES + k,
+                            source: err.into(),
+                        })?;
+                }
+                return Err(SweepError {
+                    index: chunk_index * LANES,
+                    source: err.into(),
+                });
+            }
+            Ok(answer)
+        },
+    )
+    .map_err(|err| err.source)?;
+    let mut samples = GoldenSamples::default();
+    for answer in answers {
+        samples.voltages.extend(answer.voltages);
+        samples.deltas.extend(answer.deltas);
+    }
+    Ok(samples)
 }
 
 /// The fitted OPTIMA models: every query is batched polynomial evaluation

@@ -12,7 +12,7 @@
 //!    (`optima_imc::multiplier::InSramMultiplier`), which executes each
 //!    multiplication as a sequence of discrete bit-line discharges.
 
-use crate::backend::DischargeBackend;
+use crate::backend::{golden_sweep, DischargeBackend};
 use crate::error::ModelError;
 use crate::model::discharge::DischargeModel;
 use crate::model::energy::{DischargeEnergyModel, WriteEnergyModel};
@@ -24,7 +24,7 @@ use crate::sweep::par_map_sweep;
 use optima_circuit::montecarlo::MismatchModel;
 use optima_circuit::pvt::{linspace, PvtConditions};
 use optima_circuit::technology::Technology;
-use optima_circuit::transient::{DischargeStimulus, TransientSimulator};
+use optima_circuit::transient::{DischargeStimulus, TransientQuery, TransientSimulator};
 use optima_math::lsq::{polynomial_fit, SeparableFit};
 use optima_math::stats;
 use optima_math::units::{Celsius, Seconds, Volts};
@@ -232,14 +232,21 @@ impl Calibrator {
     /// Runs the full calibration: circuit sweeps, least-squares fits,
     /// residual reporting.
     ///
-    /// All deterministic reference data (waveform samples, deltas, energies)
-    /// is acquired through the [`DischargeBackend`] interface of the golden
-    /// simulator — the same interface the fitted models implement — so the
-    /// residuals measured here and the held-out errors of
+    /// The golden transients of the Eq. 3/4/5 waveform sweeps and the Eq. 8
+    /// `ΔV` sweeps run in lock-step chunks of
+    /// [`LANES`](optima_circuit::transient::LANES) queries through
+    /// [`TransientSimulator::fill_transients`], fanned out over the sweep
+    /// workers.  Every sample and `ΔV` equals, bit for bit, the answer of
+    /// the golden simulator's [`DischargeBackend`] interface — the interface
+    /// the fitted models implement — and the energies come through that
+    /// interface, so the residuals measured here and the held-out errors of
     /// [`crate::evaluation::ModelEvaluator`] are defined against one
-    /// contract.  Only the Eq. 6 mismatch Monte Carlo bypasses the trait
-    /// (per-instance [`optima_circuit::montecarlo::MismatchSample`]s have no
-    /// fitted-side equivalent).
+    /// contract.  The Eq. 6 mismatch Monte Carlo runs per-instance
+    /// [`optima_circuit::montecarlo::MismatchSample`]s, which have no
+    /// fitted-side equivalent, through
+    /// [`TransientSimulator::fill_mismatch_voltages`] over the same chunk
+    /// loop.  Each grid point stays its own transient, so
+    /// [`CalibrationReport::circuit_simulations`] counts one per point.
     ///
     /// # Errors
     ///
@@ -293,6 +300,18 @@ impl Calibrator {
         }
     }
 
+    /// One golden query per `(condition, V_WL)` grid point, through the
+    /// mismatch-free cell at the operating point `pvt(condition)`.
+    fn queries(
+        &self,
+        grid: &[(f64, f64)],
+        pvt: impl Fn(f64) -> PvtConditions,
+    ) -> Vec<TransientQuery> {
+        grid.iter()
+            .map(|&(condition, v_wl)| TransientQuery::nominal(self.stimulus(v_wl), pvt(condition)))
+            .collect()
+    }
+
     /// Eq. 3: separable fit of `V_BL − V_DD` over `(V_od, t)`.
     fn fit_discharge(
         &self,
@@ -304,40 +323,34 @@ impl Calibrator {
         let times = self.time_grid();
         let sample_times = self.time_grid_seconds();
 
-        // One transient simulation per word-line voltage (one waveform query
-        // through the discharge-backend interface), swept in parallel; rows
-        // are reassembled in grid order so the fit input (and thus the
-        // fitted model) is bit-identical at any thread count.
-        let rows = par_map_sweep(
-            &self.config.wordline_voltages,
-            self.config.threads,
-            |_, &v_wl| {
-                let voltages =
-                    simulator.bitline_voltages(&self.stimulus(v_wl), nominal, &sample_times)?;
-                let row: Vec<_> = times
-                    .iter()
-                    .zip(&voltages)
-                    .map(|(&t, &v)| (v_wl - vth, t * 1e9, v - nominal.vdd.0))
-                    .collect();
-                Ok::<_, ModelError>(row)
-            },
-        )
-        .map_err(|err| {
-            let item = format!(
-                "discharge sweep V_WL = {} V",
-                self.config.wordline_voltages[err.index]
-            );
-            ModelError::from_sweep(err, item)
-        })?;
-        report.circuit_simulations += self.config.wordline_voltages.len();
+        // One transient simulation per word-line voltage, batched in
+        // lock-step chunks swept in parallel and answered in grid order, so
+        // the fit input (and thus the fitted model) is bit-identical at any
+        // thread count.
+        let wordlines = &self.config.wordline_voltages;
+        let queries: Vec<TransientQuery> = wordlines
+            .iter()
+            .map(|&v_wl| TransientQuery::nominal(self.stimulus(v_wl), *nominal))
+            .collect();
+        let golden = golden_sweep(simulator, &queries, &sample_times, self.config.threads)
+            .map_err(|err| {
+                let item = format!("discharge sweep V_WL = {} V", wordlines[err.index]);
+                ModelError::from_sweep(err, item)
+            })?;
+        report.circuit_simulations += wordlines.len();
 
         let mut overdrives = Vec::new();
         let mut time_ns = Vec::new();
         let mut drops = Vec::new();
-        for (overdrive, t, drop) in rows.into_iter().flatten() {
-            overdrives.push(overdrive);
-            time_ns.push(t);
-            drops.push(drop);
+        for (&v_wl, voltages) in wordlines
+            .iter()
+            .zip(golden.voltages.chunks_exact(times.len()))
+        {
+            for (&t, &v) in times.iter().zip(voltages) {
+                overdrives.push(v_wl - vth);
+                time_ns.push(t * 1e9);
+                drops.push(v - nominal.vdd.0);
+            }
         }
         report.training_samples += drops.len();
 
@@ -399,33 +412,28 @@ impl Calibrator {
             .collect();
 
         let sample_times = self.time_grid_seconds();
-        let rows = par_map_sweep(&grid, self.config.threads, |_, &(vdd, v_wl)| {
-            let pvt = nominal.with_vdd(Volts(vdd));
-            let voltages = simulator.bitline_voltages(&self.stimulus(v_wl), &pvt, &sample_times)?;
-            let mut row = Vec::with_capacity(times.len());
-            for (&t, &v_circuit) in times.iter().zip(&voltages) {
-                let v_base = discharge.bitline_voltage_unchecked(Seconds(t), Volts(v_wl));
-                if v_base > 0.05 {
-                    row.push((vdd - nominal.vdd.0, v_circuit / v_base, v_circuit, v_base));
-                }
-            }
-            Ok::<_, ModelError>(row)
-        })
-        .map_err(|err| {
-            let (vdd, v_wl) = grid[err.index];
-            ModelError::from_sweep(err, format!("supply sweep V_DD = {vdd} V, V_WL = {v_wl} V"))
-        })?;
+        let queries = self.queries(&grid, |vdd| nominal.with_vdd(Volts(vdd)));
+        let golden = golden_sweep(simulator, &queries, &sample_times, self.config.threads)
+            .map_err(|err| {
+                let (vdd, v_wl) = grid[err.index];
+                ModelError::from_sweep(err, format!("supply sweep V_DD = {vdd} V, V_WL = {v_wl} V"))
+            })?;
         report.circuit_simulations += grid.len();
 
         let mut delta_vdds = Vec::new();
         let mut ratios = Vec::new();
         let mut reference = Vec::new();
         let mut predicted_base = Vec::new();
-        for (delta_vdd, ratio, v_circuit, v_base) in rows.into_iter().flatten() {
-            delta_vdds.push(delta_vdd);
-            ratios.push(ratio);
-            reference.push(v_circuit);
-            predicted_base.push(v_base);
+        for (&(vdd, v_wl), voltages) in grid.iter().zip(golden.voltages.chunks_exact(times.len())) {
+            for (&t, &v_circuit) in times.iter().zip(voltages) {
+                let v_base = discharge.bitline_voltage_unchecked(Seconds(t), Volts(v_wl));
+                if v_base > 0.05 {
+                    delta_vdds.push(vdd - nominal.vdd.0);
+                    ratios.push(v_circuit / v_base);
+                    reference.push(v_circuit);
+                    predicted_base.push(v_base);
+                }
+            }
         }
         report.training_samples += ratios.len();
 
@@ -486,28 +494,27 @@ impl Calibrator {
 
         // Per sample: (v_circuit, v_model, t_ns, ΔT, v_wl).
         let sample_times = self.time_grid_seconds();
-        let rows = par_map_sweep(&grid, self.config.threads, |_, &(temp, v_wl)| {
-            let delta_t = temp - t_nominal;
-            let pvt = nominal.with_temperature(Celsius(temp));
-            let voltages = simulator.bitline_voltages(&self.stimulus(v_wl), &pvt, &sample_times)?;
-            let mut row = Vec::with_capacity(times.len());
-            for (&t, &v_circuit) in times.iter().zip(&voltages) {
-                let base = discharge.bitline_voltage_unchecked(Seconds(t), Volts(v_wl));
-                let v_model = supply.apply(base, nominal.vdd);
-                row.push((v_circuit, v_model, t * 1e9, delta_t, v_wl));
-            }
-            Ok::<_, ModelError>(row)
-        })
-        .map_err(|err| {
-            let (temp, v_wl) = grid[err.index];
-            ModelError::from_sweep(
-                err,
-                format!("temperature sweep T = {temp} degC, V_WL = {v_wl} V"),
-            )
-        })?;
+        let queries = self.queries(&grid, |temp| nominal.with_temperature(Celsius(temp)));
+        let golden = golden_sweep(simulator, &queries, &sample_times, self.config.threads)
+            .map_err(|err| {
+                let (temp, v_wl) = grid[err.index];
+                ModelError::from_sweep(
+                    err,
+                    format!("temperature sweep T = {temp} degC, V_WL = {v_wl} V"),
+                )
+            })?;
         report.circuit_simulations += grid.len();
 
-        let samples: Vec<(f64, f64, f64, f64, f64)> = rows.into_iter().flatten().collect();
+        let mut samples = Vec::with_capacity(golden.voltages.len());
+        for (&(temp, v_wl), voltages) in grid.iter().zip(golden.voltages.chunks_exact(times.len()))
+        {
+            let delta_t = temp - t_nominal;
+            for (&t, &v_circuit) in times.iter().zip(voltages) {
+                let base = discharge.bitline_voltage_unchecked(Seconds(t), Volts(v_wl));
+                let v_model = supply.apply(base, nominal.vdd);
+                samples.push((v_circuit, v_model, t * 1e9, delta_t, v_wl));
+            }
+        }
         let mut wordlines = Vec::new();
         let mut scaled_residuals = Vec::new();
         for &(v_circuit, v_model, t_ns, delta_t, v_wl) in &samples {
@@ -717,30 +724,20 @@ impl Calibrator {
                     .map(move |&v_wl| (vdd, v_wl))
             })
             .collect();
-        let stage1_rows = par_map_sweep(&stage1_grid, self.config.threads, |_, &(vdd, v_wl)| {
-            let pvt = nominal.with_vdd(Volts(vdd));
-            let stimulus = self.stimulus(v_wl);
-            let delta = DischargeBackend::discharge_delta(simulator, &stimulus, &pvt)?;
-            let e = DischargeBackend::discharge_energy(simulator, &stimulus, &pvt, delta)?;
-            Ok::<_, ModelError>((delta.0, vdd, e.0))
-        })
-        .map_err(|err| {
-            let (vdd, v_wl) = stage1_grid[err.index];
-            ModelError::from_sweep(
-                err,
-                format!("discharge-energy sweep V_DD = {vdd} V, V_WL = {v_wl} V"),
-            )
-        })?;
+        let stage1_queries = self.queries(&stage1_grid, |vdd| nominal.with_vdd(Volts(vdd)));
+        let delta_vs = golden_sweep(simulator, &stage1_queries, &[], self.config.threads)
+            .map_err(|err| {
+                let (vdd, v_wl) = stage1_grid[err.index];
+                ModelError::from_sweep(
+                    err,
+                    format!("discharge-energy sweep V_DD = {vdd} V, V_WL = {v_wl} V"),
+                )
+            })?
+            .deltas;
         report.circuit_simulations += stage1_grid.len();
 
-        let mut delta_vs = Vec::new();
-        let mut vdds = Vec::new();
-        let mut energies_fj = Vec::new();
-        for (delta, vdd, e_fj) in stage1_rows {
-            delta_vs.push(delta);
-            vdds.push(vdd);
-            energies_fj.push(e_fj);
-        }
+        let vdds: Vec<f64> = stage1_grid.iter().map(|&(vdd, _)| vdd).collect();
+        let energies_fj = golden_energies(simulator, &stage1_queries, &delta_vs)?;
         let stage1 = SeparableFit::fit(
             &delta_vs,
             &vdds,
@@ -766,27 +763,26 @@ impl Calibrator {
                     .map(move |&v_wl| (temp, v_wl))
             })
             .collect();
-        let stage2_rows = par_map_sweep(&stage2_grid, self.config.threads, |_, &(temp, v_wl)| {
-            let pvt = nominal.with_temperature(Celsius(temp));
-            let stimulus = self.stimulus(v_wl);
-            let delta = DischargeBackend::discharge_delta(simulator, &stimulus, &pvt)?;
-            let e = DischargeBackend::discharge_energy(simulator, &stimulus, &pvt, delta)?.0;
-            Ok::<_, ModelError>((temp, delta.0, e))
-        })
-        .map_err(|err| {
-            let (temp, v_wl) = stage2_grid[err.index];
-            ModelError::from_sweep(
-                err,
-                format!("discharge-energy sweep T = {temp} degC, V_WL = {v_wl} V"),
-            )
-        })?;
+        let stage2_queries =
+            self.queries(&stage2_grid, |temp| nominal.with_temperature(Celsius(temp)));
+        let stage2_deltas = golden_sweep(simulator, &stage2_queries, &[], self.config.threads)
+            .map_err(|err| {
+                let (temp, v_wl) = stage2_grid[err.index];
+                ModelError::from_sweep(
+                    err,
+                    format!("discharge-energy sweep T = {temp} degC, V_WL = {v_wl} V"),
+                )
+            })?
+            .deltas;
         report.circuit_simulations += stage2_grid.len();
+        let stage2_energies = golden_energies(simulator, &stage2_queries, &stage2_deltas)?;
 
         let mut temps = Vec::new();
         let mut ratios = Vec::new();
         let mut stage2_reference = Vec::new();
         let mut stage2_base = Vec::new();
-        for (temp, delta, e) in stage2_rows {
+        let stage2_rows = stage2_grid.iter().zip(&stage2_deltas).zip(stage2_energies);
+        for ((&(temp, _), &delta), e) in stage2_rows {
             let base = stage1.eval(delta, nominal.vdd.0);
             if base > 1e-6 {
                 temps.push(temp);
@@ -821,6 +817,27 @@ impl Calibrator {
             temperature_factor,
         ))
     }
+}
+
+/// The golden discharge energy (fJ) of each query at its achieved `ΔV`.
+fn golden_energies(
+    simulator: &TransientSimulator,
+    queries: &[TransientQuery],
+    deltas: &[f64],
+) -> Result<Vec<f64>, ModelError> {
+    queries
+        .iter()
+        .zip(deltas)
+        .map(|(query, &delta)| {
+            let energy = DischargeBackend::discharge_energy(
+                simulator,
+                &query.stimulus,
+                &query.pvt,
+                Volts(delta),
+            )?;
+            Ok(energy.0)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -944,6 +961,59 @@ mod tests {
         .unwrap();
         assert_eq!(serial.models(), parallel.models());
         assert_eq!(serial.report(), parallel.report());
+    }
+
+    /// A failing golden transient names its grid point as a sweep of one
+    /// transient per item did: the NaN supply of the Eq. 4 sweep, at grid
+    /// index 18 (the default grid's second lock-step chunk) and at index 4
+    /// (inside the fast grid's first chunk), at one and three threads.
+    #[test]
+    fn sweep_errors_name_the_failing_grid_point() {
+        let tech = Technology::tsmc65_like();
+        let cases = [
+            (
+                CalibrationConfig {
+                    supply_voltages: vec![0.9, 0.95, 1.0, f64::NAN, 1.1],
+                    ..CalibrationConfig::default()
+                },
+                18,
+                "supply sweep V_DD = NaN V, V_WL = 0.45 V",
+            ),
+            (
+                CalibrationConfig {
+                    supply_voltages: vec![0.9, f64::NAN, 1.1],
+                    ..CalibrationConfig::fast()
+                },
+                4,
+                "supply sweep V_DD = NaN V, V_WL = 0.5 V",
+            ),
+        ];
+        for (config, index, item) in cases {
+            for threads in [1, 3] {
+                let config = CalibrationConfig {
+                    threads,
+                    ..config.clone()
+                };
+                let err = Calibrator::new(tech.clone(), config).run().unwrap_err();
+                let ModelError::SweepFailed {
+                    index: failed,
+                    item: failed_item,
+                    ..
+                } = &err
+                else {
+                    panic!("expected a sweep failure, got {err:?}");
+                };
+                assert_eq!((*failed, failed_item.as_str()), (index, item));
+                assert_eq!(
+                    err.to_string(),
+                    format!(
+                        "sweep item {index} ({item}) failed: circuit simulation error: \
+                         invalid operating point: supply voltage must be positive and \
+                         finite, got NaN"
+                    )
+                );
+            }
+        }
     }
 
     #[test]

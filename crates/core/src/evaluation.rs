@@ -10,19 +10,22 @@
 //! The evaluation runs through the [`DischargeBackend`] interface: the
 //! golden [`TransientSimulator`] and the fitted [`ModelSuite`] answer the
 //! identical waveform/energy queries, so "accuracy" is always the residual
-//! between two backends.  The only exceptions are the Eq. 6 σ-model checks
+//! between two backends.  The golden waveforms and `ΔV`s run in lock-step
+//! batches ([`TransientSimulator::fill_transients`]), which answer every
+//! query bit for bit as the golden backend does.  The only exceptions are
+//! the Eq. 6 σ-model checks
 //! (mismatch sampling has no common shape across the backends) and the
 //! Eq. 3 basic-model residual, which deliberately measures the
 //! *uncorrected* sub-model.
 
-use crate::backend::DischargeBackend;
+use crate::backend::{golden_sweep, DischargeBackend};
 use crate::error::ModelError;
 use crate::model::suite::ModelSuite;
-use crate::sweep::par_map_sweep;
+use crate::sweep::{par_map_sweep, SweepError};
 use optima_circuit::montecarlo::MismatchModel;
 use optima_circuit::pvt::{linspace, PvtConditions};
 use optima_circuit::technology::Technology;
-use optima_circuit::transient::{DischargeStimulus, TransientSimulator};
+use optima_circuit::transient::{DischargeStimulus, TransientQuery, TransientSimulator};
 use optima_math::stats;
 use optima_math::units::{Celsius, Seconds, Volts};
 use serde::{Deserialize, Serialize};
@@ -109,6 +112,34 @@ impl ModelEvaluator {
         self
     }
 
+    /// The residuals `golden − fitted` of each held-out query at `times`, in
+    /// query order.  A failure names the lowest failing query, the golden
+    /// side first, where a sweep of one query per item stops.
+    fn held_out_residuals(
+        &self,
+        queries: &[TransientQuery],
+        times: &[Seconds],
+    ) -> Result<Vec<f64>, SweepError<ModelError>> {
+        let golden = golden_sweep(&self.golden, queries, times, self.threads);
+        let answered = golden
+            .as_ref()
+            .map_or_else(|err| err.index, |_| queries.len());
+        let mut predicted = vec![0.0; queries.len() * times.len()];
+        let predictions = queries.iter().zip(predicted.chunks_exact_mut(times.len()));
+        for (index, (query, out)) in predictions.take(answered).enumerate() {
+            self.models
+                .fill_bitline_voltages(&query.stimulus, &query.pvt, times, out)
+                .map_err(|source| SweepError { index, source })?;
+        }
+        let golden = golden?;
+        Ok(golden
+            .voltages
+            .iter()
+            .zip(&predicted)
+            .map(|(r, p)| r - p)
+            .collect())
+    }
+
     fn stimulus(&self, v_wl: f64, duration: Seconds) -> DischargeStimulus {
         DischargeStimulus {
             word_line_voltage: Volts(v_wl),
@@ -145,95 +176,70 @@ impl ModelEvaluator {
             .map(Seconds)
             .collect();
 
-        // Eq. 3 (nominal conditions).  Each held-out grid is evaluated with
-        // the error-strict parallel sweep engine: one item per reference
-        // transient, residual rows reassembled in grid order so the reported
-        // RMS numbers are bit-identical at any thread count.  The reference
-        // comes through the backend interface; the prediction deliberately
-        // queries the *uncorrected* Eq. 3 sub-model below it.
-        let residuals_basic: Vec<f64> = par_map_sweep(&wordlines, self.threads, |_, &v_wl| {
-            let reference = simulator.bitline_voltages(
-                &self.stimulus(v_wl, duration),
-                &nominal,
-                &sample_times,
-            )?;
-            let row: Vec<f64> = sample_times
-                .iter()
-                .zip(&reference)
-                .map(|(&t, &r)| {
-                    r - self
-                        .models
-                        .discharge_model()
-                        .bitline_voltage_unchecked(t, Volts(v_wl))
-                })
-                .collect();
-            Ok::<_, ModelError>(row)
-        })
-        .map_err(|err| {
-            let item = format!("held-out discharge grid V_WL = {} V", wordlines[err.index]);
-            ModelError::from_sweep(err, item)
-        })?
-        .into_iter()
-        .flatten()
-        .collect();
+        // Eq. 3 (nominal conditions).  Each held-out grid runs its reference
+        // transients in lock-step chunks over the error-strict parallel
+        // sweep engine and gets them back in grid order, so the reported
+        // RMS numbers are bit-identical at any thread count.  The
+        // reference equals the golden backend's answer bit for bit; the
+        // prediction deliberately queries the *uncorrected* Eq. 3 sub-model
+        // below the fitted backend.
+        let query = |v_wl: f64, pvt| TransientQuery::nominal(self.stimulus(v_wl, duration), pvt);
+        let basic_queries: Vec<TransientQuery> =
+            wordlines.iter().map(|&v_wl| query(v_wl, nominal)).collect();
+        let basic = golden_sweep(simulator, &basic_queries, &sample_times, self.threads).map_err(
+            |err| {
+                let item = format!("held-out discharge grid V_WL = {} V", wordlines[err.index]);
+                ModelError::from_sweep(err, item)
+            },
+        )?;
+        let basic_model = self.models.discharge_model();
+        let mut residuals_basic = Vec::with_capacity(basic.voltages.len());
+        for (&v_wl, reference) in wordlines
+            .iter()
+            .zip(basic.voltages.chunks_exact(sample_times.len()))
+        {
+            for (&t, &r) in sample_times.iter().zip(reference) {
+                residuals_basic.push(r - basic_model.bitline_voltage_unchecked(t, Volts(v_wl)));
+            }
+        }
 
         // Eq. 4 (supply sweep): both sides answer the same backend query.
         let supply_grid: Vec<(f64, f64)> = linspace(0.92, 1.08, 3)
             .iter()
             .flat_map(|&vdd| wordlines.iter().map(move |&v_wl| (vdd, v_wl)))
             .collect();
-        let residuals_supply: Vec<f64> =
-            par_map_sweep(&supply_grid, self.threads, |_, &(vdd, v_wl)| {
-                let pvt = nominal.with_vdd(Volts(vdd));
-                let stimulus = self.stimulus(v_wl, duration);
-                let reference = simulator.bitline_voltages(&stimulus, &pvt, &sample_times)?;
-                let predicted = fitted.bitline_voltages(&stimulus, &pvt, &sample_times)?;
-                let row: Vec<f64> = reference
-                    .iter()
-                    .zip(&predicted)
-                    .map(|(r, p)| r - p)
-                    .collect();
-                Ok::<_, ModelError>(row)
-            })
+        let supply_queries: Vec<TransientQuery> = supply_grid
+            .iter()
+            .map(|&(vdd, v_wl)| query(v_wl, nominal.with_vdd(Volts(vdd))))
+            .collect();
+        let residuals_supply = self
+            .held_out_residuals(&supply_queries, &sample_times)
             .map_err(|err| {
                 let (vdd, v_wl) = supply_grid[err.index];
                 ModelError::from_sweep(
                     err,
                     format!("held-out supply grid V_DD = {vdd} V, V_WL = {v_wl} V"),
                 )
-            })?
-            .into_iter()
-            .flatten()
-            .collect();
+            })?;
 
         // Eq. 5 (temperature sweep).
         let temperature_grid: Vec<(f64, f64)> = [-20.0, 50.0, 100.0]
             .iter()
             .flat_map(|&temp| wordlines.iter().map(move |&v_wl| (temp, v_wl)))
             .collect();
-        let residuals_temperature: Vec<f64> =
-            par_map_sweep(&temperature_grid, self.threads, |_, &(temp, v_wl)| {
-                let pvt = nominal.with_temperature(Celsius(temp));
-                let stimulus = self.stimulus(v_wl, duration);
-                let reference = simulator.bitline_voltages(&stimulus, &pvt, &sample_times)?;
-                let predicted = fitted.bitline_voltages(&stimulus, &pvt, &sample_times)?;
-                let row: Vec<f64> = reference
-                    .iter()
-                    .zip(&predicted)
-                    .map(|(r, p)| r - p)
-                    .collect();
-                Ok::<_, ModelError>(row)
-            })
+        let temperature_queries: Vec<TransientQuery> = temperature_grid
+            .iter()
+            .map(|&(temp, v_wl)| query(v_wl, nominal.with_temperature(Celsius(temp))))
+            .collect();
+        let residuals_temperature = self
+            .held_out_residuals(&temperature_queries, &sample_times)
             .map_err(|err| {
                 let (temp, v_wl) = temperature_grid[err.index];
                 ModelError::from_sweep(
                     err,
                     format!("held-out temperature grid T = {temp} degC, V_WL = {v_wl} V"),
                 )
-            })?
-            .into_iter()
-            .flatten()
-            .collect();
+            })?;
 
         // Eq. 6 (mismatch σ).  Every word-line grid point shares the same
         // fixed-seed sample set (as the serial code did), drawn once up
@@ -300,24 +306,30 @@ impl ModelEvaluator {
             .iter()
             .flat_map(|&vdd| wordlines.iter().map(move |&v_wl| (vdd, v_wl)))
             .collect();
-        let residuals_discharge_energy: Vec<f64> =
-            par_map_sweep(&discharge_grid, self.threads, |_, &(vdd, v_wl)| {
-                let pvt = nominal.with_vdd(Volts(vdd));
-                let stimulus = self.stimulus(v_wl, duration);
-                let delta = DischargeBackend::discharge_delta(simulator, &stimulus, &pvt)?;
-                let reference =
-                    DischargeBackend::discharge_energy(simulator, &stimulus, &pvt, delta)?.0;
-                let predicted =
-                    DischargeBackend::discharge_energy(fitted, &stimulus, &pvt, delta)?.0;
-                Ok::<_, ModelError>(reference - predicted)
-            })
+        let discharge_queries: Vec<TransientQuery> = discharge_grid
+            .iter()
+            .map(|&(vdd, v_wl)| query(v_wl, nominal.with_vdd(Volts(vdd))))
+            .collect();
+        let discharge_deltas = golden_sweep(simulator, &discharge_queries, &[], self.threads)
             .map_err(|err| {
                 let (vdd, v_wl) = discharge_grid[err.index];
                 ModelError::from_sweep(
                     err,
                     format!("held-out discharge-energy grid V_DD = {vdd} V, V_WL = {v_wl} V"),
                 )
-            })?;
+            })?
+            .deltas;
+        let residuals_discharge_energy = discharge_queries
+            .iter()
+            .zip(&discharge_deltas)
+            .map(|(TransientQuery { stimulus, pvt, .. }, &delta)| {
+                let delta = Volts(delta);
+                let reference =
+                    DischargeBackend::discharge_energy(simulator, stimulus, pvt, delta)?.0;
+                let predicted = DischargeBackend::discharge_energy(fitted, stimulus, pvt, delta)?.0;
+                Ok(reference - predicted)
+            })
+            .collect::<Result<Vec<f64>, ModelError>>()?;
 
         Ok(RmsErrorReport {
             basic_discharge_mv: stats::rms(&residuals_basic) * 1e3,
@@ -356,6 +368,46 @@ mod tests {
         assert!(report.write_energy_fj < 1.0, "{report:?}");
         assert!(report.discharge_energy_fj < 2.0, "{report:?}");
         assert!(report.worst_voltage_error_mv() >= report.basic_discharge_mv);
+    }
+
+    /// A held-out query outside the calibrated word-line range names its
+    /// grid point as a sweep of one transient per item did: the fitted side
+    /// of the Eq. 4 grid fails at V_WL = 0.97 V, grid index 3.
+    #[test]
+    fn held_out_sweep_errors_name_the_failing_grid_point() {
+        let tech = Technology::tsmc65_like();
+        let config = CalibrationConfig {
+            wordline_voltages: linspace(0.3, 0.8, 8),
+            ..CalibrationConfig::fast()
+        };
+        let models = Calibrator::new(tech.clone(), config)
+            .run()
+            .expect("calibration succeeds")
+            .into_models();
+        let item = "held-out supply grid V_DD = 0.92 V, V_WL = 0.97 V";
+        for threads in [1, 3] {
+            let err = ModelEvaluator::new(tech.clone(), models.clone())
+                .with_reference_time_steps(200)
+                .with_threads(threads)
+                .rms_errors(4, 20)
+                .unwrap_err();
+            let ModelError::SweepFailed {
+                index,
+                item: failed_item,
+                ..
+            } = &err
+            else {
+                panic!("expected a sweep failure, got {err:?}");
+            };
+            assert_eq!((*index, failed_item.as_str()), (3, item));
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "sweep item 3 ({item}) failed: word-line voltage [V] = 0.97 outside \
+                     calibrated range [0.3, 0.8]"
+                )
+            );
+        }
     }
 
     #[test]

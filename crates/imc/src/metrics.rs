@@ -47,16 +47,16 @@ impl MultiplierMetrics {
 }
 
 /// Evaluates a multiplier over the full input space at its nominal
-/// operating point, off the kept grid: the σ of
-/// [`InSramMultiplier::analog_sigma_grid`], and every pair's result and
-/// energy read off the grid's code table.
+/// operating point, off the kept grid: the last and the largest σ of
+/// [`InSramMultiplier::analog_sigma_grid`], folded without collecting it,
+/// and every pair's result and energy read off the grid's code table.
 ///
 /// Every |error| is at most 65,535 and there are at most 65,536 pairs, so
 /// the integer sums of |error| and error² are exact in an `f64`: ε_mul and
 /// the RMS error have the bits of summing the errors one by one as floats.
 /// The energies are summed from zero in operand-major order.
 pub fn evaluate_multiplier(multiplier: &InSramMultiplier) -> MultiplierMetrics {
-    let sigmas = multiplier.analog_sigma_grid();
+    let (sigma_at_max_discharge, worst_case_sigma) = multiplier.sigma_extremes();
     let mut codes = Vec::new();
     multiplier.nominal_code_table(None, &mut codes);
     let (mut abs_sum, mut square_sum, mut max_error) = (0u64, 0u64, 0u64);
@@ -78,10 +78,8 @@ pub fn evaluate_multiplier(multiplier: &InSramMultiplier) -> MultiplierMetrics {
         max_error_lsb: max_error as f64,
         energy_per_multiply: FemtoJoules(energy_sum / count),
         energy_per_operation: FemtoJoules(total_sum / count),
-        // The last grid entry is (a, d) = (max, max): the maximum discharge.
-        // optima-lint: allow(R3) -- the operand grid always has at least (0, 0)
-        sigma_at_max_discharge: *sigmas.last().expect("input space is never empty"),
-        worst_case_sigma: Volts(sigmas.iter().fold(0.0, |worst, sigma| worst.max(sigma.0))),
+        sigma_at_max_discharge,
+        worst_case_sigma,
     }
 }
 

@@ -746,6 +746,28 @@ impl InSramMultiplier {
     /// row folds the per-pass maxima once.  Like the Monte Carlo, it sees
     /// the aged word lines of an attached fault state.
     pub fn analog_sigma_grid(&self) -> Vec<Volts> {
+        let mut grid = Vec::with_capacity(self.config.array.input_space());
+        self.pair_fold(&self.pass_sigmas(), 0.0, f64::max, |_, _, sigma| {
+            grid.push(Volts(sigma))
+        });
+        grid
+    }
+
+    /// The σ of [`InSramMultiplier::analog_sigma_grid`] at its last pair
+    /// `(operand_max, operand_max)` and its largest σ, folded off the same
+    /// per-row fold without collecting the grid.
+    pub(crate) fn sigma_extremes(&self) -> (Volts, Volts) {
+        let (mut last, mut worst) = (0.0, 0.0);
+        self.pair_fold(&self.pass_sigmas(), 0.0, f64::max, |_, _, sigma| {
+            last = sigma;
+            worst = f64::max(worst, sigma);
+        });
+        (Volts(last), Volts(worst))
+    }
+
+    /// The σ of every `(pass, a_slice, d_slice)`, pass-major, the table
+    /// [`InSramMultiplier::analog_sigma_grid`] folds per operand pair.
+    fn pass_sigmas(&self) -> Vec<f64> {
         let array = &self.config.array;
         let slice_operands = usize::from(array.slice_max()) + 1;
         let bits = usize::from(array.slice_bits);
@@ -772,11 +794,7 @@ impl InSramMultiplier {
                 }
             }
         }
-        let mut grid = Vec::with_capacity(array.input_space());
-        self.pair_fold(&sigmas, 0.0, f64::max, |_, _, sigma| {
-            grid.push(Volts(sigma))
-        });
-        grid
+        sigmas
     }
 
     fn check_operands(&self, a: u16, d: u16) -> Result<(), ImcError> {

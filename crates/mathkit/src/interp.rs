@@ -40,26 +40,74 @@ pub fn linear(xs: &[f64], ys: &[f64], x: f64) -> Result<f64, MathError> {
 ///   `x` is NaN.
 pub fn linear_sorted(xs: &[f64], ys: &[f64], x: f64) -> Result<f64, MathError> {
     check_shape(xs, ys)?;
+    Ok(bracket_sorted(xs, x)?.interpolate(|i| ys[i]))
+}
+
+/// Where a query position falls on a sorted axis: the sample
+/// [`linear_sorted`] returns, or the interval it interpolates in.
+///
+/// One bracket serves every series sampled on the same axis, so a caller
+/// that samples many series at the same positions searches the axis once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bracket {
+    /// The sample at this index: a clamped end or an exact hit.
+    At(usize),
+    /// Strictly inside the interval from sample `i − 1` to sample `i`, the
+    /// fraction `frac` of the way along it.
+    Between(usize, f64),
+}
+
+impl Bracket {
+    /// The bracket with its sample indices mapped through `index`; an
+    /// interval's two samples must stay adjacent.
+    pub fn reindex(self, index: impl Fn(usize) -> usize) -> Bracket {
+        match self {
+            Bracket::At(i) => Bracket::At(index(i)),
+            Bracket::Between(i, frac) => Bracket::Between(index(i), frac),
+        }
+    }
+
+    /// The interpolated value of the series whose sample `i` is `y(i)`,
+    /// bit-identical to [`linear_sorted`] over the same samples.
+    pub fn interpolate(self, y: impl Fn(usize) -> f64) -> f64 {
+        match self {
+            Bracket::At(i) => y(i),
+            Bracket::Between(i, frac) => {
+                let (y0, y1) = (y(i - 1), y(i));
+                y0 + frac * (y1 - y0)
+            }
+        }
+    }
+}
+
+/// The [`Bracket`] of `x` on an axis the caller has already checked (see
+/// [`linear_sorted`]).
+///
+/// # Errors
+///
+/// [`MathError::InvalidArgument`] if fewer than two samples are given or
+/// `x` is NaN.
+pub fn bracket_sorted(xs: &[f64], x: f64) -> Result<Bracket, MathError> {
+    if xs.len() < 2 {
+        return Err(too_few_samples());
+    }
     if x.is_nan() {
         return Err(MathError::InvalidArgument {
             context: "interpolation query position is NaN".to_string(),
         });
     }
+    let last = xs.len() - 1;
     if x <= xs[0] {
-        return Ok(ys[0]);
+        return Ok(Bracket::At(0));
     }
-    if x >= xs[xs.len() - 1] {
-        return Ok(ys[ys.len() - 1]);
+    if x >= xs[last] {
+        return Ok(Bracket::At(last));
     }
     // Binary search for the bracketing interval (total order: never panics).
-    let idx = match xs.binary_search_by(|probe| probe.total_cmp(&x)) {
-        Ok(i) => return Ok(ys[i]),
-        Err(i) => i,
-    };
-    let (x0, x1) = (xs[idx - 1], xs[idx]);
-    let (y0, y1) = (ys[idx - 1], ys[idx]);
-    let frac = (x - x0) / (x1 - x0);
-    Ok(y0 + frac * (y1 - y0))
+    Ok(match xs.binary_search_by(|probe| probe.total_cmp(&x)) {
+        Ok(i) => Bracket::At(i),
+        Err(i) => Bracket::Between(i, (x - xs[i - 1]) / (xs[i] - xs[i - 1])),
+    })
 }
 
 /// Whether every abscissa is strictly below the next; an axis containing NaN
@@ -80,11 +128,15 @@ fn check_shape(xs: &[f64], ys: &[f64]) -> Result<(), MathError> {
         });
     }
     if xs.len() < 2 {
-        return Err(MathError::InvalidArgument {
-            context: "linear interpolation needs at least two samples".to_string(),
-        });
+        return Err(too_few_samples());
     }
     Ok(())
+}
+
+fn too_few_samples() -> MathError {
+    MathError::InvalidArgument {
+        context: "linear interpolation needs at least two samples".to_string(),
+    }
 }
 
 #[cfg(test)]
