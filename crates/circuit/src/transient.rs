@@ -16,9 +16,9 @@
 //!
 //! * A lone transient ([`TransientSimulator::discharge_waveform`], and a
 //!   batch chunk of one query) runs a scalar chain.
-//! * A batch ([`TransientSimulator::fill_transients`], and the mismatch
-//!   Monte Carlo [`TransientSimulator::fill_mismatch_voltages`] over the same
-//!   chunk loop) steps up to [`LANES`] bit-lines in lock-step, stage by
+//! * A batch ([`TransientSimulator::fill_transients`], the one batched entry
+//!   point, which also runs every mismatch Monte Carlo as one query per
+//!   instance) steps up to [`LANES`] bit-lines in lock-step, stage by
 //!   stage, so the divide latency of one chain overlaps the others.  Each
 //!   lane has its own cell and its own supply (its initial voltage); the
 //!   lanes share the bit-line capacitance, the step and the node count.  The
@@ -266,71 +266,48 @@ impl TransientSimulator {
                 });
             }
         }
+        // Chunks of LANES queries in lock-step, a chunk of one through the
+        // scalar chain, each keeping only the nodes `times` read.
+        let h = buffer.prepare(&shape, times)?;
+        let capacitance = self.capacitance(&shape);
+        let nodes = shape.time_steps + 1;
+        let LaneBuffer {
+            kept,
+            brackets,
+            values,
+            ..
+        } = buffer;
         let columns = times.len();
-        self.for_each_lane(
-            kernel,
-            &shape,
-            &mut queries
-                .iter()
-                .map(|query| self.lane(&query.stimulus, &query.pvt, &query.mismatch)),
-            times,
-            buffer,
-            &mut |k, lane| {
-                let samples = &mut voltages[k * columns..(k + 1) * columns];
-                for (j, slot) in samples.iter_mut().enumerate() {
-                    *slot = lane.sample(j);
+        let lane = |query: &TransientQuery| self.lane(&query.stimulus, &query.pvt, &query.mismatch);
+        let chunks = queries.chunks(LANES).zip(deltas.chunks_mut(LANES));
+        for (c, (chunk, chunk_deltas)) in chunks.enumerate() {
+            let first = lane(&chunk[0]);
+            if chunk.len() == 1 {
+                let mut slot = 0;
+                integrate_lone(&first, capacitance, h, nodes, |node, v| {
+                    if kept.get(slot) == Some(&node) {
+                        values[slot] = v;
+                        slot += 1;
+                    }
+                });
+            } else {
+                let mut lanes = [first; LANES];
+                for (slot, query) in lanes[1..].iter_mut().zip(&chunk[1..]) {
+                    *slot = lane(query);
                 }
-                deltas[k] = lane.delta();
-            },
-        )
-    }
-
-    /// Runs one transient per mismatch instance and samples each at `times`:
-    /// [`TransientSimulator::fill_transients`] of one stimulus and operating
-    /// point, laid out by time.
-    ///
-    /// `out[j * mismatch.len() + k]` receives instance `k` at `times[j]`, so
-    /// the `mismatch.len()` values at one time are contiguous.  Every value
-    /// equals `discharge_waveform(stimulus, pvt, &mismatch[k])?.sample_at(times[j])?`
-    /// bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TransientSimulator::discharge_waveform`] followed by
-    /// [`Waveform::sample_at`] (a NaN query time).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != mismatch.len() * times.len()`.
-    pub fn fill_mismatch_voltages(
-        &self,
-        stimulus: &DischargeStimulus,
-        pvt: &PvtConditions,
-        mismatch: &[MismatchSample],
-        times: &[Seconds],
-        out: &mut [f64],
-    ) -> Result<(), CircuitError> {
-        assert_eq!(
-            out.len(),
-            mismatch.len() * times.len(),
-            "fill_mismatch_voltages needs one output slot per instance and time"
-        );
-        self.validate(stimulus, pvt)?;
-        let instances = mismatch.len();
-        self.for_each_lane(
-            integrate_lanes,
-            stimulus,
-            &mut mismatch
-                .iter()
-                .map(|sample| self.lane(stimulus, pvt, sample)),
-            times,
-            &mut LaneBuffer::default(),
-            &mut |k, lane| {
-                for j in 0..times.len() {
-                    out[j * instances + k] = lane.sample(j);
+                let set = LaneSet::new(capacitance, &lanes, chunk.len());
+                kernel(&set, h, kept, values);
+            }
+            let lane_values = values.chunks_exact(kept.len()).zip(chunk_deltas);
+            for (k, (values, delta)) in lane_values.enumerate() {
+                let row = (c * LANES + k) * columns;
+                for (slot, bracket) in voltages[row..row + columns].iter_mut().zip(&*brackets) {
+                    *slot = bracket.interpolate(|s| values[s]);
                 }
-            },
-        )
+                *delta = values[0] - values[values.len() - 1];
+            }
+        }
+        Ok(())
     }
 
     /// Convenience wrapper returning only the discharge `ΔV_BL` observed at
@@ -347,57 +324,6 @@ impl TransientSimulator {
     ) -> Result<Volts, CircuitError> {
         let waveform = self.discharge_waveform(stimulus, pvt, mismatch)?;
         Ok(Volts(waveform.initial_value() - waveform.final_value()))
-    }
-
-    /// The chunk loop of every batch: integrates the validated `lanes` of
-    /// `shape`'s duration, steps and bit-line, [`LANES`] at a time (a chunk
-    /// of one through the scalar chain), keeping only the nodes `times`
-    /// read, and hands the `k`-th lane to `visit(k, lane)`.
-    fn for_each_lane(
-        &self,
-        kernel: LaneKernel,
-        shape: &DischargeStimulus,
-        lanes: &mut dyn ExactSizeIterator<Item = Lane>,
-        times: &[Seconds],
-        buffer: &mut LaneBuffer,
-        visit: &mut dyn FnMut(usize, LaneSamples<'_>),
-    ) -> Result<(), CircuitError> {
-        let h = buffer.prepare(shape, times)?;
-        let capacitance = self.capacitance(shape);
-        let nodes = shape.time_steps + 1;
-        let LaneBuffer {
-            kept,
-            brackets,
-            values,
-            ..
-        } = buffer;
-        let count = lanes.len();
-        let mut first = 0;
-        while let Some(lane) = lanes.next() {
-            let chunk_lanes = LANES.min(count - first);
-            if chunk_lanes == 1 {
-                let mut slot = 0;
-                integrate_lone(&lane, capacitance, h, nodes, |node, v| {
-                    if kept.get(slot) == Some(&node) {
-                        values[slot] = v;
-                        slot += 1;
-                    }
-                });
-            } else {
-                let mut chunk = [lane; LANES];
-                for (slot, lane) in chunk[1..chunk_lanes].iter_mut().zip(&mut *lanes) {
-                    *slot = lane;
-                }
-                let set = LaneSet::new(capacitance, &chunk, chunk_lanes);
-                kernel(&set, h, kept, values);
-            }
-            let chunk_values = values.chunks_exact(kept.len()).take(chunk_lanes);
-            for (offset, values) in chunk_values.enumerate() {
-                visit(first + offset, LaneSamples { values, brackets });
-            }
-            first += chunk_lanes;
-        }
-        Ok(())
     }
 
     /// The cell of one transient with its word line held, and its supply.
@@ -467,26 +393,6 @@ impl TransientSimulator {
 
 /// Bit-lines the lock-step RK4 kernel integrates at once.
 pub const LANES: usize = 16;
-
-/// One lane of a batch: its voltages at the kept nodes, read through the
-/// query times' brackets.
-#[derive(Debug, Clone, Copy)]
-struct LaneSamples<'a> {
-    values: &'a [f64],
-    brackets: &'a [Bracket],
-}
-
-impl LaneSamples<'_> {
-    /// The voltage at query time `j`, as `Waveform::sample_at` reads it.
-    fn sample(&self, j: usize) -> f64 {
-        self.brackets[j].interpolate(|slot| self.values[slot])
-    }
-
-    /// The discharge `V(0) − V(duration)`: the first and the last kept node.
-    fn delta(&self) -> f64 {
-        self.values[0] - self.values[self.values.len() - 1]
-    }
-}
 
 /// Fills `times` with the shared time axis, `t` from `0.0` advanced by `+= h`
 /// per step, and returns the step `h`.
@@ -998,28 +904,16 @@ mod tests {
     }
 
     #[test]
-    fn mismatch_fill_reports_the_same_errors() {
+    fn a_nan_query_time_is_rejected() {
         let (sim, pvt) = sim();
-        let samples = [MismatchSample::none(); 3];
-        let mut out = vec![0.0; 3];
-        let bad = DischargeStimulus {
-            time_steps: 0,
-            ..DischargeStimulus::default()
-        };
-        assert!(sim
-            .fill_mismatch_voltages(&bad, &pvt, &samples, &[Seconds(1e-9)], &mut out)
-            .is_err());
-        assert!(sim
-            .fill_mismatch_voltages(
-                &DischargeStimulus::default(),
-                &pvt,
-                &samples,
-                &[Seconds(f64::NAN)],
-                &mut out
-            )
-            .is_err());
-        sim.fill_mismatch_voltages(&DischargeStimulus::default(), &pvt, &[], &[], &mut [])
-            .unwrap();
+        let result = sim.fill_transients(
+            &[TransientQuery::nominal(DischargeStimulus::default(), pvt); 3],
+            &[Seconds(f64::NAN)],
+            &mut LaneBuffer::default(),
+            &mut [0.0; 3],
+            &mut [0.0; 3],
+        );
+        assert!(result.is_err(), "{result:?}");
     }
 
     #[test]
@@ -1222,9 +1116,9 @@ mod tests {
         assert!(slow_device < nominal);
     }
 
-    /// Requires `discharge_delta`, `fill_mismatch_voltages` and
-    /// `fill_transients`, which share the operating-point validation, to
-    /// reject `stimulus` at `pvt` with [`CircuitError::InvalidOperatingPoint`].
+    /// Requires `discharge_delta` and `fill_transients`, which share the
+    /// operating-point validation, to reject `stimulus` at `pvt` with
+    /// [`CircuitError::InvalidOperatingPoint`].
     fn assert_invalid_operating_point(stimulus: &DischargeStimulus, pvt: &PvtConditions) {
         let (sim, _) = sim();
         let delta = sim.discharge_delta(stimulus, pvt, &MismatchSample::none());
@@ -1233,17 +1127,6 @@ mod tests {
             "discharge_delta: {delta:?}"
         );
         let mut out = [0.0; 2];
-        let fill = sim.fill_mismatch_voltages(
-            stimulus,
-            pvt,
-            &[MismatchSample::none(); 2],
-            &[Seconds(0.5e-9)],
-            &mut out,
-        );
-        assert!(
-            matches!(fill, Err(CircuitError::InvalidOperatingPoint { .. })),
-            "fill_mismatch_voltages: {fill:?}"
-        );
         // The invalid query second in a batch, after a valid one.
         let valid = TransientQuery::nominal(
             DischargeStimulus::default(),
@@ -1304,34 +1187,26 @@ mod tests {
 
     #[test]
     fn invalid_stimuli_are_rejected() {
-        let (sim, pvt) = sim();
-        let bad_duration = DischargeStimulus {
-            duration: Seconds(0.0),
-            ..DischargeStimulus::default()
-        };
-        assert!(sim
-            .discharge_waveform(&bad_duration, &pvt, &MismatchSample::none())
-            .is_err());
-        let bad_steps = DischargeStimulus {
-            time_steps: 0,
-            ..DischargeStimulus::default()
-        };
-        assert!(sim
-            .discharge_waveform(&bad_steps, &pvt, &MismatchSample::none())
-            .is_err());
-        let bad_vwl = DischargeStimulus {
-            word_line_voltage: Volts(2.0),
-            ..DischargeStimulus::default()
-        };
-        assert!(sim
-            .discharge_waveform(&bad_vwl, &pvt, &MismatchSample::none())
-            .is_err());
-        let bad_cells = DischargeStimulus {
-            cells_on_bitline: 0,
-            ..DischargeStimulus::default()
-        };
-        assert!(sim
-            .discharge_waveform(&bad_cells, &pvt, &MismatchSample::none())
-            .is_err());
+        let (_, pvt) = sim();
+        for bad in [
+            DischargeStimulus {
+                duration: Seconds(0.0),
+                ..DischargeStimulus::default()
+            },
+            DischargeStimulus {
+                time_steps: 0,
+                ..DischargeStimulus::default()
+            },
+            DischargeStimulus {
+                word_line_voltage: Volts(2.0),
+                ..DischargeStimulus::default()
+            },
+            DischargeStimulus {
+                cells_on_bitline: 0,
+                ..DischargeStimulus::default()
+            },
+        ] {
+            assert_invalid_operating_point(&bad, &pvt);
+        }
     }
 }

@@ -9,8 +9,8 @@
 //!   ([`ModelSuite`], fast, calibrated against the former).
 //!
 //! [`DischargeBackend`] is the common interface both implement: the
-//! discharge waveform sampled on an arbitrary time grid, the final bit-line
-//! voltage, and the write/discharge energies, all at an explicit
+//! discharge waveform sampled on an arbitrary time grid, the discharge
+//! `ΔV_BL`, and the write/discharge energies, all at an explicit
 //! [`PvtConditions`] operating point.  Calibration residual measurement,
 //! held-out evaluation ([`crate::evaluation::ModelEvaluator`]) and the
 //! `perfbench` speed-up timings all route through this trait, so accuracy
@@ -22,7 +22,9 @@
 //! * **Mismatch** — the golden reference perturbs device parameters with a
 //!   [`optima_circuit::montecarlo::MismatchSample`] per instance, while the
 //!   fitted side samples the Eq. 6 σ-model; the shapes are incompatible, so
-//!   Monte-Carlo sweeps keep their backend-specific entry points.
+//!   the golden Monte Carlo (`golden_sigmas`) runs below the interface, one
+//!   [`TransientQuery`] per instance through
+//!   [`TransientSimulator::fill_transients`], the batch of every golden sweep.
 //! * **Process corner** — the fitted models are calibrated at the typical
 //!   corner; the [`ModelSuite`] backend ignores `pvt.corner` (documented on
 //!   the impl), while the golden backend honours it.
@@ -36,6 +38,8 @@ use optima_circuit::pvt::PvtConditions;
 use optima_circuit::transient::{
     DischargeStimulus, LaneBuffer, TransientQuery, TransientSimulator, LANES,
 };
+use optima_circuit::CircuitError;
+use optima_math::stats;
 use optima_math::units::{FemtoJoules, Seconds, Volts};
 
 /// A backend that can answer the analog questions about one bit-line
@@ -80,21 +84,6 @@ pub trait DischargeBackend: Sync {
         let mut out = vec![0.0; times.len()];
         self.fill_bitline_voltages(stimulus, pvt, times, &mut out)?;
         Ok(out)
-    }
-
-    /// Bit-line voltage at the end of the stimulus.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DischargeBackend::fill_bitline_voltages`].
-    fn final_bitline_voltage(
-        &self,
-        stimulus: &DischargeStimulus,
-        pvt: &PvtConditions,
-    ) -> Result<Volts, ModelError> {
-        let mut out = [0.0];
-        self.fill_bitline_voltages(stimulus, pvt, &[stimulus.duration], &mut out)?;
-        Ok(Volts(out[0]))
     }
 
     /// Discharge `ΔV_BL` achieved over the whole stimulus (pre-charge level
@@ -252,6 +241,60 @@ pub(crate) fn golden_sweep(
         samples.deltas.extend(answer.deltas);
     }
     Ok(samples)
+}
+
+/// The `conditions × wordlines` grid, condition-major, and one golden query
+/// per point: the mismatch-free cell of `stimulus(V_WL)` at the operating
+/// point `pvt(condition)`.
+pub(crate) fn grid_queries(
+    conditions: &[f64],
+    wordlines: &[f64],
+    stimulus: impl Fn(f64) -> DischargeStimulus,
+    pvt: impl Fn(f64) -> PvtConditions,
+) -> (Vec<(f64, f64)>, Vec<TransientQuery>) {
+    let grid: Vec<(f64, f64)> = conditions
+        .iter()
+        .flat_map(|&condition| wordlines.iter().map(move |&v_wl| (condition, v_wl)))
+        .collect();
+    let queries = grid
+        .iter()
+        .map(|&(condition, v_wl)| TransientQuery::nominal(stimulus(v_wl), pvt(condition)))
+        .collect();
+    (grid, queries)
+}
+
+/// The golden Monte-Carlo σ of the bit-line voltage at each of `times`:
+/// one transient of `stimulus` at `pvt` per mismatch instance in `samples`,
+/// in one [`TransientSimulator::fill_transients`] batch, with each time's
+/// voltages gathered in sample order into [`stats::std_dev`].
+pub(crate) fn golden_sigmas(
+    simulator: &TransientSimulator,
+    stimulus: DischargeStimulus,
+    pvt: PvtConditions,
+    samples: &[MismatchSample],
+    times: &[Seconds],
+    buffer: &mut LaneBuffer,
+) -> Result<Vec<f64>, CircuitError> {
+    let queries: Vec<TransientQuery> = samples
+        .iter()
+        .map(|&mismatch| TransientQuery {
+            stimulus,
+            pvt,
+            mismatch,
+        })
+        .collect();
+    let columns = times.len();
+    let mut voltages = vec![0.0; queries.len() * columns];
+    let mut deltas = vec![0.0; queries.len()];
+    simulator.fill_transients(&queries, times, buffer, &mut voltages, &mut deltas)?;
+    let mut at_time = Vec::with_capacity(queries.len());
+    Ok((0..columns)
+        .map(|j| {
+            at_time.clear();
+            at_time.extend(voltages.iter().skip(j).step_by(columns));
+            stats::std_dev(&at_time)
+        })
+        .collect())
 }
 
 /// The fitted OPTIMA models: every query is batched polynomial evaluation
@@ -442,24 +485,5 @@ mod tests {
             .bitline_voltages(&stimulus(0.8), &pvt, &[Seconds(10e-9)])
             .unwrap_err();
         assert!(matches!(err, ModelError::OutOfCalibrationRange { .. }));
-    }
-
-    #[test]
-    fn final_voltage_default_matches_the_last_grid_point() {
-        let (tech, golden, fitted) = backends();
-        let pvt = PvtConditions::nominal(&tech);
-        let stim = stimulus(0.9);
-        for backend in [&golden as &dyn DischargeBackend, &fitted] {
-            let v = backend.final_bitline_voltage(&stim, &pvt).unwrap();
-            let sampled = backend
-                .bitline_voltages(&stim, &pvt, &[stim.duration])
-                .unwrap()[0];
-            assert_eq!(
-                v.0.to_bits(),
-                sampled.to_bits(),
-                "{}",
-                backend.backend_name()
-            );
-        }
     }
 }

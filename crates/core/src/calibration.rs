@@ -12,7 +12,7 @@
 //!    (`optima_imc::multiplier::InSramMultiplier`), which executes each
 //!    multiplication as a sequence of discrete bit-line discharges.
 
-use crate::backend::{golden_sweep, DischargeBackend};
+use crate::backend::{golden_sigmas, golden_sweep, grid_queries, DischargeBackend};
 use crate::error::ModelError;
 use crate::model::discharge::DischargeModel;
 use crate::model::energy::{DischargeEnergyModel, WriteEnergyModel};
@@ -20,11 +20,13 @@ use crate::model::mismatch::MismatchSigmaModel;
 use crate::model::suite::ModelSuite;
 use crate::model::supply::SupplyModel;
 use crate::model::temperature::TemperatureModel;
-use crate::sweep::par_map_sweep;
+use crate::sweep::{par_map_sweep, par_map_sweep_with};
 use optima_circuit::montecarlo::MismatchModel;
 use optima_circuit::pvt::{linspace, PvtConditions};
 use optima_circuit::technology::Technology;
-use optima_circuit::transient::{DischargeStimulus, TransientQuery, TransientSimulator};
+use optima_circuit::transient::{
+    DischargeStimulus, LaneBuffer, TransientQuery, TransientSimulator,
+};
 use optima_math::lsq::{polynomial_fit, SeparableFit};
 use optima_math::stats;
 use optima_math::units::{Celsius, Seconds, Volts};
@@ -241,11 +243,11 @@ impl Calibrator {
     /// the fitted models implement — and the energies come through that
     /// interface, so the residuals measured here and the held-out errors of
     /// [`crate::evaluation::ModelEvaluator`] are defined against one
-    /// contract.  The Eq. 6 mismatch Monte Carlo runs per-instance
-    /// [`optima_circuit::montecarlo::MismatchSample`]s, which have no
-    /// fitted-side equivalent, through
-    /// [`TransientSimulator::fill_mismatch_voltages`] over the same chunk
-    /// loop.  Each grid point stays its own transient, so
+    /// contract.  The Eq. 6 mismatch Monte Carlo runs one query per
+    /// [`optima_circuit::montecarlo::MismatchSample`] instance, which has no
+    /// fitted-side equivalent, through the same
+    /// [`TransientSimulator::fill_transients`] batches, one word line per
+    /// sweep item.  Each grid point stays its own transient, so
     /// [`CalibrationReport::circuit_simulations`] counts one per point.
     ///
     /// # Errors
@@ -300,16 +302,15 @@ impl Calibrator {
         }
     }
 
-    /// One golden query per `(condition, V_WL)` grid point, through the
-    /// mismatch-free cell at the operating point `pvt(condition)`.
-    fn queries(
+    /// The `conditions × secondary_wordline_voltages` grid and its golden
+    /// queries at the operating points `pvt(condition)`.
+    fn secondary_grid(
         &self,
-        grid: &[(f64, f64)],
+        conditions: &[f64],
         pvt: impl Fn(f64) -> PvtConditions,
-    ) -> Vec<TransientQuery> {
-        grid.iter()
-            .map(|&(condition, v_wl)| TransientQuery::nominal(self.stimulus(v_wl), pvt(condition)))
-            .collect()
+    ) -> (Vec<(f64, f64)>, Vec<TransientQuery>) {
+        let wordlines = &self.config.secondary_wordline_voltages;
+        grid_queries(conditions, wordlines, |v_wl| self.stimulus(v_wl), pvt)
     }
 
     /// Eq. 3: separable fit of `V_BL − V_DD` over `(V_od, t)`.
@@ -399,20 +400,10 @@ impl Calibrator {
         report: &mut CalibrationReport,
     ) -> Result<SupplyModel, ModelError> {
         let times = self.time_grid();
-        let grid: Vec<(f64, f64)> = self
-            .config
-            .supply_voltages
-            .iter()
-            .flat_map(|&vdd| {
-                self.config
-                    .secondary_wordline_voltages
-                    .iter()
-                    .map(move |&v_wl| (vdd, v_wl))
-            })
-            .collect();
-
         let sample_times = self.time_grid_seconds();
-        let queries = self.queries(&grid, |vdd| nominal.with_vdd(Volts(vdd)));
+        let (grid, queries) = self.secondary_grid(&self.config.supply_voltages, |vdd| {
+            nominal.with_vdd(Volts(vdd))
+        });
         let golden = golden_sweep(simulator, &queries, &sample_times, self.config.threads)
             .map_err(|err| {
                 let (vdd, v_wl) = grid[err.index];
@@ -480,21 +471,11 @@ impl Calibrator {
     ) -> Result<TemperatureModel, ModelError> {
         let times = self.time_grid();
         let t_nominal = self.technology.temperature_nominal.0;
-        let grid: Vec<(f64, f64)> = self
-            .config
-            .temperatures
-            .iter()
-            .flat_map(|&temp| {
-                self.config
-                    .secondary_wordline_voltages
-                    .iter()
-                    .map(move |&v_wl| (temp, v_wl))
-            })
-            .collect();
-
         // Per sample: (v_circuit, v_model, t_ns, ΔT, v_wl).
         let sample_times = self.time_grid_seconds();
-        let queries = self.queries(&grid, |temp| nominal.with_temperature(Celsius(temp)));
+        let (grid, queries) = self.secondary_grid(&self.config.temperatures, |temp| {
+            nominal.with_temperature(Celsius(temp))
+        });
         let golden = golden_sweep(simulator, &queries, &sample_times, self.config.threads)
             .map_err(|err| {
                 let (temp, v_wl) = grid[err.index];
@@ -580,32 +561,22 @@ impl Calibrator {
         // (seed + wl_index, as the serial code always did), so the sampled
         // waveforms — and therefore the fitted σ surface — do not depend on
         // how grid points are distributed over worker threads.
-        let rows = par_map_sweep(
+        let rows = par_map_sweep_with(
             &self.config.secondary_wordline_voltages,
             self.config.threads,
-            |wl_index, &v_wl| {
+            LaneBuffer::default,
+            |buffer, wl_index, &v_wl| {
                 let samples = mismatch_model.sample_n(
                     self.config.mismatch_samples,
                     self.config.seed.wrapping_add(wl_index as u64),
                 );
-                // One transient per mismatch sample; the voltages at each
-                // grid time come out contiguous.
-                let n = samples.len();
-                let mut voltages = vec![0.0; times.len() * n];
-                simulator.fill_mismatch_voltages(
-                    &self.stimulus(v_wl),
-                    nominal,
-                    &samples,
-                    &times,
-                    &mut voltages,
-                )?;
+                let stimulus = self.stimulus(v_wl);
+                let sigmas =
+                    golden_sigmas(simulator, stimulus, *nominal, &samples, &times, buffer)?;
                 let row: Vec<(f64, f64, f64)> = times
                     .iter()
-                    .enumerate()
-                    .map(|(i, &t)| {
-                        let sigma = stats::std_dev(&voltages[i * n..(i + 1) * n]);
-                        (t.0 * 1e9, v_wl, sigma)
-                    })
+                    .zip(sigmas)
+                    .map(|(&t, sigma)| (t.0 * 1e9, v_wl, sigma))
                     .collect();
                 Ok::<_, ModelError>(row)
             },
@@ -713,18 +684,10 @@ impl Calibrator {
         report: &mut CalibrationReport,
     ) -> Result<DischargeEnergyModel, ModelError> {
         // Stage 1: nominal temperature, sweep (V_DD, V_WL) → fit p1(VDD)·p3(ΔV).
-        let stage1_grid: Vec<(f64, f64)> = self
-            .config
-            .supply_voltages
-            .iter()
-            .flat_map(|&vdd| {
-                self.config
-                    .secondary_wordline_voltages
-                    .iter()
-                    .map(move |&v_wl| (vdd, v_wl))
-            })
-            .collect();
-        let stage1_queries = self.queries(&stage1_grid, |vdd| nominal.with_vdd(Volts(vdd)));
+        let (stage1_grid, stage1_queries) = self
+            .secondary_grid(&self.config.supply_voltages, |vdd| {
+                nominal.with_vdd(Volts(vdd))
+            });
         let delta_vs = golden_sweep(simulator, &stage1_queries, &[], self.config.threads)
             .map_err(|err| {
                 let (vdd, v_wl) = stage1_grid[err.index];
@@ -752,19 +715,10 @@ impl Calibrator {
         })?;
 
         // Stage 2: temperature factor from the nominal-supply temperature sweep.
-        let stage2_grid: Vec<(f64, f64)> = self
-            .config
-            .temperatures
-            .iter()
-            .flat_map(|&temp| {
-                self.config
-                    .secondary_wordline_voltages
-                    .iter()
-                    .map(move |&v_wl| (temp, v_wl))
-            })
-            .collect();
-        let stage2_queries =
-            self.queries(&stage2_grid, |temp| nominal.with_temperature(Celsius(temp)));
+        let (stage2_grid, stage2_queries) = self
+            .secondary_grid(&self.config.temperatures, |temp| {
+                nominal.with_temperature(Celsius(temp))
+            });
         let stage2_deltas = golden_sweep(simulator, &stage2_queries, &[], self.config.threads)
             .map_err(|err| {
                 let (temp, v_wl) = stage2_grid[err.index];

@@ -12,20 +12,22 @@
 //! identical waveform/energy queries, so "accuracy" is always the residual
 //! between two backends.  The golden waveforms and `ΔV`s run in lock-step
 //! batches ([`TransientSimulator::fill_transients`]), which answer every
-//! query bit for bit as the golden backend does.  The only exceptions are
-//! the Eq. 6 σ-model checks
-//! (mismatch sampling has no common shape across the backends) and the
-//! Eq. 3 basic-model residual, which deliberately measures the
-//! *uncorrected* sub-model.
+//! query bit for bit as the golden backend does.  The only exceptions to
+//! the shared interface are the Eq. 6 σ-model checks (mismatch sampling has
+//! no common shape across the backends; the golden Monte Carlo runs one
+//! query per instance through the same batches) and the Eq. 3 basic-model
+//! residual, which deliberately measures the *uncorrected* sub-model.
 
-use crate::backend::{golden_sweep, DischargeBackend};
+use crate::backend::{golden_sigmas, golden_sweep, grid_queries, DischargeBackend};
 use crate::error::ModelError;
 use crate::model::suite::ModelSuite;
-use crate::sweep::{par_map_sweep, SweepError};
+use crate::sweep::{par_map_sweep, par_map_sweep_with, SweepError};
 use optima_circuit::montecarlo::MismatchModel;
 use optima_circuit::pvt::{linspace, PvtConditions};
 use optima_circuit::technology::Technology;
-use optima_circuit::transient::{DischargeStimulus, TransientQuery, TransientSimulator};
+use optima_circuit::transient::{
+    DischargeStimulus, LaneBuffer, TransientQuery, TransientSimulator,
+};
 use optima_math::stats;
 use optima_math::units::{Celsius, Seconds, Volts};
 use serde::{Deserialize, Serialize};
@@ -113,13 +115,14 @@ impl ModelEvaluator {
     }
 
     /// The residuals `golden − fitted` of each held-out query at `times`, in
-    /// query order.  A failure names the lowest failing query, the golden
-    /// side first, where a sweep of one query per item stops.
+    /// query order, and each query's golden `ΔV`.  A failure names the
+    /// lowest failing query, the golden side first, where a sweep of one
+    /// query per item stops.
     fn held_out_residuals(
         &self,
         queries: &[TransientQuery],
         times: &[Seconds],
-    ) -> Result<Vec<f64>, SweepError<ModelError>> {
+    ) -> Result<(Vec<f64>, Vec<f64>), SweepError<ModelError>> {
         let golden = golden_sweep(&self.golden, queries, times, self.threads);
         let answered = golden
             .as_ref()
@@ -132,12 +135,13 @@ impl ModelEvaluator {
                 .map_err(|source| SweepError { index, source })?;
         }
         let golden = golden?;
-        Ok(golden
+        let residuals = golden
             .voltages
             .iter()
             .zip(&predicted)
             .map(|(r, p)| r - p)
-            .collect())
+            .collect();
+        Ok((residuals, golden.deltas))
     }
 
     fn stimulus(&self, v_wl: f64, duration: Seconds) -> DischargeStimulus {
@@ -183,9 +187,11 @@ impl ModelEvaluator {
         // reference equals the golden backend's answer bit for bit; the
         // prediction deliberately queries the *uncorrected* Eq. 3 sub-model
         // below the fitted backend.
-        let query = |v_wl: f64, pvt| TransientQuery::nominal(self.stimulus(v_wl, duration), pvt);
-        let basic_queries: Vec<TransientQuery> =
-            wordlines.iter().map(|&v_wl| query(v_wl, nominal)).collect();
+        let stimulus = |v_wl: f64| self.stimulus(v_wl, duration);
+        let basic_queries: Vec<TransientQuery> = wordlines
+            .iter()
+            .map(|&v_wl| TransientQuery::nominal(stimulus(v_wl), nominal))
+            .collect();
         let basic = golden_sweep(simulator, &basic_queries, &sample_times, self.threads).map_err(
             |err| {
                 let item = format!("held-out discharge grid V_WL = {} V", wordlines[err.index]);
@@ -204,15 +210,11 @@ impl ModelEvaluator {
         }
 
         // Eq. 4 (supply sweep): both sides answer the same backend query.
-        let supply_grid: Vec<(f64, f64)> = linspace(0.92, 1.08, 3)
-            .iter()
-            .flat_map(|&vdd| wordlines.iter().map(move |&v_wl| (vdd, v_wl)))
-            .collect();
-        let supply_queries: Vec<TransientQuery> = supply_grid
-            .iter()
-            .map(|&(vdd, v_wl)| query(v_wl, nominal.with_vdd(Volts(vdd))))
-            .collect();
-        let residuals_supply = self
+        let (supply_grid, supply_queries) =
+            grid_queries(&linspace(0.92, 1.08, 3), &wordlines, stimulus, |vdd| {
+                nominal.with_vdd(Volts(vdd))
+            });
+        let (residuals_supply, supply_deltas) = self
             .held_out_residuals(&supply_queries, &sample_times)
             .map_err(|err| {
                 let (vdd, v_wl) = supply_grid[err.index];
@@ -223,15 +225,11 @@ impl ModelEvaluator {
             })?;
 
         // Eq. 5 (temperature sweep).
-        let temperature_grid: Vec<(f64, f64)> = [-20.0, 50.0, 100.0]
-            .iter()
-            .flat_map(|&temp| wordlines.iter().map(move |&v_wl| (temp, v_wl)))
-            .collect();
-        let temperature_queries: Vec<TransientQuery> = temperature_grid
-            .iter()
-            .map(|&(temp, v_wl)| query(v_wl, nominal.with_temperature(Celsius(temp))))
-            .collect();
-        let residuals_temperature = self
+        let (temperature_grid, temperature_queries) =
+            grid_queries(&[-20.0, 50.0, 100.0], &wordlines, stimulus, |temp| {
+                nominal.with_temperature(Celsius(temp))
+            });
+        let (residuals_temperature, _) = self
             .held_out_residuals(&temperature_queries, &sample_times)
             .map_err(|err| {
                 let (temp, v_wl) = temperature_grid[err.index];
@@ -248,26 +246,27 @@ impl ModelEvaluator {
         let mismatch_model = MismatchModel::from_technology(&self.technology);
         let mc = mc_samples.max(10);
         let mismatch_samples = mismatch_model.sample_n(mc, 0xe7a1);
-        let residuals_sigma: Vec<f64> = par_map_sweep(&wordlines, self.threads, |_, &v_wl| {
-            let mut voltages = vec![0.0; sample_times.len() * mc];
-            simulator.fill_mismatch_voltages(
-                &self.stimulus(v_wl, duration),
-                &nominal,
-                &mismatch_samples,
-                &sample_times,
-                &mut voltages,
-            )?;
-            let row: Vec<f64> = sample_times
-                .iter()
-                .zip(voltages.chunks_exact(mc))
-                .map(|(&t, at_t)| {
-                    let reference_sigma = stats::std_dev(at_t);
-                    let predicted_sigma = self.models.mismatch_sigma(t, Volts(v_wl)).0;
-                    reference_sigma - predicted_sigma
-                })
-                .collect();
-            Ok::<_, ModelError>(row)
-        })
+        let residuals_sigma: Vec<f64> = par_map_sweep_with(
+            &wordlines,
+            self.threads,
+            LaneBuffer::default,
+            |buffer, _, &v_wl| {
+                let reference = golden_sigmas(
+                    simulator,
+                    stimulus(v_wl),
+                    nominal,
+                    &mismatch_samples,
+                    &sample_times,
+                    buffer,
+                )?;
+                let row: Vec<f64> = sample_times
+                    .iter()
+                    .zip(reference)
+                    .map(|(&t, sigma)| sigma - self.models.mismatch_sigma(t, Volts(v_wl)).0)
+                    .collect();
+                Ok::<_, ModelError>(row)
+            },
+        )
         .map_err(|err| {
             let item = format!("held-out mismatch grid V_WL = {} V", wordlines[err.index]);
             ModelError::from_sweep(err, item)
@@ -300,28 +299,11 @@ impl ModelEvaluator {
                 )
             })?;
 
-        // Eq. 8 (discharge energy): the golden backend supplies the achieved
-        // delta, then both backends price the same discharge.
-        let discharge_grid: Vec<(f64, f64)> = linspace(0.92, 1.08, 3)
+        // Eq. 8 (discharge energy): the golden Eq. 4 grid supplies the
+        // achieved deltas, then both backends price the same discharge.
+        let residuals_discharge_energy = supply_queries
             .iter()
-            .flat_map(|&vdd| wordlines.iter().map(move |&v_wl| (vdd, v_wl)))
-            .collect();
-        let discharge_queries: Vec<TransientQuery> = discharge_grid
-            .iter()
-            .map(|&(vdd, v_wl)| query(v_wl, nominal.with_vdd(Volts(vdd))))
-            .collect();
-        let discharge_deltas = golden_sweep(simulator, &discharge_queries, &[], self.threads)
-            .map_err(|err| {
-                let (vdd, v_wl) = discharge_grid[err.index];
-                ModelError::from_sweep(
-                    err,
-                    format!("held-out discharge-energy grid V_DD = {vdd} V, V_WL = {v_wl} V"),
-                )
-            })?
-            .deltas;
-        let residuals_discharge_energy = discharge_queries
-            .iter()
-            .zip(&discharge_deltas)
+            .zip(&supply_deltas)
             .map(|(TransientQuery { stimulus, pvt, .. }, &delta)| {
                 let delta = Volts(delta);
                 let reference =

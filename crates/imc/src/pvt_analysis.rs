@@ -664,6 +664,7 @@ mod tests {
             DischargeStimulus, MismatchModel, MismatchSample, PvtConditions, Technology,
             TransientSimulator,
         };
+        use optima_circuit::transient::{LaneBuffer, TransientQuery};
         let technology = Technology::tsmc65_like();
         let simulator = TransientSimulator::new(technology.clone());
         let pvt = PvtConditions::nominal(&technology);
@@ -678,18 +679,29 @@ mod tests {
                 duration: Seconds(1.28e-9),
                 ..DischargeStimulus::default()
             };
-            let mut voltages = vec![0.0; cells.len() * times.len()];
-            simulator
-                .fill_mismatch_voltages(&stimulus, &pvt, &cells, &times, &mut voltages)
-                .unwrap();
-            let (initial, later) = voltages.split_at(cells.len());
-            later
-                .chunks_exact(cells.len())
-                .map(|at_t| {
-                    let delta = |k: usize| initial[k] - at_t[k];
-                    (1..cells.len()).map(|k| delta(k) - delta(0)).collect()
+            let queries: Vec<TransientQuery> = cells
+                .iter()
+                .map(|&mismatch| TransientQuery {
+                    stimulus,
+                    pvt,
+                    mismatch,
                 })
-                .collect()
+                .collect();
+            let mut voltages = vec![0.0; cells.len() * times.len()];
+            let mut deltas = vec![0.0; cells.len()];
+            simulator
+                .fill_transients(
+                    &queries,
+                    &times,
+                    &mut LaneBuffer::default(),
+                    &mut voltages,
+                    &mut deltas,
+                )
+                .unwrap();
+            let delta =
+                |k: usize, j: usize| voltages[k * times.len()] - voltages[k * times.len() + j];
+            let deviation = |j| (1..cells.len()).map(move |k| delta(k, j) - delta(0, j));
+            (1..times.len()).map(|j| deviation(j).collect()).collect()
         };
         let (low, high) = (deviations(0.5), deviations(0.7));
         let across_time = correlation(&high[0], &high[1]);

@@ -3,6 +3,7 @@
 use optima_suite::optima_circuit::defects::DefectMap;
 use optima_suite::optima_circuit::montecarlo::MismatchSample;
 use optima_suite::optima_circuit::prelude::*;
+use optima_suite::optima_circuit::transient::{LaneBuffer, TransientQuery, LANES};
 use optima_suite::optima_core::calibration::{
     CalibrationConfig, CalibrationOutcome, CalibrationReport,
 };
@@ -133,10 +134,12 @@ proptest! {
         prop_assert!(stronger >= base - 1e-12);
     }
 
-    /// The lock-step mismatch fill returns, bit for bit, what one lone
-    /// transient per instance sampled with `Waveform::sample_at` returns: for
-    /// a single lane, part of a chunk, exactly one chunk, and a ragged tail.
-    /// Queries land at 0, on a step node, between nodes and at the duration.
+    /// A lock-step batch of one query per mismatch instance returns, bit for
+    /// bit, what one lone transient per instance sampled with
+    /// `Waveform::sample_at` returns, and each `ΔV` what `discharge_delta`
+    /// returns: for a single lane, part of a chunk, exactly one chunk, one
+    /// chunk and a lone lane, and two chunks and a lone lane.  Queries land
+    /// at 0, on a step node, between nodes and at the duration.
     #[test]
     fn mismatch_fill_is_bit_identical_to_lone_transients(
         v_wl in 0.2f64..1.2,
@@ -175,21 +178,29 @@ proptest! {
         .into_iter()
         .map(Seconds)
         .collect();
-        for n in [1usize, 7, 8, 9, 17] {
-            let samples = MismatchModel::from_technology(&tech).sample_n(n, seed);
+        let mut buffer = LaneBuffer::default();
+        for n in [1, LANES - 1, LANES, LANES + 1, 2 * LANES + 1] {
+            let queries: Vec<TransientQuery> = MismatchModel::from_technology(&tech)
+                .sample_n(n, seed)
+                .into_iter()
+                .map(|mismatch| TransientQuery { stimulus, pvt, mismatch })
+                .collect();
             let mut out = vec![f64::NAN; n * times.len()];
-            sim.fill_mismatch_voltages(&stimulus, &pvt, &samples, &times, &mut out)
+            let mut deltas = vec![f64::NAN; n];
+            sim.fill_transients(&queries, &times, &mut buffer, &mut out, &mut deltas)
                 .unwrap();
-            for (k, sample) in samples.iter().enumerate() {
-                let waveform = sim.discharge_waveform(&stimulus, &pvt, sample).unwrap();
+            for (k, query) in queries.iter().enumerate() {
+                let waveform = sim.discharge_waveform(&stimulus, &pvt, &query.mismatch).unwrap();
                 for (j, &t) in times.iter().enumerate() {
                     let expected = waveform.sample_at(t).unwrap().0;
                     prop_assert_eq!(
-                        out[j * n + k].to_bits(),
+                        out[k * times.len() + j].to_bits(),
                         expected.to_bits(),
                         "n {} instance {} time {}", n, k, t.0
                     );
                 }
+                let delta = sim.discharge_delta(&stimulus, &pvt, &query.mismatch).unwrap().0;
+                prop_assert_eq!(deltas[k].to_bits(), delta.to_bits(), "n {} instance {}", n, k);
             }
         }
     }
