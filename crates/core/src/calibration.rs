@@ -369,18 +369,8 @@ impl Calibrator {
         })?;
         report.basic_discharge_rms_mv = fit.residual_rms() * 1e3;
 
-        let vwl_lo = self
-            .config
-            .wordline_voltages
-            .iter()
-            .cloned()
-            .fold(f64::INFINITY, f64::min);
-        let vwl_hi = self
-            .config
-            .wordline_voltages
-            .iter()
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max);
+        let vwl_lo = stats::min(&self.config.wordline_voltages);
+        let vwl_hi = stats::max(&self.config.wordline_voltages);
         Ok(DischargeModel::new(
             nominal.vdd,
             Volts(vth),
@@ -445,18 +435,8 @@ impl Calibrator {
             .collect();
         report.supply_rms_mv = stats::rms(&residuals) * 1e3;
 
-        let lo = self
-            .config
-            .supply_voltages
-            .iter()
-            .cloned()
-            .fold(f64::INFINITY, f64::min);
-        let hi = self
-            .config
-            .supply_voltages
-            .iter()
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max);
+        let lo = stats::min(&self.config.supply_voltages);
+        let hi = stats::max(&self.config.supply_voltages);
         Ok(SupplyModel::new(nominal.vdd, correction, (lo, hi)))
     }
 
@@ -525,18 +505,8 @@ impl Calibrator {
             .collect();
         report.temperature_rms_mv = stats::rms(&residuals) * 1e3;
 
-        let lo = self
-            .config
-            .temperatures
-            .iter()
-            .cloned()
-            .fold(f64::INFINITY, f64::min);
-        let hi = self
-            .config
-            .temperatures
-            .iter()
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max);
+        let lo = stats::min(&self.config.temperatures);
+        let hi = stats::max(&self.config.temperatures);
         Ok(TemperatureModel::new(
             Celsius(t_nominal),
             sensitivity,
@@ -560,7 +530,14 @@ impl Calibrator {
         // Each word-line grid point draws its own seeded Monte-Carlo stream
         // (seed + wl_index, as the serial code always did), so the sampled
         // waveforms — and therefore the fitted σ surface — do not depend on
-        // how grid points are distributed over worker threads.
+        // how grid points are distributed over worker threads.  The sweep
+        // stays one item per word line, each batching its own samples
+        // through `golden_sigmas`, instead of one flat `golden_sweep` over
+        // every (word line, sample) query: the flat grid holds every
+        // `TransientQuery` and every sampled voltage at once (1,500 × 10
+        // for the held-out grid), which raised the perfbench `calibrate`
+        // peak RSS from 3.79–3.95 to 4.23–4.25 MB (2-core x86-64) at the
+        // same digest and throughput.
         let rows = par_map_sweep_with(
             &self.config.secondary_wordline_voltages,
             self.config.threads,
@@ -653,13 +630,12 @@ impl Calibrator {
         })?;
 
         let (vdds, temps): (Vec<f64>, Vec<f64>) = grid.iter().copied().unzip();
-        let energies_fj = energies;
-        report.training_samples += energies_fj.len();
+        report.training_samples += energies.len();
 
         let fit = SeparableFit::fit(
             &vdds,
             &temps,
-            &energies_fj,
+            &energies,
             self.config.degrees.write_vdd,
             self.config.degrees.write_temperature,
             10,

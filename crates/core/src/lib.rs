@@ -66,6 +66,6 @@ pub mod prelude {
     pub use crate::model::energy::{DischargeEnergyModel, WriteEnergyModel};
     pub use crate::model::mismatch::MismatchSigmaModel;
     pub use crate::model::suite::ModelSuite;
-    pub use crate::sweep::{par_map, par_map_sweep, stream_seed, SweepError};
+    pub use crate::sweep::{par_map_sweep, stream_seed, SweepError};
     pub use optima_math::units::{Celsius, FemtoJoules, Joules, Seconds, Volts};
 }

@@ -210,28 +210,10 @@ where
     Ok(results)
 }
 
-/// Infallible variant of [`par_map_sweep`] for closures that cannot fail.
-///
-/// # Panics
-///
-/// Re-raises panics from worker threads on the calling thread.
-pub fn par_map<I, O, F>(items: &[I], threads: usize, f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(usize, &I) -> O + Sync,
-{
-    match par_map_sweep(items, threads, |index, item| {
-        Ok::<O, std::convert::Infallible>(f(index, item))
-    }) {
-        Ok(results) => results,
-        Err(impossible) => match impossible.source {},
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::convert::Infallible;
 
     #[test]
     fn results_preserve_item_order_at_any_thread_count() {
@@ -269,7 +251,10 @@ mod tests {
     #[test]
     fn closure_receives_matching_indices() {
         let items = vec!["a", "b", "c", "d", "e"];
-        let out = par_map(&items, 2, |index, &item| format!("{index}:{item}"));
+        let out = par_map_sweep(&items, 2, |index, &item| {
+            Ok::<_, Infallible>(format!("{index}:{item}"))
+        })
+        .unwrap();
         assert_eq!(out, vec!["0:a", "1:b", "2:c", "3:d", "4:e"]);
     }
 
@@ -348,11 +333,11 @@ mod tests {
     fn worker_panics_propagate() {
         let items: Vec<usize> = (0..8).collect();
         let result = std::panic::catch_unwind(|| {
-            par_map(&items, 4, |_, &x| {
+            par_map_sweep(&items, 4, |_, &x| {
                 if x == 5 {
                     panic!("worker exploded");
                 }
-                x
+                Ok::<_, Infallible>(x)
             })
         });
         assert!(result.is_err());

@@ -8,13 +8,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ImcError {
-    /// A multiplier operand exceeded the 4-bit range.
-    OperandOutOfRange {
-        /// The offending operand value.
-        value: u16,
-        /// The largest representable operand.
-        max: u16,
-    },
     /// The multiplier configuration is inconsistent (e.g. `V_DAC,0 ≥ V_DAC,FS`).
     InvalidConfiguration {
         /// Human-readable description of the inconsistency.
@@ -69,9 +62,6 @@ pub enum ImcError {
 impl fmt::Display for ImcError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ImcError::OperandOutOfRange { value, max } => {
-                write!(f, "operand {value} exceeds the maximum {max}")
-            }
             ImcError::InvalidConfiguration { context } => {
                 write!(f, "invalid multiplier configuration: {context}")
             }
@@ -154,8 +144,6 @@ mod tests {
 
     #[test]
     fn display_messages_are_informative() {
-        let err = ImcError::OperandOutOfRange { value: 16, max: 15 };
-        assert!(err.to_string().contains("16"));
         assert!(ImcError::EmptyDesignSpace
             .to_string()
             .contains("no corners"));

@@ -10,9 +10,9 @@
 //! On top of the multiplier model the crate provides the paper's
 //! design-space exploration flow:
 //!
-//! * [`multiplier`] — the behavioural 4-bit multiplier with per-operation
-//!   error and energy accounting, plus a pre-computed lookup table for the
-//!   DNN experiments,
+//! * [`multiplier`] — the behavioural 4-bit multiplier, read out as a
+//!   pre-computed table of every operand pair's result and the average
+//!   energy, which the DNN experiments look products up in,
 //! * [`metrics`] — exhaustive input-space evaluation (ϵ_mul, E_mul, analog σ),
 //! * [`dse`] — the 48-corner design-space exploration of Fig. 7,
 //! * [`fom`] — figure-of-merit computation (Eq. 9) and the *fom* / *power* /
@@ -29,15 +29,16 @@
 //! # fn main() -> Result<(), optima_imc::ImcError> {
 //! use optima_circuit::prelude::*;
 //! use optima_core::calibration::{CalibrationConfig, Calibrator};
-//! use optima_imc::multiplier::{InSramMultiplier, MultiplierConfig};
+//! use optima_imc::multiplier::{InSramMultiplier, MultiplierConfig, MultiplierTable};
 //!
 //! let technology = Technology::tsmc65_like();
 //! let models = Calibrator::new(technology, CalibrationConfig::fast())
 //!     .run()?
 //!     .into_models();
-//! let multiplier = InSramMultiplier::new(models, MultiplierConfig::paper_fom_corner())?;
-//! let outcome = multiplier.multiply(9, 11)?;
-//! println!("9 × 11 -> {} (expected 99)", outcome.result);
+//! let m = InSramMultiplier::new(models, MultiplierConfig::paper_fom_corner())?;
+//! let table = MultiplierTable::from_multiplier(&m, m.nominal_operating_point())?;
+//! println!("9 × 11 -> {} (expected 99)", table.lookup(9, 11));
+//! println!("{:.1} fJ per multiply", table.average_multiply_energy().0);
 //! # Ok(())
 //! # }
 //! ```
@@ -65,9 +66,7 @@ pub mod prelude {
     pub use crate::error::ImcError;
     pub use crate::fom::{CornerKind, SelectedCorners};
     pub use crate::metrics::{evaluate_multiplier, MultiplierMetrics};
-    pub use crate::multiplier::{
-        InSramMultiplier, MultiplierConfig, MultiplierTable, MultiplyOutcome,
-    };
+    pub use crate::multiplier::{InSramMultiplier, MultiplierConfig, MultiplierTable};
     pub use crate::pareto::pareto_front;
     pub use crate::pvt_analysis::{PvtAnalysis, PvtAnalysisConfig};
     pub use crate::reliability::{ColumnRemap, FaultState};

@@ -60,24 +60,23 @@ pub fn evaluate_multiplier(multiplier: &InSramMultiplier) -> MultiplierMetrics {
     let mut codes = Vec::new();
     multiplier.nominal_code_table(None, &mut codes);
     let (mut abs_sum, mut square_sum, mut max_error) = (0u64, 0u64, 0u64);
-    let (mut energy_sum, mut total_sum) = (0.0, 0.0);
+    let at = multiplier.nominal_operating_point();
     // optima-lint: hot
-    multiplier.nominal_pair_outcomes(&codes, |outcome| {
-        let error = u64::from(outcome.result.abs_diff(outcome.expected));
-        abs_sum += error;
-        square_sum += error * error;
-        max_error = max_error.max(error);
-        energy_sum += outcome.multiply_energy.0;
-        total_sum += outcome.total_energy().0;
-    });
+    let (energy_per_multiply, energy_per_operation) =
+        multiplier.pair_readout(&multiplier.grid, at, &codes, |a, d, result| {
+            let error = u64::from(result.abs_diff(a * d));
+            abs_sum += error;
+            square_sum += error * error;
+            max_error = max_error.max(error);
+        });
     // optima-lint: end-hot
     let count = multiplier.array().input_space() as f64;
     MultiplierMetrics {
         epsilon_mul: abs_sum as f64 / count,
         rms_error_lsb: (square_sum as f64 / count).sqrt(),
         max_error_lsb: max_error as f64,
-        energy_per_multiply: FemtoJoules(energy_sum / count),
-        energy_per_operation: FemtoJoules(total_sum / count),
+        energy_per_multiply,
+        energy_per_operation,
         sigma_at_max_discharge,
         worst_case_sigma,
     }

@@ -98,32 +98,6 @@ impl MultiplierConfig {
     }
 }
 
-/// Result of one in-SRAM multiplication.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MultiplyOutcome {
-    /// Digitised product (in product LSBs, ideally `a · d`).
-    pub result: u16,
-    /// Exact product `a · d`.
-    pub expected: u16,
-    /// Energy of the multiplication (discharges + converter overhead over
-    /// every analog pass), excluding the operand write.
-    pub multiply_energy: FemtoJoules,
-    /// Energy of writing the stored operand (one cell write per operand bit).
-    pub write_energy: FemtoJoules,
-}
-
-impl MultiplyOutcome {
-    /// Signed error in product LSBs (`result − expected`).
-    pub fn error_lsb(&self) -> f64 {
-        self.result as f64 - self.expected as f64
-    }
-
-    /// Total energy of write + multiplication.
-    pub fn total_energy(&self) -> FemtoJoules {
-        FemtoJoules(self.multiply_energy.0 + self.write_energy.0)
-    }
-}
-
 /// Operating conditions of a multiplication.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OperatingPoint {
@@ -153,7 +127,7 @@ pub struct InSramMultiplier {
     /// (property-tested).
     faults: Option<FaultState>,
     /// The analog grid at `nominal` under `faults`.
-    grid: AnalogOperandGrid,
+    pub(crate) grid: AnalogOperandGrid,
     /// The finite Eq. 6 σ table of `grid` ([`InSramMultiplier::mismatch_sigmas`]).
     sigmas: Vec<f64>,
 }
@@ -500,8 +474,8 @@ impl InSramMultiplier {
     /// Visits the result of every operand pair read off a
     /// [`InSramMultiplier::code_table`], in operand-major order, as
     /// `visit(a, d, result)`: each pair sums its passes' codes and
-    /// saturates, as [`InSramMultiplier::multiply_at`] does.  The sums
-    /// are exact `u32` arithmetic, taken per operand row
+    /// saturates.  The sums are exact `u32` arithmetic, taken per operand
+    /// row
     /// ([`InSramMultiplier::pair_fold`]): each d-slice position's codes are
     /// summed over the row's a-slices once, then spread over every `d` at
     /// one add per pair, for any slice count.  Nothing is allocated.
@@ -514,37 +488,34 @@ impl InSramMultiplier {
         );
     }
 
-    /// Visits the outcome of every operand pair off the kept nominal grid, in
-    /// operand-major order: the result read off the grid's pristine code
-    /// table `codes` ([`InSramMultiplier::nominal_code_table`]) by
-    /// [`InSramMultiplier::pair_results`], and the energy of
-    /// [`InSramMultiplier::pair_energy`].  Nothing is allocated.
-    pub(crate) fn nominal_pair_outcomes(
-        &self,
-        codes: &[u32],
-        mut visit: impl FnMut(MultiplyOutcome),
-    ) {
-        self.pair_results(codes, |a, d, result| {
-            visit(self.outcome(&self.grid, self.nominal, a, d, result))
-        });
-    }
-
-    /// The outcome of the pair `(a, d)` whose passes' codes sum to `result`,
-    /// off `grid` built at `at`.
-    fn outcome(
+    /// Visits the result of every operand pair off `grid` built at `at`,
+    /// read off the grid's pristine code table `codes` by
+    /// [`InSramMultiplier::pair_results`], and returns the pairs' average
+    /// multiplication energy and average write + multiplication energy:
+    /// each pair's [`InSramMultiplier::pair_energy`], and that energy plus
+    /// the grid's write energy, summed from zero in operand-major order.
+    /// Nothing is allocated.
+    pub(crate) fn pair_readout(
         &self,
         grid: &AnalogOperandGrid,
         at: OperatingPoint,
-        a: u16,
-        d: u16,
-        result: u16,
-    ) -> MultiplyOutcome {
-        MultiplyOutcome {
-            result,
-            expected: a * d,
-            multiply_energy: FemtoJoules(self.pair_energy(grid, at, a, d)),
-            write_energy: grid.write_energy,
-        }
+        codes: &[u32],
+        mut visit: impl FnMut(u16, u16, u16),
+    ) -> (FemtoJoules, FemtoJoules) {
+        let (mut energy_sum, mut total_sum) = (0.0, 0.0);
+        // optima-lint: hot
+        self.pair_results(codes, |a, d, result| {
+            let energy = self.pair_energy(grid, at, a, d);
+            energy_sum += energy;
+            total_sum += energy + grid.write_energy.0;
+            visit(a, d, result);
+        });
+        // optima-lint: end-hot
+        let count = self.config.array.input_space() as f64;
+        (
+            FemtoJoules(energy_sum / count),
+            FemtoJoules(total_sum / count),
+        )
     }
 
     /// [`InSramMultiplier::pair_results`] collected in operand-major order.
@@ -797,51 +768,6 @@ impl InSramMultiplier {
         sigmas
     }
 
-    fn check_operands(&self, a: u16, d: u16) -> Result<(), ImcError> {
-        let max = self.config.array.operand_max();
-        if a > max {
-            return Err(ImcError::OperandOutOfRange { value: a, max });
-        }
-        if d > max {
-            return Err(ImcError::OperandOutOfRange { value: d, max });
-        }
-        Ok(())
-    }
-
-    /// Performs one multiplication at nominal conditions.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`InSramMultiplier::multiply_at`].
-    pub fn multiply(&self, a: u16, d: u16) -> Result<MultiplyOutcome, ImcError> {
-        self.multiply_at(a, d, self.nominal)
-    }
-
-    /// Performs one multiplication at an explicit operating point: the sum
-    /// of the pair's codes in the code table of the grid at `at`, saturated,
-    /// and the pair's energy chain.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ImcError::OperandOutOfRange`] for operands above
-    /// [`ArrayConfig::operand_max`].  Otherwise it fails exactly when the
-    /// grid at `at` fails: a model error for any slice operand fails every
-    /// pair, not only the pairs that use it.
-    pub fn multiply_at(
-        &self,
-        a: u16,
-        d: u16,
-        at: OperatingPoint,
-    ) -> Result<MultiplyOutcome, ImcError> {
-        self.check_operands(a, d)?;
-        let (grid, codes) = self.grid_and_codes(at)?;
-        let slice_operands = usize::from(self.config.array.slice_max()) + 1;
-        let sum = self.fold_passes(a, d, 0, |sum, pass| {
-            sum + codes[pass.code_index(slice_operands)]
-        });
-        Ok(self.outcome(&grid, at, a, d, saturate_result(sum)))
-    }
-
     /// Folds `combine` over the analog passes of the pair `(a, d)` in pass
     /// order (`a`-slice outer, `d`-slice inner, both low-to-high).
     fn fold_passes<T>(&self, a: u16, d: u16, init: T, mut combine: impl FnMut(T, Pass) -> T) -> T {
@@ -1052,20 +978,13 @@ impl MultiplierTable {
     ) -> Result<Self, ImcError> {
         let (grid, codes) = multiplier.grid_and_codes(at)?;
         let mut results = Vec::with_capacity(multiplier.array().input_space());
-        let mut energy_sum = 0.0;
-        let mut total_sum = 0.0;
-        multiplier.pair_results(&codes, |a, d, result| {
-            let outcome = multiplier.outcome(&grid, at, a, d, result);
-            results.push(result);
-            energy_sum += outcome.multiply_energy.0;
-            total_sum += outcome.total_energy().0;
-        });
-        let count = results.len() as f64;
+        let (average_multiply_energy, average_total_energy) =
+            multiplier.pair_readout(&grid, at, &codes, |_, _, result| results.push(result));
         Ok(MultiplierTable {
             operand_bits: multiplier.array().operand_bits,
             results,
-            average_multiply_energy: FemtoJoules(energy_sum / count),
-            average_total_energy: FemtoJoules(total_sum / count),
+            average_multiply_energy,
+            average_total_energy,
         })
     }
 
@@ -1153,49 +1072,37 @@ mod tests {
     use super::*;
     use crate::testsupport::{faulted_multiplier, ideal_config, int8_config, linear_suite};
 
+    /// The table of every pair's result at the nominal point.
+    fn nominal_table(multiplier: &InSramMultiplier) -> MultiplierTable {
+        MultiplierTable::from_multiplier(multiplier, multiplier.nominal).unwrap()
+    }
+
+    /// The multiplication energy of the pair `(a, d)` off the kept grid.
+    fn nominal_energy(multiplier: &InSramMultiplier, a: u16, d: u16) -> f64 {
+        multiplier.pair_energy(&multiplier.grid, multiplier.nominal, a, d)
+    }
+
     #[test]
     fn near_ideal_multiplier_reproduces_products() {
-        let multiplier = InSramMultiplier::new(linear_suite(), ideal_config()).unwrap();
+        let table = nominal_table(&InSramMultiplier::new(linear_suite(), ideal_config()).unwrap());
         for (a, d) in [(0, 0), (1, 1), (3, 5), (7, 9), (15, 15), (15, 1), (2, 8)] {
-            let outcome = multiplier.multiply(a, d).unwrap();
-            assert_eq!(outcome.expected, a * d);
-            assert!(
-                outcome.error_lsb().abs() <= 1.0,
-                "{a} x {d}: got {} expected {}",
-                outcome.result,
-                outcome.expected
-            );
+            let result = table.lookup(a, d);
+            assert!(result.abs_diff(a * d) <= 1, "{a} x {d}: got {result}");
         }
     }
 
     #[test]
     fn zero_operands_produce_zero() {
-        let multiplier = InSramMultiplier::new(linear_suite(), ideal_config()).unwrap();
-        assert_eq!(multiplier.multiply(0, 9).unwrap().result, 0);
-        assert_eq!(multiplier.multiply(9, 0).unwrap().result, 0);
-    }
-
-    #[test]
-    fn operands_above_fifteen_are_rejected() {
-        let multiplier = InSramMultiplier::new(linear_suite(), ideal_config()).unwrap();
-        assert!(matches!(
-            multiplier.multiply(16, 3),
-            Err(ImcError::OperandOutOfRange { .. })
-        ));
-        assert!(matches!(
-            multiplier.multiply(3, 99),
-            Err(ImcError::OperandOutOfRange { .. })
-        ));
+        let table = nominal_table(&InSramMultiplier::new(linear_suite(), ideal_config()).unwrap());
+        assert_eq!(table.lookup(0, 9), 0);
+        assert_eq!(table.lookup(9, 0), 0);
     }
 
     #[test]
     fn operand_range_follows_the_geometry() {
-        let multiplier = InSramMultiplier::new(linear_suite(), int8_config()).unwrap();
-        assert!(multiplier.multiply(255, 255).is_ok());
-        assert!(matches!(
-            multiplier.multiply(256, 1),
-            Err(ImcError::OperandOutOfRange { max: 255, .. })
-        ));
+        let table = nominal_table(&InSramMultiplier::new(linear_suite(), int8_config()).unwrap());
+        assert_eq!(table.operand_max(), 255);
+        assert!(table.lookup(255, 255) > 0);
     }
 
     #[test]
@@ -1221,15 +1128,18 @@ mod tests {
         ));
     }
 
+    /// Every DAC input's energy is positive with one stored bit and grows
+    /// with the stored bits, and the write energy is positive.
     #[test]
     fn energy_grows_with_stored_operand_weight() {
         let multiplier = InSramMultiplier::new(linear_suite(), ideal_config()).unwrap();
-        let light = multiplier.multiply(15, 1).unwrap().multiply_energy.0;
-        let heavy = multiplier.multiply(15, 15).unwrap().multiply_energy.0;
-        assert!(heavy > light);
-        let outcome = multiplier.multiply(15, 15).unwrap();
-        assert!(outcome.write_energy.0 > 0.0);
-        assert!(outcome.total_energy().0 > outcome.multiply_energy.0);
+        for a in 1..=15 {
+            let light = nominal_energy(&multiplier, a, 0b0001);
+            let heavy = nominal_energy(&multiplier, a, 0b1111);
+            assert!(light > 0.0, "a = {a}");
+            assert!(heavy > light, "a = {a}");
+        }
+        assert!(multiplier.grid.write_energy.0 > 0.0);
     }
 
     #[test]
@@ -1367,15 +1277,13 @@ mod tests {
     }
 
     #[test]
-    fn table_matches_direct_multiplication() {
+    fn table_matches_the_result_grid() {
         let multiplier = InSramMultiplier::new(linear_suite(), ideal_config()).unwrap();
         let at = multiplier.nominal_operating_point();
         let table = MultiplierTable::from_multiplier(&multiplier, at).unwrap();
+        let results = multiplier.result_grid(at).unwrap();
         for (a, d) in [(0, 0), (3, 4), (15, 15), (9, 2)] {
-            assert_eq!(
-                table.lookup(a, d),
-                multiplier.multiply(a, d).unwrap().result
-            );
+            assert_eq!(table.lookup(a, d), results[usize::from(a * 16 + d)]);
         }
         assert!(table.average_multiply_energy().0 > 0.0);
         assert!(table.average_total_energy().0 > table.average_multiply_energy().0);
@@ -1394,7 +1302,8 @@ mod tests {
             wide.volts_per_lsb().0.to_bits(),
             narrow.volts_per_lsb().0.to_bits()
         );
-        let at = wide.nominal_operating_point();
+        let wide = nominal_table(&wide);
+        let narrow = nominal_table(&narrow);
         for (a, d) in [
             (0u16, 0u16),
             (1, 255),
@@ -1403,22 +1312,20 @@ mod tests {
             (37, 201),
             (16, 16),
         ] {
-            let composed = wide.multiply_at(a, d, at).unwrap();
             let mut reference: u32 = 0;
             for i in 0..2u16 {
                 for j in 0..2u16 {
                     let a_slice = (a >> (4 * i)) & 0xF;
                     let d_slice = (d >> (4 * j)) & 0xF;
-                    let code = narrow.multiply_at(a_slice, d_slice, at).unwrap().result;
+                    let code = narrow.lookup(a_slice, d_slice);
                     reference += (code as u32) << (4 * (i + j));
                 }
             }
             assert_eq!(
-                composed.result as u32,
+                wide.lookup(a, d) as u32,
                 reference.min(u16::MAX as u32),
                 "a = {a}, d = {d}"
             );
-            assert_eq!(composed.expected, a * d);
         }
     }
 
@@ -1474,20 +1381,18 @@ mod tests {
     #[test]
     fn supply_shift_changes_the_result() {
         let multiplier = InSramMultiplier::new(linear_suite(), ideal_config()).unwrap();
-        let nominal = multiplier.multiply(10, 10).unwrap();
-        let low_supply = multiplier
-            .multiply_at(
-                10,
-                10,
-                OperatingPoint {
-                    vdd: Volts(0.9),
-                    temperature: Celsius(25.0),
-                },
-            )
-            .unwrap();
+        let nominal = nominal_table(&multiplier);
+        let low_supply = MultiplierTable::from_multiplier(
+            &multiplier,
+            OperatingPoint {
+                vdd: Volts(0.9),
+                temperature: Celsius(25.0),
+            },
+        )
+        .unwrap();
         // With the identity supply model the only effect is the DAC reference,
         // which lowers the word-line voltage and therefore the result.
-        assert!(low_supply.result <= nominal.result);
+        assert!(low_supply.lookup(10, 10) <= nominal.lookup(10, 10));
     }
 
     #[test]
@@ -1519,10 +1424,10 @@ mod tests {
             .with_faults(state)
             .unwrap();
         // Storing exactly the stuck bit yields zero; the other bits survive.
-        let d = 1u16 << column;
-        assert_eq!(multiplier.multiply(15, d).unwrap().result, 0);
+        let table = nominal_table(&multiplier);
+        assert_eq!(table.lookup(15, 1 << column), 0);
         let healthy_bit = (0..4).find(|&b| b != column).unwrap();
-        assert!(multiplier.multiply(15, 1 << healthy_bit).unwrap().result > 0);
+        assert!(table.lookup(15, 1 << healthy_bit) > 0);
     }
 
     #[test]
@@ -1554,10 +1459,12 @@ mod tests {
         // A stored 0 on the shorted column still discharges the full rail:
         // the result and the energy both exceed the pristine multiplier's.
         let d_without = 0u16; // nothing stored at all
-        let good = pristine.multiply(15, d_without).unwrap();
-        let bad = faulted.multiply(15, d_without).unwrap();
-        assert!(bad.result > good.result, "short must inflate the product");
-        assert!(bad.multiply_energy.0 > good.multiply_energy.0);
+        assert!(
+            nominal_table(&faulted).lookup(15, d_without)
+                > nominal_table(&pristine).lookup(15, d_without),
+            "short must inflate the product"
+        );
+        assert!(nominal_energy(&faulted, 15, d_without) > nominal_energy(&pristine, 15, d_without));
         let _ = column;
     }
 
@@ -1577,9 +1484,7 @@ mod tests {
             .clone()
             .all(|(old, fresh)| old < fresh || *fresh == 0.0));
         assert!(pairs.clone().any(|(old, _)| *old > 0.0));
-        let fresh = pristine.multiply(15, 15).unwrap();
-        let old = aged.multiply(15, 15).unwrap();
-        assert!(old.result <= fresh.result);
+        assert!(nominal_table(&aged).lookup(15, 15) <= nominal_table(&pristine).lookup(15, 15));
     }
 
     #[test]
@@ -1660,13 +1565,13 @@ mod tests {
             ..ArrayConfig::default()
         });
         let muxed = InSramMultiplier::new(linear_suite(), muxed_config).unwrap();
-        let e_base = base.multiply(9, 9).unwrap().multiply_energy.0;
-        let e_muxed = muxed.multiply(9, 9).unwrap().multiply_energy.0;
+        let e_base = nominal_energy(&base, 9, 9);
+        let e_muxed = nominal_energy(&muxed, 9, 9);
         // Same discharges, half the fixed converter overhead.
         assert!((e_base - e_muxed - 1.0).abs() < 1e-12);
         assert_eq!(
-            base.multiply(9, 9).unwrap().result,
-            muxed.multiply(9, 9).unwrap().result
+            nominal_table(&base).lookup(9, 9),
+            nominal_table(&muxed).lookup(9, 9)
         );
     }
 }

@@ -6,22 +6,51 @@
 //! one chip: one standard normal per data column of the stored word, frozen
 //! for every pair, which perturbs each discharging cell by the Eq. 6 σ of
 //! its `(t, V_WL)` times its column's normal.  The oracle composes its own
-//! outcome: each pass rounds its discharge with `f64::round` and `clamp`,
-//! the codes add up shifted by their digital weight, and the energy gates
-//! each column by the fault state's own accessors.  Its metrics and tables
-//! buffer every outcome and average them as floats.
+//! [`MultiplyOutcome`] per pair: each pass rounds its discharge with
+//! `f64::round` and `clamp`, the codes add up shifted by their digital
+//! weight, and the energy gates each column by the fault state's own
+//! accessors.  Its metrics and tables buffer every outcome and average them
+//! as floats.
 //!
-//! The library reads every multiplication off the precomputed grids instead:
-//! every result off the code table [`InSramMultiplier::code_table`], every
-//! energy off the per-pair chain [`InSramMultiplier::pair_energy`], and
-//! every σ off [`InSramMultiplier::analog_sigma_grid`], at the nominal point
-//! off the multiplier's kept grid; the tests below pin them bit-identical.
+//! The library has no per-pair readout; it reads every pair off the
+//! precomputed grids: every result off the code table
+//! [`InSramMultiplier::code_table`], every energy off the per-pair chain
+//! [`InSramMultiplier::pair_energy`], and every σ off
+//! [`InSramMultiplier::analog_sigma_grid`], at the nominal point off the
+//! multiplier's kept grid; the tests below pin them bit-identical, pair by
+//! pair.
 
-use super::{InSramMultiplier, MultiplierTable, MultiplyOutcome, OperatingPoint};
+use super::{InSramMultiplier, MultiplierTable, OperatingPoint};
 use crate::error::ImcError;
 use crate::metrics::MultiplierMetrics;
 use optima_math::stats;
 use optima_math::units::{FemtoJoules, Volts};
+
+/// The oracle's result of one multiplication.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct MultiplyOutcome {
+    /// Digitised product (in product LSBs, ideally `a · d`).
+    pub(crate) result: u16,
+    /// Exact product `a · d`.
+    pub(crate) expected: u16,
+    /// Energy of the multiplication (discharges + converter overhead over
+    /// every analog pass), excluding the operand write.
+    pub(crate) multiply_energy: FemtoJoules,
+    /// Energy of writing the stored operand (one cell write per operand bit).
+    pub(crate) write_energy: FemtoJoules,
+}
+
+impl MultiplyOutcome {
+    /// Signed error in product LSBs (`result − expected`).
+    pub(crate) fn error_lsb(&self) -> f64 {
+        self.result as f64 - self.expected as f64
+    }
+
+    /// Total energy of write + multiplication.
+    fn total_energy(&self) -> FemtoJoules {
+        FemtoJoules(self.multiply_energy.0 + self.write_energy.0)
+    }
+}
 
 /// Charge-shared combined discharge of one analog pass (`pass` in the
 /// composed pass order) for the slice operands `a_slice` (DAC input) and
@@ -99,7 +128,6 @@ fn multiply_inner(
     at: OperatingPoint,
     normals: Option<&[f64]>,
 ) -> Result<MultiplyOutcome, ImcError> {
-    m.check_operands(a, d)?;
     let array = &m.config.array;
     let slices = array.slices() as u16;
     let shift = array.slice_bits as u16;
@@ -204,7 +232,6 @@ pub(crate) fn multiply_with_mismatch(
 /// discharges, as in [`slice_discharge`]: the fault state gates stuck cells
 /// and open bit-lines, and a shorted bit-line has no cell to mismatch.
 pub(crate) fn analog_sigma(m: &InSramMultiplier, a: u16, d: u16) -> Result<Volts, ImcError> {
-    m.check_operands(a, d)?;
     let array = &m.config.array;
     let slices = array.slices() as u16;
     let shift = array.slice_bits as u16;
@@ -336,12 +363,41 @@ mod tests {
         assert!(any_different);
     }
 
-    /// `multiply_at` against the live oracle, whole outcomes (energies
-    /// included) pair by pair, at the nominal point and off it, on a
-    /// pristine chip of two suites and on the faulted chip.
+    /// Every pair of `operands` at `at` as the library reads it, against
+    /// the live oracle bit for bit: the result off the code table of the
+    /// grid at `at`, the pair's energy chain and the grid's write energy.
+    fn assert_pairs_match_the_oracle(m: &InSramMultiplier, at: OperatingPoint, operands: &[u16]) {
+        let (grid, codes) = m.grid_and_codes(at).unwrap();
+        let results = m.collect_results(&codes);
+        let rows = usize::from(m.array().operand_max()) + 1;
+        for &a in operands {
+            for &d in operands {
+                let oracle = multiply_at(m, a, d, at).unwrap();
+                assert_eq!(
+                    (
+                        results[usize::from(a) * rows + usize::from(d)],
+                        m.pair_energy(&grid, at, a, d).to_bits(),
+                        grid.write_energy.0.to_bits(),
+                    ),
+                    (
+                        oracle.result,
+                        oracle.multiply_energy.0.to_bits(),
+                        oracle.write_energy.0.to_bits(),
+                    ),
+                    "{}, {at:?}: a = {a}, d = {d}",
+                    m.array().describe()
+                );
+            }
+        }
+    }
+
+    /// Every pair's result and energy against the live oracle, at the
+    /// nominal point and off it, on a pristine chip of two suites and on
+    /// the faulted chip.
     #[test]
     fn batched_outcomes_are_bit_identical_to_scalar_multiplication() {
         let new = |suite| InSramMultiplier::new(suite, ideal_config()).unwrap();
+        let int4: Vec<u16> = (0..=15).collect();
         for multiplier in [
             new(linear_suite()),
             new(pvt_sensitive_suite()),
@@ -354,20 +410,12 @@ mod tests {
                     temperature: Celsius(60.0),
                 },
             ] {
-                for a in 0..=15u16 {
-                    for d in 0..=15u16 {
-                        assert_eq!(
-                            multiplier.multiply_at(a, d, at).unwrap(),
-                            multiply_at(&multiplier, a, d, at).unwrap(),
-                            "{at:?}: a = {a}, d = {d}"
-                        );
-                    }
-                }
+                assert_pairs_match_the_oracle(&multiplier, at, &int4);
             }
         }
     }
 
-    /// `result_grid` against the live `multiply_at(..).result`, and
+    /// `result_grid` against the live [`multiply_at`] results, and
     /// `analog_sigma_grid` against the live [`analog_sigma`] by bits, on
     /// one, two and four slices per operand.  The faulted chip's V_th aging
     /// moves its word lines and its faults gate which cells carry
@@ -546,25 +594,19 @@ mod tests {
         }
     }
 
-    /// `multiply_at` on 4 and 16 passes against the live oracle, whole
-    /// outcomes pair by pair: an energy chain regrouped across passes shows
-    /// in a pair's low bits, though the table averages round it away.
+    /// Every pair's result and energy on 4 and 16 passes against the live
+    /// oracle: an energy chain regrouped across passes shows in a pair's
+    /// low bits, though the table averages round it away.
     #[test]
     fn int8_outcomes_are_bit_identical_to_scalar_composition() {
         let probes = int8_probes();
         for config in [int8_config(), int8_two_bit_config()] {
             let multiplier = InSramMultiplier::new(linear_suite(), config).unwrap();
-            let at = multiplier.nominal_operating_point();
-            for &a in &probes {
-                for &d in &probes {
-                    assert_eq!(
-                        multiplier.multiply_at(a, d, at).unwrap(),
-                        multiply_at(&multiplier, a, d, at).unwrap(),
-                        "{}: a = {a}, d = {d}",
-                        multiplier.array().describe()
-                    );
-                }
-            }
+            assert_pairs_match_the_oracle(
+                &multiplier,
+                multiplier.nominal_operating_point(),
+                &probes,
+            );
         }
     }
 
@@ -666,8 +708,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Multiplier-table construction and every pair's `multiply_at` off
-        /// the analog grid are bit-identical to the live per-pair path for
+        /// Multiplier-table construction and every pair's result and energy
+        /// off the analog grid are bit-identical to the live per-pair path for
         /// arbitrary design points and operating points, including
         /// off-nominal VDD × temperature corners, and so are the nominal
         /// corner metrics.
@@ -693,14 +735,7 @@ mod tests {
                 evaluate_multiplier(&multiplier),
                 input_space(&multiplier).unwrap()
             );
-            for a in 0..=15u16 {
-                for d in 0..=15u16 {
-                    prop_assert_eq!(
-                        multiplier.multiply_at(a, d, at).unwrap(),
-                        multiply_at(&multiplier, a, d, at).unwrap()
-                    );
-                }
-            }
+            assert_pairs_match_the_oracle(&multiplier, at, &(0..=15).collect::<Vec<_>>());
         }
 
     }

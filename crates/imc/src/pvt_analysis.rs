@@ -17,7 +17,7 @@
 //! count.
 //!
 //! Every sweep reads only digitised results, so none takes the per-pair
-//! energy chain of [`InSramMultiplier::multiply_at`].  The supply and
+//! energy chain (`pair_energy`).  The supply and
 //! temperature conditions run as one sweep over a single list of operating
 //! points.  The multiplier's
 //! code table (`code_table`) reads an analog grid out once per (pass, slice

@@ -14,7 +14,7 @@ use optima_suite::optima_core::model::suite::ModelSuite;
 use optima_suite::optima_core::model::supply::SupplyModel;
 use optima_suite::optima_core::model::temperature::TemperatureModel;
 use optima_suite::optima_core::snapshot;
-use optima_suite::optima_core::sweep::par_map;
+use optima_suite::optima_core::sweep::par_map_sweep;
 use optima_suite::optima_core::ModelError;
 use optima_suite::optima_dnn::multiplier::{
     ComposedProducts, ExactInt4Products, ExactProducts, ProductTable,
@@ -214,26 +214,12 @@ proptest! {
             MultiplierConfig::new(Seconds(0.16e-9), Volts(0.45), Volts(1.0)),
         )
         .unwrap();
-        prop_assert_eq!(multiplier.multiply(a, 0).unwrap().result, 0);
-        prop_assert_eq!(multiplier.multiply(0, d).unwrap().result, 0);
-        let smaller = multiplier.multiply(a, d - 1).unwrap().result;
-        let larger = multiplier.multiply(a, d).unwrap().result;
-        prop_assert!(larger >= smaller);
-    }
-
-    /// The multiplier's energy accounting is always positive and grows with
-    /// the number of active stored bits.
-    #[test]
-    fn multiplier_energy_is_positive_and_monotone_in_weight(a in 1u16..=15) {
-        let multiplier = InSramMultiplier::new(
-            linear_suite(),
-            MultiplierConfig::new(Seconds(0.16e-9), Volts(0.45), Volts(1.0)),
-        )
-        .unwrap();
-        let light = multiplier.multiply(a, 0b0001).unwrap().multiply_energy.0;
-        let heavy = multiplier.multiply(a, 0b1111).unwrap().multiply_energy.0;
-        prop_assert!(light > 0.0);
-        prop_assert!(heavy >= light);
+        let table =
+            MultiplierTable::from_multiplier(&multiplier, multiplier.nominal_operating_point())
+                .unwrap();
+        prop_assert_eq!(table.lookup(a, 0), 0);
+        prop_assert_eq!(table.lookup(0, d), 0);
+        prop_assert!(table.lookup(a, d) >= table.lookup(a, d - 1));
     }
 
     /// The blocked batched Horner kernel is bit-identical to per-point
@@ -307,7 +293,10 @@ proptest! {
         let pairs: Vec<(u8, u8)> = (0..=255u8)
             .flat_map(|a| (0..=255u8).map(move |b| (a, b)))
             .collect();
-        let products = par_map(&pairs, threads, |_, &(a, b)| composed.product(a, b));
+        let products = par_map_sweep(&pairs, threads, |_, &(a, b)| {
+            Ok::<_, std::convert::Infallible>(composed.product(a, b))
+        })
+        .unwrap();
         for (&(a, b), &product) in pairs.iter().zip(&products) {
             prop_assert_eq!(product, reference.product(a, b), "{} x {}", a, b);
             prop_assert_eq!(product, a as u16 * b as u16, "{} x {}", a, b);
