@@ -45,19 +45,6 @@ ARRAY GEOMETRY (run; default: the paper's 16x4 INT4 macro):
     --rows N              cells per bit-line (default 16)
     --columns N           bit-line columns per row (default 4)
     --mux N               columns sharing one converter pair (default 1)
-    --spares N            replica spare columns for defect repair (default 0;
-                          fault_sweep adds its own spares when left at 0)
-
-RELIABILITY (run; consumed by the fault_sweep experiment):
-    --defect-rate R       pin the defect-rate grid to [0, R] instead of the
-                          profile's built-in rate ladder
-    --lifetime-steps N    pin the lifetime grid to [0, N] aging steps
-
-SERVING (run; consumed by the serving_load experiment):
-    --max-batch N         pin the coalescer's batch-size cap instead of the
-                          profile's built-in policy grid
-    --max-delay-us N      pin the coalescer's close deadline in microseconds
-    --shards N            pin the worker-shard count
 
 EXIT STATUS:
     0 when every requested experiment succeeds with a non-empty report;
@@ -78,11 +65,6 @@ struct RunOptions {
     threads: usize,
     json_dir: Option<PathBuf>,
     array: ArrayConfig,
-    defect_rate: Option<f64>,
-    lifetime_steps: Option<usize>,
-    max_batch: Option<usize>,
-    max_delay_us: Option<u64>,
-    serve_shards: Option<usize>,
 }
 
 fn parse_run_options(args: &[String]) -> RunOptions {
@@ -94,11 +76,6 @@ fn parse_run_options(args: &[String]) -> RunOptions {
         threads: 0,
         json_dir: None,
         array: ArrayConfig::default(),
-        defect_rate: None,
-        lifetime_steps: None,
-        max_batch: None,
-        max_delay_us: None,
-        serve_shards: None,
     };
     let mut columns_given = false;
     let mut i = 0;
@@ -166,55 +143,6 @@ fn parse_run_options(args: &[String]) -> RunOptions {
                 options.array.column_mux = value
                     .parse()
                     .unwrap_or_else(|_| usage_error(&format!("invalid --mux {value:?}")));
-            }
-            "--spares" => {
-                let value = value_for("--spares");
-                options.array.spare_columns = value
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("invalid --spares {value:?}")));
-            }
-            "--defect-rate" => {
-                let value = value_for("--defect-rate");
-                let rate: f64 = value
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("invalid --defect-rate {value:?}")));
-                if !(0.0..=1.0).contains(&rate) {
-                    usage_error(&format!("--defect-rate must be within 0..=1, got {value}"));
-                }
-                options.defect_rate = Some(rate);
-            }
-            "--lifetime-steps" => {
-                let value = value_for("--lifetime-steps");
-                options.lifetime_steps = Some(value.parse().unwrap_or_else(|_| {
-                    usage_error(&format!("invalid --lifetime-steps {value:?}"))
-                }));
-            }
-            "--max-batch" => {
-                let value = value_for("--max-batch");
-                let max_batch: usize = value
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("invalid --max-batch {value:?}")));
-                if max_batch == 0 {
-                    usage_error("--max-batch must be at least 1");
-                }
-                options.max_batch = Some(max_batch);
-            }
-            "--max-delay-us" => {
-                let value = value_for("--max-delay-us");
-                options.max_delay_us =
-                    Some(value.parse().unwrap_or_else(|_| {
-                        usage_error(&format!("invalid --max-delay-us {value:?}"))
-                    }));
-            }
-            "--shards" => {
-                let value = value_for("--shards");
-                let shards: usize = value
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("invalid --shards {value:?}")));
-                if shards == 0 {
-                    usage_error("--shards must be at least 1");
-                }
-                options.serve_shards = Some(shards);
             }
             flag if flag.starts_with('-') => usage_error(&format!("unknown option {flag}")),
             name => options.names.push(name.to_string()),
@@ -319,21 +247,6 @@ fn cmd_run(args: &[String]) -> i32 {
         .with_seed(options.seed)
         .with_threads(options.threads)
         .with_array(options.array);
-    if let Some(rate) = options.defect_rate {
-        ctx = ctx.with_defect_rate(rate);
-    }
-    if let Some(steps) = options.lifetime_steps {
-        ctx = ctx.with_lifetime_steps(steps);
-    }
-    if let Some(max_batch) = options.max_batch {
-        ctx = ctx.with_max_batch(max_batch);
-    }
-    if let Some(max_delay_us) = options.max_delay_us {
-        ctx = ctx.with_max_delay_us(max_delay_us);
-    }
-    if let Some(shards) = options.serve_shards {
-        ctx = ctx.with_serve_shards(shards);
-    }
     let mut failures: Vec<(String, String)> = Vec::new();
     for (i, experiment) in selected.iter().enumerate() {
         if i > 0 {

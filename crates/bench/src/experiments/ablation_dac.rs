@@ -39,7 +39,7 @@ impl Experiment for AblationDac {
             Column::unit("max error", "LSB"),
             Column::unit("E_mul", "fJ"),
         ]);
-        for (name, config) in crate::paper_corners() {
+        for (name, config) in ctx.corners() {
             for (label, transfer) in [
                 ("linear", DacTransfer::Linear),
                 ("sqrt pre-distortion", DacTransfer::SquareRootPredistortion),

@@ -37,7 +37,7 @@ use optima_dnn::multiplier::{InMemoryProducts, ProductTable};
 use optima_dnn::network::Network;
 use optima_dnn::quantized::QuantizedNetwork;
 use optima_dnn::training::{Trainer, TrainingConfig};
-use optima_imc::multiplier::{InSramMultiplier, MultiplierConfig, MultiplierTable, OperatingPoint};
+use optima_imc::multiplier::{InSramMultiplier, MultiplierTable, OperatingPoint};
 use optima_imc::reliability::FaultState;
 use optima_imc::ImcError;
 use optima_math::seed::stream_seed;
@@ -82,28 +82,20 @@ impl Experiment for FaultSweep {
         let quick = ctx.is_fast();
         let array = mitigated_geometry(ctx.array())?;
         let models = ctx.models()?;
-        let config = MultiplierConfig::paper_fom_corner().with_array(array);
-        let pristine = InSramMultiplier::new(models, config)?;
+        let [(_, fom), ..] = ctx.corners();
+        let pristine = InSramMultiplier::new(models, fom.with_array(array))?;
         let nominal = pristine.nominal_operating_point();
 
-        // The grid: CLI-pinned knobs override the profile defaults.
-        let rates: Vec<f64> = match ctx.defect_rate() {
-            Some(rate) => vec![0.0, rate],
-            None if quick => vec![0.0, 0.05, 0.15],
-            None => vec![0.0, 0.02, 0.05, 0.1, 0.2],
+        let rates: Vec<f64> = if quick {
+            vec![0.0, 0.05, 0.15]
+        } else {
+            vec![0.0, 0.02, 0.05, 0.1, 0.2]
         };
         // The aging horizon stays at <= 2 steps (8 mV of V_th shift): the
         // fom corner drives the word line from V_DAC,0 = 0.3 V and the full
         // calibration grid only validates down to 0.35 V - 10 % margin, so
-        // deeper aging would leave the calibrated model domain.  A pinned
-        // `--lifetime-steps` beyond that fails loudly with the grid point
-        // named in the error chain rather than silently extrapolating.
-        let steps: Vec<usize> = match ctx.lifetime_steps() {
-            Some(0) => vec![0],
-            Some(horizon) => vec![0, horizon],
-            None if quick => vec![0, 2],
-            None => vec![0, 1, 2],
-        };
+        // deeper aging would leave the calibrated model domain.
+        let steps: Vec<usize> = if quick { vec![0, 2] } else { vec![0, 1, 2] };
         let trajectory = LifetimeTrajectory::nbti_like();
         trajectory.validate()?;
 
@@ -228,14 +220,10 @@ impl Experiment for FaultSweep {
     }
 }
 
-/// The geometry the sweep runs at: the context's array, grown by a whole
-/// mux group of spare columns when it does not provide spares of its own.
+/// The geometry the sweep runs at: the context's array plus `2 · column_mux`
+/// spare columns (at most one per data column).
 fn mitigated_geometry(base: ArrayConfig) -> Result<ArrayConfig, BenchError> {
-    let array = if base.spare_columns > 0 {
-        base
-    } else {
-        base.with_spares((2 * base.column_mux as u16).min(base.columns))
-    };
+    let array = base.with_spares((2 * base.column_mux as u16).min(base.columns));
     array.validate()?;
     Ok(array)
 }

@@ -37,7 +37,7 @@ impl Experiment for Fig8CornerPvt {
         report
             .heading(1, "Fig. 8 — corner PVT and mismatch analysis")
             .blank();
-        for (name, corner_config) in crate::paper_corners() {
+        for (name, corner_config) in ctx.corners() {
             let multiplier = InSramMultiplier::new(models.clone(), corner_config)?;
             let analysis = PvtAnalysis::run(&multiplier, &config)?;
 

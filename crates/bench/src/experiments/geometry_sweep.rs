@@ -19,7 +19,7 @@ use optima_dnn::quantized::QuantizedNetwork;
 use optima_dnn::scratch::KernelScratch;
 use optima_dnn::Tensor;
 use optima_imc::metrics::evaluate_multiplier;
-use optima_imc::multiplier::{InSramMultiplier, MultiplierConfig, MultiplierTable};
+use optima_imc::multiplier::{InSramMultiplier, MultiplierTable};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -103,9 +103,8 @@ impl GeometrySweep {
         array: ArrayConfig,
     ) -> Result<Vec<Scalar>, BenchError> {
         let models = ctx.models()?;
-
-        let config = MultiplierConfig::paper_fom_corner().with_array(array);
-        let multiplier = InSramMultiplier::new(models, config)?;
+        let [(_, fom), ..] = ctx.corners();
+        let multiplier = InSramMultiplier::new(models, fom.with_array(array))?;
         let metrics = evaluate_multiplier(&multiplier);
         let table =
             MultiplierTable::from_multiplier(&multiplier, multiplier.nominal_operating_point())?;

@@ -8,10 +8,11 @@
 //! registry directly.
 //!
 //! [`ExperimentContext`] carries the resolved execution [`Profile`]
-//! (fast/full), the base RNG seed, the sweep-engine thread knob, and a
-//! lazily-calibrated `(Technology, CalibrationOutcome)` handle: calibration
-//! runs in-process against the golden reference, at most once per context
-//! and geometry, even when every experiment executes.
+//! (fast/full), the base RNG seed, the sweep-engine thread knob, the array
+//! geometry, the Table I corners, and a lazily-calibrated
+//! `(Technology, CalibrationOutcome)` handle: calibration runs in-process
+//! against the golden reference, at most once per context and geometry,
+//! even when every experiment executes.
 
 use crate::report::Report;
 use optima_circuit::array::ArrayConfig;
@@ -22,6 +23,7 @@ use optima_core::model::suite::ModelSuite;
 use optima_core::sweep::default_threads;
 use optima_core::ModelError;
 use optima_dnn::DnnError;
+use optima_imc::multiplier::MultiplierConfig;
 use optima_imc::ImcError;
 use optima_serve::ServeError;
 
@@ -157,11 +159,6 @@ pub struct ExperimentContext {
     seed: u64,
     threads: usize,
     array: ArrayConfig,
-    defect_rate: Option<f64>,
-    lifetime_steps: Option<usize>,
-    max_batch: Option<usize>,
-    max_delay_us: Option<u64>,
-    serve_shards: Option<usize>,
     calibration: Option<(Technology, CalibrationOutcome)>,
 }
 
@@ -174,11 +171,6 @@ impl ExperimentContext {
             seed: 42,
             threads: 0,
             array: ArrayConfig::default(),
-            defect_rate: None,
-            lifetime_steps: None,
-            max_batch: None,
-            max_delay_us: None,
-            serve_shards: None,
             calibration: None,
         }
     }
@@ -212,66 +204,6 @@ impl ExperimentContext {
         self.array = array;
     }
 
-    /// Pins the reliability experiments' peak defect rate (`--defect-rate`);
-    /// without it the `fault_sweep` experiment uses its profile-default
-    /// rate grid.
-    pub fn with_defect_rate(mut self, rate: f64) -> Self {
-        self.defect_rate = Some(rate);
-        self
-    }
-
-    /// Pins the reliability experiments' deployed-lifetime horizon
-    /// (`--lifetime-steps`); without it the `fault_sweep` experiment uses
-    /// its profile-default step grid.
-    pub fn with_lifetime_steps(mut self, steps: usize) -> Self {
-        self.lifetime_steps = Some(steps);
-        self
-    }
-
-    /// Pins the serving experiment's coalescing batch size (`--max-batch`);
-    /// without it `serving_load` sweeps its profile-default policy grid.
-    pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        self.max_batch = Some(max_batch);
-        self
-    }
-
-    /// Pins the serving experiment's coalescing deadline (`--max-delay-us`).
-    pub fn with_max_delay_us(mut self, max_delay_us: u64) -> Self {
-        self.max_delay_us = Some(max_delay_us);
-        self
-    }
-
-    /// Pins the serving experiment's worker-shard count (`--shards`).
-    pub fn with_serve_shards(mut self, shards: usize) -> Self {
-        self.serve_shards = Some(shards);
-        self
-    }
-
-    /// CLI-pinned peak defect rate, if any.
-    pub fn defect_rate(&self) -> Option<f64> {
-        self.defect_rate
-    }
-
-    /// CLI-pinned coalescing batch size, if any.
-    pub fn max_batch(&self) -> Option<usize> {
-        self.max_batch
-    }
-
-    /// CLI-pinned coalescing deadline in microseconds, if any.
-    pub fn max_delay_us(&self) -> Option<u64> {
-        self.max_delay_us
-    }
-
-    /// CLI-pinned serving shard count, if any.
-    pub fn serve_shards(&self) -> Option<usize> {
-        self.serve_shards
-    }
-
-    /// CLI-pinned lifetime horizon in deployment steps, if any.
-    pub fn lifetime_steps(&self) -> Option<usize> {
-        self.lifetime_steps
-    }
-
     pub fn profile(&self) -> Profile {
         self.profile
     }
@@ -293,6 +225,16 @@ impl ExperimentContext {
     /// The array geometry of this run (the paper's 16×4 INT4 by default).
     pub fn array(&self) -> ArrayConfig {
         self.array
+    }
+
+    /// The three named corners of Table I, in the order fom, power,
+    /// variation: the paper's configurations.
+    pub fn corners(&self) -> [(&'static str, MultiplierConfig); 3] {
+        [
+            ("fom", MultiplierConfig::paper_fom_corner()),
+            ("power", MultiplierConfig::paper_power_corner()),
+            ("variation", MultiplierConfig::paper_variation_corner()),
+        ]
     }
 
     /// The thread count actually used by the sweep engine.
@@ -493,6 +435,14 @@ mod tests {
         assert!(ctx.array().is_paper());
         let auto = ExperimentContext::new(Profile::Full);
         assert_eq!(auto.effective_threads(), default_threads());
+    }
+
+    #[test]
+    fn corners_are_the_three_from_table_one() {
+        let names = ExperimentContext::new(Profile::Fast)
+            .corners()
+            .map(|(name, _)| name);
+        assert_eq!(names, ["fom", "power", "variation"]);
     }
 
     #[test]

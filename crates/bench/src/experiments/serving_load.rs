@@ -11,12 +11,11 @@
 //! The experiment gates itself on bit identity (every served request's
 //! logits equal a lone `forward_with` call) and the coalesce-wait bound;
 //! a violation returns [`BenchError::Failed`] so the `optima` runner exits
-//! nonzero.  `--max-batch`, `--max-delay-us` and `--shards` pin the grid
-//! to a single policy/shard point instead of the profile defaults.
+//! nonzero.
 
 use super::{BenchError, Experiment, ExperimentContext};
 use crate::report::{Column, Report, Scalar, Table};
-use crate::serving::{self, SweepSpec};
+use crate::serving;
 
 pub struct ServingLoad;
 
@@ -34,28 +33,7 @@ impl Experiment for ServingLoad {
     }
 
     fn run(&self, ctx: &mut ExperimentContext) -> Result<Report, BenchError> {
-        let defaults = SweepSpec::for_profile(ctx.profile());
-        // CLI-pinned knobs collapse their grid axis to the pinned value;
-        // a half-pinned policy borrows the other half from the default
-        // balanced point.
-        let policies = match (ctx.max_batch(), ctx.max_delay_us()) {
-            (None, None) => defaults.policies,
-            (max_batch, max_delay_us) => {
-                vec![(max_batch.unwrap_or(8), max_delay_us.unwrap_or(500))]
-            }
-        };
-        let shards = match ctx.serve_shards() {
-            Some(shards) => vec![shards],
-            None => defaults.shards,
-        };
-        let spec = SweepSpec {
-            rates: defaults.rates,
-            policies,
-            shards,
-            requests: defaults.requests,
-        };
-
-        let report = serving::run_and_write(&spec, ctx.seed(), ctx.profile())?;
+        let report = serving::run_and_write(ctx.seed(), ctx.profile())?;
 
         let mut out = Report::new();
         out.heading(1, "Serving load — admission and virtual latency")

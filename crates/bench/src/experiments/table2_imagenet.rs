@@ -30,7 +30,7 @@ pub(super) fn corner_product_tables(
     let models = ctx.models()?;
     let mut product_tables: NamedProductTables =
         vec![("INT4".to_string(), Arc::new(ExactInt4Products))];
-    for (name, config) in crate::paper_corners() {
+    for (name, config) in ctx.corners() {
         let multiplier = InSramMultiplier::new(models.clone(), config)?;
         let table =
             MultiplierTable::from_multiplier(&multiplier, multiplier.nominal_operating_point())?;

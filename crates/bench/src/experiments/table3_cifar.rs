@@ -1,7 +1,9 @@
 //! Table III — DNN classification accuracies (CIFAR-10 experiment, scaled).
 //!
-//! Reuses the backbones trained for the Table II experiment, replaces the
-//! classifier head with a 10-neuron dense layer, retrains the head with
+//! Pre-trains its own backbones on the ImageNet stand-in (at the full
+//! profile with the same dataset, trainer and seed as Table II, so the same
+//! backbones; at the fast profile on a smaller 10/4-per-class set), replaces
+//! the classifier head with a 10-neuron dense layer, retrains the head with
 //! transfer learning on a 10-class synthetic dataset and evaluates the same
 //! FLOAT32 / INT4 / fom / power / variation matrix (top-1 only, as in the
 //! paper).

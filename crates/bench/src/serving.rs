@@ -13,7 +13,7 @@
 //!    member's arrival plus `max_delay_us`.
 //!
 //! Every reported number comes from the plan's virtual clock, so the report
-//! is a pure function of the seed and the grid and is byte-identical from
+//! is a pure function of the seed and the profile and is byte-identical from
 //! run to run.  Wall-clock serving times come from the `perfbench` `serve`
 //! workload.  A violated gate surfaces as [`BenchError::Failed`], which the
 //! `optima` runner turns into a nonzero exit.
@@ -40,21 +40,21 @@ pub const SCHEMA: &str = "optima-serving.v2";
 
 /// The sweep grid: every combination of rate × policy × shard count runs
 /// once.
-pub struct SweepSpec {
+struct SweepSpec {
     /// Open-loop arrival rates, in requests per second.
-    pub rates: Vec<f64>,
+    rates: Vec<f64>,
     /// `(max_batch, max_delay_us)` coalescing policies.
-    pub policies: Vec<(usize, u64)>,
+    policies: Vec<(usize, u64)>,
     /// Worker shard counts.
-    pub shards: Vec<usize>,
+    shards: Vec<usize>,
     /// Submissions per grid point.
-    pub requests: usize,
+    requests: usize,
 }
 
 impl SweepSpec {
-    /// The profile-default grid: 2×2×1 at the fast profile, 3×3×2 at the
-    /// full one.
-    pub fn for_profile(profile: Profile) -> SweepSpec {
+    /// The profile's grid: 2×2×1 at the fast profile, 3×3×2 at the full
+    /// one.
+    fn for_profile(profile: Profile) -> SweepSpec {
         if profile.is_fast() {
             SweepSpec {
                 rates: vec![2_000.0, 8_000.0],
@@ -136,13 +136,9 @@ fn serving_images(seed: u64) -> Vec<Tensor> {
         .collect()
 }
 
-/// Runs the sweep and writes [`REPORT_PATH`].
-pub fn run_and_write(
-    spec: &SweepSpec,
-    seed: u64,
-    profile: Profile,
-) -> Result<ServingReport, BenchError> {
-    let report = run_sweep(spec, seed, profile)?;
+/// Runs the profile's sweep and writes [`REPORT_PATH`].
+pub fn run_and_write(seed: u64, profile: Profile) -> Result<ServingReport, BenchError> {
+    let report = run_sweep(&SweepSpec::for_profile(profile), seed, profile)?;
     write_json(&report)?;
     Ok(report)
 }

@@ -9,9 +9,10 @@
 //!   ([`ModelSuite`], fast, calibrated against the former).
 //!
 //! [`DischargeBackend`] is the common interface both implement: the
-//! discharge waveform sampled on an arbitrary time grid, the discharge
-//! `ΔV_BL`, and the write/discharge energies, all at an explicit
-//! [`PvtConditions`] operating point.  Calibration residual measurement,
+//! discharge waveform sampled on an arbitrary time grid and the
+//! write/discharge energies, all at an explicit [`PvtConditions`] operating
+//! point.  The discharge `ΔV_BL` is each side's own call
+//! ([`TransientSimulator::discharge_delta`], [`ModelSuite::discharge`]).  Calibration residual measurement,
 //! held-out evaluation ([`crate::evaluation::ModelEvaluator`]) and the
 //! `perfbench` speed-up timings all route through this trait, so accuracy
 //! and speed-up are always measured between two interchangeable backends
@@ -86,18 +87,6 @@ pub trait DischargeBackend: Sync {
         Ok(out)
     }
 
-    /// Discharge `ΔV_BL` achieved over the whole stimulus (pre-charge level
-    /// minus final bit-line voltage).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DischargeBackend::fill_bitline_voltages`].
-    fn discharge_delta(
-        &self,
-        stimulus: &DischargeStimulus,
-        pvt: &PvtConditions,
-    ) -> Result<Volts, ModelError>;
-
     /// Energy of writing one cell at `pvt` (Eq. 7 territory).
     ///
     /// # Errors
@@ -144,19 +133,6 @@ impl DischargeBackend for TransientSimulator {
             *o = waveform.sample_at(t)?.0;
         }
         Ok(())
-    }
-
-    fn discharge_delta(
-        &self,
-        stimulus: &DischargeStimulus,
-        pvt: &PvtConditions,
-    ) -> Result<Volts, ModelError> {
-        Ok(TransientSimulator::discharge_delta(
-            self,
-            stimulus,
-            pvt,
-            &MismatchSample::none(),
-        )?)
     }
 
     fn write_energy(&self, pvt: &PvtConditions) -> Result<FemtoJoules, ModelError> {
@@ -339,20 +315,6 @@ impl DischargeBackend for ModelSuite {
         Ok(())
     }
 
-    fn discharge_delta(
-        &self,
-        stimulus: &DischargeStimulus,
-        pvt: &PvtConditions,
-    ) -> Result<Volts, ModelError> {
-        self.discharge(
-            stimulus.duration,
-            stimulus.word_line_voltage,
-            stimulus.stored_bit,
-            pvt.vdd,
-            pvt.temperature,
-        )
-    }
-
     fn write_energy(&self, pvt: &PvtConditions) -> Result<FemtoJoules, ModelError> {
         Ok(ModelSuite::write_energy(self, pvt.vdd, pvt.temperature))
     }
@@ -428,17 +390,6 @@ mod tests {
             );
             assert_eq!(scalar.to_bits(), v.to_bits());
         }
-        let delta = DischargeBackend::discharge_delta(&fitted, &stim, &pvt).unwrap();
-        let scalar_delta = fitted
-            .discharge(
-                stim.duration,
-                stim.word_line_voltage,
-                true,
-                pvt.vdd,
-                pvt.temperature,
-            )
-            .unwrap();
-        assert_eq!(delta, scalar_delta);
     }
 
     #[test]
@@ -464,7 +415,9 @@ mod tests {
         let w_ref = DischargeBackend::write_energy(&golden, &pvt).unwrap().0;
         let w_fit = DischargeBackend::write_energy(&fitted, &pvt).unwrap().0;
         assert!((w_ref - w_fit).abs() < 1.0, "write {w_ref} vs {w_fit} fJ");
-        let delta = DischargeBackend::discharge_delta(&golden, &stim, &pvt).unwrap();
+        let delta = golden
+            .discharge_delta(&stim, &pvt, &MismatchSample::none())
+            .unwrap();
         let d_ref = DischargeBackend::discharge_energy(&golden, &stim, &pvt, delta)
             .unwrap()
             .0;

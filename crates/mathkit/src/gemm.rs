@@ -6,7 +6,7 @@
 //! * [`gemm`] — `C += A·B`   (the workhorse behind im2col convolution),
 //! * [`gemm_nt`] — `C += A·Bᵀ` (weight gradients),
 //! * [`gemm_tn`] — `C += Aᵀ·B` (input gradients),
-//! * [`gemv`] / [`gemv_t`] — matrix-vector products (dense layers),
+//! * [`gemv_t`] — transposed matrix-vector product (dense input gradients),
 //! * [`ger`] — rank-1 update `A += x·yᵀ` (dense weight gradients).
 //!
 //! All matrices are dense, row-major `f32` slices.  The kernels are written
@@ -191,22 +191,6 @@ pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
                 axpy(a_row[i], b_row, &mut c[i * n..(i + 1) * n]);
             }
         }
-    }
-}
-
-/// `y += A·x` for row-major `A [m×k]`, `x [k]`, `y [m]`.
-///
-/// One unrolled `dot` product per output element.
-///
-/// # Panics
-///
-/// Panics when the slice lengths do not match the dimensions.
-pub fn gemv(m: usize, k: usize, a: &[f32], x: &[f32], y: &mut [f32]) {
-    check_dims("A", m, k, a.len());
-    assert_eq!(x.len(), k, "x length {} != {k}", x.len());
-    assert_eq!(y.len(), m, "y length {} != {m}", y.len());
-    for (i, y_i) in y.iter_mut().enumerate() {
-        *y_i += dot(&a[i * k..i * k + k], x);
     }
 }
 
@@ -661,12 +645,6 @@ mod tests {
     fn gemv_variants_match_gemm_with_one_column() {
         let (m, k) = (23, 57);
         let a = fill(3, m * k);
-        let x = fill(4, k);
-        let expected = naive_gemm(m, k, 1, &a, &x);
-        let mut y = vec![0.0f32; m];
-        gemv(m, k, &a, &x, &mut y);
-        assert_close(&y, &expected, 1e-4);
-
         let x_m = fill(5, m);
         let mut a_t = vec![0.0f32; k * m];
         for i in 0..m {
